@@ -11,7 +11,7 @@ import sys
 import click
 
 from . import selftest as _selftest
-from .errors import NcprobError
+from .errors import InvalidFamily, NcprobError
 from .families import DeltaTensor, MultilinearFamily
 from .nc import NcPartition, enumerate_nc, kreweras, moebius_to_one
 from .typeb import Flavor, enumerate_signed
@@ -42,14 +42,20 @@ def _dump(obj) -> None:
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _load_family(path: str) -> MultilinearFamily:
+def _load_json(path: str):
     with open(path) as fh:
-        return MultilinearFamily.from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also undecodable bytes
+            raise InvalidFamily(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_family(path: str) -> MultilinearFamily:
+    return MultilinearFamily.from_json_dict(_load_json(path))
 
 
 def _load_delta(path: str) -> DeltaTensor:
-    with open(path) as fh:
-        return DeltaTensor.from_json_dict(json.load(fh))
+    return DeltaTensor.from_json_dict(_load_json(path))
 
 
 def _want(inputs, count: int, what: str):
@@ -57,7 +63,22 @@ def _want(inputs, count: int, what: str):
         raise click.UsageError(f"{what} needs exactly {count} --input file(s)")
 
 
-@click.group()
+class _Command(click.Command):
+    """A command whose library errors are usage errors: exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NcprobError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Group too
+
+
+@click.group(cls=_Group)
 def main():
     """Exact combinatorics of non-crossing partitions and cumulants."""
 
@@ -72,10 +93,7 @@ def nc_group():
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON array.")
 def nc_enumerate(n, as_json):
     """List NC(n) in canonical order, one partition per line."""
-    try:
-        parts = enumerate_nc(n)
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    parts = enumerate_nc(n)
     if as_json:
         _dump([p.to_json() for p in parts])
     else:
@@ -87,10 +105,7 @@ def nc_enumerate(n, as_json):
 @click.option("--partition", "text", required=True, help='Text form, e.g. "{1,3}{2}".')
 def nc_kreweras(text):
     """Print the Kreweras complement of a partition."""
-    try:
-        pi = NcPartition.from_text(text)
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    pi = NcPartition.from_text(text)
     click.echo(kreweras(pi).to_text())
 
 
@@ -98,10 +113,7 @@ def nc_kreweras(text):
 @click.option("--partition", "text", required=True, help='Text form, e.g. "{1,3}{2}".')
 def nc_moebius(text):
     """Print the Moebius value of the partition against the one-block one."""
-    try:
-        pi = NcPartition.from_text(text)
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    pi = NcPartition.from_text(text)
     click.echo(str(moebius_to_one(pi)))
 
 
@@ -121,10 +133,7 @@ def typeb_group():
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON array.")
 def typeb_enumerate(n, flavor, as_json):
     """List the symmetric lattice for the chosen circular order."""
-    try:
-        parts = enumerate_signed(n, Flavor(flavor))
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    parts = enumerate_signed(n, Flavor(flavor))
     if as_json:
         _dump([p.to_json() for p in parts])
     else:
@@ -158,29 +167,20 @@ def transform(brand, direction, inputs):
     infinitesimal to-cumulants takes (base moments, derivative moments) and
     to-moments takes (free cumulants of the base, derivative cumulants).
     """
-    try:
-        if brand in ("free", "boolean"):
-            _want(inputs, 1, brand)
-            f = _load_family(inputs[0])
-            if brand == "free":
-                out = free_cumulants(f) if direction == "to-cumulants" else moments_from_free(f)
-            else:
-                out = boolean_cumulants(f) if direction == "to-cumulants" else moments_from_boolean(f)
-        else:
-            _want(inputs, 2, brand)
-            a = _load_family(inputs[0])
-            b = _load_family(inputs[1])
-            table = {
-                ("cfree", "to-cumulants"): cfree_cumulants,
-                ("cfree", "to-moments"): moments_from_cfree,
-                ("cc", "to-cumulants"): cc_cumulants,
-                ("cc", "to-moments"): moments_from_cc,
-                ("infinitesimal", "to-cumulants"): infinitesimal_cumulants,
-                ("infinitesimal", "to-moments"): infinitesimal_moments,
-            }
-            out = table[(brand, direction)](a, b)
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    table = {
+        ("free", "to-cumulants"): free_cumulants,
+        ("free", "to-moments"): moments_from_free,
+        ("boolean", "to-cumulants"): boolean_cumulants,
+        ("boolean", "to-moments"): moments_from_boolean,
+        ("cfree", "to-cumulants"): cfree_cumulants,
+        ("cfree", "to-moments"): moments_from_cfree,
+        ("cc", "to-cumulants"): cc_cumulants,
+        ("cc", "to-moments"): moments_from_cc,
+        ("infinitesimal", "to-cumulants"): infinitesimal_cumulants,
+        ("infinitesimal", "to-moments"): infinitesimal_moments,
+    }
+    _want(inputs, 1 if brand in ("free", "boolean") else 2, brand)
+    out = table[(brand, direction)](*(_load_family(p) for p in inputs))
     _dump(out.to_json_dict())
 
 
@@ -201,16 +201,13 @@ def transform(brand, direction, inputs):
 )
 def psi(k, input_path, delta_path):
     """Map a distribution to its derivative-style functional."""
-    try:
-        nu = _load_family(input_path)
-        if k is not None and nu.k != k:
-            raise click.UsageError(f"family has k={nu.k}, expected {k}")
-        if delta_path is None:
-            out = psi_k(nu)
-        else:
-            out = delta_star(_load_delta(delta_path), boolean_cumulants(nu))
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    nu = _load_family(input_path)
+    if k is not None and nu.k != k:
+        raise click.UsageError(f"family has k={nu.k}, expected {k}")
+    if delta_path is None:
+        out = psi_k(nu)
+    else:
+        out = delta_star(_load_delta(delta_path), boolean_cumulants(nu))
     _dump(out.to_json_dict())
 
 
@@ -249,10 +246,7 @@ def _pairwise(kind, inputs, product_mode):
 )
 def product(kind, inputs):
     """Free product of distributions or pairs; result JSON on stdout."""
-    try:
-        _dump(_pairwise(kind, inputs, product_mode=True))
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    _dump(_pairwise(kind, inputs, product_mode=True))
 
 
 @main.command("convolve")
@@ -271,10 +265,7 @@ def product(kind, inputs):
 )
 def convolve(kind, inputs):
     """Additive convolution of distributions or pairs."""
-    try:
-        _dump(_pairwise(kind, inputs, product_mode=False))
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    _dump(_pairwise(kind, inputs, product_mode=False))
 
 
 @main.command("verify")
@@ -294,10 +285,7 @@ def convolve(kind, inputs):
               help="Comparison degree.")
 def verify(theorem, seed, k, l, big_n):
     """Check one identity; exit 0 when it holds, 1 with a counterexample."""
-    try:
-        report = _selftest.verify_report(theorem, seed, k, big_n, l=l)
-    except NcprobError as exc:
-        raise click.UsageError(str(exc))
+    report = _selftest.verify_report(theorem, seed, k, big_n, l=l)
     _dump(report)
     sys.exit(0 if report["ok"] else 1)
 

@@ -1,19 +1,28 @@
 """Moment/cumulant transforms for all four brands of cumulants.
 
-Every transform is a direct summation over an enumerated partition lattice;
-the lattice structure for each word length is computed once and cached as
-0-based position blocks.  All arithmetic is exact.
+Every transform is a sum over a partition lattice, run by one kernel,
+`_lattice_sum`.  A lattice is a cached table of rows over 0-based
+positions: a coefficient plus one group of blocks per source family.  A
+row adds its coefficient times each source's values on the subwords its
+blocks cut out.  The c-free and signed-lattice cumulants solve such a sum
+for the unknown family, word by word: the row whose one block, the
+unknown's, is the whole word isolates it.
 
-Degree contract: each transform here consumes input degree n to produce
-output degree n.
+Infinitesimal cumulants are the epsilon-part of the free cumulants of
+phi + epsilon * phi' over the dual numbers (epsilon^2 = 0), so both
+infinitesimal transforms run the free sums with a dual accumulator,
+`_lattice_sum_dual`, whose real part is the free-cumulant table.
+
+Tables a caller already holds are passed down, not recomputed: the private
+entry points take the free cumulants of the base family.  All arithmetic
+is exact, and each transform maps input degree n to output degree n.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import LimitExceeded, ShapeMismatch
-from .families import MultilinearFamily, all_words, build_family
-from .nc import _nc_range, catalan
+from .families import MultilinearFamily, all_words, build_family, words_of_length
+from .nc import _interval_range, _moebius_int, _nc_range, _nests
 from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, enumerate_signed, zero_blocks
 
 Blocks0 = tuple[tuple[int, ...], ...]
@@ -26,214 +35,210 @@ def _require_same_shape(f: MultilinearFamily, g: MultilinearFamily) -> None:
         )
 
 
+def _require_signed_limit(N: int) -> None:
+    if N > DEFAULT_SIGNED_LIMIT:
+        raise LimitExceeded(
+            f"degree {N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# The kernel
+# ---------------------------------------------------------------------------
+
+def _lattice_sum(rows, sources, w):
+    """Sum over rows (coefficient, group, group, ...) of the coefficient
+    times, for each source family and each block b in that source's group,
+    the source's value on the subword of w at the positions b."""
+    total = 0
+    for coeff, *groups in rows:
+        term = coeff
+        for val, blocks in zip(sources, groups):
+            for b in blocks:
+                term *= val[tuple([w[p] for p in b])]
+        total += term
+    return total
+
+
+def _lattice_sum_dual(rows, val, dval, w):
+    """The one-source kernel over dual numbers val + epsilon * dval: returns
+    the real and the epsilon part of the sum."""
+    total = dtotal = 0
+    for coeff, blocks in rows:
+        a, da = coeff, 0
+        for b in blocks:
+            sub = tuple([w[p] for p in b])
+            x = val[sub]
+            a, da = a * x, a * dval[sub] + da * x
+        total += a
+        dtotal += da
+    return total, dtotal
+
+
+def _forward(rows_of, sources, shape: MultilinearFamily, kind: str) -> MultilinearFamily:
+    """The family over shape's (k, N) whose value on w is the kernel sum over
+    the rows for |w|."""
+    return build_family(
+        shape.k, shape.N, lambda w: _lattice_sum(rows_of(len(w)), sources, w), kind=kind
+    )
+
+
+def _solve(rows_of, known: dict, given: MultilinearFamily, kind: str) -> MultilinearFamily:
+    """Solve given = sum over rows_of, with sources (known, out), for out.
+
+    The row whose only block is the whole word, carried by out, has
+    coefficient 1 and isolates out[w]; every other row needs out only on
+    shorter words, which are solved first."""
+    out: dict = {}
+    sources = (known, out)
+    for n in range(1, given.N + 1):
+        whole = (tuple(range(n)),)
+        rows = [r for r in rows_of(n) if r[-1] != whole]
+        for w in words_of_length(given.k, n):
+            out[w] = given._values[w] - _lattice_sum(rows, sources, w)
+    return MultilinearFamily(given.k, given.N, out, kind=kind)
+
+
+def _dual(rows_of, val: dict, dval: dict, k: int, N: int) -> tuple[dict, dict]:
+    real, eps = {}, {}
+    for w in all_words(k, N):
+        real[w], eps[w] = _lattice_sum_dual(rows_of(len(w)), val, dval, w)
+    return real, eps
+
+
 # ---------------------------------------------------------------------------
 # Cached lattice tables, all over 0-based positions
 # ---------------------------------------------------------------------------
 
-def _mob_int(blocks: Blocks0, n: int) -> int:
-    from .nc import _kreweras_blocks0
-
-    comp = _kreweras_blocks0(blocks, n)
-    sign = -1 if (len(blocks) - 1) % 2 else 1
-    prod = 1
-    for b in comp:
-        prod *= catalan(len(b) - 1)
-    return sign * prod
-
-
 @lru_cache(maxsize=None)
 def _nc_mob_table(n: int) -> tuple[tuple[int, Blocks0], ...]:
-    return tuple((_mob_int(blocks, n), blocks) for blocks in _nc_range(n))
+    """Kernel rows over NC(n) weighted by the Moebius value."""
+    return tuple((_moebius_int(blocks, n), blocks) for blocks in _nc_range(n))
 
 
 @lru_cache(maxsize=None)
-def _interval_table(n: int) -> tuple[Blocks0, ...]:
+def _nc_rows(n: int) -> tuple[tuple[int, Blocks0], ...]:
+    """Kernel rows over NC(n) with coefficient 1."""
+    return tuple((1, blocks) for blocks in _nc_range(n))
+
+
+_interval_table = _interval_range
+
+
+@lru_cache(maxsize=None)
+def _boolean_rows(n: int) -> tuple[tuple[int, Blocks0], ...]:
+    """Kernel rows over the interval partitions, signed by block parity."""
+    return tuple((1 if len(b) % 2 else -1, b) for b in _interval_table(n))
+
+
+@lru_cache(maxsize=None)
+def _interval_rows(n: int) -> tuple[tuple[int, Blocks0], ...]:
+    """Kernel rows over the interval partitions with coefficient 1."""
+    return tuple((1, b) for b in _interval_table(n))
+
+
+@lru_cache(maxsize=None)
+def _roles_table(n: int):
+    """Kernel rows (1, inner blocks, outer blocks) over NC(n)."""
     out = []
-    for mask in range(1 << (n - 1)):
-        blocks = []
-        cur = [0]
-        for x in range(1, n):
-            if mask >> (x - 1) & 1:
-                blocks.append(tuple(cur))
-                cur = [x]
-            else:
-                cur.append(x)
-        blocks.append(tuple(cur))
-        out.append(tuple(sorted(blocks)))
-    return tuple(sorted(out))
-
-
-def _roles0(blocks: Blocks0) -> tuple[Blocks0, Blocks0]:
-    inner, outer = [], []
-    for b in blocks:
-        if any(w[0] < b[0] and b[-1] < w[-1] for w in blocks if w != b):
-            inner.append(b)
-        else:
-            outer.append(b)
-    return tuple(inner), tuple(outer)
-
-
-@lru_cache(maxsize=None)
-def _roles_table(n: int) -> tuple[tuple[Blocks0, Blocks0], ...]:
-    """(inner blocks, outer blocks) for every partition in NC(n)."""
-    return tuple(_roles0(blocks) for blocks in _nc_range(n))
+    for blocks in _nc_range(n):
+        inner = tuple(b for b in blocks if any(_nests(v, b) for v in blocks))
+        out.append((1, inner, tuple(b for b in blocks if b not in inner)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _ll_one_table(n: int) -> tuple[tuple[int, tuple[int, ...], Blocks0], ...]:
     """(Moebius value, unique outer block, other blocks) for pi << 1_n."""
-    out = []
-    for mob, blocks in _nc_mob_table(n):
-        holder = next(b for b in blocks if 0 in b)
-        if n - 1 not in holder:
-            continue
-        others = tuple(b for b in blocks if b != holder)
-        out.append((mob, holder, others))
-    return tuple(out)
+    return tuple(
+        (mob, blocks[0], blocks[1:])  # canonical order puts the block of 0 first
+        for mob, blocks in _nc_mob_table(n)
+        if blocks[0][-1] == n - 1
+    )
 
 
-def _pos0(block: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(x - 1 for x in block))
+@lru_cache(maxsize=None)
+def _explicit_rows(n: int):
+    """Kernel rows (Moebius value, (unique outer block,), other blocks) over
+    pi << 1_n."""
+    return tuple((mob, (holder,), others) for mob, holder, others in _ll_one_table(n))
 
 
 def _abs0(block: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted({abs(x) - 1 for x in block}))
 
 
-@lru_cache(maxsize=None)
-def _bopp_table(n: int) -> tuple[tuple[Blocks0, Blocks0], ...]:
-    """Per opposite-order partition: (blocks inside the positives, absolute
-    values of the zero-blocks)."""
-    out = []
-    for sigma in enumerate_signed(n, Flavor.B_OPP):
-        zs = set(zero_blocks(sigma))
-        pos = tuple(
-            _pos0(b)
-            for i, b in enumerate(sigma.blocks)
-            if i not in zs and all(x > 0 for x in b)
-        )
-        zero = tuple(_abs0(sigma.blocks[i]) for i in sorted(zs))
-        out.append((pos, zero))
-    return tuple(out)
-
-
-def _pair_abs(sigma) -> tuple[tuple[int, ...], ...]:
-    zs = set(zero_blocks(sigma))
-    seen = set()
-    out = []
-    for i, b in enumerate(sigma.blocks):
-        if i in zs:
-            continue
-        a = _abs0(b)
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return tuple(out)
+def _zero_and_pairs(sigma) -> tuple[Blocks0, Blocks0]:
+    """(Abs of each zero-block, Abs of each symmetric pair of other blocks)."""
+    zs = zero_blocks(sigma)
+    zero = tuple(_abs0(sigma.blocks[i]) for i in zs)
+    rest = (b for i, b in enumerate(sigma.blocks) if i not in zs)
+    return zero, tuple(dict.fromkeys(_abs0(b) for b in rest))
 
 
 @lru_cache(maxsize=None)
-def _b_zero_table(n: int) -> tuple[tuple[tuple[int, ...], Blocks0], ...]:
-    """Type-B partitions with a zero-block: (Abs of the zero-block, Abs of
-    each symmetric pair)."""
-    out = []
-    for sigma in enumerate_signed(n, Flavor.B):
-        zs = zero_blocks(sigma)
-        if not zs:
-            continue
-        out.append((_abs0(sigma.blocks[zs[0]]), _pair_abs(sigma)))
-    return tuple(out)
+def _bopp_table(n: int):
+    """Kernel rows over the opposite-order lattice: (1, Abs of each
+    symmetric pair, Abs of each zero-block).  A pair there is a block
+    inside the positives and its negative."""
+    return tuple(
+        (1, *_zero_and_pairs(sigma)[::-1]) for sigma in enumerate_signed(n, Flavor.B_OPP)
+    )
 
 
 @lru_cache(maxsize=None)
-def _bopp_zero_table(n: int) -> tuple[tuple[Blocks0, Blocks0], ...]:
-    """Opposite-order partitions with at least one zero-block: (Abs of each
-    zero-block, Abs of each symmetric pair)."""
-    out = []
-    for sigma in enumerate_signed(n, Flavor.B_OPP):
-        zs = zero_blocks(sigma)
-        if not zs:
-            continue
-        zero = tuple(_abs0(sigma.blocks[i]) for i in zs)
-        out.append((zero, _pair_abs(sigma)))
-    return tuple(out)
+def _b_zero_table(n: int):
+    """Kernel rows over the type-B partitions with a zero-block, of which
+    there is at most one: (1, (Abs of the zero-block,), Abs of each
+    symmetric pair)."""
+    return tuple(
+        (1, *_zero_and_pairs(sigma)) for sigma in enumerate_signed(n, Flavor.B)
+        if zero_blocks(sigma)
+    )
+
+
+@lru_cache(maxsize=None)
+def _bopp_zero_table(n: int):
+    """Kernel rows over the opposite-order partitions with at least one
+    zero-block: (1, Abs of each zero-block, Abs of each symmetric pair)."""
+    return tuple((1, zero, pairs) for _, pairs, zero in _bopp_table(n) if zero)
 
 
 # ---------------------------------------------------------------------------
-# Free cumulants
+# Free and Boolean cumulants
 # ---------------------------------------------------------------------------
 
 def free_cumulants(phi: MultilinearFamily) -> MultilinearFamily:
     """Moebius inversion of the moment family over NC(n)."""
-    val = phi._values
-
-    def fn(w):
-        table = _nc_mob_table(len(w))
-        total = Fraction(0)
-        for mob, blocks in table:
-            term = Fraction(mob)
-            for b in blocks:
-                term *= val[tuple(w[p] for p in b)]
-            total += term
-        return total
-
-    return build_family(phi.k, phi.N, fn, kind="free-cumulant")
+    return _forward(_nc_mob_table, (phi._values,), phi, "free-cumulant")
 
 
 def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
     """Inverse of free_cumulants: the product sum over NC(n)."""
-    val = kappa._values
+    return _forward(_nc_rows, (kappa._values,), kappa, "moment")
 
-    def fn(w):
-        total = Fraction(0)
-        for blocks in _nc_range(len(w)):
-            term = Fraction(1)
-            for b in blocks:
-                term *= val[tuple(w[p] for p in b)]
-            total += term
-        return total
-
-    return build_family(kappa.k, kappa.N, fn, kind="moment")
-
-
-# ---------------------------------------------------------------------------
-# Boolean cumulants
-# ---------------------------------------------------------------------------
 
 def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
     """Signed sum over the interval partitions."""
-    val = chi._values
-
-    def fn(w):
-        total = Fraction(0)
-        for blocks in _interval_table(len(w)):
-            term = Fraction(1 if len(blocks) % 2 else -1)
-            for b in blocks:
-                term *= val[tuple(w[p] for p in b)]
-            total += term
-        return total
-
-    return build_family(chi.k, chi.N, fn, kind="boolean-cumulant")
+    return _forward(_boolean_rows, (chi._values,), chi, "boolean-cumulant")
 
 
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
     """Inverse of boolean_cumulants."""
-    val = beta._values
-
-    def fn(w):
-        total = Fraction(0)
-        for blocks in _interval_table(len(w)):
-            term = Fraction(1)
-            for b in blocks:
-                term *= val[tuple(w[p] for p in b)]
-            total += term
-        return total
-
-    return build_family(beta.k, beta.N, fn, kind="moment")
+    return _forward(_interval_rows, (beta._values,), beta, "moment")
 
 
 # ---------------------------------------------------------------------------
 # Infinitesimal cumulants
 # ---------------------------------------------------------------------------
+
+def _free_and_infinitesimal(
+    phi: MultilinearFamily, phi_prime: MultilinearFamily
+) -> tuple[dict, dict]:
+    """Free cumulants of phi and infinitesimal cumulants of (phi, phi'): the
+    real and epsilon parts of the free cumulants of phi + epsilon * phi'."""
+    return _dual(_nc_mob_table, phi._values, phi_prime._values, phi.k, phi.N)
+
 
 def infinitesimal_cumulants(
     phi: MultilinearFamily, phi_prime: MultilinearFamily
@@ -241,23 +246,8 @@ def infinitesimal_cumulants(
     """One distinguished block carries the derivative family, all others the
     moments, with the usual Moebius weight."""
     _require_same_shape(phi, phi_prime)
-    val = phi._values
-    dval = phi_prime._values
-
-    def fn(w):
-        total = Fraction(0)
-        for mob, blocks in _nc_mob_table(len(w)):
-            subs = [val[tuple(w[p] for p in b)] for b in blocks]
-            dsubs = [dval[tuple(w[p] for p in b)] for b in blocks]
-            for o in range(len(blocks)):
-                term = Fraction(mob) * dsubs[o]
-                for i, s in enumerate(subs):
-                    if i != o:
-                        term *= s
-                total += term
-        return total
-
-    return build_family(phi.k, phi.N, fn, kind="infinitesimal-cumulant")
+    kprime = _free_and_infinitesimal(phi, phi_prime)[1]
+    return MultilinearFamily(phi.k, phi.N, kprime, kind="infinitesimal-cumulant")
 
 
 def infinitesimal_moments(
@@ -266,23 +256,8 @@ def infinitesimal_moments(
     """Reconstruct the derivative family from free cumulants of the base and
     the infinitesimal cumulants; inverse of infinitesimal_cumulants."""
     _require_same_shape(kappa_phi, kappa_prime)
-    val = kappa_phi._values
-    dval = kappa_prime._values
-
-    def fn(w):
-        total = Fraction(0)
-        for blocks in _nc_range(len(w)):
-            subs = [val[tuple(w[p] for p in b)] for b in blocks]
-            dsubs = [dval[tuple(w[p] for p in b)] for b in blocks]
-            for o in range(len(blocks)):
-                term = dsubs[o]
-                for i, s in enumerate(subs):
-                    if i != o:
-                        term *= s
-                total += term
-        return total
-
-    return build_family(kappa_phi.k, kappa_phi.N, fn, kind="infinitesimal")
+    dmom = _dual(_nc_rows, kappa_phi._values, kappa_prime._values, kappa_phi.k, kappa_phi.N)[1]
+    return MultilinearFamily(kappa_phi.k, kappa_phi.N, dmom, kind="infinitesimal")
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +271,11 @@ def cfree_cumulants(
     outer blocks the c-free cumulants themselves; the one-block partition
     isolates the unknown."""
     _require_same_shape(phi, chi)
-    kphi = free_cumulants(phi)._values
-    cval = chi._values
-    out: dict = {}
-    for w in all_words(phi.k, phi.N):
-        total = cval[w]
-        for inner, outer in _roles_table(len(w)):
-            if len(inner) + len(outer) == 1:
-                continue
-            term = Fraction(1)
-            for b in inner:
-                term *= kphi[tuple(w[p] for p in b)]
-            for b in outer:
-                term *= out[tuple(w[p] for p in b)]
-            total -= term
-        out[w] = total
-    return MultilinearFamily(phi.k, phi.N, out, kind="cfree-cumulant")
+    return _cfree_cumulants(free_cumulants(phi)._values, chi)
+
+
+def _cfree_cumulants(kphi: dict, chi: MultilinearFamily) -> MultilinearFamily:
+    return _solve(_roles_table, kphi, chi, "cfree-cumulant")
 
 
 def moments_from_cfree(
@@ -319,21 +283,11 @@ def moments_from_cfree(
 ) -> MultilinearFamily:
     """Forward inner/outer product sum, with free cumulants of phi inside."""
     _require_same_shape(phi, kappa_c)
-    kphi = free_cumulants(phi)._values
-    cval = kappa_c._values
+    return _moments_from_cfree(free_cumulants(phi)._values, kappa_c)
 
-    def fn(w):
-        total = Fraction(0)
-        for inner, outer in _roles_table(len(w)):
-            term = Fraction(1)
-            for b in inner:
-                term *= kphi[tuple(w[p] for p in b)]
-            for b in outer:
-                term *= cval[tuple(w[p] for p in b)]
-            total += term
-        return total
 
-    return build_family(phi.k, phi.N, fn, kind="moment")
+def _moments_from_cfree(kphi: dict, kappa_c: MultilinearFamily) -> MultilinearFamily:
+    return _forward(_roles_table, (kphi, kappa_c._values), kappa_c, "moment")
 
 
 def cfree_explicit(
@@ -344,18 +298,7 @@ def cfree_explicit(
     block and moments of phi elsewhere."""
     _require_same_shape(phi, chi)
     bchi = boolean_cumulants(chi)._values
-    val = phi._values
-
-    def fn(w):
-        total = Fraction(0)
-        for mob, holder, others in _ll_one_table(len(w)):
-            term = Fraction(mob) * bchi[tuple(w[p] for p in holder)]
-            for b in others:
-                term *= val[tuple(w[p] for p in b)]
-            total += term
-        return total
-
-    return build_family(phi.k, phi.N, fn, kind="cfree-cumulant")
+    return _forward(_explicit_rows, (bchi, phi._values), phi, "cfree-cumulant")
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +312,12 @@ def cc_cumulants(
     positives carry free cumulants of phi, zero-blocks the unknown family;
     the single-block partition isolates it."""
     _require_same_shape(phi, chi)
-    if phi.N > DEFAULT_SIGNED_LIMIT:
-        raise LimitExceeded(
-            f"degree {phi.N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}"
-        )
-    kphi = free_cumulants(phi)._values
-    cval = chi._values
-    out: dict = {}
-    for w in all_words(phi.k, phi.N):
-        n = len(w)
-        total = cval[w]
-        for pos, zero in _bopp_table(n):
-            if len(zero) == 1 and len(zero[0]) == n:
-                continue
-            term = Fraction(1)
-            for b in pos:
-                term *= kphi[tuple(w[p] for p in b)]
-            for b in zero:
-                term *= out[tuple(w[p] for p in b)]
-            total -= term
-        out[w] = total
-    return MultilinearFamily(phi.k, phi.N, out, kind="cc-cumulant")
+    _require_signed_limit(phi.N)
+    return _cc_cumulants(free_cumulants(phi)._values, chi)
+
+
+def _cc_cumulants(kphi: dict, chi: MultilinearFamily) -> MultilinearFamily:
+    return _solve(_bopp_table, kphi, chi, "cc-cumulant")
 
 
 def moments_from_cc(
@@ -398,30 +326,21 @@ def moments_from_cc(
     """Forward signed-lattice sum reconstructing chi from phi and the
     alternative c-free cumulants."""
     _require_same_shape(phi, kappa_cc)
-    if phi.N > DEFAULT_SIGNED_LIMIT:
-        raise LimitExceeded(
-            f"degree {phi.N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}"
-        )
+    _require_signed_limit(phi.N)
     kphi = free_cumulants(phi)._values
-    cval = kappa_cc._values
-
-    def fn(w):
-        total = Fraction(0)
-        for pos, zero in _bopp_table(len(w)):
-            term = Fraction(1)
-            for b in pos:
-                term *= kphi[tuple(w[p] for p in b)]
-            for b in zero:
-                term *= cval[tuple(w[p] for p in b)]
-            total += term
-        return total
-
-    return build_family(phi.k, phi.N, fn, kind="moment")
+    return _forward(_bopp_table, (kphi, kappa_cc._values), kappa_cc, "moment")
 
 
 # ---------------------------------------------------------------------------
 # Signed-lattice rewritings of the moment formulas (verification routines)
 # ---------------------------------------------------------------------------
+
+def _first_mismatch(rows_of, sources, want, k: int, max_n: int):
+    for w in all_words(k, max_n):
+        if _lattice_sum(rows_of(len(w)), sources, w) != want(w):
+            return w
+    return None
+
 
 def eq_typeb_counterexample(
     phi: MultilinearFamily, phi_prime: MultilinearFamily, max_n: int | None = None
@@ -430,20 +349,9 @@ def eq_typeb_counterexample(
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
+    kphi, kprime = _free_and_infinitesimal(phi, phi_prime)
     max_n = phi.N if max_n is None else max_n
-    kphi = free_cumulants(phi)._values
-    kprime = infinitesimal_cumulants(phi, phi_prime)._values
-    dval = phi_prime._values
-    for w in all_words(phi.k, max_n):
-        total = Fraction(0)
-        for zero, pairs in _b_zero_table(len(w)):
-            term = kprime[tuple(w[p] for p in zero)]
-            for b in pairs:
-                term *= kphi[tuple(w[p] for p in b)]
-            total += term
-        if total != dval[w]:
-            return w
-    return None
+    return _first_mismatch(_b_zero_table, (kprime, kphi), phi_prime, phi.k, max_n)
 
 
 def eq_bopp_counterexample(
@@ -453,18 +361,10 @@ def eq_bopp_counterexample(
     carry alternative c-free cumulants, pairs carry free cumulants of phi.
     Returns the first failing word or None."""
     _require_same_shape(phi, chi)
-    max_n = phi.N if max_n is None else max_n
+    _require_signed_limit(phi.N)
     kphi = free_cumulants(phi)._values
-    kcc = cc_cumulants(phi, chi)._values
-    for w in all_words(phi.k, max_n):
-        total = Fraction(0)
-        for zero, pairs in _bopp_zero_table(len(w)):
-            term = Fraction(1)
-            for b in zero:
-                term *= kcc[tuple(w[p] for p in b)]
-            for b in pairs:
-                term *= kphi[tuple(w[p] for p in b)]
-            total += term
-        if total != chi(w) - phi(w):
-            return w
-    return None
+    kcc = _cc_cumulants(kphi, chi)._values
+    max_n = phi.N if max_n is None else max_n
+    return _first_mismatch(
+        _bopp_zero_table, (kcc, kphi), lambda w: chi(w) - phi(w), phi.k, max_n
+    )

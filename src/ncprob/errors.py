@@ -13,6 +13,10 @@ class InvalidPartition(NcprobError):
     """Blocks do not form a valid (non-crossing) partition of the ground set."""
 
 
+class InvalidFamily(NcprobError):
+    """Serialized family or tensor data is malformed."""
+
+
 class SizeMismatch(NcprobError):
     """Two partitions live on ground sets of different sizes."""
 

@@ -22,6 +22,7 @@ from .errors import (
     DegreeTooLow,
     DimMismatch,
     EmptySubset,
+    InvalidFamily,
     PositionOutOfRange,
     ShapeMismatch,
 )
@@ -38,6 +39,8 @@ KINDS = (
     "infinitesimal-cumulant",
 )
 _UNIT_ZERO_KINDS = ("infinitesimal", "infinitesimal-cumulant")
+# What parsing JSON-decoded data of the wrong shape or content can raise.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 @lru_cache(maxsize=None)
@@ -132,11 +135,14 @@ class MultilinearFamily:
 
     @classmethod
     def from_json_dict(cls, data) -> "MultilinearFamily":
-        values = {
-            tuple(int(t) for t in key.split(",")): parse_rational(val)
-            for key, val in data["values"].items()
-        }
-        fam = cls(data["k"], data["N"], values, kind=data.get("kind", "moment"))
+        try:
+            values = {
+                tuple(int(t) for t in key.split(",")): parse_rational(val)
+                for key, val in data["values"].items()
+            }
+            fam = cls(data["k"], data["N"], values, kind=data.get("kind", "moment"))
+        except _MALFORMED as exc:
+            raise InvalidFamily(f"malformed family data: {exc!r}") from None
         if "unit" in data and data["unit"] != fam.unit:
             raise ShapeMismatch(
                 f"unit {data['unit']!r} inconsistent with kind {fam.kind!r}"
@@ -281,11 +287,14 @@ class DeltaTensor:
 
     @classmethod
     def from_json_dict(cls, data) -> "DeltaTensor":
-        entries = {
-            (e["i"], e["j"], e["l"]): parse_rational(e["value"])
-            for e in data["entries"]
-        }
-        return cls(data["k"], entries)
+        try:
+            entries = {
+                (e["i"], e["j"], e["l"]): parse_rational(e["value"])
+                for e in data["entries"]
+            }
+            return cls(data["k"], entries)
+        except _MALFORMED as exc:
+            raise InvalidFamily(f"malformed tensor data: {exc!r}") from None
 
 
 def diagonal_delta(k: int) -> DeltaTensor:

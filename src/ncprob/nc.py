@@ -146,13 +146,21 @@ class NcPartition:
 
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "NcPartition":
-        parts = re.findall(r"\{([^{}]*)\}", text)
-        if not parts or "".join(parts).strip() == "":
-            raise InvalidPartition(f"cannot parse partition text: {text!r}")
-        blocks = [tuple(int(tok) for tok in p.split(",")) for p in parts]
+        blocks = _blocks_from_text(text)
         if n is None:
             n = sum(len(b) for b in blocks)
         return cls(n, blocks)
+
+
+_PARTITION_TEXT = re.compile(r"(\s*\{\s*-?\d+\s*(,\s*-?\d+\s*)*\})+\s*")
+
+
+def _blocks_from_text(text: str) -> list[tuple[int, ...]]:
+    """The integer blocks of a text form such as ``{1,3}{2}``; anything but
+    braced comma-separated integers raises InvalidPartition."""
+    if not _PARTITION_TEXT.fullmatch(text):
+        raise InvalidPartition(f"cannot parse partition text: {text!r}")
+    return [tuple(map(int, p.split(","))) for p in re.findall(r"\{([^}]*)\}", text)]
 
 
 def zero_partition(n: int) -> NcPartition:
@@ -240,6 +248,17 @@ def enumerate_nc(n: int, limit: int | None = None) -> tuple[NcPartition, ...]:
     return _nc_objects(n)
 
 
+@lru_cache(maxsize=None)
+def _interval_range(m: int) -> tuple[Blocks, ...]:
+    """All interval partitions of {0..m-1}, 0-based, sorted canonically: one
+    per subset of the m-1 gaps at which a new block starts."""
+    out = []
+    for mask in range(1 << (m - 1)):
+        starts = [0] + [x for x in range(1, m) if mask >> (x - 1) & 1] + [m]
+        out.append(tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:])))
+    return tuple(sorted(out))
+
+
 def interval_partitions(n: int, limit: int | None = None) -> tuple[NcPartition, ...]:
     """All interval partitions of {1..n} (one per composition of n)."""
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
@@ -247,19 +266,10 @@ def interval_partitions(n: int, limit: int | None = None) -> tuple[NcPartition, 
         raise InvalidPartition(f"n must be positive, got {n}")
     if n > limit:
         raise LimitExceeded(f"n={n} above enumeration limit {limit}")
-    out = []
-    for mask in range(1 << (n - 1)):
-        blocks = []
-        cur = [1]
-        for x in range(2, n + 1):
-            if mask >> (x - 2) & 1:
-                blocks.append(tuple(cur))
-                cur = [x]
-            else:
-                cur.append(x)
-        blocks.append(tuple(cur))
-        out.append(NcPartition(n, blocks))
-    return tuple(sorted(out, key=lambda p: p.blocks))
+    return tuple(
+        NcPartition(n, [tuple(x + 1 for x in b) for b in blocks])
+        for blocks in _interval_range(n)
+    )
 
 
 def is_interval(pi: NcPartition) -> bool:

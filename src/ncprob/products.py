@@ -1,54 +1,90 @@
 """Free products and additive convolutions, free / c-free / infinitesimal.
 
-Everything is constructed in cumulant space, exactly as the defining
-prescriptions state it: products concatenate cumulants block-diagonally
-with vanishing mixed terms, convolutions add cumulants entrywise, and the
-moment tables are then rebuilt through the inverse transforms.
+All six are one helper, `_combine`, working in cumulant space as the
+defining prescriptions state it.  It joins the free cumulants of the first
+components, block-diagonally with vanishing mixed terms for a product and
+entrywise for a convolution, and inverts the result.  For c-free and
+infinitesimal pairs it joins the second components' cumulants the same way
+and inverts them relative to the first.  Each free-cumulant table is
+computed once and passed down to the private entry points of `cumulants`.
 """
 
 from fractions import Fraction
 
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
-from .families import (
-    MultilinearFamily,
-    Word,
-    all_words,
-    build_family,
-    is_tracial,
-    truncate,
-)
+from .families import MultilinearFamily, all_words, is_tracial, truncate
 from .cumulants import (
-    cfree_cumulants,
+    _cfree_cumulants,
+    _free_and_infinitesimal,
+    _moments_from_cfree,
     free_cumulants,
-    infinitesimal_cumulants,
     infinitesimal_moments,
-    moments_from_cfree,
     moments_from_free,
 )
 from .deltastar import psi_k
 
 
-def _concat(c1: MultilinearFamily, c2: MultilinearFamily, kind: str) -> MultilinearFamily:
-    """Block-diagonal cumulant table over k1+k2 generators: words staying in
-    one group keep their cumulant, mixed words get zero."""
-    k1, k2 = c1.k, c2.k
+def _cumulant_pair(brand, mu: MultilinearFamily, second):
+    """Free cumulants of mu and, for a brand, the brand's cumulants of the
+    pair (mu, second)."""
+    if brand == "infinitesimal":
+        return _free_and_infinitesimal(mu, second)
+    kmu = free_cumulants(mu)._values
+    if brand == "cfree":
+        return kmu, _cfree_cumulants(kmu, second)._values
+    return kmu, None
 
-    def fn(w: Word) -> Fraction:
-        if all(x <= k1 for x in w):
-            return c1(w)
-        if all(x > k1 for x in w):
-            return c2(tuple(x - k1 for x in w))
-        return Fraction(0)
 
-    return build_family(k1 + k2, c1.N, fn, kind=kind)
+def _combine(product: bool, brand, mu1, mu2, second1=None, second2=None):
+    """Free product (product=True) or additive convolution of mu1 and mu2;
+    with brand "cfree" or "infinitesimal", also of the second components,
+    returned as the pair (first, second)."""
+    k1 = mu1.k
+    k = k1 + mu2.k if product else k1
+    N = mu1.N
+
+    def join(c1: dict, c2: dict, kind: str) -> MultilinearFamily:
+        if product:
+            values = {
+                w: c1[w] if max(w) <= k1
+                else c2[tuple(x - k1 for x in w)] if min(w) > k1
+                else Fraction(0)
+                for w in all_words(k, N)
+            }
+        else:
+            values = {w: c1[w] + c2[w] for w in c1}
+        return MultilinearFamily(k, N, values, kind=kind)
+
+    kappa1, c1 = _cumulant_pair(brand, mu1, second1)
+    kappa2, c2 = _cumulant_pair(brand, mu2, second2)
+    kappa = join(kappa1, kappa2, "free-cumulant")
+    mu = moments_from_free(kappa)
+    if brand == "cfree":
+        return mu, _moments_from_cfree(kappa._values, join(c1, c2, "cfree-cumulant"))
+    if brand == "infinitesimal":
+        return mu, infinitesimal_moments(kappa, join(c1, c2, "infinitesimal-cumulant"))
+    return mu
+
+
+def _check_product_pairs(mu1, s1, mu2, s2) -> None:
+    if not (mu1.N == s1.N == mu2.N == s2.N):
+        raise DegreeMismatch("all four inputs must share one degree")
+    if mu1.k != s1.k or mu2.k != s2.k:
+        raise ShapeMismatch("each pair must share its generator count")
+
+
+def _check_convolution_pairs(mu1, s1, mu2, s2) -> None:
+    if not (mu1.k == s1.k == mu2.k == s2.k):
+        raise ShapeMismatch("all four inputs must share k")
+    if not (mu1.N == s1.N == mu2.N == s2.N):
+        raise ShapeMismatch("all four inputs must share N")
 
 
 def free_product(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
     """Free product of distributions over k and l generators."""
     if mu1.N != mu2.N:
         raise DegreeMismatch(f"degrees differ: {mu1.N} vs {mu2.N}")
-    kappa = _concat(free_cumulants(mu1), free_cumulants(mu2), "free-cumulant")
-    return moments_from_free(kappa)
+    return _combine(True, None, mu1, mu2)
 
 
 def cfree_product(
@@ -59,15 +95,8 @@ def cfree_product(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """c-free product of two pairs; the second output is reconstructed from
     the concatenated c-free cumulant prescription relative to the product."""
-    if not (mu1.N == nu1.N == mu2.N == nu2.N):
-        raise DegreeMismatch("all four inputs must share one degree")
-    if mu1.k != nu1.k or mu2.k != nu2.k:
-        raise ShapeMismatch("each pair must share its generator count")
-    mu = free_product(mu1, mu2)
-    kc = _concat(
-        cfree_cumulants(mu1, nu1), cfree_cumulants(mu2, nu2), "cfree-cumulant"
-    )
-    return mu, moments_from_cfree(mu, kc)
+    _check_product_pairs(mu1, nu1, mu2, nu2)
+    return _combine(True, "cfree", mu1, mu2, nu1, nu2)
 
 
 def infinitesimal_product(
@@ -77,32 +106,15 @@ def infinitesimal_product(
     mu2p: MultilinearFamily,
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free product of two pairs."""
-    if not (mu1.N == mu1p.N == mu2.N == mu2p.N):
-        raise DegreeMismatch("all four inputs must share one degree")
-    if mu1.k != mu1p.k or mu2.k != mu2p.k:
-        raise ShapeMismatch("each pair must share its generator count")
-    mu = free_product(mu1, mu2)
-    kp = _concat(
-        infinitesimal_cumulants(mu1, mu1p),
-        infinitesimal_cumulants(mu2, mu2p),
-        "infinitesimal-cumulant",
-    )
-    return mu, infinitesimal_moments(free_cumulants(mu), kp)
+    _check_product_pairs(mu1, mu1p, mu2, mu2p)
+    return _combine(True, "infinitesimal", mu1, mu2, mu1p, mu2p)
 
 
 def boxplus(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
     """Free additive convolution: free cumulants add entrywise."""
     if mu1.k != mu2.k or mu1.N != mu2.N:
         raise ShapeMismatch("inputs must share k and N")
-    c1 = free_cumulants(mu1)._values
-    c2 = free_cumulants(mu2)._values
-    kappa = MultilinearFamily(
-        mu1.k,
-        mu1.N,
-        {w: c1[w] + c2[w] for w in all_words(mu1.k, mu1.N)},
-        kind="free-cumulant",
-    )
-    return moments_from_free(kappa)
+    return _combine(False, None, mu1, mu2)
 
 
 def boxplus_c(
@@ -112,20 +124,8 @@ def boxplus_c(
     nu2: MultilinearFamily,
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """c-free additive convolution of two pairs over one generator set."""
-    if not (mu1.k == nu1.k == mu2.k == nu2.k):
-        raise ShapeMismatch("all four inputs must share k")
-    if not (mu1.N == nu1.N == mu2.N == nu2.N):
-        raise ShapeMismatch("all four inputs must share N")
-    mu = boxplus(mu1, mu2)
-    c1 = cfree_cumulants(mu1, nu1)._values
-    c2 = cfree_cumulants(mu2, nu2)._values
-    kc = MultilinearFamily(
-        mu1.k,
-        mu1.N,
-        {w: c1[w] + c2[w] for w in all_words(mu1.k, mu1.N)},
-        kind="cfree-cumulant",
-    )
-    return mu, moments_from_cfree(mu, kc)
+    _check_convolution_pairs(mu1, nu1, mu2, nu2)
+    return _combine(False, "cfree", mu1, mu2, nu1, nu2)
 
 
 def boxplus_b(
@@ -135,20 +135,8 @@ def boxplus_b(
     mu2p: MultilinearFamily,
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free additive convolution of two pairs."""
-    if not (mu1.k == mu1p.k == mu2.k == mu2p.k):
-        raise ShapeMismatch("all four inputs must share k")
-    if not (mu1.N == mu1p.N == mu2.N == mu2p.N):
-        raise ShapeMismatch("all four inputs must share N")
-    mu = boxplus(mu1, mu2)
-    c1 = infinitesimal_cumulants(mu1, mu1p)._values
-    c2 = infinitesimal_cumulants(mu2, mu2p)._values
-    kp = MultilinearFamily(
-        mu1.k,
-        mu1.N,
-        {w: c1[w] + c2[w] for w in all_words(mu1.k, mu1.N)},
-        kind="infinitesimal-cumulant",
-    )
-    return mu, infinitesimal_moments(free_cumulants(mu), kp)
+    _check_convolution_pairs(mu1, mu1p, mu2, mu2p)
+    return _combine(False, "infinitesimal", mu1, mu2, mu1p, mu2p)
 
 
 # ---------------------------------------------------------------------------

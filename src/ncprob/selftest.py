@@ -6,17 +6,17 @@ deterministic for a fixed seed.
 """
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 
 from . import (
+    BlockRole,
     Flavor,
     NcPartition,
     all_words,
     attach,
+    block_roles,
     boolean_cumulants,
     catalan,
-    cc_cumulants,
     cfree_cumulants,
     cfree_explicit,
     cfree_product,
@@ -30,13 +30,13 @@ from . import (
     eq_typeb_counterexample,
     free_cumulants,
     from_pair,
-    gamma_eta_counterexample,
     infinitesimal_cumulants,
     infinitesimal_moments,
     infinitesimal_product,
     is_interval,
     kreweras,
     leq,
+    ll,
     ll_one,
     moebius_oracle,
     moebius_to_one,
@@ -57,7 +57,13 @@ from . import (
     truncate,
     words_of_length,
 )
-from .cumulants import _ll_one_table, _nc_mob_table
+from .cumulants import (
+    _cc_cumulants,
+    _cfree_cumulants,
+    _lattice_sum,
+    _ll_one_table,
+)
+from .deltastar import _gamma_eta_counterexample
 
 
 def _criterion_catalan(seed):
@@ -128,9 +134,23 @@ def _criterion_ideals(seed):
     return True, "lower-ideal counts and alternating-sum indicator exact for n<=7"
 
 
-def _criterion_cut_attach(seed):
-    from .nc import BlockRole, block_roles, ll
+def _cut_attach_failure(n):
+    """The first (partition, i) with pi << 1_n and i in an inner block, not
+    its maximum, where K(cut(pi, i)) != attach(K(pi), i); None if none."""
+    for p in enumerate_nc(n):
+        if not ll_one(p):
+            continue
+        roles = block_roles(p)
+        for idx, blk in enumerate(p.blocks):
+            if roles[idx] is not BlockRole.INNER:
+                continue
+            for x in blk[:-1]:
+                if kreweras(cut(p, x)) != attach(kreweras(p), x):
+                    return p, x
+    return None
 
+
+def _criterion_cut_attach(seed):
     for n in range(1, 8):
         parts = enumerate_nc(n)
         domain = [p for p in parts if ll_one(p)]
@@ -143,14 +163,9 @@ def _criterion_cut_attach(seed):
             for b in domain:
                 if sqsubseteq(a, b) != ll(kreweras(b), ka):
                     return False, f"anti-isomorphism fails at n={n}"
-        for p in domain:
-            roles = block_roles(p)
-            for idx, blk in enumerate(p.blocks):
-                if roles[idx] is not BlockRole.INNER:
-                    continue
-                for x in blk[:-1]:
-                    if kreweras(cut(p, x)) != attach(kreweras(p), x):
-                        return False, f"cut/attach duality fails at n={n}, i={x}"
+        bad = _cut_attach_failure(n)
+        if bad is not None:
+            return False, f"cut/attach duality fails at n={n}, i={bad[1]}"
     return True, "complement anti-isomorphism and cut/attach duality exact for n<=7"
 
 
@@ -194,87 +209,61 @@ def _criterion_round_trips(seed):
     return True, "free/boolean/infinitesimal/c-free transforms invert on 20 seeded families"
 
 
-def _lemma_free_from_boolean(bphi, w):
-    total = Fraction(0)
-    for _, holder, others in _ll_one_table(len(w)):
-        sign = -1 if len(others) % 2 else 1
-        term = Fraction(sign)
-        term *= bphi[tuple(w[p] for p in holder)]
-        for b in others:
-            term *= bphi[tuple(w[p] for p in b)]
-        total += term
-    return total
-
-
-def _lemma_cfree_from_boolean(bphi, bchi, w):
-    total = Fraction(0)
-    for _, holder, others in _ll_one_table(len(w)):
-        sign = -1 if len(others) % 2 else 1
-        term = Fraction(sign) * bchi[tuple(w[p] for p in holder)]
-        for b in others:
-            term *= bphi[tuple(w[p] for p in b)]
-        total += term
-    return total
+@lru_cache(maxsize=None)
+def _ll_one_sign_rows(n):
+    """Kernel rows over pi << 1_n: ((-1)^(|pi|-1), (outer block,), other
+    blocks)."""
+    return tuple(
+        ((-1) ** len(others), (holder,), others) for _, holder, others in _ll_one_table(n)
+    )
 
 
 @lru_cache(maxsize=None)
-def _fixed_block_table(n):
-    """For each block containing 0 and n-1: the partitions having it, as
-    (parity sign, Moebius value, other blocks)."""
+def _fixed_block_rows(n):
+    """For each block holding 0 and n-1: kernel rows over the partitions
+    having it, with the other blocks as the one group, weighted once by the
+    parity sign and once by the Moebius value."""
     out: dict = {}
-    for mob, blocks in _nc_mob_table(n):
-        sign = 1 if (1 + len(blocks)) % 2 == 0 else -1
-        for b in blocks:
-            if 0 in b and n - 1 in b:
-                others = tuple(x for x in blocks if x != b)
-                out.setdefault(b, []).append((sign, mob, others))
-    return {h: tuple(v) for h, v in out.items()}
-
-
-def _lemma_fixed_block_sums(bphi, val, w, holder0):
-    """Both sides of the fixed-outer-block resummation, for one word."""
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for sign, mob, others in _fixed_block_table(len(w))[holder0]:
-        t1 = Fraction(sign)
-        t2 = Fraction(mob)
-        for b in others:
-            t1 *= bphi[tuple(w[p] for p in b)]
-            t2 *= val[tuple(w[p] for p in b)]
-        lhs += t1
-        rhs += t2
-    return lhs, rhs
+    for mob, holder, others in _ll_one_table(n):
+        by_sign, by_mob = out.setdefault(holder, ([], []))
+        by_sign.append(((-1) ** len(others), others))
+        by_mob.append((mob, others))
+    return out
 
 
 def _criterion_cfree_formula(seed):
-    import itertools
-
     for i in range(20):
         s = seed * 1000 + 100 + i
         phi = random_family(2, 5, seed=s)
         chi = random_family(2, 5, seed=s + 5000)
-        if cfree_explicit(phi, chi) != cfree_cumulants(phi, chi):
+        kphi = free_cumulants(phi)
+        kc = _cfree_cumulants(kphi._values, chi)
+        if cfree_explicit(phi, chi) != kc:
             return False, f"explicit formula != recursion at draw {i}"
         bphi = boolean_cumulants(phi)._values
         bchi = boolean_cumulants(chi)._values
-        kphi = free_cumulants(phi)
-        kc = cfree_cumulants(phi, chi)
         for w in all_words(2, 5):
-            if kphi(w) != _lemma_free_from_boolean(bphi, w):
+            rows = _ll_one_sign_rows(len(w))
+            if kphi(w) != _lattice_sum(rows, (bphi, bphi), w):
                 return False, f"free-from-boolean resummation fails at {w}"
-            if kc(w) != _lemma_cfree_from_boolean(bphi, bchi, w):
+            if kc(w) != _lattice_sum(rows, (bchi, bphi), w):
                 return False, f"c-free boolean resummation fails at {w}"
         val = phi._values
         for n in range(2, 6):
-            for mid in itertools.chain.from_iterable(
-                itertools.combinations(range(1, n - 1), r) for r in range(n - 1)
-            ):
-                holder0 = tuple(sorted((0, n - 1) + mid))
+            for by_sign, by_mob in _fixed_block_rows(n).values():
                 for w in words_of_length(2, n):
-                    lhs, rhs = _lemma_fixed_block_sums(bphi, val, w, holder0)
-                    if lhs != rhs:
+                    if _lattice_sum(by_sign, (bphi,), w) != _lattice_sum(by_mob, (val,), w):
                         return False, f"fixed-block resummation fails at {w}"
     return True, "explicit c-free formula and the three resummation lemmas exact on 20 pairs"
+
+
+def _cc_difference_failure(phi, chi):
+    """The first word where the signed-lattice cumulants of (phi, chi) differ
+    from the c-free minus the free cumulants, or None."""
+    kf = free_cumulants(phi)._values
+    kc = _cfree_cumulants(kf, chi)._values
+    kcc = _cc_cumulants(kf, chi)._values
+    return next((w for w in all_words(phi.k, phi.N) if kcc[w] != kc[w] - kf[w]), None)
 
 
 def _criterion_cc(seed):
@@ -282,12 +271,9 @@ def _criterion_cc(seed):
         s = seed * 1000 + 300 + i
         phi = random_family(2, 5, seed=s)
         chi = random_family(2, 5, seed=s + 5000)
-        kcc = cc_cumulants(phi, chi)
-        kc = cfree_cumulants(phi, chi)
-        kphi = free_cumulants(phi)
-        for w in all_words(2, 5):
-            if kcc(w) != kc(w) - kphi(w):
-                return False, f"difference identity fails at draw {i}, word {w}"
+        bad = _cc_difference_failure(phi, chi)
+        if bad is not None:
+            return False, f"difference identity fails at draw {i}, word {bad}"
     phi = random_family(2, 5, seed=seed * 1000 + 901)
     phip = random_family(2, 5, seed=seed * 1000 + 902, kind="infinitesimal")
     chi = random_family(2, 5, seed=seed * 1000 + 903)
@@ -334,20 +320,25 @@ def _criterion_cyclic_theorem(seed):
     return True, "cyclic cumulant identity exact on 50 pairs at k=2 and 50 at k=1"
 
 
+def _gamma_eta_cases(max_n):
+    """Every (n, m, rho) with n <= max_n, rho << 1_{n+1} and 1 <= m <= n."""
+    for n in range(1, max_n + 1):
+        for rho in enumerate_nc(n + 1):
+            if ll_one(rho):
+                for m in range(1, n + 1):
+                    yield n, m, rho
+
+
 def _criterion_gamma_eta(seed):
     phi = random_tracial(2, 5, seed=seed * 1000 + 600)
     chi = random_family(2, 6, seed=seed * 1000 + 601)
     delta = random_delta(2, seed=seed * 1000 + 602)
+    beta = boolean_cumulants(chi)._values
     cases = 0
-    for n in range(1, 5):
-        for rho in enumerate_nc(n + 1):
-            if not ll_one(rho):
-                continue
-            for m in range(1, n + 1):
-                bad = gamma_eta_counterexample(delta, chi, phi, n, m, rho)
-                if bad is not None:
-                    return False, f"block identity fails at n={n}, m={m}, {rho}"
-                cases += 1
+    for n, m, rho in _gamma_eta_cases(4):
+        if _gamma_eta_counterexample(delta, chi, beta, phi, n, m, rho) is not None:
+            return False, f"block identity fails at n={n}, m={m}, {rho}"
+        cases += 1
     return True, f"block-level transform identity exhaustive for n<=4 ({cases} cases)"
 
 
@@ -398,11 +389,12 @@ def _criterion_products(seed):
 
 
 def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> dict:
-    """One-shot verification with seeded random inputs; shared by the CLI."""
-    from .nc import BlockRole, block_roles, ll
+    """One-shot verification with seeded random inputs; shared by the CLI.
 
+    Targets with a fixed range of degrees check the requested degree clipped
+    to it, and the report's "N" is the degree actually checked.  The
+    counterexample is the first one found."""
     ce = None
-    extra: dict = {}
     if theorem == "12":
         mu1 = random_tracial(k, big_n + 1, seed=seed)
         nu1 = random_family(k, big_n + 1, seed=seed + 1)
@@ -425,66 +417,48 @@ def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> di
         delta = random_delta(k, seed=seed + 2)
         ce = cumulant_transform_counterexample(delta, phi, chi)
     elif theorem == "lemma210":
-        ce_txt = None
-        for n in range(2, min(big_n, 7) + 1):
-            for p in enumerate_nc(n):
-                if not ll_one(p):
-                    continue
-                roles = block_roles(p)
-                for idx, blk in enumerate(p.blocks):
-                    if roles[idx] is not BlockRole.INNER:
-                        continue
-                    for x in blk[:-1]:
-                        if kreweras(cut(p, x)) != attach(kreweras(p), x):
-                            ce_txt = f"n={n}, partition {p}, i={x}"
-        ce = ce_txt
+        big_n = min(big_n, 7)
+        for n in range(2, big_n + 1):
+            bad = _cut_attach_failure(n)
+            if bad is not None:
+                ce = f"n={n}, partition {bad[0]}, i={bad[1]}"
+                break
     elif theorem == "lemma67":
-        phi = random_tracial(k, max(big_n, 2) + 1, seed=seed)
-        chi = random_family(k, max(big_n, 2) + 2, seed=seed + 1)
+        big_n = max(big_n, 2)
+        phi = random_tracial(k, big_n + 1, seed=seed)
+        chi = random_family(k, big_n + 2, seed=seed + 1)
         delta = random_delta(k, seed=seed + 2)
-        for n in range(1, max(big_n, 2) + 1):
-            for rho in enumerate_nc(n + 1):
-                if not ll_one(rho):
-                    continue
-                for m in range(1, n + 1):
-                    bad = gamma_eta_counterexample(delta, chi, phi, n, m, rho)
-                    if bad is not None:
-                        ce = list(bad)
+        beta = boolean_cumulants(chi)._values
+        for n, m, rho in _gamma_eta_cases(big_n):
+            ce = _gamma_eta_counterexample(delta, chi, beta, phi, n, m, rho)
+            if ce is not None:
+                break
     elif theorem == "prop41":
         phi = random_family(k, big_n, seed=seed)
         chi = random_family(k, big_n, seed=seed + 1)
         a = cfree_explicit(phi, chi)
         b = cfree_cumulants(phi, chi)
-        ce = next((list(w) for w in all_words(k, big_n) if a(w) != b(w)), None)
+        ce = next((w for w in all_words(k, big_n) if a(w) != b(w)), None)
     elif theorem == "prop54":
-        phi = random_family(k, min(big_n, 5), seed=seed)
-        chi = random_family(k, min(big_n, 5), seed=seed + 1)
-        kcc = cc_cumulants(phi, chi)
-        kc = cfree_cumulants(phi, chi)
-        kf = free_cumulants(phi)
-        ce = next(
-            (
-                list(w)
-                for w in all_words(k, phi.N)
-                if kcc(w) != kc(w) - kf(w)
-            ),
-            None,
-        )
+        big_n = min(big_n, 5)
+        phi = random_family(k, big_n, seed=seed)
+        chi = random_family(k, big_n, seed=seed + 1)
+        ce = _cc_difference_failure(phi, chi)
     elif theorem == "eq5a":
-        phi = random_family(k, min(big_n, 5), seed=seed)
-        phip = random_family(k, min(big_n, 5), seed=seed + 1, kind="infinitesimal")
-        bad = eq_typeb_counterexample(phi, phip)
-        ce = list(bad) if bad is not None else None
+        big_n = min(big_n, 5)
+        phi = random_family(k, big_n, seed=seed)
+        phip = random_family(k, big_n, seed=seed + 1, kind="infinitesimal")
+        ce = eq_typeb_counterexample(phi, phip)
     elif theorem == "eq55a":
-        phi = random_family(k, min(big_n, 5), seed=seed)
-        chi = random_family(k, min(big_n, 5), seed=seed + 1)
-        bad = eq_bopp_counterexample(phi, chi)
-        ce = list(bad) if bad is not None else None
+        big_n = min(big_n, 5)
+        phi = random_family(k, big_n, seed=seed)
+        chi = random_family(k, big_n, seed=seed + 1)
+        ce = eq_bopp_counterexample(phi, chi)
     else:
         raise ValueError(f"unknown verification target {theorem!r}")
     if isinstance(ce, tuple):
         ce = list(ce)
-    report = {
+    return {
         "theorem": theorem,
         "seed": seed,
         "k": k,
@@ -492,8 +466,6 @@ def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> di
         "ok": ce is None,
         "counterexample": ce,
     }
-    report.update(extra)
-    return report
 
 
 def _criterion_determinism(seed):

@@ -7,13 +7,12 @@ and closed under negation; a block equal to its own negation is a
 zero-block.
 """
 
-import re
 from enum import Enum
 from functools import lru_cache
 from math import comb
 
 from .errors import InvalidPartition, LimitExceeded, NotOuter
-from .nc import NcPartition, enumerate_nc, outer_blocks
+from .nc import NcPartition, _blocks_from_text, enumerate_nc, outer_blocks
 
 DEFAULT_SIGNED_LIMIT = 8
 
@@ -134,8 +133,7 @@ class SignedNcPartition:
             body = text
         if flavor is None:
             raise InvalidPartition("flavor tag required")
-        parts = re.findall(r"\{([^{}]*)\}", body)
-        blocks = [tuple(int(tok) for tok in p.split(",")) for p in parts]
+        blocks = _blocks_from_text(body)
         n = sum(len(b) for b in blocks) // 2
         return cls(n, flavor, blocks)
 

@@ -266,3 +266,91 @@ def test_verify_deterministic_bytes(runner):
     a = runner.invoke(main, args)
     b = runner.invoke(main, args)
     assert a.output == b.output
+
+
+@pytest.mark.parametrize("text", ["{1,a}{2}", "{1,3}junk{2}"])
+@pytest.mark.parametrize("verb", ["kreweras", "moebius"])
+def test_malformed_partition_text_is_a_usage_error(runner, verb, text):
+    res = runner.invoke(main, ["nc", verb, "--partition", text])
+    assert res.exit_code == 2
+    assert "cannot parse partition text" in res.output
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        "[1, 2]",
+        '{"k": 1, "N": 1}',
+        '{"k": 1, "N": 1, "values": {"1": "x/2"}}',
+        '{"k": 1, "N": 1, "kind": "nope", "values": {"1": "1"}}',
+    ],
+    ids=["syntax", "not-object", "no-values", "bad-rational", "unknown-kind"],
+)
+def test_malformed_family_json_is_a_usage_error(runner, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    res = runner.invoke(
+        main, ["transform", "--brand", "free", "--direction", "to-cumulants",
+               "--input", str(path)]
+    )
+    assert res.exit_code == 2
+
+
+def test_malformed_tensor_json_is_a_usage_error(runner, tmp_path):
+    nu = write_family(tmp_path, "nu.json", random_family(1, 3, seed=36))
+    delta = tmp_path / "delta.json"
+    delta.write_text('{"k": 1}')
+    res = runner.invoke(main, ["psi", "--input", nu, "--delta", str(delta)])
+    assert res.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# verification reports
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "theorem,k,asked,checked",
+    [
+        ("prop54", 1, 7, 5),
+        ("eq5a", 1, 7, 5),
+        ("eq55a", 1, 7, 5),
+        ("lemma210", 2, 9, 7),
+        ("lemma67", 1, 1, 2),
+        ("prop41", 1, 6, 6),
+    ],
+)
+def test_verify_report_states_the_degree_checked(theorem, k, asked, checked):
+    from ncprob.selftest import verify_report
+
+    report = verify_report(theorem, 3, k, asked)
+    assert report["ok"] is True
+    assert report["N"] == checked
+
+
+def test_lemma210_reports_the_first_counterexample(monkeypatch):
+    import ncprob.selftest as st
+
+    real_cut = st.cut
+    broken = {("{1,4}{2,3}", 2), ("{1,5}{2,3,4}", 3)}
+
+    def cut(p, x):
+        # an unsplit partition never matches attach: the duality fails here
+        return p if (p.to_text(), x) in broken else real_cut(p, x)
+
+    monkeypatch.setattr(st, "cut", cut)
+    report = st.verify_report("lemma210", 0, 2, 5)
+    assert report["ok"] is False
+    assert report["counterexample"] == "n=4, partition {1,4}{2,3}, i=2"
+
+
+def test_lemma67_reports_the_first_counterexample(monkeypatch):
+    import ncprob.selftest as st
+
+    def check(delta, chi, beta, phi, n, m, rho):
+        return (n, m) if (n, m) in {(2, 1), (3, 2)} else None
+
+    monkeypatch.setattr(st, "_gamma_eta_counterexample", check)
+    report = st.verify_report("lemma67", 0, 2, 4)
+    assert report["ok"] is False
+    assert report["counterexample"] == [2, 1]

@@ -407,3 +407,62 @@ def test_transforms_preserve_shape_and_tag():
     g = random_family(2, 4, seed=191, kind="infinitesimal")
     kp = infinitesimal_cumulants(f, g)
     assert kp.kind == "infinitesimal-cumulant" and kp.unit == "zero"
+
+
+def test_kernel_tables_match_public_enumeration():
+    # the kernel's row tables for the c-free and signed-lattice sums, pinned
+    # to block_roles and to the signed enumerations with their zero-blocks
+    from collections import Counter
+
+    from ncprob import (
+        BlockRole,
+        Flavor,
+        abs_partition,
+        block_roles,
+        enumerate_signed,
+        zero_blocks,
+    )
+    from ncprob.cumulants import _b_zero_table, _bopp_table, _bopp_zero_table, _roles_table
+
+    def canon(blocks):
+        return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+    def rows(table, n):
+        # kernel rows as 1-based groups, each group in canonical order
+        assert all(row[0] == 1 for row in table(n))
+        return Counter(
+            tuple(canon(tuple(x + 1 for x in b) for b in g) for g in groups)
+            for _, *groups in table(n)
+        )
+
+    for n in range(1, 7):
+        want = Counter()
+        for p in enumerate_nc(n):
+            roles = block_roles(p)
+            inner = [b for i, b in enumerate(p.blocks) if roles[i] is BlockRole.INNER]
+            outer = [b for i, b in enumerate(p.blocks) if roles[i] is BlockRole.OUTER]
+            want[(canon(inner), canon(outer))] += 1
+        assert rows(_roles_table, n) == want
+
+        for flavor, table in (
+            (Flavor.B_OPP, _bopp_table),
+            (Flavor.B, _b_zero_table),
+            (Flavor.B_OPP, _bopp_zero_table),
+        ):
+            want = Counter()
+            for sigma in enumerate_signed(n, flavor):
+                zs = zero_blocks(sigma)
+                zero = canon({abs(x) for x in sigma.blocks[i]} for i in zs)
+                if table is _bopp_table:
+                    # blocks inside the positives, then the zero-blocks
+                    pos = canon(
+                        b for i, b in enumerate(sigma.blocks)
+                        if i not in zs and min(b) > 0
+                    )
+                    want[(pos, zero)] += 1
+                elif zs:
+                    pairs = canon(
+                        b for b in abs_partition(sigma).blocks if b not in zero
+                    )
+                    want[(zero, pairs)] += 1
+            assert rows(table, n) == want

@@ -9,6 +9,7 @@ from ncprob import (
     DeltaTensor,
     EmptySubset,
     MultilinearFamily,
+    NcprobError,
     PositionOutOfRange,
     ShapeMismatch,
     all_words,
@@ -163,3 +164,46 @@ def test_delta_tensor_sparse_json():
         "entries": [{"i": 1, "j": 2, "l": 1, "value": "1/2"}],
     }
     assert DeltaTensor.from_json_dict(blob).expand(2) == ()
+
+
+def _family_blob():
+    return random_family(1, 2, seed=19).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: [d],  # not an object
+        lambda d: {k: v for k, v in d.items() if k != "values"},
+        lambda d: {k: v for k, v in d.items() if k != "k"},
+        lambda d: {**d, "values": {**d["values"], "1": "one half"}},
+        lambda d: {**d, "values": {**d["values"], "1": "1/0"}},
+        lambda d: {**d, "values": {**d["values"], "1": None}},
+        lambda d: {**d, "values": {"x": "1", **d["values"]}},
+        lambda d: {**d, "values": list(d["values"])},
+        lambda d: {**d, "k": "1"},
+        lambda d: {**d, "kind": "no-such-kind"},
+    ],
+    ids=["list", "no-values", "no-k", "bad-rational", "zero-denominator",
+         "null-value", "bad-word", "values-list", "k-string", "unknown-kind"],
+)
+def test_family_from_json_dict_rejects_malformed_data(mutate):
+    with pytest.raises(NcprobError):
+        MultilinearFamily.from_json_dict(mutate(_family_blob()))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        "not an object",
+        {"entries": []},
+        {"k": 2},
+        {"k": 2, "entries": [{"i": 1, "j": 1, "value": "1"}]},
+        {"k": 2, "entries": [{"i": 1, "j": 1, "l": 1, "value": "half"}]},
+        {"k": 2, "entries": [{"i": "1", "j": 1, "l": 1, "value": "1"}]},
+        {"k": 2, "entries": {"i": 1}},
+    ],
+)
+def test_delta_from_json_dict_rejects_malformed_data(blob):
+    with pytest.raises(NcprobError):
+        DeltaTensor.from_json_dict(blob)

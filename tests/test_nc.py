@@ -410,3 +410,16 @@ def test_concurrent_enumeration_reads():
         t.join()
     assert all(r == results[0] for r in results)
     assert len(results[0]) == catalan(7)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{1,a}{2}", "{1,3}junk{2}", "{1,2}{3}x", "x{1}", "{1}{}", "{1,,2}", "{1.5}", ""],
+)
+def test_from_text_rejects_malformed_text(text):
+    with pytest.raises(InvalidPartition):
+        NcPartition.from_text(text)
+
+
+def test_from_text_allows_spaces_between_tokens():
+    assert NcPartition.from_text(" {1, 3} {2} ") == NcPartition(3, [(1, 3), (2,)])
