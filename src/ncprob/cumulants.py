@@ -1,12 +1,13 @@
 """Moment/cumulant transforms for all four brands of cumulants.
 
 Every transform is a sum over a partition lattice, run by one kernel,
-`_lattice_sum`.  A lattice is a cached table of rows over 0-based
-positions: a coefficient plus one group of blocks per source family.  A
-row adds its coefficient times each source's values on the subwords its
-blocks cut out.  The c-free and signed-lattice cumulants solve such a sum
-for the unknown family, word by word: the row whose one block, the
-unknown's, is the whole word isolates it.
+`_lattice_sum`.  A lattice is a table of rows over 0-based positions: a
+coefficient plus one group of blocks per source family, read off the
+cached partition enumerations; rows of coefficient 1 are not stored a
+second time.  A row adds its coefficient times each source's values on
+the subwords its blocks cut out.  The c-free and signed-lattice cumulants
+solve such a sum for the unknown family, word by word: the row whose one
+block, the unknown's, is the whole word isolates it.
 
 Infinitesimal cumulants are the epsilon-part of the free cumulants of
 phi + epsilon * phi' over the dual numbers (epsilon^2 = 0), so both
@@ -19,6 +20,7 @@ is exact, and each transform maps input degree n to output degree n.
 """
 
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import LimitExceeded, ShapeMismatch
 from .families import MultilinearFamily, all_words, build_family, words_of_length
@@ -116,12 +118,13 @@ def _nc_mob_table(n: int) -> tuple[tuple[int, Blocks0], ...]:
     return tuple((_moebius_int(blocks, n), blocks) for blocks in _nc_range(n))
 
 
-@lru_cache(maxsize=None)
-def _nc_rows(n: int) -> tuple[tuple[int, Blocks0], ...]:
-    """Kernel rows over NC(n) with coefficient 1."""
-    return tuple((1, blocks) for blocks in _nc_range(n))
+def _nc_rows(n: int):
+    """Kernel rows over NC(n) with coefficient 1, read off the cached NC(n)."""
+    return zip(repeat(1), _nc_range(n))
 
 
+# The cached interval partitions of nc; tests and the perfbench tracer read
+# them under this name.
 _interval_table = _interval_range
 
 
@@ -131,10 +134,9 @@ def _boolean_rows(n: int) -> tuple[tuple[int, Blocks0], ...]:
     return tuple((1 if len(b) % 2 else -1, b) for b in _interval_table(n))
 
 
-@lru_cache(maxsize=None)
-def _interval_rows(n: int) -> tuple[tuple[int, Blocks0], ...]:
+def _interval_rows(n: int):
     """Kernel rows over the interval partitions with coefficient 1."""
-    return tuple((1, b) for b in _interval_table(n))
+    return zip(repeat(1), _interval_table(n))
 
 
 @lru_cache(maxsize=None)
@@ -157,11 +159,10 @@ def _ll_one_table(n: int) -> tuple[tuple[int, tuple[int, ...], Blocks0], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def _explicit_rows(n: int):
     """Kernel rows (Moebius value, (unique outer block,), other blocks) over
-    pi << 1_n."""
-    return tuple((mob, (holder,), others) for mob, holder, others in _ll_one_table(n))
+    pi << 1_n, read off _ll_one_table."""
+    return ((mob, (holder,), others) for mob, holder, others in _ll_one_table(n))
 
 
 def _abs0(block: tuple[int, ...]) -> tuple[int, ...]:

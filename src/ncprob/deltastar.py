@@ -27,7 +27,6 @@ from .families import (
     Word,
     all_words,
     build_family,
-    diagonal_delta,
     is_tracial,
     truncate,
     words_of_length,
@@ -102,11 +101,12 @@ def eval_gamma(
     cumulant of chi, split at the rank of m inside that block; every other
     block carries a moment of phi.
     """
-    return _eval_gamma(delta, chi, boolean_cumulants(chi)._values, phi, pi, m, word)
+    return _eval_gamma(delta, chi, None, phi, pi, m, word)
 
 
-def _eval_gamma(delta, chi, beta: dict, phi, pi, m, word) -> Fraction:
-    """eval_gamma with the Boolean cumulants beta of chi passed in."""
+def _eval_gamma(delta, chi, beta: dict | None, phi, pi, m, word) -> Fraction:
+    """eval_gamma with the Boolean cumulants beta of chi passed in; None
+    computes them once the inputs have passed their checks."""
     w = tuple(word)
     if len(w) != pi.n:
         raise ShapeMismatch(f"word length {len(w)} != ground set {pi.n}")
@@ -119,6 +119,8 @@ def _eval_gamma(delta, chi, beta: dict, phi, pi, m, word) -> Fraction:
     sub = tuple(w[p - 1] for p in holder)
     if chi.N < len(sub) + 1:
         raise DegreeTooLow(f"chi must have degree >= {len(sub) + 1}")
+    if beta is None:
+        beta = boolean_cumulants(chi)._values
     total = Fraction(0)
     for j, l, coeff in delta.expand(sub[r - 1]):
         total += coeff * beta[_rotated_insertion(sub, r, j, l)]
@@ -137,11 +139,12 @@ def eval_eta(
 ) -> Fraction:
     """Boolean cumulant of chi on the unique outer block, moments of phi on
     the rest; defined only for partitions with that unique outer block."""
-    return _eval_eta(chi, boolean_cumulants(chi)._values, phi, rho, word)
+    return _eval_eta(chi, None, phi, rho, word)
 
 
-def _eval_eta(chi, beta: dict, phi, rho, word) -> Fraction:
-    """eval_eta with the Boolean cumulants beta of chi passed in."""
+def _eval_eta(chi, beta: dict | None, phi, rho, word) -> Fraction:
+    """eval_eta with the Boolean cumulants beta of chi passed in; None
+    computes them once the inputs have passed their checks."""
     w = tuple(word)
     if len(w) != rho.n:
         raise ShapeMismatch(f"word length {len(w)} != ground set {rho.n}")
@@ -151,6 +154,8 @@ def _eval_eta(chi, beta: dict, phi, rho, word) -> Fraction:
     sub = tuple(w[p - 1] for p in holder)
     if chi.N < len(sub):
         raise DegreeTooLow(f"chi must have degree >= {len(sub)}")
+    if beta is None:
+        beta = boolean_cumulants(chi)._values
     total = beta[sub]
     for b in rho.blocks:
         if b is holder:
@@ -195,15 +200,24 @@ def verify_theorem_delta(
 def cyclic_cumulant_counterexample(mu: MultilinearFamily, nu: MultilinearFamily):
     """Check that the infinitesimal cumulants of (mu, psi_k(nu)) are the
     cyclic wrap-around sums of the c-free cumulants of (mu, nu), for tracial
-    mu: the transform identity for the diagonal tensor, under which the
-    transform is psi_k.  Returns the first failing word or None."""
+    mu.  Returns the first failing word or None."""
     if mu.k != nu.k or mu.N != nu.N:
         raise ShapeMismatch("mu and nu must share k and N")
     if mu.N < 2:
         raise DegreeTooLow("inputs must have degree at least 2")
     if not is_tracial(mu):
         raise NotTracial("mu must be tracial")
-    return cumulant_transform_counterexample(diagonal_delta(mu.k), mu, nu)
+    mu_prime = psi_k(nu)
+    lhs = infinitesimal_cumulants(truncate(mu, mu.N - 1), mu_prime)
+    kc = cfree_cumulants(mu, nu)._values
+    for w in all_words(mu.k, mu.N - 1):
+        total = Fraction(0)
+        for m in range(1, len(w) + 1):
+            letter = w[m - 1]
+            total += kc[_rotated_insertion(w, m, letter, letter)]
+        if lhs(w) != total:
+            return w
+    return None
 
 
 def verify_theorem_cyclic(mu: MultilinearFamily, nu: MultilinearFamily) -> bool:
@@ -222,13 +236,13 @@ def gamma_eta_counterexample(
     decorated gamma functional on the merged partition equals the unique-
     outer-block eta functional pulled back through the slot-m insertion.
     Returns the first failing word or None."""
-    beta = boolean_cumulants(chi)._values
-    return _gamma_eta_counterexample(delta, chi, beta, phi, n, m, rho)
+    return _gamma_eta_counterexample(delta, chi, None, phi, n, m, rho)
 
 
-def _gamma_eta_counterexample(delta, chi, beta: dict, phi, n, m, rho):
+def _gamma_eta_counterexample(delta, chi, beta: dict | None, phi, n, m, rho):
     """gamma_eta_counterexample with the Boolean cumulants beta of chi
-    passed in, so that a caller checking many cases computes them once."""
+    passed in, so that a caller checking many cases computes them once;
+    None computes them once the inputs have passed their checks."""
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
     if rho.n != n + 1:
@@ -237,6 +251,8 @@ def _gamma_eta_counterexample(delta, chi, beta: dict, phi, n, m, rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
     if phi.N < n or chi.N < n + 1:
         raise DegreeTooLow(f"need phi degree >= {n} and chi degree >= {n + 1}")
+    if beta is None:
+        beta = boolean_cumulants(chi)._values
     pi = f_nm(rho, m)
     for w in words_of_length(phi.k, n):
         lhs = _eval_gamma(delta, chi, beta, phi, pi, m, w)

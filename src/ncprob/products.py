@@ -1,12 +1,11 @@
 """Free products and additive convolutions, free / c-free / infinitesimal.
 
-All six are one helper, `_combine`, working in cumulant space as the
-defining prescriptions state it.  It joins the free cumulants of the first
-components, block-diagonally with vanishing mixed terms for a product and
-entrywise for a convolution, and inverts the result.  For c-free and
-infinitesimal pairs it joins the second components' cumulants the same way
-and inverts them relative to the first.  Each free-cumulant table is
-computed once and passed down to the private entry points of `cumulants`.
+Everything is constructed in cumulant space, exactly as the defining
+prescriptions state it: products concatenate cumulants block-diagonally
+with vanishing mixed terms, convolutions add cumulants entrywise, and the
+moment tables are then rebuilt through the inverse transforms.  Each
+free-cumulant table is computed once and passed down to the private entry
+points of `cumulants`, which take the free cumulants of the base family.
 """
 
 from fractions import Fraction
@@ -24,46 +23,21 @@ from .cumulants import (
 from .deltastar import psi_k
 
 
-def _cumulant_pair(brand, mu: MultilinearFamily, second):
-    """Free cumulants of mu and, for a brand, the brand's cumulants of the
-    pair (mu, second)."""
-    if brand == "infinitesimal":
-        return _free_and_infinitesimal(mu, second)
-    kmu = free_cumulants(mu)._values
-    if brand == "cfree":
-        return kmu, _cfree_cumulants(kmu, second)._values
-    return kmu, None
+def _concat(c1: dict, k1: int, c2: dict, k2: int, N: int, kind: str) -> MultilinearFamily:
+    """Block-diagonal cumulant table over k1+k2 generators: words staying in
+    one group keep their cumulant, mixed words get zero."""
+    values = {
+        w: c1[w] if max(w) <= k1
+        else c2[tuple(x - k1 for x in w)] if min(w) > k1
+        else Fraction(0)
+        for w in all_words(k1 + k2, N)
+    }
+    return MultilinearFamily(k1 + k2, N, values, kind=kind)
 
 
-def _combine(product: bool, brand, mu1, mu2, second1=None, second2=None):
-    """Free product (product=True) or additive convolution of mu1 and mu2;
-    with brand "cfree" or "infinitesimal", also of the second components,
-    returned as the pair (first, second)."""
-    k1 = mu1.k
-    k = k1 + mu2.k if product else k1
-    N = mu1.N
-
-    def join(c1: dict, c2: dict, kind: str) -> MultilinearFamily:
-        if product:
-            values = {
-                w: c1[w] if max(w) <= k1
-                else c2[tuple(x - k1 for x in w)] if min(w) > k1
-                else Fraction(0)
-                for w in all_words(k, N)
-            }
-        else:
-            values = {w: c1[w] + c2[w] for w in c1}
-        return MultilinearFamily(k, N, values, kind=kind)
-
-    kappa1, c1 = _cumulant_pair(brand, mu1, second1)
-    kappa2, c2 = _cumulant_pair(brand, mu2, second2)
-    kappa = join(kappa1, kappa2, "free-cumulant")
-    mu = moments_from_free(kappa)
-    if brand == "cfree":
-        return mu, _moments_from_cfree(kappa._values, join(c1, c2, "cfree-cumulant"))
-    if brand == "infinitesimal":
-        return mu, infinitesimal_moments(kappa, join(c1, c2, "infinitesimal-cumulant"))
-    return mu
+def _add(c1: dict, c2: dict, k: int, N: int, kind: str) -> MultilinearFamily:
+    """Entrywise sum of two cumulant tables over the same words."""
+    return MultilinearFamily(k, N, {w: c1[w] + c2[w] for w in c1}, kind=kind)
 
 
 def _check_product_pairs(mu1, s1, mu2, s2) -> None:
@@ -84,7 +58,8 @@ def free_product(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearF
     """Free product of distributions over k and l generators."""
     if mu1.N != mu2.N:
         raise DegreeMismatch(f"degrees differ: {mu1.N} vs {mu2.N}")
-    return _combine(True, None, mu1, mu2)
+    k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
+    return moments_from_free(_concat(k1, mu1.k, k2, mu2.k, mu1.N, "free-cumulant"))
 
 
 def cfree_product(
@@ -96,7 +71,11 @@ def cfree_product(
     """c-free product of two pairs; the second output is reconstructed from
     the concatenated c-free cumulant prescription relative to the product."""
     _check_product_pairs(mu1, nu1, mu2, nu2)
-    return _combine(True, "cfree", mu1, mu2, nu1, nu2)
+    k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
+    c1, c2 = _cfree_cumulants(k1, nu1)._values, _cfree_cumulants(k2, nu2)._values
+    kappa = _concat(k1, mu1.k, k2, mu2.k, mu1.N, "free-cumulant")
+    kc = _concat(c1, mu1.k, c2, mu2.k, mu1.N, "cfree-cumulant")
+    return moments_from_free(kappa), _moments_from_cfree(kappa._values, kc)
 
 
 def infinitesimal_product(
@@ -107,14 +86,19 @@ def infinitesimal_product(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free product of two pairs."""
     _check_product_pairs(mu1, mu1p, mu2, mu2p)
-    return _combine(True, "infinitesimal", mu1, mu2, mu1p, mu2p)
+    k1, c1 = _free_and_infinitesimal(mu1, mu1p)
+    k2, c2 = _free_and_infinitesimal(mu2, mu2p)
+    kappa = _concat(k1, mu1.k, k2, mu2.k, mu1.N, "free-cumulant")
+    kp = _concat(c1, mu1.k, c2, mu2.k, mu1.N, "infinitesimal-cumulant")
+    return moments_from_free(kappa), infinitesimal_moments(kappa, kp)
 
 
 def boxplus(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
     """Free additive convolution: free cumulants add entrywise."""
     if mu1.k != mu2.k or mu1.N != mu2.N:
         raise ShapeMismatch("inputs must share k and N")
-    return _combine(False, None, mu1, mu2)
+    k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
+    return moments_from_free(_add(k1, k2, mu1.k, mu1.N, "free-cumulant"))
 
 
 def boxplus_c(
@@ -125,7 +109,11 @@ def boxplus_c(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """c-free additive convolution of two pairs over one generator set."""
     _check_convolution_pairs(mu1, nu1, mu2, nu2)
-    return _combine(False, "cfree", mu1, mu2, nu1, nu2)
+    k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
+    c1, c2 = _cfree_cumulants(k1, nu1)._values, _cfree_cumulants(k2, nu2)._values
+    kappa = _add(k1, k2, mu1.k, mu1.N, "free-cumulant")
+    kc = _add(c1, c2, mu1.k, mu1.N, "cfree-cumulant")
+    return moments_from_free(kappa), _moments_from_cfree(kappa._values, kc)
 
 
 def boxplus_b(
@@ -136,7 +124,11 @@ def boxplus_b(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free additive convolution of two pairs."""
     _check_convolution_pairs(mu1, mu1p, mu2, mu2p)
-    return _combine(False, "infinitesimal", mu1, mu2, mu1p, mu2p)
+    k1, c1 = _free_and_infinitesimal(mu1, mu1p)
+    k2, c2 = _free_and_infinitesimal(mu2, mu2p)
+    kappa = _add(k1, k2, mu1.k, mu1.N, "free-cumulant")
+    kp = _add(c1, c2, mu1.k, mu1.N, "infinitesimal-cumulant")
+    return moments_from_free(kappa), infinitesimal_moments(kappa, kp)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ deterministic for a fixed seed.
 """
 
 import json
-from functools import lru_cache
 
 from . import (
     BlockRole,
@@ -209,7 +208,6 @@ def _criterion_round_trips(seed):
     return True, "free/boolean/infinitesimal/c-free transforms invert on 20 seeded families"
 
 
-@lru_cache(maxsize=None)
 def _ll_one_sign_rows(n):
     """Kernel rows over pi << 1_n: ((-1)^(|pi|-1), (outer block,), other
     blocks)."""
@@ -218,7 +216,6 @@ def _ll_one_sign_rows(n):
     )
 
 
-@lru_cache(maxsize=None)
 def _fixed_block_rows(n):
     """For each block holding 0 and n-1: kernel rows over the partitions
     having it, with the other blocks as the one group, weighted once by the
@@ -232,6 +229,8 @@ def _fixed_block_rows(n):
 
 
 def _criterion_cfree_formula(seed):
+    sign_rows = {n: _ll_one_sign_rows(n) for n in range(1, 6)}
+    fixed_rows = {n: _fixed_block_rows(n) for n in range(2, 6)}
     for i in range(20):
         s = seed * 1000 + 100 + i
         phi = random_family(2, 5, seed=s)
@@ -243,14 +242,14 @@ def _criterion_cfree_formula(seed):
         bphi = boolean_cumulants(phi)._values
         bchi = boolean_cumulants(chi)._values
         for w in all_words(2, 5):
-            rows = _ll_one_sign_rows(len(w))
+            rows = sign_rows[len(w)]
             if kphi(w) != _lattice_sum(rows, (bphi, bphi), w):
                 return False, f"free-from-boolean resummation fails at {w}"
             if kc(w) != _lattice_sum(rows, (bchi, bphi), w):
                 return False, f"c-free boolean resummation fails at {w}"
         val = phi._values
         for n in range(2, 6):
-            for by_sign, by_mob in _fixed_block_rows(n).values():
+            for by_sign, by_mob in fixed_rows[n].values():
                 for w in words_of_length(2, n):
                     if _lattice_sum(by_sign, (bphi,), w) != _lattice_sum(by_mob, (val,), w):
                         return False, f"fixed-block resummation fails at {w}"

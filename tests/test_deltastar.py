@@ -10,6 +10,7 @@ from ncprob import (
     NcPartition,
     NotLLOne,
     NotTracial,
+    ShapeMismatch,
     all_words,
     boolean_cumulants,
     cfree_cumulants,
@@ -294,3 +295,38 @@ def test_gamma_eta_rejects_bad_partition():
     chi = random_family(2, 4, seed=101)
     with pytest.raises(NotLLOne):
         verify_gamma_eta(random_delta(2, seed=102), chi, phi, 2, 1, zero_partition(3))
+
+
+def test_cyclic_identity_checks_psi_k(monkeypatch):
+    # the cyclic check must read psi_k itself: a psi_k that is off on one
+    # word has to make it fail
+    import ncprob.deltastar as ds
+
+    mu = random_tracial(2, 4, seed=103)
+    nu = random_family(2, 4, seed=104)
+    good = ds.psi_k(nu)
+    values = dict(good._values)
+    values[(2, 1)] += 1
+    monkeypatch.setattr(
+        ds, "psi_k", lambda f: MultilinearFamily(good.k, good.N, values, kind=good.kind)
+    )
+    assert ds.cyclic_cumulant_counterexample(mu, nu) is not None
+    assert not verify_theorem_cyclic(mu, nu)
+
+
+def test_decorated_functionals_check_inputs_before_boolean_cumulants(monkeypatch):
+    import ncprob.deltastar as ds
+
+    def unreachable(chi):
+        raise AssertionError("Boolean cumulants computed before the input checks")
+
+    monkeypatch.setattr(ds, "boolean_cumulants", unreachable)
+    d = random_delta(2, seed=105)
+    chi = random_family(2, 4, seed=106)
+    phi = random_family(2, 3, seed=107)
+    with pytest.raises(ShapeMismatch):
+        ds.eval_gamma(d, chi, phi, one_partition(3), 1, (1, 2))
+    with pytest.raises(NotLLOne):
+        ds.eval_eta(chi, phi, zero_partition(3), (1, 1, 1))
+    with pytest.raises(NotTracial):
+        ds.gamma_eta_counterexample(d, chi, phi, 2, 1, one_partition(3))
