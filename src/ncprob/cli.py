@@ -271,9 +271,7 @@ def convolve(kind, inputs):
 @main.command("verify")
 @click.option(
     "--theorem",
-    type=click.Choice(
-        ["12", "13", "14", "17", "lemma210", "lemma67", "prop41", "prop54", "eq5a", "eq55a"]
-    ),
+    type=click.Choice(list(_selftest.TARGETS)),
     required=True,
     help="Which identity to check on seeded random inputs.",
 )

@@ -336,28 +336,23 @@ def moments_from_cc(
 # Signed-lattice rewritings of the moment formulas (verification routines)
 # ---------------------------------------------------------------------------
 
-def _first_mismatch(rows_of, sources, want, k: int, max_n: int):
-    for w in all_words(k, max_n):
+def _first_mismatch(rows_of, sources, want, k: int, N: int):
+    for w in all_words(k, N):
         if _lattice_sum(rows_of(len(w)), sources, w) != want(w):
             return w
     return None
 
 
-def eq_typeb_counterexample(
-    phi: MultilinearFamily, phi_prime: MultilinearFamily, max_n: int | None = None
-):
+def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily):
     """Check the type-B single-sum form of the derivative moments: the
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
     kphi, kprime = _free_and_infinitesimal(phi, phi_prime)
-    max_n = phi.N if max_n is None else max_n
-    return _first_mismatch(_b_zero_table, (kprime, kphi), phi_prime, phi.k, max_n)
+    return _first_mismatch(_b_zero_table, (kprime, kphi), phi_prime, phi.k, phi.N)
 
 
-def eq_bopp_counterexample(
-    phi: MultilinearFamily, chi: MultilinearFamily, max_n: int | None = None
-):
+def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
     """Check the opposite-order single-sum form of chi - phi: zero-blocks
     carry alternative c-free cumulants, pairs carry free cumulants of phi.
     Returns the first failing word or None."""
@@ -365,7 +360,6 @@ def eq_bopp_counterexample(
     _require_signed_limit(phi.N)
     kphi = free_cumulants(phi)._values
     kcc = _cc_cumulants(kphi, chi)._values
-    max_n = phi.N if max_n is None else max_n
     return _first_mismatch(
-        _bopp_zero_table, (kcc, kphi), lambda w: chi(w) - phi(w), phi.k, max_n
+        _bopp_zero_table, (kcc, kphi), lambda w: chi(w) - phi(w), phi.k, phi.N
     )

@@ -25,6 +25,7 @@ from .families import (
     DeltaTensor,
     MultilinearFamily,
     Word,
+    _first_difference,
     all_words,
     build_family,
     is_tracial,
@@ -184,11 +185,7 @@ def cumulant_transform_counterexample(
         raise NotTracial("phi must be tracial")
     phi_prime = delta_star(delta, boolean_cumulants(chi))
     lhs = infinitesimal_cumulants(truncate(phi, phi.N - 1), phi_prime)
-    rhs = delta_star(delta, cfree_cumulants(phi, chi))
-    for w in all_words(phi.k, phi.N - 1):
-        if lhs(w) != rhs(w):
-            return w
-    return None
+    return _first_difference(lhs, delta_star(delta, cfree_cumulants(phi, chi)))
 
 
 def verify_theorem_delta(

@@ -54,6 +54,11 @@ def all_words(k: int, max_n: int):
         yield from words_of_length(k, n)
 
 
+def _first_difference(f, g):
+    """The first word of f's shape where f and g differ, or None."""
+    return next((w for w in all_words(f.k, f.N) if f(w) != g(w)), None)
+
+
 def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
@@ -143,6 +148,10 @@ class MultilinearFamily:
             fam = cls(data["k"], data["N"], values, kind=data.get("kind", "moment"))
         except _MALFORMED as exc:
             raise InvalidFamily(f"malformed family data: {exc!r}") from None
+        if len(data["values"]) != len(fam._values):
+            raise InvalidFamily(
+                f"values must name each word of length 1..{fam.N} over 1..{fam.k} exactly once"
+            )
         if "unit" in data and data["unit"] != fam.unit:
             raise ShapeMismatch(
                 f"unit {data['unit']!r} inconsistent with kind {fam.kind!r}"

@@ -11,7 +11,7 @@ points of `cumulants`, which take the free cumulants of the base family.
 from fractions import Fraction
 
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
-from .families import MultilinearFamily, all_words, is_tracial, truncate
+from .families import MultilinearFamily, _first_difference, all_words, is_tracial, truncate
 from .cumulants import (
     _cfree_cumulants,
     _free_and_infinitesimal,
@@ -136,34 +136,32 @@ def boxplus_b(
 # infinitesimal operations
 # ---------------------------------------------------------------------------
 
+def _intertwine_counterexample(check_pairs, c_op, b_op, mu1, nu1, mu2, nu2):
+    """Map both second components through the cyclic Boolean-cumulant map and
+    combine them with the infinitesimal operation b_op; the result must be
+    the image of the second component of the c-free operation c_op."""
+    check_pairs(mu1, nu1, mu2, nu2)
+    if mu1.N < 2:
+        raise DegreeTooLow("inputs must have degree at least 2")
+    if not is_tracial(mu1) or not is_tracial(mu2):
+        raise NotTracial("mu1 and mu2 must be tracial")
+    _, nu = c_op(mu1, nu1, mu2, nu2)
+    _, mup = b_op(truncate(mu1, mu1.N - 1), psi_k(nu1), truncate(mu2, mu2.N - 1), psi_k(nu2))
+    return _first_difference(mup, psi_k(nu))
+
+
 def product_intertwine_counterexample(
     mu1: MultilinearFamily,
     nu1: MultilinearFamily,
     mu2: MultilinearFamily,
     nu2: MultilinearFamily,
 ):
-    """Free-product statement: mapping both second components through the
-    cyclic Boolean-cumulant map and taking the infinitesimal product must
-    land on the image of the c-free product's second component.  Inputs at
-    degree N+1, comparison at degree N.  Returns a failing word or None."""
-    if not (mu1.N == nu1.N == mu2.N == nu2.N):
-        raise DegreeMismatch("all four inputs must share one degree")
-    if mu1.N < 2:
-        raise DegreeTooLow("inputs must have degree at least 2")
-    if not is_tracial(mu1) or not is_tracial(mu2):
-        raise NotTracial("mu1 and mu2 must be tracial")
-    _, nu = cfree_product(mu1, nu1, mu2, nu2)
-    _, mup = infinitesimal_product(
-        truncate(mu1, mu1.N - 1),
-        psi_k(nu1),
-        truncate(mu2, mu2.N - 1),
-        psi_k(nu2),
+    """Free-product statement: the cyclic Boolean-cumulant map intertwines
+    the c-free and the infinitesimal free products.  Inputs at degree N+1,
+    comparison at degree N.  Returns a failing word or None."""
+    return _intertwine_counterexample(
+        _check_product_pairs, cfree_product, infinitesimal_product, mu1, nu1, mu2, nu2
     )
-    want = psi_k(nu)
-    for w in all_words(mup.k, mup.N):
-        if mup(w) != want(w):
-            return w
-    return None
 
 
 def verify_product_intertwine(mu1, nu1, mu2, nu2) -> bool:
@@ -178,26 +176,9 @@ def convolution_intertwine_counterexample(
 ):
     """Convolution statement, same shape as the product one.  Inputs at
     degree N+1, comparison at degree N.  Returns a failing word or None."""
-    if not (mu1.k == nu1.k == mu2.k == nu2.k):
-        raise ShapeMismatch("all four inputs must share k")
-    if not (mu1.N == nu1.N == mu2.N == nu2.N):
-        raise ShapeMismatch("all four inputs must share N")
-    if mu1.N < 2:
-        raise DegreeTooLow("inputs must have degree at least 2")
-    if not is_tracial(mu1) or not is_tracial(mu2):
-        raise NotTracial("mu1 and mu2 must be tracial")
-    _, nu = boxplus_c(mu1, nu1, mu2, nu2)
-    _, mup = boxplus_b(
-        truncate(mu1, mu1.N - 1),
-        psi_k(nu1),
-        truncate(mu2, mu2.N - 1),
-        psi_k(nu2),
+    return _intertwine_counterexample(
+        _check_convolution_pairs, boxplus_c, boxplus_b, mu1, nu1, mu2, nu2
     )
-    want = psi_k(nu)
-    for w in all_words(mup.k, mup.N):
-        if mup(w) != want(w):
-            return w
-    return None
 
 
 def verify_convolution_intertwine(mu1, nu1, mu2, nu2) -> bool:

@@ -11,6 +11,7 @@ from . import (
     BlockRole,
     Flavor,
     NcPartition,
+    ShapeMismatch,
     all_words,
     attach,
     block_roles,
@@ -63,6 +64,7 @@ from .cumulants import (
     _ll_one_table,
 )
 from .deltastar import _gamma_eta_counterexample
+from .families import _first_difference
 
 
 def _criterion_catalan(seed):
@@ -104,18 +106,7 @@ def _criterion_moebius(seed):
 def _criterion_ideals(seed):
     for n in range(1, 8):
         parts = enumerate_nc(n)
-        lem = [[leq(a, b) for b in parts] for a in parts]
-        llm = [
-            [
-                lem[i][j]
-                and all(
-                    parts[i]._owner[b[0]] == parts[i]._owner[b[-1]]
-                    for b in parts[j].blocks
-                )
-                for j in range(len(parts))
-            ]
-            for i in range(len(parts))
-        ]
+        llm = [[ll(a, b) for b in parts] for a in parts]
         for j, rho in enumerate(parts):
             count = sum(1 for i in range(len(parts)) if llm[i][j])
             expect = 1
@@ -256,6 +247,12 @@ def _criterion_cfree_formula(seed):
     return True, "explicit c-free formula and the three resummation lemmas exact on 20 pairs"
 
 
+def _explicit_failure(phi, chi):
+    """The first word where the explicit c-free formula and the recursion
+    differ, or None."""
+    return _first_difference(cfree_explicit(phi, chi), cfree_cumulants(phi, chi))
+
+
 def _cc_difference_failure(phi, chi):
     """The first word where the signed-lattice cumulants of (phi, chi) differ
     from the c-free minus the free cumulants, or None."""
@@ -328,16 +325,25 @@ def _gamma_eta_cases(max_n):
                     yield n, m, rho
 
 
+def _gamma_eta_failure(delta, chi, phi, max_n):
+    """The first case (n, m, rho) of `_gamma_eta_cases(max_n)` where the
+    block identity fails, with its counterexample, or None."""
+    beta = boolean_cumulants(chi)._values
+    for n, m, rho in _gamma_eta_cases(max_n):
+        bad = _gamma_eta_counterexample(delta, chi, beta, phi, n, m, rho)
+        if bad is not None:
+            return n, m, rho, bad
+    return None
+
+
 def _criterion_gamma_eta(seed):
     phi = random_tracial(2, 5, seed=seed * 1000 + 600)
     chi = random_family(2, 6, seed=seed * 1000 + 601)
     delta = random_delta(2, seed=seed * 1000 + 602)
-    beta = boolean_cumulants(chi)._values
-    cases = 0
-    for n, m, rho in _gamma_eta_cases(4):
-        if _gamma_eta_counterexample(delta, chi, beta, phi, n, m, rho) is not None:
-            return False, f"block identity fails at n={n}, m={m}, {rho}"
-        cases += 1
+    bad = _gamma_eta_failure(delta, chi, phi, 4)
+    if bad is not None:
+        return False, f"block identity fails at n={bad[0]}, m={bad[1]}, {bad[2]}"
+    cases = sum(1 for _ in _gamma_eta_cases(4))
     return True, f"block-level transform identity exhaustive for n<=4 ({cases} cases)"
 
 
@@ -387,91 +393,85 @@ def _criterion_products(seed):
     return True, "both intertwine theorems exact on 25 seeded instances each, restrictions included"
 
 
-def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> dict:
-    """One-shot verification with seeded random inputs; shared by the CLI.
+def _pair(k, n, seed):
+    """A seeded (tracial, plain) pair of families over k generators at degree n."""
+    return random_tracial(k, n, seed=seed), random_family(k, n, seed=seed + 1)
 
-    Targets with a fixed range of degrees check the requested degree clipped
-    to it, and the report's "N" is the degree actually checked.  The
-    counterexample is the first one found."""
-    ce = None
-    if theorem == "12":
-        mu1 = random_tracial(k, big_n + 1, seed=seed)
-        nu1 = random_family(k, big_n + 1, seed=seed + 1)
-        mu2 = random_tracial(k, big_n + 1, seed=seed + 2)
-        nu2 = random_family(k, big_n + 1, seed=seed + 3)
-        ce = convolution_intertwine_counterexample(mu1, nu1, mu2, nu2)
-    elif theorem == "13":
-        mu1 = random_tracial(k, big_n + 1, seed=seed)
-        nu1 = random_family(k, big_n + 1, seed=seed + 1)
-        mu2 = random_tracial(l, big_n + 1, seed=seed + 2)
-        nu2 = random_family(l, big_n + 1, seed=seed + 3)
-        ce = product_intertwine_counterexample(mu1, nu1, mu2, nu2)
-    elif theorem == "14":
-        mu = random_tracial(k, big_n + 1, seed=seed)
-        nu = random_family(k, big_n + 1, seed=seed + 1)
-        ce = cyclic_cumulant_counterexample(mu, nu)
-    elif theorem == "17":
-        phi = random_tracial(k, big_n + 1, seed=seed)
-        chi = random_family(k, big_n + 1, seed=seed + 1)
-        delta = random_delta(k, seed=seed + 2)
-        ce = cumulant_transform_counterexample(delta, phi, chi)
-    elif theorem == "lemma210":
-        big_n = min(big_n, 7)
-        for n in range(2, big_n + 1):
-            bad = _cut_attach_failure(n)
-            if bad is not None:
-                ce = f"n={n}, partition {bad[0]}, i={bad[1]}"
-                break
-    elif theorem == "lemma67":
-        big_n = max(big_n, 2)
-        phi = random_tracial(k, big_n + 1, seed=seed)
-        chi = random_family(k, big_n + 2, seed=seed + 1)
-        delta = random_delta(k, seed=seed + 2)
-        beta = boolean_cumulants(chi)._values
-        for n, m, rho in _gamma_eta_cases(big_n):
-            ce = _gamma_eta_counterexample(delta, chi, beta, phi, n, m, rho)
-            if ce is not None:
-                break
-    elif theorem == "prop41":
-        phi = random_family(k, big_n, seed=seed)
-        chi = random_family(k, big_n, seed=seed + 1)
-        a = cfree_explicit(phi, chi)
-        b = cfree_cumulants(phi, chi)
-        ce = next((w for w in all_words(k, big_n) if a(w) != b(w)), None)
-    elif theorem == "prop54":
-        big_n = min(big_n, 5)
-        phi = random_family(k, big_n, seed=seed)
-        chi = random_family(k, big_n, seed=seed + 1)
-        ce = _cc_difference_failure(phi, chi)
-    elif theorem == "eq5a":
-        big_n = min(big_n, 5)
-        phi = random_family(k, big_n, seed=seed)
-        phip = random_family(k, big_n, seed=seed + 1, kind="infinitesimal")
-        ce = eq_typeb_counterexample(phi, phip)
-    elif theorem == "eq55a":
-        big_n = min(big_n, 5)
-        phi = random_family(k, big_n, seed=seed)
-        chi = random_family(k, big_n, seed=seed + 1)
-        ce = eq_bopp_counterexample(phi, chi)
-    else:
+
+def _families(k, n, seed, kind="moment"):
+    """Two seeded plain families at degree n, the second of the given kind."""
+    return random_family(k, n, seed=seed), random_family(k, n, seed=seed + 1, kind=kind)
+
+
+def _signed(check, seed, k, n, kind="moment"):
+    """(degree, result) of a signed-lattice check on `_families` at degree
+    min(n, 5): the signed lattices grow fastest."""
+    n = min(n, 5)
+    return n, check(*_families(k, n, seed, kind))
+
+
+def _lemma210(seed, k, n, l):
+    n = min(n, 7)
+    for m in range(2, n + 1):
+        bad = _cut_attach_failure(m)
+        if bad is not None:
+            return n, f"n={m}, partition {bad[0]}, i={bad[1]}"
+    return n, None
+
+
+def _lemma67(seed, k, n, l):
+    n = max(n, 2)
+    phi = random_tracial(k, n + 1, seed=seed)
+    chi = random_family(k, n + 2, seed=seed + 1)
+    bad = _gamma_eta_failure(random_delta(k, seed=seed + 2), chi, phi, n)
+    return n, None if bad is None else bad[-1]
+
+
+# Every `verify` target: (seed, k, N, l) -> (degree checked, first
+# counterexample or None).  Inputs are drawn from the seed; targets with a
+# fixed range of degrees clip N to it.
+TARGETS = {
+    "12": lambda s, k, n, l: (
+        n, convolution_intertwine_counterexample(*_pair(k, n + 1, s), *_pair(k, n + 1, s + 2))),
+    "13": lambda s, k, n, l: (
+        n, product_intertwine_counterexample(*_pair(k, n + 1, s), *_pair(l, n + 1, s + 2))),
+    "14": lambda s, k, n, l: (n, cyclic_cumulant_counterexample(*_pair(k, n + 1, s))),
+    "17": lambda s, k, n, l: (
+        n, cumulant_transform_counterexample(random_delta(k, seed=s + 2), *_pair(k, n + 1, s))),
+    "lemma210": _lemma210,
+    "lemma67": _lemma67,
+    "prop41": lambda s, k, n, l: (n, _explicit_failure(*_families(k, n, s))),
+    "prop54": lambda s, k, n, l: _signed(_cc_difference_failure, s, k, n),
+    "eq5a": lambda s, k, n, l: _signed(eq_typeb_counterexample, s, k, n, "infinitesimal"),
+    "eq55a": lambda s, k, n, l: _signed(eq_bopp_counterexample, s, k, n),
+}
+
+
+def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> dict:
+    """One-shot verification of a `TARGETS` entry on seeded random inputs;
+    shared by the CLI.  The report's "N" is the degree actually checked, and
+    the counterexample is the first one found."""
+    if theorem not in TARGETS:
         raise ValueError(f"unknown verification target {theorem!r}")
-    if isinstance(ce, tuple):
-        ce = list(ce)
+    if k < 1 or big_n < 1:
+        raise ShapeMismatch(f"k and N must be positive, got k={k}, N={big_n}")
+    big_n, ce = TARGETS[theorem](seed, k, big_n, l)
     return {
         "theorem": theorem,
         "seed": seed,
         "k": k,
         "N": big_n,
         "ok": ce is None,
-        "counterexample": ce,
+        "counterexample": list(ce) if isinstance(ce, tuple) else ce,
     }
 
 
 def _criterion_determinism(seed):
-    a = json.dumps(verify_report("14", seed, 2, 3), sort_keys=True)
-    b = json.dumps(verify_report("14", seed, 2, 3), sort_keys=True)
-    if a != b:
-        return False, "seeded verification report is not reproducible"
+    for theorem in TARGETS:
+        a = json.dumps(verify_report(theorem, seed, 2, 3), sort_keys=True)
+        b = json.dumps(verify_report(theorem, seed, 2, 3), sort_keys=True)
+        if a != b:
+            return False, f"seeded {theorem} verification report is not reproducible"
     return True, "seeded verification reports are byte-identical across runs"
 
 

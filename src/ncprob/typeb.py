@@ -54,6 +54,13 @@ def _crosses(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return runs >= 4
 
 
+def _flavor(tag) -> Flavor:
+    try:
+        return Flavor(tag)
+    except ValueError:
+        raise InvalidPartition(f"unknown flavor {tag!r}") from None
+
+
 class SignedNcPartition:
     """Canonical symmetric non-crossing partition of {+-1..+-n}."""
 
@@ -122,13 +129,13 @@ class SignedNcPartition:
 
     @classmethod
     def from_json(cls, data) -> "SignedNcPartition":
-        return cls(data["n"], Flavor(data["flavor"]), [tuple(b) for b in data["blocks"]])
+        return cls(data["n"], _flavor(data["flavor"]), [tuple(b) for b in data["blocks"]])
 
     @classmethod
     def from_text(cls, text: str, flavor: Flavor | None = None) -> "SignedNcPartition":
         if ":" in text:
             tag, body = text.split(":", 1)
-            flavor = Flavor(tag)
+            flavor = _flavor(tag)
         else:
             body = text
         if flavor is None:

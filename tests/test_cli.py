@@ -7,6 +7,7 @@ from ncprob.cli import main
 from ncprob.families import MultilinearFamily, random_family
 from ncprob.cumulants import free_cumulants
 from ncprob.deltastar import psi_k
+from ncprob.selftest import TARGETS
 
 
 @pytest.fixture
@@ -240,6 +241,16 @@ def test_verify_unknown_theorem(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "bound", [["--N", "0"], ["--N", "-3"], ["--k", "0"]], ids=["N=0", "N=-3", "k=0"]
+)
+@pytest.mark.parametrize("theorem", list(TARGETS))
+def test_verify_rejects_k_or_n_below_one(runner, theorem, bound):
+    res = runner.invoke(main, ["verify", "--theorem", theorem] + bound)
+    assert res.exit_code == 2, res.output
+    assert "k and N must be positive" in res.output
+
+
 def test_verify_failure_exit_code(runner, monkeypatch):
     # no identity in scope actually fails, so fake a counterexample to pin
     # down the exit-code contract
@@ -284,8 +295,10 @@ def test_malformed_partition_text_is_a_usage_error(runner, verb, text):
         '{"k": 1, "N": 1}',
         '{"k": 1, "N": 1, "values": {"1": "x/2"}}',
         '{"k": 1, "N": 1, "kind": "nope", "values": {"1": "1"}}',
+        '{"k": 1, "N": 1, "values": {"1": "1", "7": "5"}}',
     ],
-    ids=["syntax", "not-object", "no-values", "bad-rational", "unknown-kind"],
+    ids=["syntax", "not-object", "no-values", "bad-rational", "unknown-kind",
+         "extra-word"],
 )
 def test_malformed_family_json_is_a_usage_error(runner, tmp_path, content):
     path = tmp_path / "bad.json"

@@ -330,3 +330,20 @@ def test_decorated_functionals_check_inputs_before_boolean_cumulants(monkeypatch
         ds.eval_eta(chi, phi, zero_partition(3), (1, 1, 1))
     with pytest.raises(NotTracial):
         ds.gamma_eta_counterexample(d, chi, phi, 2, 1, one_partition(3))
+
+
+def test_transform_identity_reports_the_word_where_one_side_is_off(monkeypatch):
+    import ncprob.deltastar as ds
+
+    real = ds.infinitesimal_cumulants
+
+    def off(phi, phi_prime):
+        good = real(phi, phi_prime)
+        values = dict(good._values)
+        values[(2, 1, 1)] += 1
+        return MultilinearFamily(good.k, good.N, values, kind=good.kind)
+
+    monkeypatch.setattr(ds, "infinitesimal_cumulants", off)
+    phi = random_tracial(2, 4, seed=124)
+    chi = random_family(2, 4, seed=125)
+    assert ds.cumulant_transform_counterexample(random_delta(2, seed=126), phi, chi) == (2, 1, 1)

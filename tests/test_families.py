@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from ncprob import (
     truncate,
     zero_family,
 )
+from ncprob.families import KINDS
 
 
 def test_totality_enforced():
@@ -183,9 +185,13 @@ def _family_blob():
         lambda d: {**d, "values": list(d["values"])},
         lambda d: {**d, "k": "1"},
         lambda d: {**d, "kind": "no-such-kind"},
+        lambda d: {**d, "values": {**d["values"], "7": "5"}},
+        lambda d: {**d, "values": {**d["values"], "1,1,1": "5"}},
+        lambda d: {**d, "values": {**d["values"], "01": "5"}},
     ],
     ids=["list", "no-values", "no-k", "bad-rational", "zero-denominator",
-         "null-value", "bad-word", "values-list", "k-string", "unknown-kind"],
+         "null-value", "bad-word", "values-list", "k-string", "unknown-kind",
+         "letter-above-k", "word-above-N", "two-keys-one-word"],
 )
 def test_family_from_json_dict_rejects_malformed_data(mutate):
     with pytest.raises(NcprobError):
@@ -207,3 +213,23 @@ def test_family_from_json_dict_rejects_malformed_data(mutate):
 def test_delta_from_json_dict_rejects_malformed_data(blob):
     with pytest.raises(NcprobError):
         DeltaTensor.from_json_dict(blob)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from(KINDS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_family_json_text_round_trip(k, n, kind, data):
+    values = {w: data.draw(st.fractions(max_denominator=50)) for w in all_words(k, n)}
+    f = MultilinearFamily(k, n, values, kind=kind)
+    g = MultilinearFamily.from_json_dict(json.loads(json.dumps(f.to_json_dict())))
+    assert g == f and g.kind == f.kind and g.unit == f.unit
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_delta_json_text_round_trip(k, data):
+    index = st.integers(1, k)
+    entries = data.draw(
+        st.dictionaries(st.tuples(index, index, index), st.fractions(max_denominator=50))
+    )
+    d = DeltaTensor(k, entries)
+    assert DeltaTensor.from_json_dict(json.loads(json.dumps(d.to_json_dict()))) == d

@@ -326,3 +326,33 @@ def test_cumulant_tables_determine_families():
     k1 = free_cumulants(f)
     k2 = MultilinearFamily(2, 4, k1.values, kind="free-cumulant")
     assert moments_from_free(k1) == moments_from_free(k2) == f
+
+
+def _off_on_one_word(fam, w):
+    values = dict(fam._values)
+    values[w] += 1
+    return MultilinearFamily(fam.k, fam.N, values, kind=fam.kind)
+
+
+@pytest.mark.parametrize(
+    "check,op",
+    [
+        ("convolution_intertwine_counterexample", "boxplus_b"),
+        ("product_intertwine_counterexample", "infinitesimal_product"),
+    ],
+)
+def test_intertwine_reports_the_word_where_one_side_is_off(monkeypatch, check, op):
+    # the infinitesimal side is off on (1, 2) only: that word, and no earlier
+    # one, must come back as the counterexample
+    import ncprob.products as pr
+
+    real = getattr(pr, op)
+
+    def off(*args):
+        mu, mup = real(*args)
+        return mu, _off_on_one_word(mup, (1, 2))
+
+    monkeypatch.setattr(pr, op, off)
+    mu1, nu1 = random_tracial(2, 4, seed=120), random_family(2, 4, seed=121)
+    mu2, nu2 = random_tracial(2, 4, seed=122), random_family(2, 4, seed=123)
+    assert getattr(pr, check)(mu1, nu1, mu2, nu2) == (1, 2)

@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncprob import (
     Flavor,
@@ -175,3 +179,19 @@ def test_serialization():
     assert SignedNcPartition.from_text(FIG2.to_text(), flavor=Flavor.B) == FIG2
     for s in enumerate_signed(3, Flavor.B):
         assert SignedNcPartition.from_json(s.to_json()) == s
+
+
+def test_unknown_flavor_is_an_invalid_partition():
+    with pytest.raises(InvalidPartition):
+        SignedNcPartition.from_text("X:{1,-1}")
+    with pytest.raises(InvalidPartition):
+        SignedNcPartition.from_json({"n": 1, "flavor": "X", "blocks": [[1, -1]]})
+
+
+@given(st.integers(1, 5), st.sampled_from(list(Flavor)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_signed_text_and_json_round_trip(n, flavor, data):
+    sigma = data.draw(st.sampled_from(enumerate_signed(n, flavor)))
+    assert SignedNcPartition.from_text(sigma.to_text(tagged=True)) == sigma
+    assert SignedNcPartition.from_text(sigma.to_text(), flavor=flavor) == sigma
+    assert SignedNcPartition.from_json(json.loads(json.dumps(sigma.to_json()))) == sigma
