@@ -1,29 +1,49 @@
 """Moment/cumulant transforms for all four brands of cumulants.
 
-Every transform is a sum over a partition lattice, run by one kernel,
-`_lattice_sum`.  A lattice is a table of rows over 0-based positions: a
-coefficient plus one group of blocks per source family, read off the
-cached partition enumerations; rows of coefficient 1 are not stored a
-second time.  A row adds its coefficient times each source's values on
-the subwords its blocks cut out.  The c-free and signed-lattice cumulants
-solve such a sum for the unknown family, word by word: the row whose one
-block, the unknown's, is the whole word isolates it.
+Each brand is tied to the moments by a sum over a partition lattice.  The
+transforms run those sums as first-block recursions (Nica & Speicher,
+Lectures on the Combinatorics of Free Probability, 2006): every partition
+is its block V holding the first letter plus partitions of the runs V
+leaves, so
 
-Infinitesimal cumulants are the epsilon-part of the free cumulants of
-phi + epsilon * phi' over the dual numbers (epsilon^2 = 0), so both
-infinitesimal transforms run the free sums with a dual accumulator,
-`_lattice_sum_dual`, whose real part is the free-cumulant table.
+    target(w) = sum over V of block(w|V) * prod inner(w[a:b]) * tail(w[t:])
 
-Tables a caller already holds are passed down, not recomputed: the private
-entry points take the free cumulants of the base family.  All arithmetic
-is exact, and each transform maps input degree n to output degree n.
+over the inner gaps [a, b) strictly between consecutive elements of V and
+the tail [t, |w|) after max V, the empty word having value 1.  The free
+case sums over all 2^(n-1) sets V holding position 0, with block = kappa
+and inner = tail = phi; the c-free case takes block = kappa_c, inner = phi
+and tail = chi; the Boolean case takes only the n intervals V, with tail =
+chi.  The row V = whole word is the only one that reads block on w itself,
+so one loop solves for the cumulants and sums for the moments, shortest
+words first.  Infinitesimal cumulants are the epsilon-part of the free
+cumulants of phi + epsilon * phi' over the dual numbers (epsilon^2 = 0),
+so both infinitesimal transforms run the free recursion on dual pairs.
+
+The alternative c-free cumulants need no recursion of their own: the
+opposite-order lattice is in bijection with the pairs (pi in NC(n), set of
+outer blocks of pi), the chosen outer blocks becoming zero-blocks, so its
+sum factors through the c-free one with kappa_c = kappa_phi + kappa_cc.
+
+The sums run on graded ints: with D the lcm of a call's input
+denominators, a value v on w becomes the integer v * D**|w|, every term
+over w scales by exactly D**|w|, and each output word is one Fraction.
+Results are exact rationals, equal to the lattice sums.
+
+Those lattice sums stay as the paper's definitions and as the oracles:
+`_lattice_sum` runs the explicit c-free formula, the signed-lattice
+rewritings and the selftest's resummation lemmas over row tables read off
+the cached partition enumerations, and `_cc_cumulants` solves the
+opposite-order sum for the alternative c-free cumulants.  Each transform
+maps input degree n to output degree n.
 """
 
+from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from math import lcm
+from operator import itemgetter
 
 from .errors import LimitExceeded, ShapeMismatch
-from .families import MultilinearFamily, all_words, build_family, words_of_length
+from .families import MultilinearFamily, all_words, words_of_length
 from .nc import _interval_range, _moebius_int, _nc_range, _nests
 from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, enumerate_signed, zero_blocks
 
@@ -45,7 +65,135 @@ def _require_signed_limit(N: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The kernel
+# Graded integers
+# ---------------------------------------------------------------------------
+
+def _graded(*families: MultilinearFamily) -> tuple[int, list[dict]]:
+    """(D, one dict per family): D is the lcm of the families'
+    denominators, and each value v on a word w becomes the integer
+    v * D**len(w).  The empty word gets 1."""
+    D = lcm(*{v.denominator for f in families for v in f._values.values()})
+    powers = [D ** n for n in range(max(f.N for f in families) + 1)]
+    out = []
+    for f in families:
+        scaled = {(): 1}
+        for w, v in f._values.items():
+            scaled[w] = v.numerator * (powers[len(w)] // v.denominator)
+        out.append(scaled)
+    return D, out
+
+
+def _ungraded(D: int, scaled: dict, shape: MultilinearFamily, kind: str) -> MultilinearFamily:
+    """The family over shape's (k, N) with value scaled[w] / D**len(w)."""
+    powers = [D ** n for n in range(shape.N + 1)]
+    return MultilinearFamily(
+        shape.k,
+        shape.N,
+        {w: Fraction(scaled[w], powers[len(w)]) for w in all_words(shape.k, shape.N)},
+        kind=kind,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The first-block recursion
+# ---------------------------------------------------------------------------
+
+def _row(block: tuple[int, ...]):
+    """Recursion row for a block V holding position 0: (getter of the
+    subword w|V, inner gaps as (start, stop), start of the tail)."""
+    if block == tuple(range(len(block))):
+        get = itemgetter(slice(0, len(block)))
+    else:
+        get = itemgetter(*block)
+    gaps = tuple((a + 1, b) for a, b in zip(block, block[1:]) if b > a + 1)
+    return get, gaps, block[-1] + 1
+
+
+@lru_cache(maxsize=None)
+def _nc_first_blocks(n: int):
+    """Rows for all 2^(n-1) blocks holding position 0 among 0..n-1; the
+    whole word comes last."""
+    return tuple(
+        _row((0,) + tuple(i + 1 for i in range(n - 1) if mask >> i & 1))
+        for mask in range(1 << (n - 1))
+    )
+
+
+@lru_cache(maxsize=None)
+def _interval_first_blocks(n: int):
+    """Rows for the n intervals holding position 0; the whole word comes
+    last."""
+    return tuple(_row(tuple(range(m))) for m in range(1, n + 1))
+
+
+def _first_block_sum(rows_of, k: int, N: int, block: dict, inner: dict, tail: dict,
+                     solve: bool) -> dict:
+    """Run target(w) = sum over rows_of(|w|) of block(w|V) * prod
+    inner(gap) * tail(w[t:]) over the words of length 1..N, shortest first.
+
+    With solve, the target is tail and block is the unknown: the last row,
+    V = the whole word, reads block[w] with weight 1, so block[w] is tail[w]
+    minus the other rows.  Otherwise tail is the unknown, which the rows
+    read only on shorter words.  Fills and returns the unknown."""
+    for n in range(1, N + 1):
+        rows = rows_of(n)[:-1] if solve else rows_of(n)
+        for w in words_of_length(k, n):
+            total = 0
+            for get, gaps, t in rows:
+                term = block[get(w)] * tail[w[t:]]
+                for a, b in gaps:
+                    term *= inner[w[a:b]]
+                total += term
+            if solve:
+                block[w] = tail[w] - total
+            else:
+                tail[w] = total
+    return block if solve else tail
+
+
+def _free_dual(k: int, N: int, block: dict, dblock: dict, mom: dict, dmom: dict,
+               solve: bool) -> tuple[dict, dict]:
+    """The free recursion over dual numbers x + epsilon * dx, with block =
+    (block, dblock) and inner = tail = (mom, dmom).  Solves for the block
+    pair or sums for the moment pair, as `_first_block_sum` does."""
+    for n in range(1, N + 1):
+        rows = _nc_first_blocks(n)[:-1] if solve else _nc_first_blocks(n)
+        for w in words_of_length(k, n):
+            total = dtotal = 0
+            for get, gaps, t in rows:
+                v, rest = get(w), w[t:]
+                a, x = block[v], mom[rest]
+                a, da = a * x, a * dmom[rest] + dblock[v] * x
+                for g0, g1 in gaps:
+                    gap = w[g0:g1]
+                    x = mom[gap]
+                    a, da = a * x, a * dmom[gap] + da * x
+                total += a
+                dtotal += da
+            if solve:
+                block[w], dblock[w] = mom[w] - total, dmom[w] - dtotal
+            else:
+                mom[w], dmom[w] = total, dtotal
+    return (block, dblock) if solve else (mom, dmom)
+
+
+def _free(p: dict, k: int, N: int) -> dict:
+    """Graded free cumulants of the graded moments p."""
+    return _first_block_sum(_nc_first_blocks, k, N, {}, p, p, True)
+
+
+def _cfree(p: dict, c: dict, k: int, N: int) -> dict:
+    """Graded c-free cumulants of the graded pair (phi, chi) = (p, c)."""
+    return _first_block_sum(_nc_first_blocks, k, N, {}, p, c, True)
+
+
+def _moments_cfree(p: dict, kc: dict, k: int, N: int) -> dict:
+    """Graded chi of the graded phi and c-free cumulants kc."""
+    return _first_block_sum(_nc_first_blocks, k, N, kc, p, {(): 1}, False)
+
+
+# ---------------------------------------------------------------------------
+# The lattice kernel, the paper's definition and the oracle
 # ---------------------------------------------------------------------------
 
 def _lattice_sum(rows, sources, w):
@@ -62,52 +210,6 @@ def _lattice_sum(rows, sources, w):
     return total
 
 
-def _lattice_sum_dual(rows, val, dval, w):
-    """The one-source kernel over dual numbers val + epsilon * dval: returns
-    the real and the epsilon part of the sum."""
-    total = dtotal = 0
-    for coeff, blocks in rows:
-        a, da = coeff, 0
-        for b in blocks:
-            sub = tuple([w[p] for p in b])
-            x = val[sub]
-            a, da = a * x, a * dval[sub] + da * x
-        total += a
-        dtotal += da
-    return total, dtotal
-
-
-def _forward(rows_of, sources, shape: MultilinearFamily, kind: str) -> MultilinearFamily:
-    """The family over shape's (k, N) whose value on w is the kernel sum over
-    the rows for |w|."""
-    return build_family(
-        shape.k, shape.N, lambda w: _lattice_sum(rows_of(len(w)), sources, w), kind=kind
-    )
-
-
-def _solve(rows_of, known: dict, given: MultilinearFamily, kind: str) -> MultilinearFamily:
-    """Solve given = sum over rows_of, with sources (known, out), for out.
-
-    The row whose only block is the whole word, carried by out, has
-    coefficient 1 and isolates out[w]; every other row needs out only on
-    shorter words, which are solved first."""
-    out: dict = {}
-    sources = (known, out)
-    for n in range(1, given.N + 1):
-        whole = (tuple(range(n)),)
-        rows = [r for r in rows_of(n) if r[-1] != whole]
-        for w in words_of_length(given.k, n):
-            out[w] = given._values[w] - _lattice_sum(rows, sources, w)
-    return MultilinearFamily(given.k, given.N, out, kind=kind)
-
-
-def _dual(rows_of, val: dict, dval: dict, k: int, N: int) -> tuple[dict, dict]:
-    real, eps = {}, {}
-    for w in all_words(k, N):
-        real[w], eps[w] = _lattice_sum_dual(rows_of(len(w)), val, dval, w)
-    return real, eps
-
-
 # ---------------------------------------------------------------------------
 # Cached lattice tables, all over 0-based positions
 # ---------------------------------------------------------------------------
@@ -118,25 +220,9 @@ def _nc_mob_table(n: int) -> tuple[tuple[int, Blocks0], ...]:
     return tuple((_moebius_int(blocks, n), blocks) for blocks in _nc_range(n))
 
 
-def _nc_rows(n: int):
-    """Kernel rows over NC(n) with coefficient 1, read off the cached NC(n)."""
-    return zip(repeat(1), _nc_range(n))
-
-
 # The cached interval partitions of nc; tests and the perfbench tracer read
 # them under this name.
 _interval_table = _interval_range
-
-
-@lru_cache(maxsize=None)
-def _boolean_rows(n: int) -> tuple[tuple[int, Blocks0], ...]:
-    """Kernel rows over the interval partitions, signed by block parity."""
-    return tuple((1 if len(b) % 2 else -1, b) for b in _interval_table(n))
-
-
-def _interval_rows(n: int):
-    """Kernel rows over the interval partitions with coefficient 1."""
-    return zip(repeat(1), _interval_table(n))
 
 
 @lru_cache(maxsize=None)
@@ -157,12 +243,6 @@ def _ll_one_table(n: int) -> tuple[tuple[int, tuple[int, ...], Blocks0], ...]:
         for mob, blocks in _nc_mob_table(n)
         if blocks[0][-1] == n - 1
     )
-
-
-def _explicit_rows(n: int):
-    """Kernel rows (Moebius value, (unique outer block,), other blocks) over
-    pi << 1_n, read off _ll_one_table."""
-    return ((mob, (holder,), others) for mob, holder, others in _ll_one_table(n))
 
 
 def _abs0(block: tuple[int, ...]) -> tuple[int, ...]:
@@ -211,34 +291,53 @@ def _bopp_zero_table(n: int):
 
 def free_cumulants(phi: MultilinearFamily) -> MultilinearFamily:
     """Moebius inversion of the moment family over NC(n)."""
-    return _forward(_nc_mob_table, (phi._values,), phi, "free-cumulant")
+    D, (p,) = _graded(phi)
+    return _ungraded(D, _free(p, phi.k, phi.N), phi, "free-cumulant")
 
 
 def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
     """Inverse of free_cumulants: the product sum over NC(n)."""
-    return _forward(_nc_rows, (kappa._values,), kappa, "moment")
+    D, (c,) = _graded(kappa)
+    mom = {(): 1}
+    _first_block_sum(_nc_first_blocks, kappa.k, kappa.N, c, mom, mom, False)
+    return _ungraded(D, mom, kappa, "moment")
 
 
 def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
     """Signed sum over the interval partitions."""
-    return _forward(_boolean_rows, (chi._values,), chi, "boolean-cumulant")
+    D, (c,) = _graded(chi)
+    beta = _first_block_sum(_interval_first_blocks, chi.k, chi.N, {}, c, c, True)
+    return _ungraded(D, beta, chi, "boolean-cumulant")
 
 
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
     """Inverse of boolean_cumulants."""
-    return _forward(_interval_rows, (beta._values,), beta, "moment")
+    D, (b,) = _graded(beta)
+    mom = {(): 1}
+    _first_block_sum(_interval_first_blocks, beta.k, beta.N, b, mom, mom, False)
+    return _ungraded(D, mom, beta, "moment")
 
 
 # ---------------------------------------------------------------------------
 # Infinitesimal cumulants
 # ---------------------------------------------------------------------------
 
+def _dual_cumulants(phi: MultilinearFamily, phi_prime: MultilinearFamily):
+    """(D, graded phi', graded free cumulants of phi, graded infinitesimal
+    cumulants of (phi, phi')): the last two are the real and epsilon parts
+    of the free cumulants of phi + epsilon * phi'."""
+    D, (p, dp) = _graded(phi, phi_prime)
+    dp[()] = 0
+    return (D, dp, *_free_dual(phi.k, phi.N, {}, {}, p, dp, True))
+
+
 def _free_and_infinitesimal(
     phi: MultilinearFamily, phi_prime: MultilinearFamily
 ) -> tuple[dict, dict]:
-    """Free cumulants of phi and infinitesimal cumulants of (phi, phi'): the
-    real and epsilon parts of the free cumulants of phi + epsilon * phi'."""
-    return _dual(_nc_mob_table, phi._values, phi_prime._values, phi.k, phi.N)
+    """Free cumulants of phi and infinitesimal cumulants of (phi, phi')."""
+    D, _, kap, dkap = _dual_cumulants(phi, phi_prime)
+    return (_ungraded(D, kap, phi, "free-cumulant")._values,
+            _ungraded(D, dkap, phi, "infinitesimal-cumulant")._values)
 
 
 def infinitesimal_cumulants(
@@ -247,8 +346,17 @@ def infinitesimal_cumulants(
     """One distinguished block carries the derivative family, all others the
     moments, with the usual Moebius weight."""
     _require_same_shape(phi, phi_prime)
-    kprime = _free_and_infinitesimal(phi, phi_prime)[1]
-    return MultilinearFamily(phi.k, phi.N, kprime, kind="infinitesimal-cumulant")
+    D, _, _, dkap = _dual_cumulants(phi, phi_prime)
+    return _ungraded(D, dkap, phi, "infinitesimal-cumulant")
+
+
+def _moments_and_infinitesimal(kappa_phi: MultilinearFamily, kappa_prime: MultilinearFamily):
+    """The base moments and the derivative family of the free cumulants of
+    the base and the infinitesimal cumulants."""
+    D, (c, dc) = _graded(kappa_phi, kappa_prime)
+    mom, dmom = _free_dual(kappa_phi.k, kappa_phi.N, c, dc, {(): 1}, {(): 0}, False)
+    return (_ungraded(D, mom, kappa_phi, "moment"),
+            _ungraded(D, dmom, kappa_phi, "infinitesimal"))
 
 
 def infinitesimal_moments(
@@ -257,8 +365,7 @@ def infinitesimal_moments(
     """Reconstruct the derivative family from free cumulants of the base and
     the infinitesimal cumulants; inverse of infinitesimal_cumulants."""
     _require_same_shape(kappa_phi, kappa_prime)
-    dmom = _dual(_nc_rows, kappa_phi._values, kappa_prime._values, kappa_phi.k, kappa_phi.N)[1]
-    return MultilinearFamily(kappa_phi.k, kappa_phi.N, dmom, kind="infinitesimal")
+    return _moments_and_infinitesimal(kappa_phi, kappa_prime)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +379,8 @@ def cfree_cumulants(
     outer blocks the c-free cumulants themselves; the one-block partition
     isolates the unknown."""
     _require_same_shape(phi, chi)
-    return _cfree_cumulants(free_cumulants(phi)._values, chi)
-
-
-def _cfree_cumulants(kphi: dict, chi: MultilinearFamily) -> MultilinearFamily:
-    return _solve(_roles_table, kphi, chi, "cfree-cumulant")
+    D, (p, c) = _graded(phi, chi)
+    return _ungraded(D, _cfree(p, c, phi.k, phi.N), phi, "cfree-cumulant")
 
 
 def moments_from_cfree(
@@ -284,11 +388,8 @@ def moments_from_cfree(
 ) -> MultilinearFamily:
     """Forward inner/outer product sum, with free cumulants of phi inside."""
     _require_same_shape(phi, kappa_c)
-    return _moments_from_cfree(free_cumulants(phi)._values, kappa_c)
-
-
-def _moments_from_cfree(kphi: dict, kappa_c: MultilinearFamily) -> MultilinearFamily:
-    return _forward(_roles_table, (kphi, kappa_c._values), kappa_c, "moment")
+    D, (p, kc) = _graded(phi, kappa_c)
+    return _ungraded(D, _moments_cfree(p, kc, phi.k, phi.N), phi, "moment")
 
 
 def cfree_explicit(
@@ -298,47 +399,77 @@ def cfree_explicit(
     partitions with unique outer block, Boolean cumulants of chi on that
     block and moments of phi elsewhere."""
     _require_same_shape(phi, chi)
-    bchi = boolean_cumulants(chi)._values
-    return _forward(_explicit_rows, (bchi, phi._values), phi, "cfree-cumulant")
+    D, (p, c) = _graded(phi, chi)
+    bchi = _first_block_sum(_interval_first_blocks, phi.k, phi.N, {}, c, c, True)
+    out = {}
+    for n in range(1, phi.N + 1):
+        rows = [(mob, (holder,), others) for mob, holder, others in _ll_one_table(n)]
+        for w in words_of_length(phi.k, n):
+            out[w] = _lattice_sum(rows, (bchi, p), w)
+    return _ungraded(D, out, phi, "cfree-cumulant")
 
 
 # ---------------------------------------------------------------------------
 # Alternative c-free cumulants over the opposite-order signed lattice
 # ---------------------------------------------------------------------------
 
+def _free_and_cc(p: dict, c: dict, k: int, N: int) -> tuple[dict, dict]:
+    """Graded free cumulants of phi and alternative c-free cumulants of
+    (phi, chi) = (p, c), by the factorization kappa_cc = kappa_c - kappa_phi."""
+    kf = _free(p, k, N)
+    kc = _cfree(p, c, k, N)
+    return kf, {w: kc[w] - kf[w] for w in kc}
+
+
 def cc_cumulants(
     phi: MultilinearFamily, chi: MultilinearFamily
 ) -> MultilinearFamily:
-    """Recursive solution of the signed-lattice expansion: blocks inside the
-    positives carry free cumulants of phi, zero-blocks the unknown family;
-    the single-block partition isolates it."""
+    """The unknown of the signed-lattice expansion of chi, in which blocks
+    inside the positives carry free cumulants of phi and zero-blocks the
+    unknown family; it is the c-free minus the free cumulants of phi."""
     _require_same_shape(phi, chi)
-    _require_signed_limit(phi.N)
-    return _cc_cumulants(free_cumulants(phi)._values, chi)
+    D, (p, c) = _graded(phi, chi)
+    kcc = _free_and_cc(p, c, phi.k, phi.N)[1]
+    return _ungraded(D, kcc, phi, "cc-cumulant")
 
 
-def _cc_cumulants(kphi: dict, chi: MultilinearFamily) -> MultilinearFamily:
-    return _solve(_bopp_table, kphi, chi, "cc-cumulant")
+def _cc_cumulants(phi: MultilinearFamily, chi: MultilinearFamily) -> MultilinearFamily:
+    """The alternative c-free cumulants by their definition: solve chi = the
+    sum over the opposite-order lattice, pairs carrying free cumulants of
+    phi and zero-blocks the unknown, for the unknown.  The row whose one
+    zero-block is the whole word isolates it; every other row needs it only
+    on shorter words, which are solved first."""
+    D, (p, c) = _graded(phi, chi)
+    kf = _free(p, phi.k, phi.N)
+    out: dict = {}
+    for n in range(1, phi.N + 1):
+        whole = (tuple(range(n)),)
+        rows = [r for r in _bopp_table(n) if r[-1] != whole]
+        for w in words_of_length(phi.k, n):
+            out[w] = c[w] - _lattice_sum(rows, (kf, out), w)
+    return _ungraded(D, out, phi, "cc-cumulant")
 
 
 def moments_from_cc(
     phi: MultilinearFamily, kappa_cc: MultilinearFamily
 ) -> MultilinearFamily:
     """Forward signed-lattice sum reconstructing chi from phi and the
-    alternative c-free cumulants."""
+    alternative c-free cumulants: the c-free sum with kappa_c = kappa_phi +
+    kappa_cc."""
     _require_same_shape(phi, kappa_cc)
-    _require_signed_limit(phi.N)
-    kphi = free_cumulants(phi)._values
-    return _forward(_bopp_table, (kphi, kappa_cc._values), kappa_cc, "moment")
+    D, (p, cc) = _graded(phi, kappa_cc)
+    kf = _free(p, phi.k, phi.N)
+    kc = {w: kf[w] + cc[w] for w in kf}
+    return _ungraded(D, _moments_cfree(p, kc, phi.k, phi.N), phi, "moment")
 
 
 # ---------------------------------------------------------------------------
 # Signed-lattice rewritings of the moment formulas (verification routines)
 # ---------------------------------------------------------------------------
 
-def _first_mismatch(rows_of, sources, want, k: int, N: int):
+def _first_mismatch(rows_of, sources, want: dict, k: int, N: int):
     for w in all_words(k, N):
-        if _lattice_sum(rows_of(len(w)), sources, w) != want(w):
+        if _lattice_sum(rows_of(len(w)), sources, w) != want[w]:
             return w
     return None
 
@@ -348,8 +479,8 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
-    kphi, kprime = _free_and_infinitesimal(phi, phi_prime)
-    return _first_mismatch(_b_zero_table, (kprime, kphi), phi_prime, phi.k, phi.N)
+    _, dp, kphi, kprime = _dual_cumulants(phi, phi_prime)
+    return _first_mismatch(_b_zero_table, (kprime, kphi), dp, phi.k, phi.N)
 
 
 def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
@@ -358,8 +489,7 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
     Returns the first failing word or None."""
     _require_same_shape(phi, chi)
     _require_signed_limit(phi.N)
-    kphi = free_cumulants(phi)._values
-    kcc = _cc_cumulants(kphi, chi)._values
-    return _first_mismatch(
-        _bopp_zero_table, (kcc, kphi), lambda w: chi(w) - phi(w), phi.k, phi.N
-    )
+    _, (p, c) = _graded(phi, chi)
+    kphi, kcc = _free_and_cc(p, c, phi.k, phi.N)
+    want = {w: c[w] - p[w] for w in kcc}
+    return _first_mismatch(_bopp_zero_table, (kcc, kphi), want, phi.k, phi.N)

@@ -4,8 +4,10 @@ Everything is constructed in cumulant space, exactly as the defining
 prescriptions state it: products concatenate cumulants block-diagonally
 with vanishing mixed terms, convolutions add cumulants entrywise, and the
 moment tables are then rebuilt through the inverse transforms.  Each
-free-cumulant table is computed once and passed down to the private entry
-points of `cumulants`, which take the free cumulants of the base family.
+free-cumulant table is computed once; the c-free transforms read the
+moments, not the free cumulants, and the infinitesimal operations get the
+free and the infinitesimal tables, both ways, from one pass over dual
+numbers.
 """
 
 from fractions import Fraction
@@ -13,11 +15,11 @@ from fractions import Fraction
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
 from .families import MultilinearFamily, _first_difference, all_words, is_tracial, truncate
 from .cumulants import (
-    _cfree_cumulants,
     _free_and_infinitesimal,
-    _moments_from_cfree,
+    _moments_and_infinitesimal,
+    cfree_cumulants,
     free_cumulants,
-    infinitesimal_moments,
+    moments_from_cfree,
     moments_from_free,
 )
 from .deltastar import psi_k
@@ -72,10 +74,11 @@ def cfree_product(
     the concatenated c-free cumulant prescription relative to the product."""
     _check_product_pairs(mu1, nu1, mu2, nu2)
     k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
-    c1, c2 = _cfree_cumulants(k1, nu1)._values, _cfree_cumulants(k2, nu2)._values
+    c1, c2 = cfree_cumulants(mu1, nu1)._values, cfree_cumulants(mu2, nu2)._values
     kappa = _concat(k1, mu1.k, k2, mu2.k, mu1.N, "free-cumulant")
     kc = _concat(c1, mu1.k, c2, mu2.k, mu1.N, "cfree-cumulant")
-    return moments_from_free(kappa), _moments_from_cfree(kappa._values, kc)
+    mu = moments_from_free(kappa)
+    return mu, moments_from_cfree(mu, kc)
 
 
 def infinitesimal_product(
@@ -90,7 +93,7 @@ def infinitesimal_product(
     k2, c2 = _free_and_infinitesimal(mu2, mu2p)
     kappa = _concat(k1, mu1.k, k2, mu2.k, mu1.N, "free-cumulant")
     kp = _concat(c1, mu1.k, c2, mu2.k, mu1.N, "infinitesimal-cumulant")
-    return moments_from_free(kappa), infinitesimal_moments(kappa, kp)
+    return _moments_and_infinitesimal(kappa, kp)
 
 
 def boxplus(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
@@ -110,10 +113,11 @@ def boxplus_c(
     """c-free additive convolution of two pairs over one generator set."""
     _check_convolution_pairs(mu1, nu1, mu2, nu2)
     k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
-    c1, c2 = _cfree_cumulants(k1, nu1)._values, _cfree_cumulants(k2, nu2)._values
+    c1, c2 = cfree_cumulants(mu1, nu1)._values, cfree_cumulants(mu2, nu2)._values
     kappa = _add(k1, k2, mu1.k, mu1.N, "free-cumulant")
     kc = _add(c1, c2, mu1.k, mu1.N, "cfree-cumulant")
-    return moments_from_free(kappa), _moments_from_cfree(kappa._values, kc)
+    mu = moments_from_free(kappa)
+    return mu, moments_from_cfree(mu, kc)
 
 
 def boxplus_b(
@@ -128,7 +132,7 @@ def boxplus_b(
     k2, c2 = _free_and_infinitesimal(mu2, mu2p)
     kappa = _add(k1, k2, mu1.k, mu1.N, "free-cumulant")
     kp = _add(c1, c2, mu1.k, mu1.N, "infinitesimal-cumulant")
-    return moments_from_free(kappa), infinitesimal_moments(kappa, kp)
+    return _moments_and_infinitesimal(kappa, kp)
 
 
 # ---------------------------------------------------------------------------

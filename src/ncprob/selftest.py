@@ -57,12 +57,7 @@ from . import (
     truncate,
     words_of_length,
 )
-from .cumulants import (
-    _cc_cumulants,
-    _cfree_cumulants,
-    _lattice_sum,
-    _ll_one_table,
-)
+from .cumulants import _cc_cumulants, _lattice_sum, _ll_one_table
 from .deltastar import _gamma_eta_counterexample
 from .families import _first_difference
 
@@ -227,7 +222,7 @@ def _criterion_cfree_formula(seed):
         phi = random_family(2, 5, seed=s)
         chi = random_family(2, 5, seed=s + 5000)
         kphi = free_cumulants(phi)
-        kc = _cfree_cumulants(kphi._values, chi)
+        kc = cfree_cumulants(phi, chi)
         if cfree_explicit(phi, chi) != kc:
             return False, f"explicit formula != recursion at draw {i}"
         bphi = boolean_cumulants(phi)._values
@@ -254,11 +249,12 @@ def _explicit_failure(phi, chi):
 
 
 def _cc_difference_failure(phi, chi):
-    """The first word where the signed-lattice cumulants of (phi, chi) differ
-    from the c-free minus the free cumulants, or None."""
+    """The first word where the signed-lattice cumulants of (phi, chi),
+    solved over the opposite-order lattice, differ from the c-free minus the
+    free cumulants, or None."""
     kf = free_cumulants(phi)._values
-    kc = _cfree_cumulants(kf, chi)._values
-    kcc = _cc_cumulants(kf, chi)._values
+    kc = cfree_cumulants(phi, chi)._values
+    kcc = _cc_cumulants(phi, chi)._values
     return next((w for w in all_words(phi.k, phi.N) if kcc[w] != kc[w] - kf[w]), None)
 
 
@@ -427,14 +423,19 @@ def _lemma67(seed, k, n, l):
     return n, None if bad is None else bad[-1]
 
 
+def _product_target(seed, k, n, l):
+    if l < 1:
+        raise ShapeMismatch(f"l must be positive, got l={l}")
+    return n, product_intertwine_counterexample(*_pair(k, n + 1, seed), *_pair(l, n + 1, seed + 2))
+
+
 # Every `verify` target: (seed, k, N, l) -> (degree checked, first
 # counterexample or None).  Inputs are drawn from the seed; targets with a
 # fixed range of degrees clip N to it.
 TARGETS = {
     "12": lambda s, k, n, l: (
         n, convolution_intertwine_counterexample(*_pair(k, n + 1, s), *_pair(k, n + 1, s + 2))),
-    "13": lambda s, k, n, l: (
-        n, product_intertwine_counterexample(*_pair(k, n + 1, s), *_pair(l, n + 1, s + 2))),
+    "13": _product_target,
     "14": lambda s, k, n, l: (n, cyclic_cumulant_counterexample(*_pair(k, n + 1, s))),
     "17": lambda s, k, n, l: (
         n, cumulant_transform_counterexample(random_delta(k, seed=s + 2), *_pair(k, n + 1, s))),

@@ -129,7 +129,10 @@ class SignedNcPartition:
 
     @classmethod
     def from_json(cls, data) -> "SignedNcPartition":
-        return cls(data["n"], _flavor(data["flavor"]), [tuple(b) for b in data["blocks"]])
+        try:
+            return cls(data["n"], _flavor(data["flavor"]), [tuple(b) for b in data["blocks"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidPartition(f"malformed signed partition data: {exc!r}") from None
 
     @classmethod
     def from_text(cls, text: str, flavor: Flavor | None = None) -> "SignedNcPartition":

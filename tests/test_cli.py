@@ -251,6 +251,16 @@ def test_verify_rejects_k_or_n_below_one(runner, theorem, bound):
     assert "k and N must be positive" in res.output
 
 
+@pytest.mark.parametrize("l", ["0", "-2"])
+def test_verify_13_rejects_l_below_one(runner, l):
+    res = runner.invoke(main, ["verify", "--theorem", "13", "--l", l, "--N", "1"])
+    assert res.exit_code == 2, res.output
+    assert f"l must be positive, got l={l}" in res.output
+    # a target that ignores l still runs
+    res = runner.invoke(main, ["verify", "--theorem", "14", "--l", l, "--N", "2"])
+    assert res.exit_code == 0, res.output
+
+
 def test_verify_failure_exit_code(runner, monkeypatch):
     # no identity in scope actually fails, so fake a counterexample to pin
     # down the exit-code contract

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncprob import (
     MultilinearFamily,
@@ -466,3 +468,110 @@ def test_kernel_tables_match_public_enumeration():
                     )
                     want[(zero, pairs)] += 1
             assert rows(table, n) == want
+
+
+# ---------------------------------------------------------------------------
+# every transform against its lattice definition
+# ---------------------------------------------------------------------------
+
+def _lattice_oracles():
+    """name -> (input kinds, expected(inputs, output)): the values each
+    public transform must have, or for the cumulant directions the values
+    it must reproduce, written as kernel sums over the lattice tables."""
+    from ncprob.cumulants import (
+        _bopp_table,
+        _cc_cumulants,
+        _interval_table,
+        _lattice_sum,
+        _nc_mob_table,
+        _roles_table,
+    )
+
+    def nc_one(n):
+        return [(1, blocks) for _, blocks in _nc_mob_table(n)]
+
+    def signed_intervals(n):
+        return [((-1) ** (len(blocks) - 1), blocks) for blocks in _interval_table(n)]
+
+    def intervals(n):
+        return [(1, blocks) for blocks in _interval_table(n)]
+
+    def marked(table):
+        # one distinguished block, in a group of its own, per row and block
+        return lambda n: [
+            (c, (b[i],), b[:i] + b[i + 1:]) for c, b in table(n) for i in range(len(b))
+        ]
+
+    def lattice(rows_of, *sources):
+        k, N = sources[0].k, sources[0].N
+        vals = [f._values for f in sources]
+        return {w: _lattice_sum(rows_of(len(w)), vals, w) for w in all_words(k, N)}
+
+    def kphi(phi):
+        return MultilinearFamily(phi.k, phi.N, lattice(_nc_mob_table, phi))
+
+    return {
+        "free_cumulants": (
+            ("moment",), lambda a, out: (out._values, lattice(_nc_mob_table, *a))),
+        "moments_from_free": (
+            ("free-cumulant",), lambda a, out: (out._values, lattice(nc_one, *a))),
+        "boolean_cumulants": (
+            ("moment",), lambda a, out: (out._values, lattice(signed_intervals, *a))),
+        "moments_from_boolean": (
+            ("boolean-cumulant",), lambda a, out: (out._values, lattice(intervals, *a))),
+        "cfree_cumulants": (
+            ("moment", "moment"),
+            lambda a, out: (a[1]._values, lattice(_roles_table, kphi(a[0]), out))),
+        "moments_from_cfree": (
+            ("moment", "cfree-cumulant"),
+            lambda a, out: (out._values, lattice(_roles_table, kphi(a[0]), a[1]))),
+        "cc_cumulants": (
+            ("moment", "moment"), lambda a, out: (out._values, _cc_cumulants(*a)._values)),
+        "moments_from_cc": (
+            ("moment", "cc-cumulant"),
+            lambda a, out: (out._values, lattice(_bopp_table, kphi(a[0]), a[1]))),
+        "infinitesimal_cumulants": (
+            ("moment", "infinitesimal"),
+            lambda a, out: (out._values, lattice(marked(_nc_mob_table), a[1], a[0]))),
+        "infinitesimal_moments": (
+            ("free-cumulant", "infinitesimal-cumulant"),
+            lambda a, out: (out._values, lattice(marked(nc_one), a[1], a[0]))),
+    }
+
+
+_ORACLES = _lattice_oracles()
+
+
+def _check_against_lattice(name, inputs):
+    import ncprob
+
+    _, expected = _ORACLES[name]
+    got, want = expected(inputs, getattr(ncprob, name)(*inputs))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLES))
+@given(k=st.integers(1, 3), N=st.integers(1, 6), seed=st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_transform_equals_its_lattice_definition(name, k, N, seed):
+    if name in ("cc_cumulants", "moments_from_cc"):
+        N = min(N, 5)
+    kinds, _ = _ORACLES[name]
+    inputs = [random_family(k, N, seed=seed + i, kind=kind) for i, kind in enumerate(kinds)]
+    _check_against_lattice(name, inputs)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLES))
+def test_transform_lattice_definition_on_large_and_zero_values(name):
+    # coprime denominators make the lcm large and every term's scale differ;
+    # the zero family has lcm 1 and only zero terms
+    kinds, _ = _ORACLES[name]
+    pool = [Fraction(1, 7), Fraction(-1, 11), Fraction(1, 9973), Fraction(3, 77)]
+    words = list(all_words(2, 4))
+    for values in (
+        [{w: pool[(i + j + len(w)) % len(pool)] for j, w in enumerate(words)}
+         for i in range(len(kinds))],
+        [{w: 0 for w in words} for _ in kinds],
+    ):
+        inputs = [MultilinearFamily(2, 4, v, kind=kind) for v, kind in zip(values, kinds)]
+        _check_against_lattice(name, inputs)

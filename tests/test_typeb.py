@@ -188,6 +188,25 @@ def test_unknown_flavor_is_an_invalid_partition():
         SignedNcPartition.from_json({"n": 1, "flavor": "X", "blocks": [[1, -1]]})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 1, "blocks": [[1, -1]]},
+        {"flavor": "B", "blocks": [[1, -1]]},
+        {"n": 1, "flavor": "B"},
+        {"n": "x", "flavor": "B", "blocks": [[1, -1]]},
+        {"n": "1", "flavor": "B-opp", "blocks": [[1, -1]]},
+        {"n": 1, "flavor": "B", "blocks": 7},
+        [1, "B", [[1, -1]]],
+    ],
+    ids=["no-flavor", "no-n", "no-blocks", "string-n", "numeric-string-n",
+         "blocks-not-a-list", "not-a-dict"],
+)
+def test_from_json_rejects_malformed_data(data):
+    with pytest.raises(InvalidPartition):
+        SignedNcPartition.from_json(data)
+
+
 @given(st.integers(1, 5), st.sampled_from(list(Flavor)), st.data())
 @settings(max_examples=100, deadline=None)
 def test_signed_text_and_json_round_trip(n, flavor, data):
