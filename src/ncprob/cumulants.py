@@ -98,15 +98,20 @@ def _ungraded(D: int, scaled: dict, shape: MultilinearFamily, kind: str) -> Mult
 # The first-block recursion
 # ---------------------------------------------------------------------------
 
+def _subword(positions: tuple[int, ...]):
+    """Getter of the tuple of a word's letters at the given 0-based
+    positions, in the order given."""
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
+
+
 def _row(block: tuple[int, ...]):
     """Recursion row for a block V holding position 0: (getter of the
     subword w|V, inner gaps as (start, stop), start of the tail)."""
-    if block == tuple(range(len(block))):
-        get = itemgetter(slice(0, len(block)))
-    else:
-        get = itemgetter(*block)
     gaps = tuple((a + 1, b) for a, b in zip(block, block[1:]) if b > a + 1)
-    return get, gaps, block[-1] + 1
+    return _subword(block), gaps, block[-1] + 1
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +185,11 @@ def _free_dual(k: int, N: int, block: dict, dblock: dict, mom: dict, dmom: dict,
 def _free(p: dict, k: int, N: int) -> dict:
     """Graded free cumulants of the graded moments p."""
     return _first_block_sum(_nc_first_blocks, k, N, {}, p, p, True)
+
+
+def _boolean(c: dict, k: int, N: int) -> dict:
+    """Graded Boolean cumulants of the graded moments c."""
+    return _first_block_sum(_interval_first_blocks, k, N, {}, c, c, True)
 
 
 def _cfree(p: dict, c: dict, k: int, N: int) -> dict:
@@ -306,8 +316,7 @@ def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
 def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
     """Signed sum over the interval partitions."""
     D, (c,) = _graded(chi)
-    beta = _first_block_sum(_interval_first_blocks, chi.k, chi.N, {}, c, c, True)
-    return _ungraded(D, beta, chi, "boolean-cumulant")
+    return _ungraded(D, _boolean(c, chi.k, chi.N), chi, "boolean-cumulant")
 
 
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
@@ -400,7 +409,7 @@ def cfree_explicit(
     block and moments of phi elsewhere."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    bchi = _first_block_sum(_interval_first_blocks, phi.k, phi.N, {}, c, c, True)
+    bchi = _boolean(c, phi.k, phi.N)
     out = {}
     for n in range(1, phi.N + 1):
         rows = [(mob, (holder,), others) for mob, holder, others in _ll_one_table(n)]

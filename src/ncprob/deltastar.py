@@ -13,14 +13,31 @@ words.  Specializing to the diagonal tensor gives the cyclic Boolean-
 cumulant sum that turns a distribution into a mean-zero derivative-style
 functional.
 
-This module also hosts the two block-decorated functionals used as oracles
-for the transform identities, and the verification routines for the main
-identities relating c-free and infinitesimal cumulants.
+The transform runs on graded ints, with the scaling of `cumulants._graded`:
+with D the lcm of the family's denominators and T that of the tensor's,
+every term over an output word of length n is an int at the scale
+T * D**(n+1), and each output word is one Fraction.  `psi_k` reads the
+graded Boolean recursion of nu directly.
+
+This module also hosts the two block-decorated functionals gamma and eta,
+kept as Fraction implementations of their definitions and used as oracles,
+and the verification routines for the main identities relating c-free and
+infinitesimal cumulants.  The search for the block identity between gamma
+and eta grades phi and the Boolean cumulants of chi once per search and
+compares one pair of ints per word.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import DegreeTooLow, DimMismatch, NotLLOne, NotTracial, ShapeMismatch
+from .errors import (
+    DegreeTooLow,
+    DimMismatch,
+    NotLLOne,
+    NotTracial,
+    PositionOutOfRange,
+    ShapeMismatch,
+)
 from .families import (
     DeltaTensor,
     MultilinearFamily,
@@ -28,11 +45,19 @@ from .families import (
     _first_difference,
     all_words,
     build_family,
+    diagonal_delta,
     is_tracial,
     truncate,
     words_of_length,
 )
-from .cumulants import boolean_cumulants, cfree_cumulants, infinitesimal_cumulants
+from .cumulants import (
+    _boolean,
+    _graded,
+    _subword,
+    boolean_cumulants,
+    cfree_cumulants,
+    infinitesimal_cumulants,
+)
 from .nc import NcPartition, f_nm, ll_one
 
 
@@ -41,22 +66,42 @@ def _rotated_insertion(w: Word, m: int, j: int, l: int) -> Word:
     return (l,) + w[m:] + w[: m - 1] + (j,)
 
 
+def _scaled_expansion(delta: DeltaTensor) -> tuple[int, dict]:
+    """(T, letter -> its (j, l, T * coefficient) triples): T is the lcm of
+    the tensor's denominators, so every scaled coefficient is an int."""
+    T = lcm(*(v.denominator for v in delta._entries.values()))
+    out: dict = {i: [] for i in range(1, delta.k + 1)}
+    for (i, j, l), v in sorted(delta._entries.items()):
+        out[i].append((j, l, v.numerator * (T // v.denominator)))
+    return T, {i: tuple(triples) for i, triples in out.items()}
+
+
+def _graded_delta_star(delta: DeltaTensor, D: int, val: dict, N: int) -> MultilinearFamily:
+    """The transform on graded values val[u] = f(u) * D**len(u), to degree N:
+    each output word sums ints at scale T * D**(n+1) and becomes one
+    Fraction."""
+    T, expansion = _scaled_expansion(delta)
+    scale = [T * D ** (n + 1) for n in range(N + 1)]
+
+    def fn(w: Word) -> Fraction:
+        total = 0
+        for m in range(len(w)):
+            rest = w[m + 1:] + w[:m]
+            for j, l, c in expansion[w[m]]:
+                total += c * val[(l,) + rest + (j,)]
+        return Fraction(total, scale[len(w)])
+
+    return build_family(delta.k, N, fn, kind="infinitesimal")
+
+
 def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
     """Apply the transform; output degree is input degree minus one."""
     if f.k != delta.k:
         raise DimMismatch(f"family over k={f.k} but tensor over k={delta.k}")
     if f.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
-    val = f._values
-
-    def fn(w: Word) -> Fraction:
-        total = Fraction(0)
-        for m in range(1, len(w) + 1):
-            for j, l, coeff in delta.expand(w[m - 1]):
-                total += coeff * val[_rotated_insertion(w, m, j, l)]
-        return total
-
-    return build_family(f.k, f.N - 1, fn, kind="infinitesimal")
+    D, (val,) = _graded(f)
+    return _graded_delta_star(delta, D, val, f.N - 1)
 
 
 def psi_delta(delta: DeltaTensor, chi: MultilinearFamily) -> MultilinearFamily:
@@ -72,21 +117,19 @@ def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
     """
     if nu.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
-    beta = boolean_cumulants(nu)._values
-
-    def fn(w: Word) -> Fraction:
-        total = Fraction(0)
-        for m in range(1, len(w) + 1):
-            letter = w[m - 1]
-            total += beta[_rotated_insertion(w, m, letter, letter)]
-        return total
-
-    return build_family(nu.k, nu.N - 1, fn, kind="infinitesimal")
+    D, (c,) = _graded(nu)
+    beta = _boolean(c, nu.k, nu.N)
+    return _graded_delta_star(diagonal_delta(nu.k), D, beta, nu.N - 1)
 
 
 # ---------------------------------------------------------------------------
 # Block-decorated oracle functionals
 # ---------------------------------------------------------------------------
+
+def _check_letters(w: Word, k: int) -> None:
+    if not all(1 <= x <= k for x in w):
+        raise PositionOutOfRange(f"letters of {w} outside 1..{k}")
+
 
 def eval_gamma(
     delta: DeltaTensor,
@@ -102,17 +145,12 @@ def eval_gamma(
     cumulant of chi, split at the rank of m inside that block; every other
     block carries a moment of phi.
     """
-    return _eval_gamma(delta, chi, None, phi, pi, m, word)
-
-
-def _eval_gamma(delta, chi, beta: dict | None, phi, pi, m, word) -> Fraction:
-    """eval_gamma with the Boolean cumulants beta of chi passed in; None
-    computes them once the inputs have passed their checks."""
     w = tuple(word)
     if len(w) != pi.n:
         raise ShapeMismatch(f"word length {len(w)} != ground set {pi.n}")
     if chi.k != delta.k or phi.k != chi.k:
         raise ShapeMismatch("families and tensor must share one dimension")
+    _check_letters(w, chi.k)
     if not 1 <= m <= pi.n:
         raise ShapeMismatch(f"m={m} outside 1..{pi.n}")
     holder = pi.blocks[pi.block_of(m)]
@@ -120,15 +158,13 @@ def _eval_gamma(delta, chi, beta: dict | None, phi, pi, m, word) -> Fraction:
     sub = tuple(w[p - 1] for p in holder)
     if chi.N < len(sub) + 1:
         raise DegreeTooLow(f"chi must have degree >= {len(sub) + 1}")
-    if beta is None:
-        beta = boolean_cumulants(chi)._values
+    beta = boolean_cumulants(chi)
     total = Fraction(0)
     for j, l, coeff in delta.expand(sub[r - 1]):
-        total += coeff * beta[_rotated_insertion(sub, r, j, l)]
+        total += coeff * beta(_rotated_insertion(sub, r, j, l))
     for b in pi.blocks:
-        if b is holder:
-            continue
-        total *= phi(tuple(w[p - 1] for p in b))
+        if b is not holder:
+            total *= phi(tuple(w[p - 1] for p in b))
     return total
 
 
@@ -140,28 +176,20 @@ def eval_eta(
 ) -> Fraction:
     """Boolean cumulant of chi on the unique outer block, moments of phi on
     the rest; defined only for partitions with that unique outer block."""
-    return _eval_eta(chi, None, phi, rho, word)
-
-
-def _eval_eta(chi, beta: dict | None, phi, rho, word) -> Fraction:
-    """eval_eta with the Boolean cumulants beta of chi passed in; None
-    computes them once the inputs have passed their checks."""
     w = tuple(word)
     if len(w) != rho.n:
         raise ShapeMismatch(f"word length {len(w)} != ground set {rho.n}")
+    _check_letters(w, chi.k)
     if not ll_one(rho):
         raise NotLLOne(f"{rho} does not have a unique outer block holding 1, n")
     holder = rho.blocks[rho.block_of(1)]
     sub = tuple(w[p - 1] for p in holder)
     if chi.N < len(sub):
         raise DegreeTooLow(f"chi must have degree >= {len(sub)}")
-    if beta is None:
-        beta = boolean_cumulants(chi)._values
-    total = beta[sub]
+    total = boolean_cumulants(chi)(sub)
     for b in rho.blocks:
-        if b is holder:
-            continue
-        total *= phi(tuple(w[p - 1] for p in b))
+        if b is not holder:
+            total *= phi(tuple(w[p - 1] for p in b))
     return total
 
 
@@ -236,27 +264,63 @@ def gamma_eta_counterexample(
     return _gamma_eta_counterexample(delta, chi, None, phi, n, m, rho)
 
 
-def _gamma_eta_counterexample(delta, chi, beta: dict | None, phi, n, m, rho):
-    """gamma_eta_counterexample with the Boolean cumulants beta of chi
-    passed in, so that a caller checking many cases computes them once;
-    None computes them once the inputs have passed their checks."""
+def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily):
+    """What every case of one gamma-eta search shares, after the checks on
+    the whole families: (graded phi, graded Boolean cumulants of chi, each
+    letter's scaled tensor triples), all at one grading."""
+    if chi.k != delta.k or phi.k != chi.k:
+        raise ShapeMismatch("families and tensor must share one dimension")
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
+    _, (p, c) = _graded(phi, chi)
+    return p, _boolean(c, chi.k, chi.N), _scaled_expansion(delta)[1]
+
+
+def _side(decoration, w: Word, triples, beta: dict, p: dict) -> int:
+    """One side of the block identity on w, graded: the holder's split core
+    between the inserted letters l and j reads beta, each other block reads
+    phi."""
+    core, others = decoration
+    mid = core(w)
+    total = 0
+    for j, l, c in triples:
+        total += c * beta[(l,) + mid + (j,)]
+    for get in others:
+        total *= p[get(w)]
+    return total
+
+
+def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
+    """gamma_eta_counterexample on the tables of `_gamma_eta_tables`, so
+    that a caller checking many cases builds them once; None builds them
+    once the inputs have passed their checks.
+
+    Each side is a getter of the holder's split core and getters of the
+    other blocks, over 0-based positions of w; both sides are ints at the
+    scale D**(n+1) times the tensor's.  Gamma splits the block of pi =
+    f_nm(rho, m) holding m at the rank of m.  Eta reads rho on the inserted
+    word (l, w_{m+1},..,w_n, w_1,..,w_{m-1}, j), whose position 1 < q < n+1
+    holds w at (m + q - 2) mod n; rho << 1_{n+1} puts 1 and n+1 in its
+    first block."""
     if rho.n != n + 1:
         raise ShapeMismatch(f"rho must partition 1..{n + 1}")
     if not ll_one(rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
     if phi.N < n or chi.N < n + 1:
         raise DegreeTooLow(f"need phi degree >= {n} and chi degree >= {n + 1}")
-    if beta is None:
-        beta = boolean_cumulants(chi)._values
+    p, beta, expansion = tables if tables is not None else _gamma_eta_tables(delta, chi, phi)
     pi = f_nm(rho, m)
+    holder = pi.blocks[pi.block_of(m)]
+    r = holder.index(m)
+    gamma = (
+        _subword(tuple(x - 1 for x in holder[r + 1:] + holder[:r])),
+        [_subword(tuple(x - 1 for x in b)) for b in pi.blocks if b is not holder],
+    )
+    pulled = [tuple((m + q - 2) % n for q in b) for b in rho.blocks]
+    eta = (_subword(pulled[0][1:-1]), [_subword(b) for b in pulled[1:]])
     for w in words_of_length(phi.k, n):
-        lhs = _eval_gamma(delta, chi, beta, phi, pi, m, w)
-        rhs = Fraction(0)
-        for j, l, coeff in delta.expand(w[m - 1]):
-            rhs += coeff * _eval_eta(chi, beta, phi, rho, _rotated_insertion(w, m, j, l))
-        if lhs != rhs:
+        triples = expansion[w[m - 1]]
+        if _side(gamma, w, triples, beta, p) != _side(eta, w, triples, beta, p):
             return w
     return None
 

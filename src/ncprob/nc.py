@@ -139,10 +139,13 @@ class NcPartition:
 
     @classmethod
     def from_json(cls, data, n: int | None = None) -> "NcPartition":
-        blocks = [tuple(b) for b in data]
-        if n is None:
-            n = sum(len(b) for b in blocks)
-        return cls(n, blocks)
+        try:
+            blocks = [tuple(b) for b in data]
+            if n is None:
+                n = sum(len(b) for b in blocks)
+            return cls(n, blocks)
+        except (TypeError, ValueError) as exc:
+            raise InvalidPartition(f"malformed partition data: {exc!r}") from None
 
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "NcPartition":

@@ -58,7 +58,7 @@ from . import (
     words_of_length,
 )
 from .cumulants import _cc_cumulants, _lattice_sum, _ll_one_table
-from .deltastar import _gamma_eta_counterexample
+from .deltastar import _gamma_eta_counterexample, _gamma_eta_tables
 from .families import _first_difference
 
 
@@ -324,9 +324,9 @@ def _gamma_eta_cases(max_n):
 def _gamma_eta_failure(delta, chi, phi, max_n):
     """The first case (n, m, rho) of `_gamma_eta_cases(max_n)` where the
     block identity fails, with its counterexample, or None."""
-    beta = boolean_cumulants(chi)._values
+    tables = _gamma_eta_tables(delta, chi, phi)
     for n, m, rho in _gamma_eta_cases(max_n):
-        bad = _gamma_eta_counterexample(delta, chi, beta, phi, n, m, rho)
+        bad = _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho)
         if bad is not None:
             return n, m, rho, bad
     return None

@@ -4,6 +4,9 @@ Each test prints its own pass/fail line; run with `pytest -s` to see them.
 The selftest CLI runs the same criteria.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
@@ -35,3 +38,37 @@ def test_criterion_14_cli_selftest_byte_identical():
     assert first.exit_code == 0, first.output
     assert second.exit_code == 0
     assert first.output == second.output
+
+
+# ---------------------------------------------------------------------------
+# Golden verify reports.  `python tests/test_acceptance.py` rewrites the file;
+# run it only on a commit whose reports are the reference.
+# ---------------------------------------------------------------------------
+
+GOLDEN_REPORTS = Path(__file__).parent / "golden" / "verify_reports.json"
+# (target, l): every target with l = 1, and target 13 with l = 2 as well
+GOLDEN_TARGETS = [(t, 1) for t in selftest.TARGETS] + [("13", 2)]
+
+
+def _report_args(theorem, l):
+    """[theorem, seed, k, N, l] at seeds 0 and 3, k = 1, 2 and N = 1..5."""
+    return [[theorem, seed, k, n, l] for seed in (0, 3) for k in (1, 2) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("theorem,l", GOLDEN_TARGETS, ids=[f"{t}-l{l}" for t, l in GOLDEN_TARGETS])
+def test_verify_reports_match_the_golden_file(theorem, l):
+    golden = [
+        entry for entry in json.loads(GOLDEN_REPORTS.read_text())
+        if entry["args"][0] == theorem and entry["args"][-1] == l
+    ]
+    assert [entry["args"] for entry in golden] == _report_args(theorem, l)
+    for entry in golden:
+        assert selftest.verify_report(*entry["args"]) == entry["report"], entry["args"]
+
+
+if __name__ == "__main__":
+    lines = ",\n".join(
+        json.dumps({"args": args, "report": selftest.verify_report(*args)})
+        for target in GOLDEN_TARGETS for args in _report_args(*target)
+    )
+    GOLDEN_REPORTS.write_text(f"[\n{lines}\n]\n")

@@ -10,6 +10,7 @@ from ncprob import (
     NcPartition,
     NotLLOne,
     NotTracial,
+    PositionOutOfRange,
     ShapeMismatch,
     all_words,
     boolean_cumulants,
@@ -33,12 +34,28 @@ from ncprob import (
     verify_gamma_eta,
     verify_theorem_cyclic,
     verify_theorem_delta,
+    words_of_length,
     zero_partition,
 )
 
 
 def ones(n):
     return tuple([1] * n)
+
+
+# Values with pairwise coprime denominators, so that a grading that leaves
+# one input's denominators out of its scale gives wrong values.
+COPRIME = (Fraction(1, 7), Fraction(-1, 11), Fraction(1, 9973), Fraction(3, 2), Fraction(-5))
+COPRIME_TENSORS = [
+    DeltaTensor(2, {(1, 1, 2): Fraction(1, 13), (1, 2, 1): Fraction(2, 3),
+                    (2, 2, 1): Fraction(-1, 13), (2, 1, 1): Fraction(2, 3), (2, 2, 2): 4}),
+    DeltaTensor(2, {}),
+]
+
+
+def coprime_family(k, N):
+    words = list(all_words(k, N))
+    return MultilinearFamily(k, N, {w: COPRIME[i % len(COPRIME)] for i, w in enumerate(words)})
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +112,33 @@ def test_general_tensor_expansion():
         assert out((i,)) == expect
 
 
+@pytest.mark.parametrize("delta", COPRIME_TENSORS, ids=["coprime", "zero"])
+def test_delta_star_equals_its_definition(delta):
+    f = coprime_family(2, 4)
+    expect = {
+        w: sum(
+            (c * f((l,) + w[m:] + w[: m - 1] + (j,))
+             for m in range(1, len(w) + 1) for j, l, c in delta.expand(w[m - 1])),
+            Fraction(0),
+        )
+        for w in all_words(2, 3)
+    }
+    assert delta_star(delta, f).values == expect
+
+
 # ---------------------------------------------------------------------------
 # the cyclic special case
 # ---------------------------------------------------------------------------
+
+def test_psi_k_equals_its_definition():
+    nu = coprime_family(2, 4)
+    beta = boolean_cumulants(nu)
+    expect = {
+        w: sum(beta((w[m - 1],) + w[m:] + w[: m - 1] + (w[m - 1],)) for m in range(1, len(w) + 1))
+        for w in all_words(2, 3)
+    }
+    assert psi_k(nu).values == expect
+
 
 def test_psi_matches_diagonal_tensor():
     nu = random_family(2, 5, seed=12)
@@ -225,6 +266,17 @@ def test_eval_eta():
         eval_eta(chi, phi, zero_partition(3), (1, 1, 1))
 
 
+def test_decorated_functionals_reject_letters_outside_the_alphabet():
+    d = random_delta(2, seed=111)
+    chi = random_family(2, 4, seed=112)
+    phi = random_family(2, 3, seed=113)
+    for w in [(3, 3), (1, 3)]:
+        with pytest.raises(PositionOutOfRange):
+            eval_gamma(d, chi, phi, one_partition(2), 1, w)
+    with pytest.raises(PositionOutOfRange):
+        eval_eta(chi, phi, one_partition(2), (3, 1))
+
+
 # ---------------------------------------------------------------------------
 # the two identities
 # ---------------------------------------------------------------------------
@@ -347,3 +399,31 @@ def test_transform_identity_reports_the_word_where_one_side_is_off(monkeypatch):
     phi = random_tracial(2, 4, seed=124)
     chi = random_family(2, 4, seed=125)
     assert ds.cumulant_transform_counterexample(random_delta(2, seed=126), phi, chi) == (2, 1, 1)
+
+
+def test_gamma_eta_search_fails_where_the_identity_is_broken(monkeypatch):
+    # merging at slot m+1 mod n instead of m breaks the block identity; the
+    # graded search must report the first word where the Fraction
+    # definitions of the two sides differ
+    import ncprob.deltastar as ds
+    from ncprob.selftest import verify_report
+
+    real = ds.f_nm
+    monkeypatch.setattr(ds, "f_nm", lambda rho, m: real(rho, m % (rho.n - 1) + 1))
+    phi = random_tracial(2, 4, seed=108)
+    chi = random_family(2, 4, seed=109)
+    d = random_delta(2, seed=110)
+    failures = 0
+    for rho in enumerate_nc(4):
+        for m in (1, 2, 3) if ll_one(rho) else ():
+            pi = ds.f_nm(rho, m)
+            first = next((
+                w for w in words_of_length(2, 3)
+                if eval_gamma(d, chi, phi, pi, m, w) != sum(
+                    c * eval_eta(chi, phi, rho, (l,) + w[m:] + w[: m - 1] + (j,))
+                    for j, l, c in d.expand(w[m - 1]))
+            ), None)
+            assert ds.gamma_eta_counterexample(d, chi, phi, 3, m, rho) == first
+            failures += first is not None
+    assert failures > 0
+    assert verify_report("lemma67", 0, 2, 4)["ok"] is False

@@ -423,3 +423,9 @@ def test_from_text_rejects_malformed_text(text):
 
 def test_from_text_allows_spaces_between_tokens():
     assert NcPartition.from_text(" {1, 3} {2} ") == NcPartition(3, [(1, 3), (2,)])
+
+
+@pytest.mark.parametrize("data", [5, None, [[1, "a"]]], ids=["int", "null", "letter"])
+def test_from_json_rejects_malformed_data(data):
+    with pytest.raises(InvalidPartition):
+        NcPartition.from_json(data)
