@@ -1,40 +1,46 @@
 """Moment/cumulant transforms for all four brands of cumulants.
 
 Each brand is tied to the moments by a sum over a partition lattice.  The
-transforms run those sums as first-block recursions (Nica & Speicher,
-Lectures on the Combinatorics of Free Probability, 2006): every partition
-is its block V holding the first letter plus partitions of the runs V
-leaves, so
+transforms run those sums through Boolean cumulants (Arizmendi, Hasebe,
+Lehner & Vargas, Adv. Math. 282, 2015).  A partition in NC(n) is its block
+V holding the first letter, partitions of the gaps V leaves between its
+consecutive elements, and a partition of the tail after max V.  Grouping
+by i = max V gives the Boolean interval step
 
-    target(w) = sum over V of block(w|V) * prod inner(w[a:b]) * tail(w[t:])
+    moments(w) = sum over i of beta(w[:i]) * moments(w[i:]),
 
-over the inner gaps [a, b) strictly between consecutive elements of V and
-the tail [t, |w|) after max V, the empty word having value 1.  The free
-case sums over all 2^(n-1) sets V holding position 0, with block = kappa
-and inner = tail = phi; the c-free case takes block = kappa_c, inner = phi
-and tail = chi; the Boolean case takes only the n intervals V, with tail =
-chi.  The row V = whole word is the only one that reads block on w itself,
-so one loop solves for the cumulants and sums for the moments, shortest
-words first.  Infinitesimal cumulants are the epsilon-part of the free
-cumulants of phi + epsilon * phi' over the dual numbers (epsilon^2 = 0),
-so both infinitesimal transforms run the free recursion on dual pairs.
+the empty word having value 1, with beta the closed sum
 
-The alternative c-free cumulants need no recursion of their own: the
-opposite-order lattice is in bijection with the pairs (pi in NC(n), set of
-outer blocks of pi), the chosen outer blocks becoming zero-blocks, so its
-sum factors through the c-free one with kappa_c = kappa_phi + kappa_cc.
+    beta(u) = sum over the blocks V holding both ends of u of
+              block(u|V) * prod over the gaps g of inner(u|g).
+
+With block = kappa and inner = phi, beta is the Boolean cumulant of phi;
+the c-free moments chi take block = kappa_c and inner = phi, and beta is
+the Boolean cumulant of chi.  Each transform is thus an n-term interval
+step and a sum over the 2^(n-2) closed blocks, solved for its unknown
+shortest words first: only the row V = u reads block on u itself.  The
+alternative c-free cumulants kappa_cc = kappa_c - kappa_phi (the
+opposite-order lattice is in bijection with the pairs of pi in NC(n) and a
+set of its outer blocks, which become zero-blocks) solve the closed sum,
+linear in block, against beta_chi - beta_phi.  Infinitesimal cumulants are
+the epsilon-part of the free cumulants of phi + epsilon * phi' over the
+dual numbers (epsilon^2 = 0), so their transforms run both steps on pairs.
+
+The explicit c-free formula weighs the partitions with a unique outer
+block V by their Moebius value, which factors over the gaps of V through
+the Kreweras complement.  So it is the closed sum with block = beta_chi and
+inner = F, the interval inverse of 1 + kappa_phi: F(empty) = 1 and F(u) =
+-sum over u = xy with x nonempty of kappa_phi(x) * F(y).
 
 The sums run on graded ints: with D the lcm of a call's input
 denominators, a value v on w becomes the integer v * D**|w|, every term
 over w scales by exactly D**|w|, and each output word is one Fraction.
-Results are exact rationals, equal to the lattice sums.
 
-Those lattice sums stay as the paper's definitions and as the oracles:
-`_lattice_sum` runs the explicit c-free formula, the signed-lattice
-rewritings and the selftest's resummation lemmas over row tables read off
-the cached partition enumerations, and `_cc_cumulants` solves the
-opposite-order sum for the alternative c-free cumulants.  Each transform
-maps input degree n to output degree n.
+The lattice sums stay as the paper's definitions and as the oracles:
+`_lattice_sum` runs the signed-lattice rewritings and the selftest's
+resummation lemmas over row tables read off the cached partition
+enumerations, and `_cc_cumulants` solves the opposite-order sum.  Each
+transform maps input degree n to output degree n.
 """
 
 from fractions import Fraction
@@ -52,16 +58,7 @@ Blocks0 = tuple[tuple[int, ...], ...]
 
 def _require_same_shape(f: MultilinearFamily, g: MultilinearFamily) -> None:
     if f.k != g.k or f.N != g.N:
-        raise ShapeMismatch(
-            f"families disagree: (k={f.k}, N={f.N}) vs (k={g.k}, N={g.N})"
-        )
-
-
-def _require_signed_limit(N: int) -> None:
-    if N > DEFAULT_SIGNED_LIMIT:
-        raise LimitExceeded(
-            f"degree {N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}"
-        )
+        raise ShapeMismatch(f"families disagree: (k={f.k}, N={f.N}) vs (k={g.k}, N={g.N})")
 
 
 # ---------------------------------------------------------------------------
@@ -71,31 +68,22 @@ def _require_signed_limit(N: int) -> None:
 def _graded(*families: MultilinearFamily) -> tuple[int, list[dict]]:
     """(D, one dict per family): D is the lcm of the families'
     denominators, and each value v on a word w becomes the integer
-    v * D**len(w).  The empty word gets 1."""
+    v * D**len(w)."""
     D = lcm(*{v.denominator for f in families for v in f._values.values()})
     powers = [D ** n for n in range(max(f.N for f in families) + 1)]
-    out = []
-    for f in families:
-        scaled = {(): 1}
-        for w, v in f._values.items():
-            scaled[w] = v.numerator * (powers[len(w)] // v.denominator)
-        out.append(scaled)
-    return D, out
+    return D, [{w: v.numerator * (powers[len(w)] // v.denominator)
+                for w, v in f._values.items()} for f in families]
 
 
 def _ungraded(D: int, scaled: dict, shape: MultilinearFamily, kind: str) -> MultilinearFamily:
     """The family over shape's (k, N) with value scaled[w] / D**len(w)."""
     powers = [D ** n for n in range(shape.N + 1)]
-    return MultilinearFamily(
-        shape.k,
-        shape.N,
-        {w: Fraction(scaled[w], powers[len(w)]) for w in all_words(shape.k, shape.N)},
-        kind=kind,
-    )
+    values = {w: Fraction(scaled[w], powers[len(w)]) for w in all_words(shape.k, shape.N)}
+    return MultilinearFamily(shape.k, shape.N, values, kind=kind)
 
 
 # ---------------------------------------------------------------------------
-# The first-block recursion
+# The Boolean interval step and the closed-block sum
 # ---------------------------------------------------------------------------
 
 def _subword(positions: tuple[int, ...]):
@@ -107,99 +95,107 @@ def _subword(positions: tuple[int, ...]):
     return itemgetter(*positions)
 
 
-def _row(block: tuple[int, ...]):
-    """Recursion row for a block V holding position 0: (getter of the
-    subword w|V, inner gaps as (start, stop), start of the tail)."""
-    gaps = tuple((a + 1, b) for a, b in zip(block, block[1:]) if b > a + 1)
-    return _subword(block), gaps, block[-1] + 1
-
-
 @lru_cache(maxsize=None)
-def _nc_first_blocks(n: int):
-    """Rows for all 2^(n-1) blocks holding position 0 among 0..n-1; the
-    whole word comes last."""
-    return tuple(
-        _row((0,) + tuple(i + 1 for i in range(n - 1) if mask >> i & 1))
-        for mask in range(1 << (n - 1))
-    )
+def _closed_blocks(n: int):
+    """(spans, rows) for the 2^(n-2) blocks V holding both 0 and n-1, or
+    the block {0} when n = 1.  spans lists every inner interval [a, b) with
+    0 < a < b < n; a row is (getter of w|V, indices into spans of the gaps
+    between consecutive elements of V).  The whole word comes last."""
+    spans = tuple((a, b) for a in range(1, n) for b in range(a + 1, n))
+    index = {span: i for i, span in enumerate(spans)}
+    rows = []
+    for mask in range(1 << max(n - 2, 0)):
+        block = tuple(sorted({0, n - 1} | {i + 1 for i in range(n - 2) if mask >> i & 1}))
+        gaps = tuple(index[a + 1, b] for a, b in zip(block, block[1:]) if b > a + 1)
+        rows.append((_subword(block), gaps))
+    return spans, tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _interval_first_blocks(n: int):
-    """Rows for the n intervals holding position 0; the whole word comes
-    last."""
-    return tuple(_row(tuple(range(m))) for m in range(1, n + 1))
+def _interval(words, block: dict, mom: dict, solve: bool) -> dict:
+    """The Boolean step mom(w) = sum over 0 < i <= |w| of block(w[:i]) *
+    mom(w[i:]), mom(empty) = 1, over words given shortest first.  With
+    solve, block is the unknown, read on w itself with weight 1; otherwise
+    mom is, read only on shorter words.  Fills and returns the unknown."""
+    for w in words:
+        total = 0
+        for i in range(1, len(w)):
+            total += block[w[:i]] * mom[w[i:]]
+        if solve:
+            block[w] = mom[w] - total
+        else:
+            mom[w] = block[w] + total
+    return block if solve else mom
 
 
-def _first_block_sum(rows_of, k: int, N: int, block: dict, inner: dict, tail: dict,
-                     solve: bool) -> dict:
-    """Run target(w) = sum over rows_of(|w|) of block(w|V) * prod
-    inner(gap) * tail(w[t:]) over the words of length 1..N, shortest first.
-
-    With solve, the target is tail and block is the unknown: the last row,
-    V = the whole word, reads block[w] with weight 1, so block[w] is tail[w]
-    minus the other rows.  Otherwise tail is the unknown, which the rows
-    read only on shorter words.  Fills and returns the unknown."""
-    for n in range(1, N + 1):
-        rows = rows_of(n)[:-1] if solve else rows_of(n)
-        for w in words_of_length(k, n):
-            total = 0
-            for get, gaps, t in rows:
-                term = block[get(w)] * tail[w[t:]]
-                for a, b in gaps:
-                    term *= inner[w[a:b]]
-                total += term
-            if solve:
-                block[w] = tail[w] - total
-            else:
-                tail[w] = total
-    return block if solve else tail
+def _closed(words, block: dict, inner: dict, target: dict, solve: bool) -> dict:
+    """target(w) = sum over the blocks V holding both ends of w of block(w|V)
+    * prod inner(gap), over words given shortest first, reading the gaps
+    once per word.  With solve, block is the unknown, which only the last
+    row, V = w, reads on w; otherwise target is.  Returns the unknown."""
+    for w in words:
+        spans, rows = _closed_blocks(len(w))
+        vals = [inner[w[a:b]] for a, b in spans]
+        total = 0
+        for get, gaps in rows[:-1] if solve else rows:
+            term = block[get(w)]
+            for g in gaps:
+                term *= vals[g]
+            total += term
+        if solve:
+            block[w] = target[w] - total
+        else:
+            target[w] = total
+    return block if solve else target
 
 
-def _free_dual(k: int, N: int, block: dict, dblock: dict, mom: dict, dmom: dict,
-               solve: bool) -> tuple[dict, dict]:
-    """The free recursion over dual numbers x + epsilon * dx, with block =
-    (block, dblock) and inner = tail = (mom, dmom).  Solves for the block
-    pair or sums for the moment pair, as `_first_block_sum` does."""
-    for n in range(1, N + 1):
-        rows = _nc_first_blocks(n)[:-1] if solve else _nc_first_blocks(n)
-        for w in words_of_length(k, n):
-            total = dtotal = 0
-            for get, gaps, t in rows:
-                v, rest = get(w), w[t:]
-                a, x = block[v], mom[rest]
-                a, da = a * x, a * dmom[rest] + dblock[v] * x
-                for g0, g1 in gaps:
-                    gap = w[g0:g1]
-                    x = mom[gap]
-                    a, da = a * x, a * dmom[gap] + da * x
-                total += a
-                dtotal += da
-            if solve:
-                block[w], dblock[w] = mom[w] - total, dmom[w] - dtotal
-            else:
-                mom[w], dmom[w] = total, dtotal
+def _interval_dual(words, block, dblock, mom, dmom, solve: bool):
+    """`_interval` over dual numbers x + epsilon * dx, each dict paired with
+    its epsilon part."""
+    for w in words:
+        total = dtotal = 0
+        for i in range(1, len(w)):
+            u, v = w[:i], w[i:]
+            b, x = block[u], mom[v]
+            total += b * x
+            dtotal += b * dmom[v] + dblock[u] * x
+        if solve:
+            block[w], dblock[w] = mom[w] - total, dmom[w] - dtotal
+        else:
+            mom[w], dmom[w] = block[w] + total, dblock[w] + dtotal
     return (block, dblock) if solve else (mom, dmom)
 
 
-def _free(p: dict, k: int, N: int) -> dict:
-    """Graded free cumulants of the graded moments p."""
-    return _first_block_sum(_nc_first_blocks, k, N, {}, p, p, True)
+def _closed_dual(words, block, dblock, inner, dinner, target, dtarget, solve: bool):
+    """`_closed` over dual numbers, each dict paired with its epsilon part."""
+    for w in words:
+        spans, rows = _closed_blocks(len(w))
+        subs = [w[a:b] for a, b in spans]
+        vals, dvals = [inner[u] for u in subs], [dinner[u] for u in subs]
+        total = dtotal = 0
+        for get, gaps in rows[:-1] if solve else rows:
+            v = get(w)
+            a, da = block[v], dblock[v]
+            for g in gaps:
+                x = vals[g]
+                a, da = a * x, a * dvals[g] + da * x
+            total += a
+            dtotal += da
+        if solve:
+            block[w], dblock[w] = target[w] - total, dtarget[w] - dtotal
+        else:
+            target[w], dtarget[w] = total, dtotal
+    return (block, dblock) if solve else (target, dtarget)
 
 
 def _boolean(c: dict, k: int, N: int) -> dict:
     """Graded Boolean cumulants of the graded moments c."""
-    return _first_block_sum(_interval_first_blocks, k, N, {}, c, c, True)
+    return _interval(all_words(k, N), {}, c, True)
 
 
-def _cfree(p: dict, c: dict, k: int, N: int) -> dict:
-    """Graded c-free cumulants of the graded pair (phi, chi) = (p, c)."""
-    return _first_block_sum(_nc_first_blocks, k, N, {}, p, c, True)
-
-
-def _moments_cfree(p: dict, kc: dict, k: int, N: int) -> dict:
-    """Graded chi of the graded phi and c-free cumulants kc."""
-    return _first_block_sum(_nc_first_blocks, k, N, kc, p, {(): 1}, False)
+def _free(p: dict, k: int, N: int) -> dict:
+    """Graded free cumulants of the graded moments p: their closed sums,
+    moments in the gaps, are the Boolean cumulants of p."""
+    return _closed(all_words(k, N), {}, p, _boolean(p, k, N), True)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +302,13 @@ def free_cumulants(phi: MultilinearFamily) -> MultilinearFamily:
 
 
 def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
-    """Inverse of free_cumulants: the product sum over NC(n)."""
+    """Inverse of free_cumulants: the product sum over NC(n), length by
+    length because the closed sums read the moments in their gaps."""
     D, (c,) = _graded(kappa)
-    mom = {(): 1}
-    _first_block_sum(_nc_first_blocks, kappa.k, kappa.N, c, mom, mom, False)
+    beta, mom = {}, {}
+    for n in range(1, kappa.N + 1):
+        words = words_of_length(kappa.k, n)
+        _interval(words, _closed(words, c, mom, beta, False), mom, False)
     return _ungraded(D, mom, kappa, "moment")
 
 
@@ -322,9 +321,7 @@ def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
     """Inverse of boolean_cumulants."""
     D, (b,) = _graded(beta)
-    mom = {(): 1}
-    _first_block_sum(_interval_first_blocks, beta.k, beta.N, b, mom, mom, False)
-    return _ungraded(D, mom, beta, "moment")
+    return _ungraded(D, _interval(all_words(beta.k, beta.N), b, {}, False), beta, "moment")
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +333,12 @@ def _dual_cumulants(phi: MultilinearFamily, phi_prime: MultilinearFamily):
     cumulants of (phi, phi')): the last two are the real and epsilon parts
     of the free cumulants of phi + epsilon * phi'."""
     D, (p, dp) = _graded(phi, phi_prime)
-    dp[()] = 0
-    return (D, dp, *_free_dual(phi.k, phi.N, {}, {}, p, dp, True))
+    words = tuple(all_words(phi.k, phi.N))
+    beta, dbeta = _interval_dual(words, {}, {}, p, dp, True)
+    return (D, dp, *_closed_dual(words, {}, {}, p, dp, beta, dbeta, True))
 
 
-def _free_and_infinitesimal(
-    phi: MultilinearFamily, phi_prime: MultilinearFamily
-) -> tuple[dict, dict]:
+def _free_and_infinitesimal(phi: MultilinearFamily, phi_prime: MultilinearFamily):
     """Free cumulants of phi and infinitesimal cumulants of (phi, phi')."""
     D, _, kap, dkap = _dual_cumulants(phi, phi_prime)
     return (_ungraded(D, kap, phi, "free-cumulant")._values,
@@ -361,9 +357,14 @@ def infinitesimal_cumulants(
 
 def _moments_and_infinitesimal(kappa_phi: MultilinearFamily, kappa_prime: MultilinearFamily):
     """The base moments and the derivative family of the free cumulants of
-    the base and the infinitesimal cumulants."""
+    the base and the infinitesimal cumulants, length by length as in
+    `moments_from_free`."""
     D, (c, dc) = _graded(kappa_phi, kappa_prime)
-    mom, dmom = _free_dual(kappa_phi.k, kappa_phi.N, c, dc, {(): 1}, {(): 0}, False)
+    beta, dbeta, mom, dmom = {}, {}, {}, {}
+    for n in range(1, kappa_phi.N + 1):
+        words = words_of_length(kappa_phi.k, n)
+        _closed_dual(words, c, dc, mom, dmom, beta, dbeta, False)
+        _interval_dual(words, beta, dbeta, mom, dmom, False)
     return (_ungraded(D, mom, kappa_phi, "moment"),
             _ungraded(D, dmom, kappa_phi, "infinitesimal"))
 
@@ -385,11 +386,12 @@ def cfree_cumulants(
     phi: MultilinearFamily, chi: MultilinearFamily
 ) -> MultilinearFamily:
     """The recursive solution: inner blocks carry free cumulants of phi,
-    outer blocks the c-free cumulants themselves; the one-block partition
-    isolates the unknown."""
+    outer blocks the c-free cumulants themselves, whose closed sums are the
+    Boolean cumulants of chi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    return _ungraded(D, _cfree(p, c, phi.k, phi.N), phi, "cfree-cumulant")
+    kc = _closed(all_words(phi.k, phi.N), {}, p, _boolean(c, phi.k, phi.N), True)
+    return _ungraded(D, kc, phi, "cfree-cumulant")
 
 
 def moments_from_cfree(
@@ -398,7 +400,9 @@ def moments_from_cfree(
     """Forward inner/outer product sum, with free cumulants of phi inside."""
     _require_same_shape(phi, kappa_c)
     D, (p, kc) = _graded(phi, kappa_c)
-    return _ungraded(D, _moments_cfree(p, kc, phi.k, phi.N), phi, "moment")
+    words = tuple(all_words(phi.k, phi.N))
+    chi = _interval(words, _closed(words, kc, p, {}, False), {}, False)
+    return _ungraded(D, chi, phi, "moment")
 
 
 def cfree_explicit(
@@ -406,15 +410,13 @@ def cfree_explicit(
 ) -> MultilinearFamily:
     """Non-recursive c-free cumulants: a Moebius-weighted sum over the
     partitions with unique outer block, Boolean cumulants of chi on that
-    block and moments of phi elsewhere."""
+    block and moments of phi elsewhere.  Each gap's partitions sum to F,
+    the interval inverse of 1 + kappa_phi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    bchi = _boolean(c, phi.k, phi.N)
-    out = {}
-    for n in range(1, phi.N + 1):
-        rows = [(mob, (holder,), others) for mob, holder, others in _ll_one_table(n)]
-        for w in words_of_length(phi.k, n):
-            out[w] = _lattice_sum(rows, (bchi, p), w)
+    words = tuple(all_words(phi.k, phi.N))
+    F = _interval(words, {w: -v for w, v in _free(p, phi.k, phi.N).items()}, {}, False)
+    out = _closed(words, _boolean(c, phi.k, phi.N), F, {}, False)
     return _ungraded(D, out, phi, "cfree-cumulant")
 
 
@@ -422,12 +424,11 @@ def cfree_explicit(
 # Alternative c-free cumulants over the opposite-order signed lattice
 # ---------------------------------------------------------------------------
 
-def _free_and_cc(p: dict, c: dict, k: int, N: int) -> tuple[dict, dict]:
-    """Graded free cumulants of phi and alternative c-free cumulants of
-    (phi, chi) = (p, c), by the factorization kappa_cc = kappa_c - kappa_phi."""
-    kf = _free(p, k, N)
-    kc = _cfree(p, c, k, N)
-    return kf, {w: kc[w] - kf[w] for w in kc}
+def _cc(p: dict, c: dict, k: int, N: int) -> dict:
+    """Graded alternative c-free cumulants of (phi, chi) = (p, c): kappa_cc
+    = kappa_c - kappa_phi, so their closed sums are beta_chi - beta_phi."""
+    bp, bc = _boolean(p, k, N), _boolean(c, k, N)
+    return _closed(all_words(k, N), {}, p, {w: bc[w] - bp[w] for w in bc}, True)
 
 
 def cc_cumulants(
@@ -438,8 +439,7 @@ def cc_cumulants(
     unknown family; it is the c-free minus the free cumulants of phi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    kcc = _free_and_cc(p, c, phi.k, phi.N)[1]
-    return _ungraded(D, kcc, phi, "cc-cumulant")
+    return _ungraded(D, _cc(p, c, phi.k, phi.N), phi, "cc-cumulant")
 
 
 def _cc_cumulants(phi: MultilinearFamily, chi: MultilinearFamily) -> MultilinearFamily:
@@ -463,13 +463,14 @@ def moments_from_cc(
     phi: MultilinearFamily, kappa_cc: MultilinearFamily
 ) -> MultilinearFamily:
     """Forward signed-lattice sum reconstructing chi from phi and the
-    alternative c-free cumulants: the c-free sum with kappa_c = kappa_phi +
-    kappa_cc."""
+    alternative c-free cumulants: beta_chi is beta_phi plus the closed sums
+    of kappa_cc."""
     _require_same_shape(phi, kappa_cc)
     D, (p, cc) = _graded(phi, kappa_cc)
-    kf = _free(p, phi.k, phi.N)
-    kc = {w: kf[w] + cc[w] for w in kf}
-    return _ungraded(D, _moments_cfree(p, kc, phi.k, phi.N), phi, "moment")
+    words = tuple(all_words(phi.k, phi.N))
+    bp = _boolean(p, phi.k, phi.N)
+    beta = {w: v + bp[w] for w, v in _closed(words, cc, p, {}, False).items()}
+    return _ungraded(D, _interval(words, beta, {}, False), phi, "moment")
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +498,10 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
     carry alternative c-free cumulants, pairs carry free cumulants of phi.
     Returns the first failing word or None."""
     _require_same_shape(phi, chi)
-    _require_signed_limit(phi.N)
+    if phi.N > DEFAULT_SIGNED_LIMIT:
+        raise LimitExceeded(
+            f"degree {phi.N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}")
     _, (p, c) = _graded(phi, chi)
-    kphi, kcc = _free_and_cc(p, c, phi.k, phi.N)
+    kphi, kcc = _free(p, phi.k, phi.N), _cc(p, c, phi.k, phi.N)
     want = {w: c[w] - p[w] for w in kcc}
     return _first_mismatch(_bopp_zero_table, (kcc, kphi), want, phi.k, phi.N)

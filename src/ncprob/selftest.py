@@ -423,19 +423,14 @@ def _lemma67(seed, k, n, l):
     return n, None if bad is None else bad[-1]
 
 
-def _product_target(seed, k, n, l):
-    if l < 1:
-        raise ShapeMismatch(f"l must be positive, got l={l}")
-    return n, product_intertwine_counterexample(*_pair(k, n + 1, seed), *_pair(l, n + 1, seed + 2))
-
-
 # Every `verify` target: (seed, k, N, l) -> (degree checked, first
 # counterexample or None).  Inputs are drawn from the seed; targets with a
 # fixed range of degrees clip N to it.
 TARGETS = {
     "12": lambda s, k, n, l: (
         n, convolution_intertwine_counterexample(*_pair(k, n + 1, s), *_pair(k, n + 1, s + 2))),
-    "13": _product_target,
+    "13": lambda s, k, n, l: (
+        n, product_intertwine_counterexample(*_pair(k, n + 1, s), *_pair(l, n + 1, s + 2))),
     "14": lambda s, k, n, l: (n, cyclic_cumulant_counterexample(*_pair(k, n + 1, s))),
     "17": lambda s, k, n, l: (
         n, cumulant_transform_counterexample(random_delta(k, seed=s + 2), *_pair(k, n + 1, s))),
@@ -456,6 +451,8 @@ def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> di
         raise ValueError(f"unknown verification target {theorem!r}")
     if k < 1 or big_n < 1:
         raise ShapeMismatch(f"k and N must be positive, got k={k}, N={big_n}")
+    if l < 1:
+        raise ShapeMismatch(f"l must be positive, got l={l}")
     big_n, ce = TARGETS[theorem](seed, k, big_n, l)
     return {
         "theorem": theorem,

@@ -253,12 +253,11 @@ def test_verify_rejects_k_or_n_below_one(runner, theorem, bound):
 
 @pytest.mark.parametrize("l", ["0", "-2"])
 def test_verify_13_rejects_l_below_one(runner, l):
-    res = runner.invoke(main, ["verify", "--theorem", "13", "--l", l, "--N", "1"])
-    assert res.exit_code == 2, res.output
-    assert f"l must be positive, got l={l}" in res.output
-    # a target that ignores l still runs
-    res = runner.invoke(main, ["verify", "--theorem", "14", "--l", l, "--N", "2"])
-    assert res.exit_code == 0, res.output
+    # every target rejects it, including those that never read l
+    for theorem in TARGETS:
+        res = runner.invoke(main, ["verify", "--theorem", theorem, "--l", l, "--N", "1"])
+        assert res.exit_code == 2, (theorem, res.output)
+        assert f"l must be positive, got l={l}" in res.output
 
 
 def test_verify_failure_exit_code(runner, monkeypatch):

@@ -483,6 +483,7 @@ def _lattice_oracles():
         _cc_cumulants,
         _interval_table,
         _lattice_sum,
+        _ll_one_table,
         _nc_mob_table,
         _roles_table,
     )
@@ -510,6 +511,14 @@ def _lattice_oracles():
     def kphi(phi):
         return MultilinearFamily(phi.k, phi.N, lattice(_nc_mob_table, phi))
 
+    def unique_outer(n):
+        # pi << 1_n weighted by mu(pi, 1_n): the outer block, then the others
+        return [(mob, (holder,), others) for mob, holder, others in _ll_one_table(n)]
+
+    def explicit(phi, chi):
+        bchi = MultilinearFamily(chi.k, chi.N, lattice(signed_intervals, chi))
+        return lattice(unique_outer, bchi, phi)
+
     return {
         "free_cumulants": (
             ("moment",), lambda a, out: (out._values, lattice(_nc_mob_table, *a))),
@@ -525,6 +534,8 @@ def _lattice_oracles():
         "moments_from_cfree": (
             ("moment", "cfree-cumulant"),
             lambda a, out: (out._values, lattice(_roles_table, kphi(a[0]), a[1]))),
+        "cfree_explicit": (
+            ("moment", "moment"), lambda a, out: (out._values, explicit(*a))),
         "cc_cumulants": (
             ("moment", "moment"), lambda a, out: (out._values, _cc_cumulants(*a)._values)),
         "moments_from_cc": (
