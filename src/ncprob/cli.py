@@ -97,8 +97,7 @@ def nc_enumerate(n, as_json):
     if as_json:
         _dump([p.to_json() for p in parts])
     else:
-        for p in parts:
-            click.echo(p.to_text())
+        click.echo("\n".join(p.to_text() for p in parts))
 
 
 @nc_group.command("kreweras")
@@ -137,8 +136,7 @@ def typeb_enumerate(n, flavor, as_json):
     if as_json:
         _dump([p.to_json() for p in parts])
     else:
-        for p in parts:
-            click.echo(p.to_text())
+        click.echo("\n".join(p.to_text() for p in parts))
 
 
 @main.command("transform")

@@ -50,7 +50,7 @@ from operator import itemgetter
 
 from .errors import LimitExceeded, ShapeMismatch
 from .families import MultilinearFamily, all_words, words_of_length
-from .nc import _interval_range, _moebius_int, _nc_range, _nests
+from .nc import _interval_range, _moebius_int, _nc_span, _nests
 from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, enumerate_signed, zero_blocks
 
 Blocks0 = tuple[tuple[int, ...], ...]
@@ -86,6 +86,7 @@ def _ungraded(D: int, scaled: dict, shape: MultilinearFamily, kind: str) -> Mult
 # The Boolean interval step and the closed-block sum
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _subword(positions: tuple[int, ...]):
     """Getter of the tuple of a word's letters at the given 0-based
     positions, in the order given."""
@@ -211,7 +212,7 @@ def _lattice_sum(rows, sources, w):
         term = coeff
         for val, blocks in zip(sources, groups):
             for b in blocks:
-                term *= val[tuple([w[p] for p in b])]
+                term *= val[_subword(b)(w)]
         total += term
     return total
 
@@ -223,7 +224,7 @@ def _lattice_sum(rows, sources, w):
 @lru_cache(maxsize=None)
 def _nc_mob_table(n: int) -> tuple[tuple[int, Blocks0], ...]:
     """Kernel rows over NC(n) weighted by the Moebius value."""
-    return tuple((_moebius_int(blocks, n), blocks) for blocks in _nc_range(n))
+    return tuple((_moebius_int(blocks, n), blocks) for blocks in _nc_span(0, n))
 
 
 # The cached interval partitions of nc; tests and the perfbench tracer read
@@ -235,7 +236,7 @@ _interval_table = _interval_range
 def _roles_table(n: int):
     """Kernel rows (1, inner blocks, outer blocks) over NC(n)."""
     out = []
-    for blocks in _nc_range(n):
+    for blocks in _nc_span(0, n):
         inner = tuple(b for b in blocks if any(_nests(v, b) for v in blocks))
         out.append((1, inner, tuple(b for b in blocks if b not in inner)))
     return tuple(out)

@@ -89,15 +89,27 @@ class NcPartition:
             seen.extend(b)
         if sorted(seen) != list(range(1, n + 1)):
             raise InvalidPartition(f"blocks do not partition 1..{n}: {canon}")
+        self._fill(n, canon)
+        if not _check_noncrossing_scan(n, self._owner):
+            raise InvalidPartition(f"partition is crossing: {canon}")
+
+    def _fill(self, n: int, canon: Blocks) -> None:
         owner = [-1] * (n + 1)
         for i, b in enumerate(canon):
             for x in b:
                 owner[x] = i
-        if not _check_noncrossing_scan(n, owner):
-            raise InvalidPartition(f"partition is crossing: {canon}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", canon)
         object.__setattr__(self, "_owner", tuple(owner))
+
+    @classmethod
+    def _trusted(cls, n: int, canon: Blocks) -> "NcPartition":
+        """The partition of {1..n} with the given blocks, unchecked: they
+        must already be canonical and non-crossing.  Only the enumerations
+        build through here; every public path validates."""
+        self = object.__new__(cls)
+        self._fill(n, canon)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("NcPartition is immutable")
@@ -132,7 +144,7 @@ class NcPartition:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``{1,5,6}{2,4}{3}``."""
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+        return "".join(map(_block_text, self.blocks))
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -153,6 +165,11 @@ class NcPartition:
         if n is None:
             n = sum(len(b) for b in blocks)
         return cls(n, blocks)
+
+
+@lru_cache(maxsize=None)
+def _block_text(block: tuple[int, ...]) -> str:
+    return "{" + ",".join(map(str, block)) + "}"
 
 
 _PARTITION_TEXT = re.compile(r"(\s*\{\s*-?\d+\s*(,\s*-?\d+\s*)*\})+\s*")
@@ -200,45 +217,29 @@ def is_noncrossing(blocks, n: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _nc_range(m: int) -> tuple[Blocks, ...]:
-    """All non-crossing partitions of {0..m-1}, 0-based, sorted canonically.
+def _nc_span(lo: int, hi: int) -> tuple[Blocks, ...]:
+    """All non-crossing partitions of {lo..hi-1}, sorted canonically.
 
     Recursive construction by the block of the minimum element: that block is
-    an arbitrary subset containing 0, and the leftover elements fall into
-    independent contiguous gaps between its members.
+    an arbitrary subset containing lo, and the leftover elements fall into
+    independent contiguous gaps between its members, each enumerated on its
+    own span, so no sub-partition is ever shifted.
     """
-    if m == 0:
+    if lo == hi:
         return ((),)
     out: list[Blocks] = []
-    rest = m - 1
+    rest = hi - lo - 1
     for mask in range(1 << rest):
-        block = [0]
-        for i in range(rest):
-            if mask >> i & 1:
-                block.append(i + 1)
-        segs = [(a + 1, b) for a, b in zip(block, block[1:])]
-        segs.append((block[-1] + 1, m))
-        per_seg = []
-        for a, b in segs:
-            shifted = []
-            for q in _nc_range(b - a):
-                shifted.append(tuple(tuple(x + a for x in blk) for blk in q))
-            per_seg.append(shifted)
-        base = (tuple(block),)
-        for combo in itertools.product(*per_seg):
-            blocks = base
-            for q in combo:
-                blocks += q
-            out.append(tuple(sorted(blocks)))
+        block = (lo,) + tuple(lo + 1 + i for i in range(rest) if mask >> i & 1)
+        gaps = [_nc_span(a + 1, b) for a, b in zip(block, block[1:] + (hi,))]
+        for combo in itertools.product(*gaps):
+            out.append(tuple(sorted((block,) + sum(combo, ()))))
     return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
 def _nc_objects(n: int) -> tuple[NcPartition, ...]:
-    return tuple(
-        NcPartition(n, [tuple(x + 1 for x in b) for b in blocks])
-        for blocks in _nc_range(n)
-    )
+    return tuple(NcPartition._trusted(n, blocks) for blocks in _nc_span(1, n + 1))
 
 
 def enumerate_nc(n: int, limit: int | None = None) -> tuple[NcPartition, ...]:
@@ -270,7 +271,7 @@ def interval_partitions(n: int, limit: int | None = None) -> tuple[NcPartition, 
     if n > limit:
         raise LimitExceeded(f"n={n} above enumeration limit {limit}")
     return tuple(
-        NcPartition(n, [tuple(x + 1 for x in b) for b in blocks])
+        NcPartition._trusted(n, tuple(tuple(x + 1 for x in b) for b in blocks))
         for blocks in _interval_range(n)
     )
 

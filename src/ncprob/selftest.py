@@ -10,6 +10,7 @@ import json
 from . import (
     BlockRole,
     Flavor,
+    LimitExceeded,
     NcPartition,
     ShapeMismatch,
     all_words,
@@ -401,8 +402,8 @@ def _families(k, n, seed, kind="moment"):
 
 def _signed(check, seed, k, n, kind="moment"):
     """(degree, result) of a signed-lattice check on `_families` at degree
-    min(n, 5): the signed lattices grow fastest."""
-    n = min(n, 5)
+    min(n, 6): the signed lattices grow fastest."""
+    n = min(n, 6)
     return n, check(*_families(k, n, seed, kind))
 
 
@@ -443,6 +444,24 @@ TARGETS = {
 }
 
 
+VERIFY_INPUT_LIMIT = 1 << 17  # entries in the largest input `verify` may build
+
+
+def _input_size(theorem: str, k: int, big_n: int, l: int) -> int:
+    """Entries in the largest input a target builds, counted no further than
+    past VERIFY_INPUT_LIMIT: the k^3 delta tensor or the words of length up
+    to max(N, 2) + 2 (lemma67's) over k letters, k + l for target 13.  One
+    letter counts as two: there the 2^(N-2) closed blocks outgrow the words."""
+    letters = max(k + l if theorem == "13" else k, 2)
+    words, layer = 0, 1
+    for _ in range(max(big_n, 2) + 2):
+        layer *= letters
+        words += layer
+        if words > VERIFY_INPUT_LIMIT:
+            break
+    return max(words, k ** 3)
+
+
 def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> dict:
     """One-shot verification of a `TARGETS` entry on seeded random inputs;
     shared by the CLI.  The report's "N" is the degree actually checked, and
@@ -453,6 +472,10 @@ def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> di
         raise ShapeMismatch(f"k and N must be positive, got k={k}, N={big_n}")
     if l < 1:
         raise ShapeMismatch(f"l must be positive, got l={l}")
+    if _input_size(theorem, k, big_n, l) > VERIFY_INPUT_LIMIT:
+        raise LimitExceeded(
+            f"{theorem} at k={k}, N={big_n}, l={l} needs an input of more "
+            f"than {VERIFY_INPUT_LIMIT} entries")
     big_n, ce = TARGETS[theorem](seed, k, big_n, l)
     return {
         "theorem": theorem,

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import InvalidPartition, LimitExceeded, NotOuter
-from .nc import NcPartition, _blocks_from_text, enumerate_nc, outer_blocks
+from .nc import NcPartition, _block_text, _blocks_from_text, enumerate_nc, outer_blocks
 
 DEFAULT_SIGNED_LIMIT = 8
 
@@ -69,7 +69,8 @@ class SignedNcPartition:
     def __init__(self, n: int, flavor: Flavor, blocks) -> None:
         if n < 1:
             raise InvalidPartition(f"n must be positive, got {n}")
-        canon = tuple(sorted((_sort_block(b) for b in blocks), key=_block_key))
+        self._fill(n, flavor, blocks)
+        canon = self.blocks
         elems = sorted(x for b in canon for x in b)
         want = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
         if elems != want:
@@ -89,9 +90,22 @@ class SignedNcPartition:
                         f"crossing blocks in {flavor.value} order: "
                         f"{canon[i]} and {canon[j]}"
                     )
+
+    def _fill(self, n: int, flavor: Flavor, blocks) -> None:
+        canon = tuple(sorted((_sort_block(b) for b in blocks), key=_block_key))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "blocks", canon)
+
+    @classmethod
+    def _trusted(cls, n: int, flavor: Flavor, blocks) -> "SignedNcPartition":
+        """The partition with the given blocks in canonical order, unchecked:
+        they must already partition +-1..+-n symmetrically and without
+        crossing in the flavor's order.  Only the enumerations build through
+        here; every public path validates."""
+        self = object.__new__(cls)
+        self._fill(n, flavor, blocks)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedNcPartition is immutable")
@@ -117,7 +131,7 @@ class SignedNcPartition:
         return self.to_text(tagged=True)
 
     def to_text(self, tagged: bool = False) -> str:
-        body = "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+        body = "".join(map(_block_text, self.blocks))
         return f"{self.flavor.value}:{body}" if tagged else body
 
     def to_json(self) -> dict:
@@ -180,14 +194,16 @@ def from_pair(pi: NcPartition, s) -> SignedNcPartition:
     for b in chosen:
         if b not in outer:
             raise NotOuter(f"{b} is not an outer block of {pi}")
+    return SignedNcPartition(pi.n, Flavor.B_OPP, _pair_blocks(pi, chosen))
+
+
+def _pair_blocks(pi: NcPartition, chosen) -> list[tuple[int, ...]]:
+    """The blocks of from_pair(pi, chosen), unchecked."""
     blocks = []
     for b in pi.blocks:
-        if b in chosen:
-            blocks.append(b + tuple(-x for x in b))
-        else:
-            blocks.append(b)
-            blocks.append(tuple(-x for x in b))
-    return SignedNcPartition(pi.n, Flavor.B_OPP, blocks)
+        neg = tuple(-x for x in b)
+        blocks += [b + neg] if b in chosen else [b, neg]
+    return blocks
 
 
 def to_pair(sigma: SignedNcPartition) -> tuple[NcPartition, tuple[tuple[int, ...], ...]]:
@@ -274,7 +290,7 @@ def _enumerate_b(n: int) -> tuple[SignedNcPartition, ...]:
         labeled = [
             tuple(_label_of_position(p, n, Flavor.B) for p in b) for b in blocks
         ]
-        out.append(SignedNcPartition(n, Flavor.B, labeled))
+        out.append(SignedNcPartition._trusted(n, Flavor.B, labeled))
     return tuple(sorted(out, key=lambda s: s.blocks))
 
 
@@ -285,7 +301,7 @@ def _enumerate_bopp(n: int) -> tuple[SignedNcPartition, ...]:
         outer = [pi.blocks[i] for i in outer_blocks(pi)]
         for mask in range(1 << len(outer)):
             s = [outer[i] for i in range(len(outer)) if mask >> i & 1]
-            out.append(from_pair(pi, s))
+            out.append(SignedNcPartition._trusted(n, Flavor.B_OPP, _pair_blocks(pi, s)))
     return tuple(sorted(out, key=lambda s: s.blocks))
 
 

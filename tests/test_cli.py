@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -260,6 +264,34 @@ def test_verify_13_rejects_l_below_one(runner, l):
         assert f"l must be positive, got l={l}" in res.output
 
 
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--theorem", "12", "--k", "50", "--N", "100000"],
+        ["--theorem", "17", "--k", "51", "--N", "1"],
+        ["--theorem", "prop41", "--k", "2", "--N", "15"],
+        ["--theorem", "13", "--k", "2", "--l", "300", "--N", "1"],
+    ],
+    ids=["words", "delta", "degree", "l"],
+)
+def test_verify_refuses_oversized_inputs_before_building_them(args):
+    # in a child capped at 1 GiB, so a build that is not refused fails there
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    res = subprocess.run(
+        [sys.executable, "-m", "ncprob.cli", "verify"] + args,
+        capture_output=True, text=True, env=env, preexec_fn=_cap_memory, timeout=60,
+    )
+    assert res.returncode == 2, res.stderr[-500:]
+    assert "than 131072 entries" in res.stderr
+
+
 def test_verify_failure_exit_code(runner, monkeypatch):
     # no identity in scope actually fails, so fake a counterexample to pin
     # down the exit-code contract
@@ -334,9 +366,9 @@ def test_malformed_tensor_json_is_a_usage_error(runner, tmp_path):
 @pytest.mark.parametrize(
     "theorem,k,asked,checked",
     [
-        ("prop54", 1, 7, 5),
-        ("eq5a", 1, 7, 5),
-        ("eq55a", 1, 7, 5),
+        ("prop54", 1, 7, 6),
+        ("eq5a", 1, 7, 6),
+        ("eq55a", 1, 7, 6),
         ("lemma210", 2, 9, 7),
         ("lemma67", 1, 1, 2),
         ("prop41", 1, 6, 6),

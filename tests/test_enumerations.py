@@ -1,0 +1,70 @@
+"""The enumerations as the CLI prints them, and as the validating
+constructors rebuild them.
+
+``nc enumerate`` and ``typeb enumerate`` build their partitions through
+private constructors that skip validation.  The golden file pins the sha256
+of each command's stdout; the rebuild tests push every generated partition
+back through the public, validating constructor.  Running this file as a
+script rewrites the golden file from the current code; run it only on a
+commit whose outputs are the reference.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from ncprob.cli import main
+from ncprob.nc import NcPartition, enumerate_nc, interval_partitions
+from ncprob.typeb import Flavor, SignedNcPartition, enumerate_signed
+
+GOLDEN = Path(__file__).parent / "golden" / "enumerations.json"
+
+# Golden key -> argv; the key is the argv joined by spaces.
+COMMANDS = (
+    [["nc", "enumerate", "--n", str(n)] for n in range(1, 12)]
+    + [["nc", "enumerate", "--n", "10", "--json"]]
+    + [
+        ["typeb", "enumerate", "--n", str(n), "--flavor", f.value]
+        for f in Flavor
+        for n in range(1, 8)
+    ]
+    + [["typeb", "enumerate", "--n", "7", "--flavor", f.value, "--json"] for f in Flavor]
+)
+
+
+def _stdout_digest(argv) -> str:
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    return hashlib.sha256(res.stdout_bytes).hexdigest()
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_enumeration_stdout_matches_the_golden_digest(argv):
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(" ".join(a) for a in COMMANDS)
+    assert _stdout_digest(argv) == golden[" ".join(argv)]
+
+
+@pytest.mark.parametrize("lattice", [enumerate_nc, interval_partitions], ids=["nc", "interval"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumerated_nc_partitions_pass_the_validating_constructor(n, lattice):
+    parts = lattice(n)
+    rebuilt = [NcPartition(p.n, p.blocks) for p in parts]
+    assert rebuilt == list(parts) == sorted(rebuilt)
+    assert [q._owner for q in rebuilt] == [p._owner for p in parts]
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerated_signed_partitions_pass_the_validating_constructor(n, flavor):
+    parts = enumerate_signed(n, flavor)
+    rebuilt = [SignedNcPartition(p.n, p.flavor, p.blocks) for p in parts]
+    assert rebuilt == list(parts) == sorted(rebuilt)
+
+
+if __name__ == "__main__":
+    table = {" ".join(argv): _stdout_digest(argv) for argv in COMMANDS}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
