@@ -16,9 +16,18 @@ the empty word having value 1, with beta the closed sum
 
 With block = kappa and inner = phi, beta is the Boolean cumulant of phi;
 the c-free moments chi take block = kappa_c and inner = phi, and beta is
-the Boolean cumulant of chi.  Each transform is thus an n-term interval
-step and a sum over the 2^(n-2) closed blocks, solved for its unknown
-shortest words first: only the row V = u reads block on u itself.  The
+the Boolean cumulant of chi.  The closed sum is a cut recursion: Q(w, t)
+sums over the blocks V in [t, n) holding t and n-1, with block read on
+w[:t] followed by w|V, so that Q(w, n-1) = block(w), beta(w) = Q(w, 0) and
+grouping by the gap [a, b) after a-1 gives
+
+    Q(w, a-1) = Q(w, a) + sum over a < b < n of inner(w[a:b]) * Q(w[:a] + w[b:], a),
+
+(n-1)(n-2)/2 terms per word where there are 2^(n-2) blocks.  Each
+transform is thus an n-term interval step and this recursion, shortest
+words first.  A forward pass runs it down from Q(w, n-1) = block(w) to
+beta(w); the cut words are shorter, so a solve for the unknown block runs
+it up from Q(w, 0) = beta(w) to block(w) = Q(w, n-1).  The
 alternative c-free cumulants kappa_cc = kappa_c - kappa_phi (the
 opposite-order lattice is in bijection with the pairs of pi in NC(n) and a
 set of its outer blocks, which become zero-blocks) solve the closed sum,
@@ -96,22 +105,6 @@ def _subword(positions: tuple[int, ...]):
     return itemgetter(*positions)
 
 
-@lru_cache(maxsize=None)
-def _closed_blocks(n: int):
-    """(spans, rows) for the 2^(n-2) blocks V holding both 0 and n-1, or
-    the block {0} when n = 1.  spans lists every inner interval [a, b) with
-    0 < a < b < n; a row is (getter of w|V, indices into spans of the gaps
-    between consecutive elements of V).  The whole word comes last."""
-    spans = tuple((a, b) for a in range(1, n) for b in range(a + 1, n))
-    index = {span: i for i, span in enumerate(spans)}
-    rows = []
-    for mask in range(1 << max(n - 2, 0)):
-        block = tuple(sorted({0, n - 1} | {i + 1 for i in range(n - 2) if mask >> i & 1}))
-        gaps = tuple(index[a + 1, b] for a, b in zip(block, block[1:]) if b > a + 1)
-        rows.append((_subword(block), gaps))
-    return spans, tuple(rows)
-
-
 def _interval(words, block: dict, mom: dict, solve: bool) -> dict:
     """The Boolean step mom(w) = sum over 0 < i <= |w| of block(w[:i]) *
     mom(w[i:]), mom(empty) = 1, over words given shortest first.  With
@@ -128,24 +121,31 @@ def _interval(words, block: dict, mom: dict, solve: bool) -> dict:
     return block if solve else mom
 
 
-def _closed(words, block: dict, inner: dict, target: dict, solve: bool) -> dict:
+def _closed(words, block: dict, inner: dict, target: dict, solve: bool, q=None) -> dict:
     """target(w) = sum over the blocks V holding both ends of w of block(w|V)
-    * prod inner(gap), over words given shortest first, reading the gaps
-    once per word.  With solve, block is the unknown, which only the last
-    row, V = w, reads on w; otherwise target is.  Returns the unknown."""
+    * prod inner(gap), over words given shortest first, by the cut
+    recursion on q, which maps each word read so far to its row of Q(w, t).
+    With solve, block is the unknown and the row runs up from Q(w, 0) =
+    target(w); otherwise target is, and the row runs down from Q(w, n-1) =
+    block(w).  No gap fits after n-2, so Q(w, n-2) = Q(w, n-1).  Returns the
+    unknown."""
+    q = {} if q is None else q
     for w in words:
-        spans, rows = _closed_blocks(len(w))
-        vals = [inner[w[a:b]] for a, b in spans]
-        total = 0
-        for get, gaps in rows[:-1] if solve else rows:
-            term = block[get(w)]
-            for g in gaps:
-                term *= vals[g]
-            total += term
+        n = len(w)
+        row = [target[w] if solve else block[w]] * n
+        for a in range(1, n - 1) if solve else range(n - 2, 0, -1):
+            head, step = w[:a], 0
+            for b in range(a + 1, n):
+                step += inner[w[a:b]] * q[head + w[b:]][a]
+            if solve:
+                row[a] = row[a - 1] - step
+            else:
+                row[a - 1] = row[a] + step
         if solve:
-            block[w] = target[w] - total
+            block[w] = row[-1] = row[n - 2]
         else:
-            target[w] = total
+            target[w] = row[0]
+        q[w] = row
     return block if solve else target
 
 
@@ -166,25 +166,31 @@ def _interval_dual(words, block, dblock, mom, dmom, solve: bool):
     return (block, dblock) if solve else (mom, dmom)
 
 
-def _closed_dual(words, block, dblock, inner, dinner, target, dtarget, solve: bool):
-    """`_closed` over dual numbers, each dict paired with its epsilon part."""
+def _closed_dual(words, block, dblock, inner, dinner, target, dtarget, solve: bool, q=None):
+    """`_closed` over dual numbers, each dict paired with its epsilon part;
+    q maps a word to its rows of Q and of its epsilon part."""
+    q = {} if q is None else q
     for w in words:
-        spans, rows = _closed_blocks(len(w))
-        subs = [w[a:b] for a, b in spans]
-        vals, dvals = [inner[u] for u in subs], [dinner[u] for u in subs]
-        total = dtotal = 0
-        for get, gaps in rows[:-1] if solve else rows:
-            v = get(w)
-            a, da = block[v], dblock[v]
-            for g in gaps:
-                x = vals[g]
-                a, da = a * x, a * dvals[g] + da * x
-            total += a
-            dtotal += da
+        n = len(w)
+        start, dstart = (target[w], dtarget[w]) if solve else (block[w], dblock[w])
+        row, drow = [start] * n, [dstart] * n
+        for a in range(1, n - 1) if solve else range(n - 2, 0, -1):
+            head, step, dstep = w[:a], 0, 0
+            for b in range(a + 1, n):
+                u = w[a:b]
+                x, (cut, dcut) = inner[u], q[head + w[b:]]
+                step += x * cut[a]
+                dstep += x * dcut[a] + dinner[u] * cut[a]
+            if solve:
+                row[a], drow[a] = row[a - 1] - step, drow[a - 1] - dstep
+            else:
+                row[a - 1], drow[a - 1] = row[a] + step, drow[a] + dstep
         if solve:
-            block[w], dblock[w] = target[w] - total, dtarget[w] - dtotal
+            block[w] = row[-1] = row[n - 2]
+            dblock[w] = drow[-1] = drow[n - 2]
         else:
-            target[w], dtarget[w] = total, dtotal
+            target[w], dtarget[w] = row[0], drow[0]
+        q[w] = row, drow
     return (block, dblock) if solve else (target, dtarget)
 
 
@@ -306,10 +312,10 @@ def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
     """Inverse of free_cumulants: the product sum over NC(n), length by
     length because the closed sums read the moments in their gaps."""
     D, (c,) = _graded(kappa)
-    beta, mom = {}, {}
+    beta, mom, q = {}, {}, {}
     for n in range(1, kappa.N + 1):
         words = words_of_length(kappa.k, n)
-        _interval(words, _closed(words, c, mom, beta, False), mom, False)
+        _interval(words, _closed(words, c, mom, beta, False, q), mom, False)
     return _ungraded(D, mom, kappa, "moment")
 
 
@@ -361,10 +367,10 @@ def _moments_and_infinitesimal(kappa_phi: MultilinearFamily, kappa_prime: Multil
     the base and the infinitesimal cumulants, length by length as in
     `moments_from_free`."""
     D, (c, dc) = _graded(kappa_phi, kappa_prime)
-    beta, dbeta, mom, dmom = {}, {}, {}, {}
+    beta, dbeta, mom, dmom, q = {}, {}, {}, {}, {}
     for n in range(1, kappa_phi.N + 1):
         words = words_of_length(kappa_phi.k, n)
-        _closed_dual(words, c, dc, mom, dmom, beta, dbeta, False)
+        _closed_dual(words, c, dc, mom, dmom, beta, dbeta, False, q)
         _interval_dual(words, beta, dbeta, mom, dmom, False)
     return (_ungraded(D, mom, kappa_phi, "moment"),
             _ungraded(D, dmom, kappa_phi, "infinitesimal"))

@@ -451,7 +451,8 @@ def _input_size(theorem: str, k: int, big_n: int, l: int) -> int:
     """Entries in the largest input a target builds, counted no further than
     past VERIFY_INPUT_LIMIT: the k^3 delta tensor or the words of length up
     to max(N, 2) + 2 (lemma67's) over k letters, k + l for target 13.  One
-    letter counts as two: there the 2^(N-2) closed blocks outgrow the words."""
+    letter counts as two: the words are then few, but each costs about
+    N^2/2 closed-sum terms."""
     letters = max(k + l if theorem == "13" else k, 2)
     words, layer = 0, 1
     for _ in range(max(big_n, 2) + 2):

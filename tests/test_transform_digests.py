@@ -1,4 +1,4 @@
-"""Digests of every transform's output at k = 2 and N = 8..10.
+"""Digests of every transform's output at k = 2 and N = 8..12.
 
 The lattice oracles in test_cumulants stop at N = 6; these digests pin the
 outputs at the degrees the recursions are sized for.  Each entry is the
@@ -19,7 +19,7 @@ import ncprob
 GOLDEN = Path(__file__).parent / "golden" / "transforms_k2.json"
 SEED = 424242
 K = 2
-DEGREES = (8, 9, 10)
+DEGREES = (8, 9, 10, 11, 12)
 # Family kinds of each transform's arguments; "delta" is a random tensor.
 INPUT_KINDS = {
     "free_cumulants": ("moment",),
