@@ -33,7 +33,9 @@ opposite-order lattice is in bijection with the pairs of pi in NC(n) and a
 set of its outer blocks, which become zero-blocks) solve the closed sum,
 linear in block, against beta_chi - beta_phi.  Infinitesimal cumulants are
 the epsilon-part of the free cumulants of phi + epsilon * phi' over the
-dual numbers (epsilon^2 = 0), so their transforms run both steps on pairs.
+dual numbers (epsilon^2 = 0), so their transforms run both steps on jets:
+tuples of parts, part j of a product summing part p of one factor times
+part j - p of the other, one part for the plain sums and two for the duals.
 
 The explicit c-free formula weighs the partitions with a unique outer
 block V by their Moebius value, which factors over the gaps of V through
@@ -44,6 +46,15 @@ inner = F, the interval inverse of 1 + kappa_phi: F(empty) = 1 and F(u) =
 The sums run on graded ints: with D the lcm of a call's input
 denominators, a value v on w becomes the integer v * D**|w|, every term
 over w scales by exactly D**|w|, and each output word is one Fraction.
+The values are dense layers: layers[n] lists the words of length n in
+`words_of_length` order, so a word's index is its rank, its letters less
+one as base-k digits; layers[0] = [1] is never read.  For w = head|mid|tail
+with a head of length a and rank h and a tail of length L = n - b, the cut
+word head|tail has rank h * k**L + rank(tail).  So the terms of one (a, b)
+over a layer run over h, then inner[b - a] (the mids in rank order), then
+the slice h * k**L : (h+1) * k**L of the column Q(., a) of length
+n - (b - a), already in the layer's order; the interval terms of one i
+are the outer product of block[i] and moments[n - i].
 
 The lattice sums stay as the paper's definitions and as the oracles:
 `_lattice_sum` runs the signed-lattice rewritings and the selftest's
@@ -54,8 +65,9 @@ transform maps input degree n to output degree n.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from math import lcm
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 from .errors import LimitExceeded, ShapeMismatch
 from .families import MultilinearFamily, all_words, words_of_length
@@ -71,24 +83,40 @@ def _require_same_shape(f: MultilinearFamily, g: MultilinearFamily) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Graded integers
+# Graded integers on dense per-length layers
 # ---------------------------------------------------------------------------
 
-def _graded(*families: MultilinearFamily) -> tuple[int, list[dict]]:
-    """(D, one dict per family): D is the lcm of the families'
-    denominators, and each value v on a word w becomes the integer
-    v * D**len(w)."""
+def _graded(*families: MultilinearFamily) -> tuple[int, list[list]]:
+    """(D, the layers of each family): D is the lcm of the families'
+    denominators, and layers[n] lists the integers v * D**n of the words of
+    length n in rank order, layers[0] = [1] standing for the empty word."""
     D = lcm(*{v.denominator for f in families for v in f._values.values()})
     powers = [D ** n for n in range(max(f.N for f in families) + 1)]
-    return D, [{w: v.numerator * (powers[len(w)] // v.denominator)
-                for w, v in f._values.items()} for f in families]
+    out = []
+    for f in families:
+        values = iter(f._values.values())
+        out.append([[1]] + [[v.numerator * (powers[n] // v.denominator)
+                             for v in islice(values, f.k ** n)] for n in range(1, f.N + 1)])
+    return D, out
 
 
-def _ungraded(D: int, scaled: dict, shape: MultilinearFamily, kind: str) -> MultilinearFamily:
-    """The family over shape's (k, N) with value scaled[w] / D**len(w)."""
-    powers = [D ** n for n in range(shape.N + 1)]
-    values = {w: Fraction(scaled[w], powers[len(w)]) for w in all_words(shape.k, shape.N)}
-    return MultilinearFamily(shape.k, shape.N, values, kind=kind)
+def _ungraded(D: int, layers: list, shape: MultilinearFamily, kind: str) -> MultilinearFamily:
+    """The family over shape's (k, N) with value layers[n][rank] / D**n."""
+    values = {}
+    for n in range(1, shape.N + 1):
+        P = D ** n
+        values.update(zip(words_of_length(shape.k, n), [Fraction(v, P) for v in layers[n]]))
+    return MultilinearFamily._trusted(shape.k, shape.N, values, kind)
+
+
+def _blank(N: int, parts: int = 1) -> tuple:
+    """A jet of layers 0..N of an unknown; the kernels read N off its length."""
+    return tuple([[1]] + [None] * N for _ in range(parts))
+
+
+def _by_word(k: int, layers: list) -> dict:
+    """Word-keyed table of graded layers, for the lattice sums and `deltastar`."""
+    return dict(zip(all_words(k, len(layers) - 1), chain.from_iterable(layers[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -105,104 +133,70 @@ def _subword(positions: tuple[int, ...]):
     return itemgetter(*positions)
 
 
-def _interval(words, block: dict, mom: dict, solve: bool) -> dict:
-    """The Boolean step mom(w) = sum over 0 < i <= |w| of block(w[:i]) *
-    mom(w[i:]), mom(empty) = 1, over words given shortest first.  With
-    solve, block is the unknown, read on w itself with weight 1; otherwise
-    mom is, read only on shorter words.  Fills and returns the unknown."""
-    for w in words:
-        total = 0
-        for i in range(1, len(w)):
-            total += block[w[:i]] * mom[w[i:]]
-        if solve:
-            block[w] = mom[w] - total
-        else:
-            mom[w] = block[w] + total
-    return block if solve else mom
+def _negated(jet: tuple) -> tuple:
+    """The jet with every value negated."""
+    return tuple([[-x for x in layer] for layer in part] for part in jet)
 
 
-def _closed(words, block: dict, inner: dict, target: dict, solve: bool, q=None) -> dict:
+def _interval(block: tuple, mom: tuple, solve: bool, lengths=None) -> tuple:
+    """The Boolean step mom(w) = sum over 0 < i <= n of block(w[:i]) *
+    mom(w[i:]), mom(empty) = 1, on jets of layers, lengths (default all)
+    shortest first.  With solve, block is the unknown, read on w itself
+    with weight 1: mom(w) plus the terms on -mom.  Otherwise mom is, read
+    only on shorter words.  Fills and returns the unknown."""
+    known, unknown, right = (mom, block, _negated(mom)) if solve else (block, mom, mom)
+    for n in range(1, len(block[0])) if lengths is None else lengths:
+        for j, part in enumerate(unknown):
+            terms = [[x * y for x in block[p][i] for y in right[j - p][n - i]]
+                     for i in range(1, n) for p in range(j + 1)]
+            part[n] = list(map(sum, zip(known[j][n], *terms)))
+    return unknown
+
+
+def _closed(k: int, block: tuple, inner: tuple, target: tuple, solve: bool,
+            lengths=None, Q=None) -> tuple:
     """target(w) = sum over the blocks V holding both ends of w of block(w|V)
-    * prod inner(gap), over words given shortest first, by the cut
-    recursion on q, which maps each word read so far to its row of Q(w, t).
-    With solve, block is the unknown and the row runs up from Q(w, 0) =
-    target(w); otherwise target is, and the row runs down from Q(w, n-1) =
-    block(w).  No gap fits after n-2, so Q(w, n-2) = Q(w, n-1).  Returns the
-    unknown."""
-    q = {} if q is None else q
-    for w in words:
-        n = len(w)
-        row = [target[w] if solve else block[w]] * n
+    * prod inner(gap), as in `_interval`, by the cut recursion on Q, which
+    maps each length m read so far to its columns: Q[m][j][a] is part j of
+    Q(u, a) over the words u of length m.  With solve, block is the unknown
+    and the columns run up from Q(w, 0) = target(w), adding the terms on
+    -inner; otherwise target is, and they run down from Q(w, n-1) =
+    block(w) = Q(w, n-2).  No word reads the longest words' columns, which
+    are not kept.  Fills and returns the unknown."""
+    Q = {} if Q is None else Q
+    N = len(inner[0]) - 1
+    K = [k ** L for L in range(N + 1)]
+    known, unknown = (target, block) if solve else (block, target)
+    inner = _negated(inner) if solve else inner
+    for n in range(1, N + 1) if lengths is None else lengths:
+        cols = [[part[n]] * n for part in known]
         for a in range(1, n - 1) if solve else range(n - 2, 0, -1):
-            head, step = w[:a], 0
-            for b in range(a + 1, n):
-                step += inner[w[a:b]] * q[head + w[b:]][a]
-            if solve:
-                row[a] = row[a - 1] - step
-            else:
-                row[a - 1] = row[a] + step
-        if solve:
-            block[w] = row[-1] = row[n - 2]
-        else:
-            target[w] = row[0]
-        q[w] = row
-    return block if solve else target
+            for j, col in enumerate(cols):
+                terms = [col[a - 1] if solve else col[a]]
+                for b in range(a + 1, n):
+                    KL, src = K[n - b], Q[a + n - b]
+                    for p in range(j + 1):
+                        mids, tails = inner[p][b - a], src[j - p][a]
+                        terms.append([x * y for h in range(0, len(tails), KL) for x in mids
+                                      for y in tails[h:h + KL]])
+                col[a if solve else a - 1] = list(map(sum, zip(*terms)))
+        for part, col in zip(unknown, cols):
+            col[-1] = col[n - 2]  # no gap fits after n - 2
+            part[n] = col[-1] if solve else col[0]
+        if n < N:
+            Q[n] = cols
+    return unknown
 
 
-def _interval_dual(words, block, dblock, mom, dmom, solve: bool):
-    """`_interval` over dual numbers x + epsilon * dx, each dict paired with
-    its epsilon part."""
-    for w in words:
-        total = dtotal = 0
-        for i in range(1, len(w)):
-            u, v = w[:i], w[i:]
-            b, x = block[u], mom[v]
-            total += b * x
-            dtotal += b * dmom[v] + dblock[u] * x
-        if solve:
-            block[w], dblock[w] = mom[w] - total, dmom[w] - dtotal
-        else:
-            mom[w], dmom[w] = block[w] + total, dblock[w] + dtotal
-    return (block, dblock) if solve else (mom, dmom)
-
-
-def _closed_dual(words, block, dblock, inner, dinner, target, dtarget, solve: bool, q=None):
-    """`_closed` over dual numbers, each dict paired with its epsilon part;
-    q maps a word to its rows of Q and of its epsilon part."""
-    q = {} if q is None else q
-    for w in words:
-        n = len(w)
-        start, dstart = (target[w], dtarget[w]) if solve else (block[w], dblock[w])
-        row, drow = [start] * n, [dstart] * n
-        for a in range(1, n - 1) if solve else range(n - 2, 0, -1):
-            head, step, dstep = w[:a], 0, 0
-            for b in range(a + 1, n):
-                u = w[a:b]
-                x, (cut, dcut) = inner[u], q[head + w[b:]]
-                step += x * cut[a]
-                dstep += x * dcut[a] + dinner[u] * cut[a]
-            if solve:
-                row[a], drow[a] = row[a - 1] - step, drow[a - 1] - dstep
-            else:
-                row[a - 1], drow[a - 1] = row[a] + step, drow[a] + dstep
-        if solve:
-            block[w] = row[-1] = row[n - 2]
-            dblock[w] = drow[-1] = drow[n - 2]
-        else:
-            target[w], dtarget[w] = row[0], drow[0]
-        q[w] = row, drow
-    return (block, dblock) if solve else (target, dtarget)
-
-
-def _boolean(c: dict, k: int, N: int) -> dict:
+def _boolean(c: list, N: int) -> list:
     """Graded Boolean cumulants of the graded moments c."""
-    return _interval(all_words(k, N), {}, c, True)
+    return _interval(_blank(N), (c,), True)[0]
 
 
-def _free(p: dict, k: int, N: int) -> dict:
+def _free(p: list, k: int, N: int) -> list:
     """Graded free cumulants of the graded moments p: their closed sums,
     moments in the gaps, are the Boolean cumulants of p."""
-    return _closed(all_words(k, N), {}, p, _boolean(p, k, N), True)
+    return _closed(k, _blank(N), (p,), (_boolean(p, N),), True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +306,23 @@ def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
     """Inverse of free_cumulants: the product sum over NC(n), length by
     length because the closed sums read the moments in their gaps."""
     D, (c,) = _graded(kappa)
-    beta, mom, q = {}, {}, {}
+    beta, mom, Q = _blank(kappa.N), _blank(kappa.N), {}
     for n in range(1, kappa.N + 1):
-        words = words_of_length(kappa.k, n)
-        _interval(words, _closed(words, c, mom, beta, False, q), mom, False)
-    return _ungraded(D, mom, kappa, "moment")
+        _closed(kappa.k, (c,), mom, beta, False, (n,), Q)
+        _interval(beta, mom, False, (n,))
+    return _ungraded(D, mom[0], kappa, "moment")
 
 
 def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
     """Signed sum over the interval partitions."""
     D, (c,) = _graded(chi)
-    return _ungraded(D, _boolean(c, chi.k, chi.N), chi, "boolean-cumulant")
+    return _ungraded(D, _boolean(c, chi.N), chi, "boolean-cumulant")
 
 
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
     """Inverse of boolean_cumulants."""
     D, (b,) = _graded(beta)
-    return _ungraded(D, _interval(all_words(beta.k, beta.N), b, {}, False), beta, "moment")
+    return _ungraded(D, _interval((b,), _blank(beta.N), False)[0], beta, "moment")
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +334,8 @@ def _dual_cumulants(phi: MultilinearFamily, phi_prime: MultilinearFamily):
     cumulants of (phi, phi')): the last two are the real and epsilon parts
     of the free cumulants of phi + epsilon * phi'."""
     D, (p, dp) = _graded(phi, phi_prime)
-    words = tuple(all_words(phi.k, phi.N))
-    beta, dbeta = _interval_dual(words, {}, {}, p, dp, True)
-    return (D, dp, *_closed_dual(words, {}, {}, p, dp, beta, dbeta, True))
+    beta = _interval(_blank(phi.N, 2), (p, dp), True)
+    return (D, dp, *_closed(phi.k, _blank(phi.N, 2), (p, dp), beta, True))
 
 
 def _free_and_infinitesimal(phi: MultilinearFamily, phi_prime: MultilinearFamily):
@@ -367,13 +360,12 @@ def _moments_and_infinitesimal(kappa_phi: MultilinearFamily, kappa_prime: Multil
     the base and the infinitesimal cumulants, length by length as in
     `moments_from_free`."""
     D, (c, dc) = _graded(kappa_phi, kappa_prime)
-    beta, dbeta, mom, dmom, q = {}, {}, {}, {}, {}
+    beta, mom, Q = _blank(kappa_phi.N, 2), _blank(kappa_phi.N, 2), {}
     for n in range(1, kappa_phi.N + 1):
-        words = words_of_length(kappa_phi.k, n)
-        _closed_dual(words, c, dc, mom, dmom, beta, dbeta, False, q)
-        _interval_dual(words, beta, dbeta, mom, dmom, False)
-    return (_ungraded(D, mom, kappa_phi, "moment"),
-            _ungraded(D, dmom, kappa_phi, "infinitesimal"))
+        _closed(kappa_phi.k, (c, dc), mom, beta, False, (n,), Q)
+        _interval(beta, mom, False, (n,))
+    return (_ungraded(D, mom[0], kappa_phi, "moment"),
+            _ungraded(D, mom[1], kappa_phi, "infinitesimal"))
 
 
 def infinitesimal_moments(
@@ -397,7 +389,7 @@ def cfree_cumulants(
     Boolean cumulants of chi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    kc = _closed(all_words(phi.k, phi.N), {}, p, _boolean(c, phi.k, phi.N), True)
+    kc = _closed(phi.k, _blank(phi.N), (p,), (_boolean(c, phi.N),), True)[0]
     return _ungraded(D, kc, phi, "cfree-cumulant")
 
 
@@ -407,9 +399,8 @@ def moments_from_cfree(
     """Forward inner/outer product sum, with free cumulants of phi inside."""
     _require_same_shape(phi, kappa_c)
     D, (p, kc) = _graded(phi, kappa_c)
-    words = tuple(all_words(phi.k, phi.N))
-    chi = _interval(words, _closed(words, kc, p, {}, False), {}, False)
-    return _ungraded(D, chi, phi, "moment")
+    beta = _closed(phi.k, (kc,), (p,), _blank(phi.N), False)
+    return _ungraded(D, _interval(beta, _blank(phi.N), False)[0], phi, "moment")
 
 
 def cfree_explicit(
@@ -421,9 +412,8 @@ def cfree_explicit(
     the interval inverse of 1 + kappa_phi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    words = tuple(all_words(phi.k, phi.N))
-    F = _interval(words, {w: -v for w, v in _free(p, phi.k, phi.N).items()}, {}, False)
-    out = _closed(words, _boolean(c, phi.k, phi.N), F, {}, False)
+    F = _interval(_negated((_free(p, phi.k, phi.N),)), _blank(phi.N), False)
+    out = _closed(phi.k, (_boolean(c, phi.N),), F, _blank(phi.N), False)[0]
     return _ungraded(D, out, phi, "cfree-cumulant")
 
 
@@ -431,11 +421,11 @@ def cfree_explicit(
 # Alternative c-free cumulants over the opposite-order signed lattice
 # ---------------------------------------------------------------------------
 
-def _cc(p: dict, c: dict, k: int, N: int) -> dict:
+def _cc(p: list, c: list, k: int, N: int) -> list:
     """Graded alternative c-free cumulants of (phi, chi) = (p, c): kappa_cc
     = kappa_c - kappa_phi, so their closed sums are beta_chi - beta_phi."""
-    bp, bc = _boolean(p, k, N), _boolean(c, k, N)
-    return _closed(all_words(k, N), {}, p, {w: bc[w] - bp[w] for w in bc}, True)
+    diff = [list(map(sub, x, y)) for x, y in zip(_boolean(c, N), _boolean(p, N))]
+    return _closed(k, _blank(N), (p,), (diff,), True)[0]
 
 
 def cc_cumulants(
@@ -456,14 +446,15 @@ def _cc_cumulants(phi: MultilinearFamily, chi: MultilinearFamily) -> Multilinear
     zero-block is the whole word isolates it; every other row needs it only
     on shorter words, which are solved first."""
     D, (p, c) = _graded(phi, chi)
-    kf = _free(p, phi.k, phi.N)
+    kf, c = _by_word(phi.k, _free(p, phi.k, phi.N)), _by_word(phi.k, c)
     out: dict = {}
     for n in range(1, phi.N + 1):
         whole = (tuple(range(n)),)
         rows = [r for r in _bopp_table(n) if r[-1] != whole]
         for w in words_of_length(phi.k, n):
             out[w] = c[w] - _lattice_sum(rows, (kf, out), w)
-    return _ungraded(D, out, phi, "cc-cumulant")
+    values = {w: Fraction(v, D ** len(w)) for w, v in out.items()}
+    return MultilinearFamily(phi.k, phi.N, values, kind="cc-cumulant")
 
 
 def moments_from_cc(
@@ -474,10 +465,9 @@ def moments_from_cc(
     of kappa_cc."""
     _require_same_shape(phi, kappa_cc)
     D, (p, cc) = _graded(phi, kappa_cc)
-    words = tuple(all_words(phi.k, phi.N))
-    bp = _boolean(p, phi.k, phi.N)
-    beta = {w: v + bp[w] for w, v in _closed(words, cc, p, {}, False).items()}
-    return _ungraded(D, _interval(words, beta, {}, False), phi, "moment")
+    closed = _closed(phi.k, (cc,), (p,), _blank(phi.N), False)[0]
+    beta = [list(map(add, x, y)) for x, y in zip(closed, _boolean(p, phi.N))]
+    return _ungraded(D, _interval((beta,), _blank(phi.N), False)[0], phi, "moment")
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +486,8 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
-    _, dp, kphi, kprime = _dual_cumulants(phi, phi_prime)
+    _, *graded = _dual_cumulants(phi, phi_prime)
+    dp, kphi, kprime = (_by_word(phi.k, layers) for layers in graded)
     return _first_mismatch(_b_zero_table, (kprime, kphi), dp, phi.k, phi.N)
 
 
@@ -509,6 +500,6 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
         raise LimitExceeded(
             f"degree {phi.N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}")
     _, (p, c) = _graded(phi, chi)
-    kphi, kcc = _free(p, phi.k, phi.N), _cc(p, c, phi.k, phi.N)
-    want = {w: c[w] - p[w] for w in kcc}
+    kphi, kcc = (_by_word(phi.k, t) for t in (_free(p, phi.k, phi.N), _cc(p, c, phi.k, phi.N)))
+    want = _by_word(phi.k, [list(map(sub, x, y)) for x, y in zip(c, p)])
     return _first_mismatch(_bopp_zero_table, (kcc, kphi), want, phi.k, phi.N)

@@ -52,6 +52,7 @@ from .families import (
 )
 from .cumulants import (
     _boolean,
+    _by_word,
     _graded,
     _subword,
     boolean_cumulants,
@@ -101,7 +102,7 @@ def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
     if f.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (val,) = _graded(f)
-    return _graded_delta_star(delta, D, val, f.N - 1)
+    return _graded_delta_star(delta, D, _by_word(f.k, val), f.N - 1)
 
 
 def psi_delta(delta: DeltaTensor, chi: MultilinearFamily) -> MultilinearFamily:
@@ -118,7 +119,7 @@ def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
     if nu.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (c,) = _graded(nu)
-    beta = _boolean(c, nu.k, nu.N)
+    beta = _by_word(nu.k, _boolean(c, nu.N))
     return _graded_delta_star(diagonal_delta(nu.k), D, beta, nu.N - 1)
 
 
@@ -273,7 +274,7 @@ def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: Multiline
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
     _, (p, c) = _graded(phi, chi)
-    return p, _boolean(c, chi.k, chi.N), _scaled_expansion(delta)[1]
+    return _by_word(phi.k, p), _by_word(chi.k, _boolean(c, chi.N)), _scaled_expansion(delta)[1]
 
 
 def _side(decoration, w: Word, triples, beta: dict, p: dict) -> int:

@@ -68,7 +68,7 @@ def format_rational(q: Fraction) -> str:
 
 
 class MultilinearFamily:
-    """Word-indexed table of exact rationals; immutable once built."""
+    """Word-indexed table of exact rationals in `all_words` order; immutable."""
 
     __slots__ = ("k", "N", "kind", "unit", "_values", "_hash")
 
@@ -84,12 +84,20 @@ class MultilinearFamily:
             except KeyError:
                 raise ShapeMismatch(f"missing value for word {w}") from None
             table[w] = v if isinstance(v, Fraction) else Fraction(v)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "unit", "zero" if kind in _UNIT_ZERO_KINDS else "one")
-        object.__setattr__(self, "_values", table)
-        object.__setattr__(self, "_hash", None)
+        self._fill(k, N, table, kind)
+
+    def _fill(self, k: int, N: int, table: dict, kind: str) -> None:
+        unit = "zero" if kind in _UNIT_ZERO_KINDS else "one"
+        for name, value in zip(self.__slots__, (k, N, kind, unit, table, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, k: int, N: int, values: dict, kind: str) -> "MultilinearFamily":
+        """The family with the given table, unchecked: it must map all_words(k,
+        N), in order, to Fractions.  Only the transforms skip validation."""
+        self = object.__new__(cls)
+        self._fill(k, N, values, kind)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearFamily is immutable")

@@ -523,42 +523,51 @@ def _brute_closed(block, dblock, inner, dinner, w):
     return total, dtotal
 
 
+@pytest.mark.parametrize("zeros", (False, True))
+@pytest.mark.parametrize("N", (1, 2, 9))
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_cut_recursion_matches_the_closed_block_enumeration(k):
+def test_cut_recursion_matches_the_closed_block_enumeration(k, N, zeros):
     # The lattice-definition tests below stop at N = 6, where the cut
     # recursion and the 2^(n-2) closed blocks differ least; here they meet
-    # up to n = 9 on graded ints with zeros, negatives and values past 2^64.
-    # At most 256 words of each length are summed by brute force.
+    # up to n = 9 on graded ints with zeros, negatives and values past 2^64,
+    # and at N = 1 and 2, where no cut fits.  The kernel reads dense layers
+    # by rank; the oracle reads the same values keyed by word.  At most 256
+    # words of each length are summed by brute force.
     import random
 
-    from ncprob.cumulants import _closed, _closed_dual
+    from ncprob.cumulants import _blank, _by_word, _closed
 
-    N = 9
-    words = tuple(all_words(k, N))
     rng = random.Random(90 + k)
 
     def graded():
-        return {w: rng.choice((0, rng.randint(-9, 9), rng.randint(-2**80, 2**80)))
-                for w in words}
+        return [[1]] + [
+            [0 if zeros else rng.choice((0, rng.randint(-9, 9), rng.randint(-2**80, 2**80)))
+             for _ in range(k ** n)]
+            for n in range(1, N + 1)]
 
-    zero = dict.fromkeys(words, 0)
-    block, dblock, inner, dinner, target, dtarget = (graded() for _ in range(6))
-    forward = _closed(words, block, inner, {}, False)
-    solved = _closed(words, {}, inner, target, True)
-    # the dual forward pass runs length by length on one table of Q rows,
+    inputs = [graded() for _ in range(6)]
+    block, dblock, inner, dinner, target, dtarget = inputs
+    forward = _closed(k, (block,), (inner,), _blank(N), False)
+    solved = _closed(k, _blank(N), (inner,), (target,), True)
+    # the dual forward pass runs length by length on one table of Q columns,
     # as the inverse transforms call it
-    dforward, q = ({}, {}), {}
+    dforward, Q = _blank(N, 2), {}
     for n in range(1, N + 1):
-        _closed_dual(words_of_length(k, n), block, dblock, inner, dinner, *dforward, False, q)
-    dsolved = _closed_dual(words, {}, {}, inner, dinner, target, dtarget, True)
+        _closed(k, (block, dblock), (inner, dinner), dforward, False, (n,), Q)
+    dsolved = _closed(k, _blank(N, 2), (inner, dinner), (target, dtarget), True)
+    outputs = [*forward, *solved, *dforward, *dsolved]
+    for layers in outputs:
+        assert [len(layer) for layer in layers[1:]] == [k ** n for n in range(1, N + 1)]
+    block, dblock, inner, dinner, target, dtarget = (_by_word(k, t) for t in inputs)
+    forward, solved, *dual = (_by_word(k, t) for t in outputs)
+    zero = dict.fromkeys(block, 0)
     for n in range(1, N + 1):
         layer = words_of_length(k, n)
         for w in rng.sample(layer, min(len(layer), 256)):
             assert forward[w] == _brute_closed(block, zero, inner, zero, w)[0]
             assert target[w] == _brute_closed(solved, zero, inner, zero, w)[0]
-            assert (dforward[0][w], dforward[1][w]) == _brute_closed(
-                block, dblock, inner, dinner, w)
-            assert (target[w], dtarget[w]) == _brute_closed(*dsolved, inner, dinner, w)
+            assert (dual[0][w], dual[1][w]) == _brute_closed(block, dblock, inner, dinner, w)
+            assert (target[w], dtarget[w]) == _brute_closed(dual[2], dual[3], inner, dinner, w)
 
 
 # ---------------------------------------------------------------------------

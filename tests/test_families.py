@@ -127,6 +127,21 @@ def test_truncate():
         truncate(g, 3)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_trusted_construction_matches_the_validating_constructor(kind):
+    from ncprob import free_cumulants
+
+    for f in (random_family(2, 3, seed=5, kind=kind),
+              free_cumulants(random_family(3, 3, seed=6))):
+        g = MultilinearFamily._trusted(f.k, f.N, dict(f._values), kind)
+        checked = MultilinearFamily(f.k, f.N, f.values, kind=kind)
+        assert g == checked and hash(g) == hash(checked)
+        assert g.to_json_dict() == checked.to_json_dict()
+        assert (g.kind, g.unit) == (checked.kind, checked.unit)
+        with pytest.raises(AttributeError):
+            g.k = 1
+
+
 def test_family_json_round_trip():
     f = random_family(2, 3, seed=16)
     d = f.to_json_dict()
