@@ -56,21 +56,26 @@ the slice h * k**L : (h+1) * k**L of the column Q(., a) of length
 n - (b - a), already in the layer's order; the interval terms of one i
 are the outer product of block[i] and moments[n - i].
 
-The lattice sums stay as the paper's definitions and as the oracles:
-`_lattice_sum` runs the signed-lattice rewritings and the selftest's
-resummation lemmas over row tables read off the cached partition
-enumerations, and `_cc_cumulants` solves the opposite-order sum.  Each
-transform maps input degree n to output degree n.
+The lattice sums stay as the paper's definitions and as the oracles, on
+the same layers.  `_ranks(k, n, positions)` lists, over the words w of
+length n in rank order, the rank of w|positions in its own layer, so a
+source read on w|b for every w is one gather.  `_lattice_sum` returns a
+whole layer: each row of a table read off the cached partition
+enumerations adds its coefficient times the product of the gathers on its
+blocks, one gather per (source, block) and call.  It runs the
+signed-lattice rewritings, the selftest's resummation lemmas and the
+gamma-eta search, and `_cc_cumulants` solves the opposite-order sum one
+length at a time.  Each transform maps input degree n to output degree n.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice, repeat
 from math import lcm
-from operator import add, itemgetter, sub
+from operator import add, mul, sub
 
 from .errors import LimitExceeded, ShapeMismatch
-from .families import MultilinearFamily, all_words, words_of_length
+from .families import MultilinearFamily, words_of_length
 from .nc import _interval_range, _moebius_int, _nc_span, _nests
 from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, enumerate_signed, zero_blocks
 
@@ -100,13 +105,14 @@ def _graded(*families: MultilinearFamily) -> tuple[int, list[list]]:
     return D, out
 
 
-def _ungraded(D: int, layers: list, shape: MultilinearFamily, kind: str) -> MultilinearFamily:
-    """The family over shape's (k, N) with value layers[n][rank] / D**n."""
+def _ungraded(D: int, layers: list, k: int, kind: str, scale: int = 1) -> MultilinearFamily:
+    """The family over k letters, of degree len(layers) - 1, with value
+    layers[n][rank] / (scale * D**n)."""
     values = {}
-    for n in range(1, shape.N + 1):
-        P = D ** n
-        values.update(zip(words_of_length(shape.k, n), [Fraction(v, P) for v in layers[n]]))
-    return MultilinearFamily._trusted(shape.k, shape.N, values, kind)
+    for n in range(1, len(layers)):
+        P = scale * D ** n
+        values.update(zip(words_of_length(k, n), [Fraction(v, P) for v in layers[n]]))
+    return MultilinearFamily._trusted(k, len(layers) - 1, values, kind)
 
 
 def _blank(N: int, parts: int = 1) -> tuple:
@@ -114,24 +120,29 @@ def _blank(N: int, parts: int = 1) -> tuple:
     return tuple([[1]] + [None] * N for _ in range(parts))
 
 
-def _by_word(k: int, layers: list) -> dict:
-    """Word-keyed table of graded layers, for the lattice sums and `deltastar`."""
-    return dict(zip(all_words(k, len(layers) - 1), chain.from_iterable(layers[1:])))
+@lru_cache(maxsize=None)
+def _ranks(k: int, n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """For the words w of length n in rank order, the rank of w|positions,
+    the letters at the given 0-based positions in the order given, in its
+    own layer: that layer gathered at these ranks reads it on every w|positions."""
+    weight = {i: k ** e for e, i in enumerate(reversed(positions))}
+    ranks = [0]
+    for i in range(n):
+        step = weight.get(i, 0)
+        ranks = [r + d * step for r in ranks for d in range(k)]
+    return tuple(ranks)
+
+
+def _first_word(k: int, n: int, got: list, want: list):
+    """The first word of length n where the layers got and want differ, or None."""
+    if got != want:
+        return next(w for w, x, y in zip(words_of_length(k, n), got, want) if x != y)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # The Boolean interval step and the closed-block sum
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _subword(positions: tuple[int, ...]):
-    """Getter of the tuple of a word's letters at the given 0-based
-    positions, in the order given."""
-    start = positions[0] if positions else 0
-    if positions == tuple(range(start, start + len(positions))):
-        return itemgetter(slice(start, start + len(positions)))
-    return itemgetter(*positions)
-
 
 def _negated(jet: tuple) -> tuple:
     """The jet with every value negated."""
@@ -203,18 +214,24 @@ def _free(p: list, k: int, N: int) -> list:
 # The lattice kernel, the paper's definition and the oracle
 # ---------------------------------------------------------------------------
 
-def _lattice_sum(rows, sources, w):
-    """Sum over rows (coefficient, group, group, ...) of the coefficient
-    times, for each source family and each block b in that source's group,
-    the source's value on the subword of w at the positions b."""
-    total = 0
+def _lattice_sum(rows, sources, k: int, n: int) -> list:
+    """The layer of length n of the sum over rows (coefficient, group, group,
+    ...) of the coefficient times, for each source's graded layers and each
+    block b in that source's group, the source on w|b.  Each (source, block)
+    is gathered once and shared by the rows that read it."""
+    gathered: dict = {}
+    terms = []
     for coeff, *groups in rows:
-        term = coeff
-        for val, blocks in zip(sources, groups):
+        term = repeat(coeff, k ** n)
+        for i, blocks in enumerate(groups):
             for b in blocks:
-                term *= val[_subword(b)(w)]
-        total += term
-    return total
+                vec = gathered.get((i, b))
+                if vec is None:
+                    layer = sources[i][len(b)]
+                    vec = gathered[i, b] = [layer[r] for r in _ranks(k, n, b)]
+                term = map(mul, term, vec)
+        terms.append(term)
+    return list(map(sum, zip(*terms))) if terms else [0] * k ** n
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +316,7 @@ def _bopp_zero_table(n: int):
 def free_cumulants(phi: MultilinearFamily) -> MultilinearFamily:
     """Moebius inversion of the moment family over NC(n)."""
     D, (p,) = _graded(phi)
-    return _ungraded(D, _free(p, phi.k, phi.N), phi, "free-cumulant")
+    return _ungraded(D, _free(p, phi.k, phi.N), phi.k, "free-cumulant")
 
 
 def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
@@ -310,19 +327,19 @@ def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
     for n in range(1, kappa.N + 1):
         _closed(kappa.k, (c,), mom, beta, False, (n,), Q)
         _interval(beta, mom, False, (n,))
-    return _ungraded(D, mom[0], kappa, "moment")
+    return _ungraded(D, mom[0], kappa.k, "moment")
 
 
 def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
     """Signed sum over the interval partitions."""
     D, (c,) = _graded(chi)
-    return _ungraded(D, _boolean(c, chi.N), chi, "boolean-cumulant")
+    return _ungraded(D, _boolean(c, chi.N), chi.k, "boolean-cumulant")
 
 
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
     """Inverse of boolean_cumulants."""
     D, (b,) = _graded(beta)
-    return _ungraded(D, _interval((b,), _blank(beta.N), False)[0], beta, "moment")
+    return _ungraded(D, _interval((b,), _blank(beta.N), False)[0], beta.k, "moment")
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +358,8 @@ def _dual_cumulants(phi: MultilinearFamily, phi_prime: MultilinearFamily):
 def _free_and_infinitesimal(phi: MultilinearFamily, phi_prime: MultilinearFamily):
     """Free cumulants of phi and infinitesimal cumulants of (phi, phi')."""
     D, _, kap, dkap = _dual_cumulants(phi, phi_prime)
-    return (_ungraded(D, kap, phi, "free-cumulant")._values,
-            _ungraded(D, dkap, phi, "infinitesimal-cumulant")._values)
+    return (_ungraded(D, kap, phi.k, "free-cumulant")._values,
+            _ungraded(D, dkap, phi.k, "infinitesimal-cumulant")._values)
 
 
 def infinitesimal_cumulants(
@@ -352,7 +369,7 @@ def infinitesimal_cumulants(
     moments, with the usual Moebius weight."""
     _require_same_shape(phi, phi_prime)
     D, _, _, dkap = _dual_cumulants(phi, phi_prime)
-    return _ungraded(D, dkap, phi, "infinitesimal-cumulant")
+    return _ungraded(D, dkap, phi.k, "infinitesimal-cumulant")
 
 
 def _moments_and_infinitesimal(kappa_phi: MultilinearFamily, kappa_prime: MultilinearFamily):
@@ -364,8 +381,8 @@ def _moments_and_infinitesimal(kappa_phi: MultilinearFamily, kappa_prime: Multil
     for n in range(1, kappa_phi.N + 1):
         _closed(kappa_phi.k, (c, dc), mom, beta, False, (n,), Q)
         _interval(beta, mom, False, (n,))
-    return (_ungraded(D, mom[0], kappa_phi, "moment"),
-            _ungraded(D, mom[1], kappa_phi, "infinitesimal"))
+    return (_ungraded(D, mom[0], kappa_phi.k, "moment"),
+            _ungraded(D, mom[1], kappa_phi.k, "infinitesimal"))
 
 
 def infinitesimal_moments(
@@ -390,7 +407,7 @@ def cfree_cumulants(
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
     kc = _closed(phi.k, _blank(phi.N), (p,), (_boolean(c, phi.N),), True)[0]
-    return _ungraded(D, kc, phi, "cfree-cumulant")
+    return _ungraded(D, kc, phi.k, "cfree-cumulant")
 
 
 def moments_from_cfree(
@@ -400,7 +417,7 @@ def moments_from_cfree(
     _require_same_shape(phi, kappa_c)
     D, (p, kc) = _graded(phi, kappa_c)
     beta = _closed(phi.k, (kc,), (p,), _blank(phi.N), False)
-    return _ungraded(D, _interval(beta, _blank(phi.N), False)[0], phi, "moment")
+    return _ungraded(D, _interval(beta, _blank(phi.N), False)[0], phi.k, "moment")
 
 
 def cfree_explicit(
@@ -414,7 +431,7 @@ def cfree_explicit(
     D, (p, c) = _graded(phi, chi)
     F = _interval(_negated((_free(p, phi.k, phi.N),)), _blank(phi.N), False)
     out = _closed(phi.k, (_boolean(c, phi.N),), F, _blank(phi.N), False)[0]
-    return _ungraded(D, out, phi, "cfree-cumulant")
+    return _ungraded(D, out, phi.k, "cfree-cumulant")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +453,7 @@ def cc_cumulants(
     unknown family; it is the c-free minus the free cumulants of phi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    return _ungraded(D, _cc(p, c, phi.k, phi.N), phi, "cc-cumulant")
+    return _ungraded(D, _cc(p, c, phi.k, phi.N), phi.k, "cc-cumulant")
 
 
 def _cc_cumulants(phi: MultilinearFamily, chi: MultilinearFamily) -> MultilinearFamily:
@@ -446,14 +463,12 @@ def _cc_cumulants(phi: MultilinearFamily, chi: MultilinearFamily) -> Multilinear
     zero-block is the whole word isolates it; every other row needs it only
     on shorter words, which are solved first."""
     D, (p, c) = _graded(phi, chi)
-    kf, c = _by_word(phi.k, _free(p, phi.k, phi.N)), _by_word(phi.k, c)
-    out: dict = {}
+    kf, out = _free(p, phi.k, phi.N), _blank(phi.N)[0]
     for n in range(1, phi.N + 1):
         whole = (tuple(range(n)),)
         rows = [r for r in _bopp_table(n) if r[-1] != whole]
-        for w in words_of_length(phi.k, n):
-            out[w] = c[w] - _lattice_sum(rows, (kf, out), w)
-    values = {w: Fraction(v, D ** len(w)) for w, v in out.items()}
+        out[n] = list(map(sub, c[n], _lattice_sum(rows, (kf, out), phi.k, n)))
+    values = _ungraded(D, out, phi.k, "cc-cumulant")._values
     return MultilinearFamily(phi.k, phi.N, values, kind="cc-cumulant")
 
 
@@ -467,18 +482,17 @@ def moments_from_cc(
     D, (p, cc) = _graded(phi, kappa_cc)
     closed = _closed(phi.k, (cc,), (p,), _blank(phi.N), False)[0]
     beta = [list(map(add, x, y)) for x, y in zip(closed, _boolean(p, phi.N))]
-    return _ungraded(D, _interval((beta,), _blank(phi.N), False)[0], phi, "moment")
+    return _ungraded(D, _interval((beta,), _blank(phi.N), False)[0], phi.k, "moment")
 
 
 # ---------------------------------------------------------------------------
 # Signed-lattice rewritings of the moment formulas (verification routines)
 # ---------------------------------------------------------------------------
 
-def _first_mismatch(rows_of, sources, want: dict, k: int, N: int):
-    for w in all_words(k, N):
-        if _lattice_sum(rows_of(len(w)), sources, w) != want[w]:
-            return w
-    return None
+def _first_mismatch(rows_of, sources, want: list, k: int, N: int):
+    found = (_first_word(k, n, _lattice_sum(rows_of(n), sources, k, n), want[n])
+             for n in range(1, N + 1))
+    return next((w for w in found if w is not None), None)
 
 
 def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily):
@@ -486,8 +500,7 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
-    _, *graded = _dual_cumulants(phi, phi_prime)
-    dp, kphi, kprime = (_by_word(phi.k, layers) for layers in graded)
+    _, dp, kphi, kprime = _dual_cumulants(phi, phi_prime)
     return _first_mismatch(_b_zero_table, (kprime, kphi), dp, phi.k, phi.N)
 
 
@@ -500,6 +513,6 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
         raise LimitExceeded(
             f"degree {phi.N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}")
     _, (p, c) = _graded(phi, chi)
-    kphi, kcc = (_by_word(phi.k, t) for t in (_free(p, phi.k, phi.N), _cc(p, c, phi.k, phi.N)))
-    want = _by_word(phi.k, [list(map(sub, x, y)) for x, y in zip(c, p)])
+    kphi, kcc = _free(p, phi.k, phi.N), _cc(p, c, phi.k, phi.N)
+    want = [list(map(sub, x, y)) for x, y in zip(c, p)]
     return _first_mismatch(_bopp_zero_table, (kcc, kphi), want, phi.k, phi.N)

@@ -13,18 +13,22 @@ words.  Specializing to the diagonal tensor gives the cyclic Boolean-
 cumulant sum that turns a distribution into a mean-zero derivative-style
 functional.
 
-The transform runs on graded ints, with the scaling of `cumulants._graded`:
-with D the lcm of the family's denominators and T that of the tensor's,
-every term over an output word of length n is an int at the scale
-T * D**(n+1), and each output word is one Fraction.  `psi_k` reads the
-graded Boolean recursion of nu directly.
+The transform runs on graded ints, with the scaling and the dense layers
+of `cumulants._graded`: with D the lcm of the family's denominators and T
+that of the tensor's, every term over an output word of length n is an
+int at the scale T * D**(n+1), and each output word is one Fraction.  The
+slot table over the words (x, u) of length n sums x's triples (j, l, c)
+of c * f(l, u, j), a stride-k slice of f's layer n + 1 per triple; the
+output layer sums it at the n rotations of w, each gathered from the last
+through the rank map (`cumulants._ranks`) of the rotation by one.  `psi_k`
+reads the graded Boolean recursion of nu directly.
 
 This module also hosts the two block-decorated functionals gamma and eta,
 kept as Fraction implementations of their definitions and used as oracles,
 and the verification routines for the main identities relating c-free and
 infinitesimal cumulants.  The search for the block identity between gamma
-and eta grades phi and the Boolean cumulants of chi once per search and
-compares one pair of ints per word.
+and eta builds the slot tables of the Boolean cumulants of chi once per
+search, and checks each case as one two-row lattice sum over a layer.
 """
 
 from fractions import Fraction
@@ -43,28 +47,22 @@ from .families import (
     MultilinearFamily,
     Word,
     _first_difference,
-    all_words,
-    build_family,
     diagonal_delta,
     is_tracial,
     truncate,
-    words_of_length,
 )
 from .cumulants import (
     _boolean,
-    _by_word,
+    _first_word,
     _graded,
-    _subword,
+    _lattice_sum,
+    _ranks,
+    _ungraded,
     boolean_cumulants,
     cfree_cumulants,
     infinitesimal_cumulants,
 )
 from .nc import NcPartition, f_nm, ll_one
-
-
-def _rotated_insertion(w: Word, m: int, j: int, l: int) -> Word:
-    """The length n+1 word (l, w_{m+1},..,w_n, w_1,..,w_{m-1}, j), m 1-based."""
-    return (l,) + w[m:] + w[: m - 1] + (j,)
 
 
 def _scaled_expansion(delta: DeltaTensor) -> tuple[int, dict]:
@@ -77,22 +75,34 @@ def _scaled_expansion(delta: DeltaTensor) -> tuple[int, dict]:
     return T, {i: tuple(triples) for i, triples in out.items()}
 
 
-def _graded_delta_star(delta: DeltaTensor, D: int, val: dict, N: int) -> MultilinearFamily:
-    """The transform on graded values val[u] = f(u) * D**len(u), to degree N:
-    each output word sums ints at scale T * D**(n+1) and becomes one
-    Fraction."""
+def _slot_table(expansion: dict, layer: list, k: int, L: int) -> list:
+    """Over the words (x, u) of length L + 1 in rank order, the sum over x's
+    scaled triples (j, l, c) of c * layer[rank(l, u, j)], layer holding the
+    words of length L + 2: for fixed (j, l), the ranks of (l, u, j) over u
+    are the stride-k slice from (l - 1) * k**(L+1) + j - 1."""
+    K = k ** L
+    out = []
+    for x in range(1, k + 1):
+        out += map(sum, zip([0] * K, *(
+            [c * y for y in layer[(l - 1) * k * K + j - 1:l * k * K:k]]
+            for j, l, c in expansion[x])))
+    return out
+
+
+def _graded_delta_star(delta: DeltaTensor, D: int, layers: list, k: int) -> MultilinearFamily:
+    """The transform on the graded layers of a family of degree N + 1, to
+    degree N: layer n sums the slot table of the input's layer n + 1 read at
+    the n rotations of w, each gathered from the last through the rank map
+    of the rotation by one; ints at scale T * D**(n+1), each one Fraction."""
     T, expansion = _scaled_expansion(delta)
-    scale = [T * D ** (n + 1) for n in range(N + 1)]
-
-    def fn(w: Word) -> Fraction:
-        total = 0
-        for m in range(len(w)):
-            rest = w[m + 1:] + w[:m]
-            for j, l, c in expansion[w[m]]:
-                total += c * val[(l,) + rest + (j,)]
-        return Fraction(total, scale[len(w)])
-
-    return build_family(delta.k, N, fn, kind="infinitesimal")
+    out = [[1]]
+    for n in range(1, len(layers) - 1):
+        gathers = [_slot_table(expansion, layers[n + 1], k, n - 1)]
+        step = _ranks(k, n, (*range(1, n), 0))
+        for _ in range(n - 1):
+            gathers.append([gathers[-1][r] for r in step])
+        out.append(list(map(sum, zip(*gathers))))
+    return _ungraded(D, out, k, "infinitesimal", T * D)
 
 
 def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
@@ -102,7 +112,7 @@ def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
     if f.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (val,) = _graded(f)
-    return _graded_delta_star(delta, D, _by_word(f.k, val), f.N - 1)
+    return _graded_delta_star(delta, D, val, f.k)
 
 
 def psi_delta(delta: DeltaTensor, chi: MultilinearFamily) -> MultilinearFamily:
@@ -119,8 +129,7 @@ def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
     if nu.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (c,) = _graded(nu)
-    beta = _by_word(nu.k, _boolean(c, nu.N))
-    return _graded_delta_star(diagonal_delta(nu.k), D, beta, nu.N - 1)
+    return _graded_delta_star(diagonal_delta(nu.k), D, _boolean(c, nu.N), nu.k)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +171,7 @@ def eval_gamma(
     beta = boolean_cumulants(chi)
     total = Fraction(0)
     for j, l, coeff in delta.expand(sub[r - 1]):
-        total += coeff * beta(_rotated_insertion(sub, r, j, l))
+        total += coeff * beta((l,) + sub[r:] + sub[: r - 1] + (j,))
     for b in pi.blocks:
         if b is not holder:
             total *= phi(tuple(w[p - 1] for p in b))
@@ -235,15 +244,7 @@ def cyclic_cumulant_counterexample(mu: MultilinearFamily, nu: MultilinearFamily)
         raise NotTracial("mu must be tracial")
     mu_prime = psi_k(nu)
     lhs = infinitesimal_cumulants(truncate(mu, mu.N - 1), mu_prime)
-    kc = cfree_cumulants(mu, nu)._values
-    for w in all_words(mu.k, mu.N - 1):
-        total = Fraction(0)
-        for m in range(1, len(w) + 1):
-            letter = w[m - 1]
-            total += kc[_rotated_insertion(w, m, letter, letter)]
-        if lhs(w) != total:
-            return w
-    return None
+    return _first_difference(lhs, delta_star(diagonal_delta(mu.k), cfree_cumulants(mu, nu)))
 
 
 def verify_theorem_cyclic(mu: MultilinearFamily, nu: MultilinearFamily) -> bool:
@@ -267,28 +268,17 @@ def gamma_eta_counterexample(
 
 def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily):
     """What every case of one gamma-eta search shares, after the checks on
-    the whole families: (graded phi, graded Boolean cumulants of chi, each
-    letter's scaled tensor triples), all at one grading."""
+    the whole families, at one grading: (the layers T of the slot tables of
+    the graded Boolean cumulants of chi, graded phi), T[L + 1] over the
+    words (x, u) of length L + 1 summing x's tensor triples (j, l, c) of c *
+    beta(l, u, j)."""
     if chi.k != delta.k or phi.k != chi.k:
         raise ShapeMismatch("families and tensor must share one dimension")
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
     _, (p, c) = _graded(phi, chi)
-    return _by_word(phi.k, p), _by_word(chi.k, _boolean(c, chi.N)), _scaled_expansion(delta)[1]
-
-
-def _side(decoration, w: Word, triples, beta: dict, p: dict) -> int:
-    """One side of the block identity on w, graded: the holder's split core
-    between the inserted letters l and j reads beta, each other block reads
-    phi."""
-    core, others = decoration
-    mid = core(w)
-    total = 0
-    for j, l, c in triples:
-        total += c * beta[(l,) + mid + (j,)]
-    for get in others:
-        total *= p[get(w)]
-    return total
+    beta, expansion = _boolean(c, chi.N), _scaled_expansion(delta)[1]
+    return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
 
 
 def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
@@ -296,34 +286,30 @@ def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
     that a caller checking many cases builds them once; None builds them
     once the inputs have passed their checks.
 
-    Each side is a getter of the holder's split core and getters of the
-    other blocks, over 0-based positions of w; both sides are ints at the
-    scale D**(n+1) times the tensor's.  Gamma splits the block of pi =
-    f_nm(rho, m) holding m at the rank of m.  Eta reads rho on the inserted
-    word (l, w_{m+1},..,w_n, w_1,..,w_{m-1}, j), whose position 1 < q < n+1
-    holds w at (m + q - 2) mod n; rho << 1_{n+1} puts 1 and n+1 in its
-    first block."""
+    The sides are the rows +1 and -1 of one lattice sum over 0-based
+    positions of w, which vanishes where they agree: the slot tables on the
+    letter at slot m followed by its block's split core, phi on each other
+    block, ints at the scale D**(n+1) times the tensor's.  Gamma splits the
+    block of pi = f_nm(rho, m) holding m at the rank of m.  Eta reads rho on
+    the inserted word (l, w_{m+1},..,w_n, w_1,..,w_{m-1}, j), whose position
+    1 < q < n+1 holds w at (m + q - 2) mod n; rho << 1_{n+1} puts 1 and n+1
+    in its first block."""
     if rho.n != n + 1:
         raise ShapeMismatch(f"rho must partition 1..{n + 1}")
     if not ll_one(rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
     if phi.N < n or chi.N < n + 1:
         raise DegreeTooLow(f"need phi degree >= {n} and chi degree >= {n + 1}")
-    p, beta, expansion = tables if tables is not None else _gamma_eta_tables(delta, chi, phi)
+    tables = tables if tables is not None else _gamma_eta_tables(delta, chi, phi)
     pi = f_nm(rho, m)
     holder = pi.blocks[pi.block_of(m)]
     r = holder.index(m)
-    gamma = (
-        _subword(tuple(x - 1 for x in holder[r + 1:] + holder[:r])),
-        [_subword(tuple(x - 1 for x in b)) for b in pi.blocks if b is not holder],
-    )
+    gamma = ((tuple(x - 1 for x in holder[r:] + holder[:r]),),
+             tuple(tuple(x - 1 for x in b) for b in pi.blocks if b is not holder))
     pulled = [tuple((m + q - 2) % n for q in b) for b in rho.blocks]
-    eta = (_subword(pulled[0][1:-1]), [_subword(b) for b in pulled[1:]])
-    for w in words_of_length(phi.k, n):
-        triples = expansion[w[m - 1]]
-        if _side(gamma, w, triples, beta, p) != _side(eta, w, triples, beta, p):
-            return w
-    return None
+    eta = (((m - 1,) + pulled[0][1:-1],), tuple(pulled[1:]))
+    diff = _lattice_sum(((1, *gamma), (-1, *eta)), tables, phi.k, n)
+    return _first_word(phi.k, n, diff, [0] * phi.k ** n)
 
 
 def verify_gamma_eta(

@@ -56,9 +56,8 @@ from . import (
     sqsubseteq,
     to_pair,
     truncate,
-    words_of_length,
 )
-from .cumulants import _cc_cumulants, _lattice_sum, _ll_one_table
+from .cumulants import _cc_cumulants, _first_word, _graded, _lattice_sum, _ll_one_table
 from .deltastar import _gamma_eta_counterexample, _gamma_eta_tables
 from .families import _first_difference
 
@@ -226,20 +225,20 @@ def _criterion_cfree_formula(seed):
         kc = cfree_cumulants(phi, chi)
         if cfree_explicit(phi, chi) != kc:
             return False, f"explicit formula != recursion at draw {i}"
-        bphi = boolean_cumulants(phi)._values
-        bchi = boolean_cumulants(chi)._values
-        for w in all_words(2, 5):
-            rows = sign_rows[len(w)]
-            if kphi(w) != _lattice_sum(rows, (bphi, bphi), w):
-                return False, f"free-from-boolean resummation fails at {w}"
-            if kc(w) != _lattice_sum(rows, (bchi, bphi), w):
-                return False, f"c-free boolean resummation fails at {w}"
-        val = phi._values
+        _, (kp, kcl, bphi, bchi, val) = _graded(
+            kphi, kc, boolean_cumulants(phi), boolean_cumulants(chi), phi)
+        for n in range(1, 6):
+            for want, sources, what in ((kp, (bphi, bphi), "free-from-boolean"),
+                                        (kcl, (bchi, bphi), "c-free boolean")):
+                w = _first_word(2, n, want[n], _lattice_sum(sign_rows[n], sources, 2, n))
+                if w is not None:
+                    return False, f"{what} resummation fails at {w}"
         for n in range(2, 6):
             for by_sign, by_mob in fixed_rows[n].values():
-                for w in words_of_length(2, n):
-                    if _lattice_sum(by_sign, (bphi,), w) != _lattice_sum(by_mob, (val,), w):
-                        return False, f"fixed-block resummation fails at {w}"
+                w = _first_word(2, n, _lattice_sum(by_sign, (bphi,), 2, n),
+                                _lattice_sum(by_mob, (val,), 2, n))
+                if w is not None:
+                    return False, f"fixed-block resummation fails at {w}"
     return True, "explicit c-free formula and the three resummation lemmas exact on 20 pairs"
 
 
@@ -402,8 +401,8 @@ def _families(k, n, seed, kind="moment"):
 
 def _signed(check, seed, k, n, kind="moment"):
     """(degree, result) of a signed-lattice check on `_families` at degree
-    min(n, 6): the signed lattices grow fastest."""
-    n = min(n, 6)
+    min(n, 7): the signed lattices grow fastest."""
+    n = min(n, 7)
     return n, check(*_families(k, n, seed, kind))
 
 

@@ -366,9 +366,9 @@ def test_malformed_tensor_json_is_a_usage_error(runner, tmp_path):
 @pytest.mark.parametrize(
     "theorem,k,asked,checked",
     [
-        ("prop54", 1, 7, 6),
-        ("eq5a", 1, 7, 6),
-        ("eq55a", 1, 7, 6),
+        ("prop54", 1, 8, 7),
+        ("eq5a", 1, 8, 7),
+        ("eq55a", 1, 8, 7),
         ("lemma210", 2, 9, 7),
         ("lemma67", 1, 1, 2),
         ("prop41", 1, 6, 6),

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -493,6 +494,118 @@ def test_kernel_tables_match_public_enumeration():
 
 
 # ---------------------------------------------------------------------------
+# the layer lattice sum against its per-word definition
+# ---------------------------------------------------------------------------
+
+def _by_word(k, layers):
+    """Word-keyed table of the layers 1.. of a family."""
+    return dict(zip(all_words(k, len(layers) - 1), chain.from_iterable(layers[1:])))
+
+
+def _word_lattice_sum(rows, sources, w):
+    """The lattice sum on one word: over rows (coefficient, group, group,
+    ...), the coefficient times, for each word-keyed source and each block b
+    in that source's group, the source on the subword of w at b."""
+    total = 0
+    for coeff, *groups in rows:
+        term = coeff
+        for val, blocks in zip(sources, groups):
+            for b in blocks:
+                term *= val[tuple(w[i] for i in b)]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_ranks_match_tuple_indexing(k):
+    from ncprob.cumulants import _ranks
+
+    assert _ranks(2, 3, (2, 0)) == (0, 2, 0, 2, 1, 3, 1, 3)
+    for n in range(6):
+        cases = {(), tuple(range(n)), tuple(range(n - 1, -1, -1)), (0, 2), (2, 0), (3, 0, 1)}
+        cases |= {tuple(range(m, n)) + tuple(range(m)) for m in range(n)}
+        for positions in cases:
+            if all(p < n for p in positions):
+                rank = {u: i for i, u in enumerate(words_of_length(k, len(positions)))}
+                assert _ranks(k, n, positions) == tuple(
+                    rank[tuple(w[p] for p in positions)] for w in words_of_length(k, n))
+
+
+def _row_tables():
+    from ncprob import cumulants as cu
+    from ncprob.selftest import _fixed_block_rows, _ll_one_sign_rows
+
+    def fixed(n):
+        return tuple(row for pair in _fixed_block_rows(n).values() for rows in pair for row in rows)
+
+    return {
+        "_nc_mob_table": cu._nc_mob_table,
+        "_roles_table": cu._roles_table,
+        "_bopp_table": cu._bopp_table,
+        "_b_zero_table": cu._b_zero_table,
+        "_bopp_zero_table": cu._bopp_zero_table,
+        "_ll_one_sign_rows": _ll_one_sign_rows,
+        "_fixed_block_rows": fixed,
+    }
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("table", sorted(_row_tables()))
+def test_layer_lattice_sum_matches_the_per_word_sum(table, k):
+    # two distinct sources, so that a block read through one source in one
+    # row and through the other in another must not share a gather; values
+    # with zeros, both signs and past 2^64
+    import random
+
+    from ncprob.cumulants import _lattice_sum
+
+    rows_of = _row_tables()[table]
+    rng = random.Random(f"{table}-{k}")
+    N = 6 if k < 3 else 5
+    sources = [[[1]] + [[rng.choice((0, 9, -9, 2**80, -2**80)) for _ in range(k ** n)]
+                        for n in range(1, N + 1)] for _ in range(2)]
+    by_word = [_by_word(k, layers) for layers in sources]
+    for n in range(1, N + 1):
+        rows = rows_of(n)
+        assert _lattice_sum(rows, sources, k, n) == [
+            _word_lattice_sum(rows, by_word, w) for w in words_of_length(k, n)]
+
+
+@pytest.mark.parametrize("theorem, table", [("eq5a", "_b_zero_table"),
+                                            ("eq55a", "_bopp_zero_table")])
+def test_signed_checks_report_the_first_counterexample(monkeypatch, theorem, table):
+    # doubling one row at n = 3 breaks the rewriting: the layer check must
+    # name the first word where a per-word scan with the broken rows fails
+    import ncprob.cumulants as cu
+    from ncprob.selftest import _families, verify_report
+
+    real = getattr(cu, table)
+
+    def broken(n):
+        rows = real(n)
+        i = len(rows) // 2
+        return rows if n != 3 else rows[:i] + ((2 * rows[i][0], *rows[i][1:]),) + rows[i + 1:]
+
+    monkeypatch.setattr(cu, table, broken)
+    if theorem == "eq5a":
+        phi, phip = _families(2, 4, 5, "infinitesimal")
+        check, args, want = eq_typeb_counterexample, (phi, phip), phip._values
+        sources = (infinitesimal_cumulants(phi, phip)._values, free_cumulants(phi)._values)
+    else:
+        phi, chi = _families(2, 4, 5)
+        check, args = eq_bopp_counterexample, (phi, chi)
+        want = {w: chi(w) - phi(w) for w in all_words(2, 4)}
+        sources = (cc_cumulants(phi, chi)._values, free_cumulants(phi)._values)
+    first = next((w for w in all_words(2, 4)
+                  if _word_lattice_sum(broken(len(w)), sources, w) != want[w]), None)
+    assert first is not None and len(first) == 3
+    assert check(*args) == first
+    report = verify_report(theorem, 5, 2, 4)
+    assert report["ok"] is False
+    assert report["counterexample"] == list(first)
+
+
+# ---------------------------------------------------------------------------
 # the cut recursion against the closed-block enumeration
 # ---------------------------------------------------------------------------
 
@@ -535,7 +648,7 @@ def test_cut_recursion_matches_the_closed_block_enumeration(k, N, zeros):
     # words of each length are summed by brute force.
     import random
 
-    from ncprob.cumulants import _blank, _by_word, _closed
+    from ncprob.cumulants import _blank, _closed
 
     rng = random.Random(90 + k)
 
@@ -582,7 +695,6 @@ def _lattice_oracles():
         _bopp_table,
         _cc_cumulants,
         _interval_table,
-        _lattice_sum,
         _ll_one_table,
         _nc_mob_table,
         _roles_table,
@@ -606,7 +718,7 @@ def _lattice_oracles():
     def lattice(rows_of, *sources):
         k, N = sources[0].k, sources[0].N
         vals = [f._values for f in sources]
-        return {w: _lattice_sum(rows_of(len(w)), vals, w) for w in all_words(k, N)}
+        return {w: _word_lattice_sum(rows_of(len(w)), vals, w) for w in all_words(k, N)}
 
     def kphi(phi):
         return MultilinearFamily(phi.k, phi.N, lattice(_nc_mob_table, phi))
