@@ -36,6 +36,10 @@ the epsilon-part of the free cumulants of phi + epsilon * phi' over the
 dual numbers (epsilon^2 = 0), so their transforms run both steps on jets:
 tuples of parts, part j of a product summing part p of one factor times
 part j - p of the other, one part for the plain sums and two for the duals.
+The public wrappers and the products share the layer entries: `_cfree`
+(the free cumulants are `_cfree(p, p)`), `_moments` (the one
+length-by-length forward loop, on jets of one or two parts),
+`_moments_cfree` and `_dual` (both cumulant layers from one dual pass).
 
 The explicit c-free formula weighs the partitions with a unique outer
 block V by their Moebius value, which factors over the gaps of V through
@@ -199,15 +203,41 @@ def _closed(k: int, block: tuple, inner: tuple, target: tuple, solve: bool,
     return unknown
 
 
-def _boolean(c: list, N: int) -> list:
+def _boolean(c: list) -> list:
     """Graded Boolean cumulants of the graded moments c."""
-    return _interval(_blank(N), (c,), True)[0]
+    return _interval(_blank(len(c) - 1), (c,), True)[0]
 
 
-def _free(p: list, k: int, N: int) -> list:
-    """Graded free cumulants of the graded moments p: their closed sums,
-    moments in the gaps, are the Boolean cumulants of p."""
-    return _closed(k, _blank(N), (p,), (_boolean(p, N),), True)[0]
+def _cfree(p: list, c: list, k: int) -> list:
+    """Graded c-free cumulants of the graded moments (p, c): their closed
+    sums, moments of p in the gaps, are the Boolean cumulants of c.  With
+    c = p they are the free cumulants of p."""
+    return _closed(k, _blank(len(p) - 1), (p,), (_boolean(c),), True)[0]
+
+
+def _moments(jet: tuple, k: int) -> tuple:
+    """The moments jet of the free cumulant jet, one part for the plain
+    moments and two for the infinitesimal ones, length by length because
+    the closed sums read the moments in their gaps."""
+    N, parts = len(jet[0]) - 1, len(jet)
+    beta, mom, Q = _blank(N, parts), _blank(N, parts), {}
+    for n in range(1, N + 1):
+        _closed(k, jet, mom, beta, False, (n,), Q)
+        _interval(beta, mom, False, (n,))
+    return mom
+
+
+def _moments_cfree(p: list, kc: list, k: int) -> list:
+    """Graded c-free moments from the graded moments p and c-free cumulants kc."""
+    N = len(p) - 1
+    return _interval(_closed(k, (kc,), (p,), _blank(N), False), _blank(N), False)[0]
+
+
+def _dual(p: list, dp: list, k: int) -> tuple:
+    """(Graded free cumulants of p, graded infinitesimal cumulants of (p, dp)):
+    the real and epsilon parts of the free cumulants of p + epsilon * dp."""
+    N = len(p) - 1
+    return _closed(k, _blank(N, 2), (p, dp), _interval(_blank(N, 2), (p, dp), True), True)
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +346,19 @@ def _bopp_zero_table(n: int):
 def free_cumulants(phi: MultilinearFamily) -> MultilinearFamily:
     """Moebius inversion of the moment family over NC(n)."""
     D, (p,) = _graded(phi)
-    return _ungraded(D, _free(p, phi.k, phi.N), phi.k, "free-cumulant")
+    return _ungraded(D, _cfree(p, p, phi.k), phi.k, "free-cumulant")
 
 
 def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
-    """Inverse of free_cumulants: the product sum over NC(n), length by
-    length because the closed sums read the moments in their gaps."""
+    """Inverse of free_cumulants: the product sum over NC(n)."""
     D, (c,) = _graded(kappa)
-    beta, mom, Q = _blank(kappa.N), _blank(kappa.N), {}
-    for n in range(1, kappa.N + 1):
-        _closed(kappa.k, (c,), mom, beta, False, (n,), Q)
-        _interval(beta, mom, False, (n,))
-    return _ungraded(D, mom[0], kappa.k, "moment")
+    return _ungraded(D, _moments((c,), kappa.k)[0], kappa.k, "moment")
 
 
 def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
     """Signed sum over the interval partitions."""
     D, (c,) = _graded(chi)
-    return _ungraded(D, _boolean(c, chi.N), chi.k, "boolean-cumulant")
+    return _ungraded(D, _boolean(c), chi.k, "boolean-cumulant")
 
 
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
@@ -346,43 +371,14 @@ def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
 # Infinitesimal cumulants
 # ---------------------------------------------------------------------------
 
-def _dual_cumulants(phi: MultilinearFamily, phi_prime: MultilinearFamily):
-    """(D, graded phi', graded free cumulants of phi, graded infinitesimal
-    cumulants of (phi, phi')): the last two are the real and epsilon parts
-    of the free cumulants of phi + epsilon * phi'."""
-    D, (p, dp) = _graded(phi, phi_prime)
-    beta = _interval(_blank(phi.N, 2), (p, dp), True)
-    return (D, dp, *_closed(phi.k, _blank(phi.N, 2), (p, dp), beta, True))
-
-
-def _free_and_infinitesimal(phi: MultilinearFamily, phi_prime: MultilinearFamily):
-    """Free cumulants of phi and infinitesimal cumulants of (phi, phi')."""
-    D, _, kap, dkap = _dual_cumulants(phi, phi_prime)
-    return (_ungraded(D, kap, phi.k, "free-cumulant")._values,
-            _ungraded(D, dkap, phi.k, "infinitesimal-cumulant")._values)
-
-
 def infinitesimal_cumulants(
     phi: MultilinearFamily, phi_prime: MultilinearFamily
 ) -> MultilinearFamily:
     """One distinguished block carries the derivative family, all others the
     moments, with the usual Moebius weight."""
     _require_same_shape(phi, phi_prime)
-    D, _, _, dkap = _dual_cumulants(phi, phi_prime)
-    return _ungraded(D, dkap, phi.k, "infinitesimal-cumulant")
-
-
-def _moments_and_infinitesimal(kappa_phi: MultilinearFamily, kappa_prime: MultilinearFamily):
-    """The base moments and the derivative family of the free cumulants of
-    the base and the infinitesimal cumulants, length by length as in
-    `moments_from_free`."""
-    D, (c, dc) = _graded(kappa_phi, kappa_prime)
-    beta, mom, Q = _blank(kappa_phi.N, 2), _blank(kappa_phi.N, 2), {}
-    for n in range(1, kappa_phi.N + 1):
-        _closed(kappa_phi.k, (c, dc), mom, beta, False, (n,), Q)
-        _interval(beta, mom, False, (n,))
-    return (_ungraded(D, mom[0], kappa_phi.k, "moment"),
-            _ungraded(D, mom[1], kappa_phi.k, "infinitesimal"))
+    D, (p, dp) = _graded(phi, phi_prime)
+    return _ungraded(D, _dual(p, dp, phi.k)[1], phi.k, "infinitesimal-cumulant")
 
 
 def infinitesimal_moments(
@@ -391,7 +387,8 @@ def infinitesimal_moments(
     """Reconstruct the derivative family from free cumulants of the base and
     the infinitesimal cumulants; inverse of infinitesimal_cumulants."""
     _require_same_shape(kappa_phi, kappa_prime)
-    return _moments_and_infinitesimal(kappa_phi, kappa_prime)[1]
+    D, (c, dc) = _graded(kappa_phi, kappa_prime)
+    return _ungraded(D, _moments((c, dc), kappa_phi.k)[1], kappa_phi.k, "infinitesimal")
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +403,7 @@ def cfree_cumulants(
     Boolean cumulants of chi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    kc = _closed(phi.k, _blank(phi.N), (p,), (_boolean(c, phi.N),), True)[0]
-    return _ungraded(D, kc, phi.k, "cfree-cumulant")
+    return _ungraded(D, _cfree(p, c, phi.k), phi.k, "cfree-cumulant")
 
 
 def moments_from_cfree(
@@ -416,8 +412,7 @@ def moments_from_cfree(
     """Forward inner/outer product sum, with free cumulants of phi inside."""
     _require_same_shape(phi, kappa_c)
     D, (p, kc) = _graded(phi, kappa_c)
-    beta = _closed(phi.k, (kc,), (p,), _blank(phi.N), False)
-    return _ungraded(D, _interval(beta, _blank(phi.N), False)[0], phi.k, "moment")
+    return _ungraded(D, _moments_cfree(p, kc, phi.k), phi.k, "moment")
 
 
 def cfree_explicit(
@@ -429,8 +424,8 @@ def cfree_explicit(
     the interval inverse of 1 + kappa_phi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    F = _interval(_negated((_free(p, phi.k, phi.N),)), _blank(phi.N), False)
-    out = _closed(phi.k, (_boolean(c, phi.N),), F, _blank(phi.N), False)[0]
+    F = _interval(_negated((_cfree(p, p, phi.k),)), _blank(phi.N), False)
+    out = _closed(phi.k, (_boolean(c),), F, _blank(phi.N), False)[0]
     return _ungraded(D, out, phi.k, "cfree-cumulant")
 
 
@@ -438,11 +433,11 @@ def cfree_explicit(
 # Alternative c-free cumulants over the opposite-order signed lattice
 # ---------------------------------------------------------------------------
 
-def _cc(p: list, c: list, k: int, N: int) -> list:
+def _cc(p: list, c: list, k: int) -> list:
     """Graded alternative c-free cumulants of (phi, chi) = (p, c): kappa_cc
     = kappa_c - kappa_phi, so their closed sums are beta_chi - beta_phi."""
-    diff = [list(map(sub, x, y)) for x, y in zip(_boolean(c, N), _boolean(p, N))]
-    return _closed(k, _blank(N), (p,), (diff,), True)[0]
+    diff = [list(map(sub, x, y)) for x, y in zip(_boolean(c), _boolean(p))]
+    return _closed(k, _blank(len(p) - 1), (p,), (diff,), True)[0]
 
 
 def cc_cumulants(
@@ -453,7 +448,7 @@ def cc_cumulants(
     unknown family; it is the c-free minus the free cumulants of phi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    return _ungraded(D, _cc(p, c, phi.k, phi.N), phi.k, "cc-cumulant")
+    return _ungraded(D, _cc(p, c, phi.k), phi.k, "cc-cumulant")
 
 
 def _cc_cumulants(phi: MultilinearFamily, chi: MultilinearFamily) -> MultilinearFamily:
@@ -463,13 +458,12 @@ def _cc_cumulants(phi: MultilinearFamily, chi: MultilinearFamily) -> Multilinear
     zero-block is the whole word isolates it; every other row needs it only
     on shorter words, which are solved first."""
     D, (p, c) = _graded(phi, chi)
-    kf, out = _free(p, phi.k, phi.N), _blank(phi.N)[0]
+    kf, out = _cfree(p, p, phi.k), _blank(phi.N)[0]
     for n in range(1, phi.N + 1):
         whole = (tuple(range(n)),)
         rows = [r for r in _bopp_table(n) if r[-1] != whole]
         out[n] = list(map(sub, c[n], _lattice_sum(rows, (kf, out), phi.k, n)))
-    values = _ungraded(D, out, phi.k, "cc-cumulant")._values
-    return MultilinearFamily(phi.k, phi.N, values, kind="cc-cumulant")
+    return _ungraded(D, out, phi.k, "cc-cumulant")
 
 
 def moments_from_cc(
@@ -481,7 +475,7 @@ def moments_from_cc(
     _require_same_shape(phi, kappa_cc)
     D, (p, cc) = _graded(phi, kappa_cc)
     closed = _closed(phi.k, (cc,), (p,), _blank(phi.N), False)[0]
-    beta = [list(map(add, x, y)) for x, y in zip(closed, _boolean(p, phi.N))]
+    beta = [list(map(add, x, y)) for x, y in zip(closed, _boolean(p))]
     return _ungraded(D, _interval((beta,), _blank(phi.N), False)[0], phi.k, "moment")
 
 
@@ -500,7 +494,8 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
-    _, dp, kphi, kprime = _dual_cumulants(phi, phi_prime)
+    _, (p, dp) = _graded(phi, phi_prime)
+    kphi, kprime = _dual(p, dp, phi.k)
     return _first_mismatch(_b_zero_table, (kprime, kphi), dp, phi.k, phi.N)
 
 
@@ -513,6 +508,6 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
         raise LimitExceeded(
             f"degree {phi.N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}")
     _, (p, c) = _graded(phi, chi)
-    kphi, kcc = _free(p, phi.k, phi.N), _cc(p, c, phi.k, phi.N)
+    kphi, kcc = _cfree(p, p, phi.k), _cc(p, c, phi.k)
     want = [list(map(sub, x, y)) for x, y in zip(c, p)]
     return _first_mismatch(_bopp_zero_table, (kcc, kphi), want, phi.k, phi.N)

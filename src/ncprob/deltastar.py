@@ -129,7 +129,7 @@ def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
     if nu.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (c,) = _graded(nu)
-    return _graded_delta_star(diagonal_delta(nu.k), D, _boolean(c, nu.N), nu.k)
+    return _graded_delta_star(diagonal_delta(nu.k), D, _boolean(c), nu.k)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: Multiline
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
     _, (p, c) = _graded(phi, chi)
-    beta, expansion = _boolean(c, chi.N), _scaled_expansion(delta)[1]
+    beta, expansion = _boolean(c), _scaled_expansion(delta)[1]
     return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
 
 

@@ -3,43 +3,44 @@
 Everything is constructed in cumulant space, exactly as the defining
 prescriptions state it: products concatenate cumulants block-diagonally
 with vanishing mixed terms, convolutions add cumulants entrywise, and the
-moment tables are then rebuilt through the inverse transforms.  Each
-free-cumulant table is computed once; the c-free transforms read the
-moments, not the free cumulants, and the infinitesimal operations get the
-free and the infinitesimal tables, both ways, from one pass over dual
-numbers.
+moment tables are then rebuilt through the inverse transforms.  Each op
+grades its inputs once, at one D, runs the layer entries of `cumulants`,
+joins the cumulant layers (a scatter to their ranks over k1 + k2 letters,
+or an entrywise sum) and ungrades each output family once.  The
+infinitesimal operations get the free and the infinitesimal layers, both
+ways, from one pass over dual numbers.
 """
 
-from fractions import Fraction
+from operator import add
 
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
-from .families import MultilinearFamily, _first_difference, all_words, is_tracial, truncate
-from .cumulants import (
-    _free_and_infinitesimal,
-    _moments_and_infinitesimal,
-    cfree_cumulants,
-    free_cumulants,
-    moments_from_cfree,
-    moments_from_free,
-)
+from .families import MultilinearFamily, _first_difference, is_tracial, truncate
+from .cumulants import _cfree, _dual, _graded, _moments, _moments_cfree, _ungraded
 from .deltastar import psi_k
 
 
-def _concat(c1: dict, k1: int, c2: dict, k2: int, N: int, kind: str) -> MultilinearFamily:
-    """Block-diagonal cumulant table over k1+k2 generators: words staying in
-    one group keep their cumulant, mixed words get zero."""
-    values = {
-        w: c1[w] if max(w) <= k1
-        else c2[tuple(x - k1 for x in w)] if min(w) > k1
-        else Fraction(0)
-        for w in all_words(k1 + k2, N)
-    }
-    return MultilinearFamily(k1 + k2, N, values, kind=kind)
+def _block_diagonal(k1: int, k2: int):
+    """The join of layers over k1 and over k2 letters into layers over
+    K = k1 + k2: a word of one group keeps its value, the second group's
+    letters raised by k1, and a mixed word gets zero.  Each group's ranks
+    over K letters are built a length at a time, in the group's rank order."""
+    K = k1 + k2
+
+    def join(x: list, y: list) -> list:
+        out, groups = [[1]], ((x, range(k1), [0]), (y, range(k1, K), [0]))
+        for n in range(1, len(x)):
+            out.append([0] * K ** n)
+            for layers, digits, ranks in groups:
+                ranks[:] = [r * K + d for r in ranks for d in digits]
+                for r, v in zip(ranks, layers[n]):
+                    out[n][r] = v
+        return out
+    return join
 
 
-def _add(c1: dict, c2: dict, k: int, N: int, kind: str) -> MultilinearFamily:
-    """Entrywise sum of two cumulant tables over the same words."""
-    return MultilinearFamily(k, N, {w: c1[w] + c2[w] for w in c1}, kind=kind)
+def _entrywise(x: list, y: list) -> list:
+    """The join of two families of layers over the same words: their sum."""
+    return [[1]] + [list(map(add, a, b)) for a, b in zip(x[1:], y[1:])]
 
 
 def _check_product_pairs(mu1, s1, mu2, s2) -> None:
@@ -56,12 +57,35 @@ def _check_convolution_pairs(mu1, s1, mu2, s2) -> None:
         raise ShapeMismatch("all four inputs must share N")
 
 
+def _free_op(join, K: int, mu1, mu2) -> MultilinearFamily:
+    """The moments over K letters with mu1's and mu2's free cumulants joined."""
+    D, (p1, p2) = _graded(mu1, mu2)
+    kappa = join(_cfree(p1, p1, mu1.k), _cfree(p2, p2, mu2.k))
+    return _ungraded(D, _moments((kappa,), K)[0], K, "moment")
+
+
+def _cfree_op(join, K: int, mu1, nu1, mu2, nu2):
+    """(Moments, c-free moments) over K letters with the two pairs' cumulants joined."""
+    D, (p1, c1, p2, c2) = _graded(mu1, nu1, mu2, nu2)
+    kappa = join(_cfree(p1, p1, mu1.k), _cfree(p2, p2, mu2.k))
+    kc = join(_cfree(p1, c1, mu1.k), _cfree(p2, c2, mu2.k))
+    mu = _moments((kappa,), K)[0]
+    return _ungraded(D, mu, K, "moment"), _ungraded(D, _moments_cfree(mu, kc, K), K, "moment")
+
+
+def _infinitesimal_op(join, K: int, mu1, mu1p, mu2, mu2p):
+    """(Moments, derivative family) over K letters with the pairs' cumulants joined."""
+    D, (p1, dp1, p2, dp2) = _graded(mu1, mu1p, mu2, mu2p)
+    (k1, dk1), (k2, dk2) = _dual(p1, dp1, mu1.k), _dual(p2, dp2, mu2.k)
+    mu, mup = _moments((join(k1, k2), join(dk1, dk2)), K)
+    return _ungraded(D, mu, K, "moment"), _ungraded(D, mup, K, "infinitesimal")
+
+
 def free_product(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
     """Free product of distributions over k and l generators."""
     if mu1.N != mu2.N:
         raise DegreeMismatch(f"degrees differ: {mu1.N} vs {mu2.N}")
-    k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
-    return moments_from_free(_concat(k1, mu1.k, k2, mu2.k, mu1.N, "free-cumulant"))
+    return _free_op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, mu1, mu2)
 
 
 def cfree_product(
@@ -73,12 +97,7 @@ def cfree_product(
     """c-free product of two pairs; the second output is reconstructed from
     the concatenated c-free cumulant prescription relative to the product."""
     _check_product_pairs(mu1, nu1, mu2, nu2)
-    k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
-    c1, c2 = cfree_cumulants(mu1, nu1)._values, cfree_cumulants(mu2, nu2)._values
-    kappa = _concat(k1, mu1.k, k2, mu2.k, mu1.N, "free-cumulant")
-    kc = _concat(c1, mu1.k, c2, mu2.k, mu1.N, "cfree-cumulant")
-    mu = moments_from_free(kappa)
-    return mu, moments_from_cfree(mu, kc)
+    return _cfree_op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, mu1, nu1, mu2, nu2)
 
 
 def infinitesimal_product(
@@ -89,19 +108,14 @@ def infinitesimal_product(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free product of two pairs."""
     _check_product_pairs(mu1, mu1p, mu2, mu2p)
-    k1, c1 = _free_and_infinitesimal(mu1, mu1p)
-    k2, c2 = _free_and_infinitesimal(mu2, mu2p)
-    kappa = _concat(k1, mu1.k, k2, mu2.k, mu1.N, "free-cumulant")
-    kp = _concat(c1, mu1.k, c2, mu2.k, mu1.N, "infinitesimal-cumulant")
-    return _moments_and_infinitesimal(kappa, kp)
+    return _infinitesimal_op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, mu1, mu1p, mu2, mu2p)
 
 
 def boxplus(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
     """Free additive convolution: free cumulants add entrywise."""
     if mu1.k != mu2.k or mu1.N != mu2.N:
         raise ShapeMismatch("inputs must share k and N")
-    k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
-    return moments_from_free(_add(k1, k2, mu1.k, mu1.N, "free-cumulant"))
+    return _free_op(_entrywise, mu1.k, mu1, mu2)
 
 
 def boxplus_c(
@@ -112,12 +126,7 @@ def boxplus_c(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """c-free additive convolution of two pairs over one generator set."""
     _check_convolution_pairs(mu1, nu1, mu2, nu2)
-    k1, k2 = free_cumulants(mu1)._values, free_cumulants(mu2)._values
-    c1, c2 = cfree_cumulants(mu1, nu1)._values, cfree_cumulants(mu2, nu2)._values
-    kappa = _add(k1, k2, mu1.k, mu1.N, "free-cumulant")
-    kc = _add(c1, c2, mu1.k, mu1.N, "cfree-cumulant")
-    mu = moments_from_free(kappa)
-    return mu, moments_from_cfree(mu, kc)
+    return _cfree_op(_entrywise, mu1.k, mu1, nu1, mu2, nu2)
 
 
 def boxplus_b(
@@ -128,11 +137,7 @@ def boxplus_b(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free additive convolution of two pairs."""
     _check_convolution_pairs(mu1, mu1p, mu2, mu2p)
-    k1, c1 = _free_and_infinitesimal(mu1, mu1p)
-    k2, c2 = _free_and_infinitesimal(mu2, mu2p)
-    kappa = _add(k1, k2, mu1.k, mu1.N, "free-cumulant")
-    kp = _add(c1, c2, mu1.k, mu1.N, "infinitesimal-cumulant")
-    return _moments_and_infinitesimal(kappa, kp)
+    return _infinitesimal_op(_entrywise, mu1.k, mu1, mu1p, mu2, mu2p)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from ncprob import (
     free_cumulants,
     free_product,
     infinitesimal_cumulants,
+    infinitesimal_moments,
     infinitesimal_product,
+    moments_from_cfree,
     moments_from_free,
     random_family,
     random_tracial,
@@ -356,3 +358,76 @@ def test_intertwine_reports_the_word_where_one_side_is_off(monkeypatch, check, o
     mu1, nu1 = random_tracial(2, 4, seed=120), random_family(2, 4, seed=121)
     mu2, nu2 = random_tracial(2, 4, seed=122), random_family(2, 4, seed=123)
     assert getattr(pr, check)(mu1, nu1, mu2, nu2) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the six ops against the public transforms joined as Fraction dicts
+# ---------------------------------------------------------------------------
+
+def _concat(c1: dict, k1: int, c2: dict, k2: int, N: int, kind: str) -> MultilinearFamily:
+    """Block-diagonal cumulant table over k1+k2 generators: words staying in
+    one group keep their cumulant, mixed words get zero."""
+    values = {
+        w: c1[w] if max(w) <= k1
+        else c2[tuple(x - k1 for x in w)] if min(w) > k1
+        else Fraction(0)
+        for w in all_words(k1 + k2, N)
+    }
+    return MultilinearFamily(k1 + k2, N, values, kind=kind)
+
+
+def _add(c1: dict, c2: dict, k: int, N: int, kind: str) -> MultilinearFamily:
+    """Entrywise sum of two cumulant tables over the same words."""
+    return MultilinearFamily(k, N, {w: c1[w] + c2[w] for w in c1}, kind=kind)
+
+
+def _oracle(op, mu1, nu1, mu2, nu2):
+    """The op composed of public transforms and the dict-level joins."""
+    N = mu1.N
+    if op in ("free_product", "cfree_product", "infinitesimal_product"):
+        join = lambda a, b, kind: _concat(a._values, mu1.k, b._values, mu2.k, N, kind)  # noqa: E731
+    else:
+        join = lambda a, b, kind: _add(a._values, b._values, mu1.k, N, kind)  # noqa: E731
+    kappa = join(free_cumulants(mu1), free_cumulants(mu2), "free-cumulant")
+    mu = moments_from_free(kappa)
+    if op in ("free_product", "boxplus"):
+        return mu
+    if op in ("cfree_product", "boxplus_c"):
+        kc = join(cfree_cumulants(mu1, nu1), cfree_cumulants(mu2, nu2), "cfree-cumulant")
+        return mu, moments_from_cfree(mu, kc)
+    kp = join(infinitesimal_cumulants(mu1, nu1), infinitesimal_cumulants(mu2, nu2),
+              "infinitesimal-cumulant")
+    return mu, infinitesimal_moments(kappa, kp)
+
+
+_OPS = {
+    "free_product": free_product, "cfree_product": cfree_product,
+    "infinitesimal_product": infinitesimal_product,
+    "boxplus": boxplus, "boxplus_c": boxplus_c, "boxplus_b": boxplus_b,
+}
+# each of the four inputs is a multiple of its own value, so the first
+# pair's and the second pair's denominators differ
+_POOL = [Fraction(1, 7), Fraction(-1, 11), Fraction(1, 9973), Fraction(3, 77)]
+
+
+@pytest.mark.parametrize("op,k,l", [
+    (op, k, l) for op in sorted(_OPS) for k, l in ((1, 2), (2, 1), (2, 2))
+    if k == l or not op.startswith("boxplus")  # convolutions need one generator set
+])
+def test_op_equals_public_transforms_joined_as_dicts(op, k, l):
+    N = 4
+    kinds = ("moment", "infinitesimal" if op in ("infinitesimal_product", "boxplus_b")
+             else "moment")
+    for make in (
+        lambda i, g: {w: _POOL[i] * (1 + (j + len(w)) % 3)
+                      for j, w in enumerate(all_words(g, N))},
+        lambda i, g: {w: 0 for w in all_words(g, N)},
+    ):
+        mu1, nu1, mu2, nu2 = (MultilinearFamily(g, N, make(i, g), kind=kinds[i % 2])
+                              for i, g in enumerate((k, k, l, l)))
+        want = _oracle(op, mu1, nu1, mu2, nu2)
+        if op in ("free_product", "boxplus"):
+            assert _OPS[op](mu1, mu2) == want
+            assert _OPS[op](nu1, nu2) == _oracle(op, nu1, None, nu2, None)
+        else:
+            assert _OPS[op](mu1, nu1, mu2, nu2) == want
