@@ -80,7 +80,7 @@ from operator import add, mul, sub
 
 from .errors import LimitExceeded, ShapeMismatch
 from .families import MultilinearFamily, words_of_length
-from .nc import _interval_range, _moebius_int, _nc_span, _nests
+from .nc import _moebius_int, _nc_span
 from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, enumerate_signed, zero_blocks
 
 Blocks0 = tuple[tuple[int, ...], ...]
@@ -272,21 +272,6 @@ def _lattice_sum(rows, sources, k: int, n: int) -> list:
 def _nc_mob_table(n: int) -> tuple[tuple[int, Blocks0], ...]:
     """Kernel rows over NC(n) weighted by the Moebius value."""
     return tuple((_moebius_int(blocks, n), blocks) for blocks in _nc_span(0, n))
-
-
-# The cached interval partitions of nc; tests and the perfbench tracer read
-# them under this name.
-_interval_table = _interval_range
-
-
-@lru_cache(maxsize=None)
-def _roles_table(n: int):
-    """Kernel rows (1, inner blocks, outer blocks) over NC(n)."""
-    out = []
-    for blocks in _nc_span(0, n):
-        inner = tuple(b for b in blocks if any(_nests(v, b) for v in blocks))
-        out.append((1, inner, tuple(b for b in blocks if b not in inner)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,8 @@ deterministic for a fixed seed.
 """
 
 import json
+import math
+from typing import Callable, NamedTuple
 
 from . import (
     BlockRole,
@@ -259,50 +261,32 @@ def _cc_difference_failure(phi, chi):
 
 
 def _criterion_cc(seed):
-    for i in range(20):
-        s = seed * 1000 + 300 + i
-        phi = random_family(2, 5, seed=s)
-        chi = random_family(2, 5, seed=s + 5000)
-        bad = _cc_difference_failure(phi, chi)
-        if bad is not None:
-            return False, f"difference identity fails at draw {i}, word {bad}"
-    phi = random_family(2, 5, seed=seed * 1000 + 901)
-    phip = random_family(2, 5, seed=seed * 1000 + 902, kind="infinitesimal")
-    chi = random_family(2, 5, seed=seed * 1000 + 903)
-    if eq_typeb_counterexample(phi, phip) is not None:
+    bad = _failing_draw("prop54", seed * 1000 + 300, [(2, 5, 1)] * 20)
+    if bad is not None:
+        return False, f"difference identity fails at draw {bad[0]}, word {bad[1]}"
+    if _failing_draw("eq5a", seed * 1000 + 901, [(2, 5, 1)]) is not None:
         return False, "type-B moment reconstruction fails"
-    if eq_bopp_counterexample(phi, chi) is not None:
+    if _failing_draw("eq55a", seed * 1000 + 901, [(2, 5, 1)]) is not None:
         return False, "opposite-order moment reconstruction fails"
     return True, "signed-lattice cumulants equal the difference; moment rewritings exact"
 
 
 def _criterion_transform_theorem(seed):
-    for i in range(50):
-        s = seed * 1000 + 400 + i
-        phi = random_tracial(2, 5, seed=s)
-        chi = random_family(2, 5, seed=s + 5000)
-        delta = random_delta(2, seed=s + 9000)
-        bad = cumulant_transform_counterexample(delta, phi, chi)
-        if bad is not None:
-            return False, f"transform identity fails at draw {i}, word {bad}"
+    bad = _failing_draw("17", seed * 1000 + 400, [(2, 4, 1)] * 50)
+    if bad is not None:
+        return False, f"transform identity fails at draw {bad[0]}, word {bad[1]}"
     return True, "tensor transform identity exact on 50 seeded triples, k=2, N=4"
 
 
 def _criterion_cyclic_theorem(seed):
+    bad = _failing_draw("14", seed * 1000 + 500, [(2, 4, 1)] * 50)
+    if bad is not None:
+        return False, f"cyclic identity fails at draw {bad[0]}, word {bad[1]}"
+    bad = _failing_draw("14", seed * 1000 + 550, [(1, 6, 1)] * 50)
+    if bad is not None:
+        return False, f"univariate cyclic identity fails at draw {bad[0]}"
     for i in range(50):
-        s = seed * 1000 + 500 + i
-        mu = random_tracial(2, 5, seed=s)
-        nu = random_family(2, 5, seed=s + 5000)
-        bad = cyclic_cumulant_counterexample(mu, nu)
-        if bad is not None:
-            return False, f"cyclic identity fails at draw {i}, word {bad}"
-    for i in range(50):
-        s = seed * 1000 + 550 + i
-        mu = random_family(1, 7, seed=s)
-        nu = random_family(1, 7, seed=s + 5000)
-        bad = cyclic_cumulant_counterexample(mu, nu)
-        if bad is not None:
-            return False, f"univariate cyclic identity fails at draw {i}"
+        _, nu = _pair(1, 7, seed * 1000 + 550 + i)
         beta = boolean_cumulants(nu)
         mup = psi_k(nu)
         for n in range(1, 7):
@@ -321,24 +305,10 @@ def _gamma_eta_cases(max_n):
                     yield n, m, rho
 
 
-def _gamma_eta_failure(delta, chi, phi, max_n):
-    """The first case (n, m, rho) of `_gamma_eta_cases(max_n)` where the
-    block identity fails, with its counterexample, or None."""
-    tables = _gamma_eta_tables(delta, chi, phi)
-    for n, m, rho in _gamma_eta_cases(max_n):
-        bad = _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho)
-        if bad is not None:
-            return n, m, rho, bad
-    return None
-
-
 def _criterion_gamma_eta(seed):
-    phi = random_tracial(2, 5, seed=seed * 1000 + 600)
-    chi = random_family(2, 6, seed=seed * 1000 + 601)
-    delta = random_delta(2, seed=seed * 1000 + 602)
-    bad = _gamma_eta_failure(delta, chi, phi, 4)
+    bad = _failing_draw("lemma67", seed * 1000 + 600, [(2, 4, 1)])
     if bad is not None:
-        return False, f"block identity fails at n={bad[0]}, m={bad[1]}, {bad[2]}"
+        return False, f"block identity fails at word {bad[1]}"
     cases = sum(1 for _ in _gamma_eta_cases(4))
     return True, f"block-level transform identity exhaustive for n<=4 ({cases} cases)"
 
@@ -356,26 +326,15 @@ def _check_restrictions(product_nu, nu1, nu2, k):
 
 
 def _criterion_products(seed):
-    for i in range(25):
-        s = seed * 1000 + 700 + i
-        k = 1 if i < 13 else 2
-        mu1 = random_tracial(k, 5, seed=s)
-        nu1 = random_family(k, 5, seed=s + 3000)
-        mu2 = random_tracial(k, 5, seed=s + 6000)
-        nu2 = random_family(k, 5, seed=s + 9000)
-        bad = convolution_intertwine_counterexample(mu1, nu1, mu2, nu2)
-        if bad is not None:
-            return False, f"convolution intertwine fails at draw {i}, word {bad}"
-    for i in range(25):
-        s = seed * 1000 + 800 + i
-        k, l = (1, 1) if i < 13 else (2, 1)
-        mu1 = random_tracial(k, 4, seed=s)
-        nu1 = random_family(k, 4, seed=s + 3000)
-        mu2 = random_tracial(l, 4, seed=s + 6000)
-        nu2 = random_family(l, 4, seed=s + 9000)
-        bad = product_intertwine_counterexample(mu1, nu1, mu2, nu2)
-        if bad is not None:
-            return False, f"product intertwine fails at draw {i}, word {bad}"
+    bad = _failing_draw("12", seed * 1000 + 700, [(1, 4, 1)] * 13 + [(2, 4, 1)] * 12)
+    if bad is not None:
+        return False, f"convolution intertwine fails at draw {bad[0]}, word {bad[1]}"
+    shapes = [(1, 3, 1)] * 13 + [(2, 3, 1)] * 12
+    bad = _failing_draw("13", seed * 1000 + 800, shapes)
+    if bad is not None:
+        return False, f"product intertwine fails at draw {bad[0]}, word {bad[1]}"
+    for i, (k, n, l) in enumerate(shapes):
+        mu1, nu1, mu2, nu2 = _pairs(k, l, n + 1, seed * 1000 + 800 + i)
         mu, nu = cfree_product(mu1, nu1, mu2, nu2)
         if not _check_restrictions(mu, mu1, mu2, k):
             return False, f"free product restriction fails at draw {i}"
@@ -394,53 +353,75 @@ def _pair(k, n, seed):
     return random_tracial(k, n, seed=seed), random_family(k, n, seed=seed + 1)
 
 
+def _pairs(k, l, n, seed):
+    """Two seeded `_pair`s at degree n, the first over k generators and the
+    second over l."""
+    return (*_pair(k, n, seed), *_pair(l, n, seed + 2))
+
+
 def _families(k, n, seed, kind="moment"):
     """Two seeded plain families at degree n, the second of the given kind."""
     return random_family(k, n, seed=seed), random_family(k, n, seed=seed + 1, kind=kind)
 
 
-def _signed(check, seed, k, n, kind="moment"):
-    """(degree, result) of a signed-lattice check on `_families` at degree
-    min(n, 7): the signed lattices grow fastest."""
-    n = min(n, 7)
-    return n, check(*_families(k, n, seed, kind))
-
-
 def _lemma210(seed, k, n, l):
-    n = min(n, 7)
     for m in range(2, n + 1):
         bad = _cut_attach_failure(m)
         if bad is not None:
-            return n, f"n={m}, partition {bad[0]}, i={bad[1]}"
-    return n, None
+            return f"n={m}, partition {bad[0]}, i={bad[1]}"
+    return None
 
 
 def _lemma67(seed, k, n, l):
-    n = max(n, 2)
     phi = random_tracial(k, n + 1, seed=seed)
     chi = random_family(k, n + 2, seed=seed + 1)
-    bad = _gamma_eta_failure(random_delta(k, seed=seed + 2), chi, phi, n)
-    return n, None if bad is None else bad[-1]
+    delta = random_delta(k, seed=seed + 2)
+    tables = _gamma_eta_tables(delta, chi, phi)
+    for case in _gamma_eta_cases(n):
+        bad = _gamma_eta_counterexample(delta, chi, tables, phi, *case)
+        if bad is not None:
+            return bad
+    return None
 
 
-# Every `verify` target: (seed, k, N, l) -> (degree checked, first
-# counterexample or None).  Inputs are drawn from the seed; targets with a
-# fixed range of degrees clip N to it.
+class Target(NamedTuple):
+    """A verification target: its check, (seed, k, N, l) -> first
+    counterexample or None on inputs drawn from the seed, and the least and
+    greatest degree N it covers."""
+
+    check: Callable
+    low: int = 1
+    high: float = math.inf
+
+
+# Every `verify` target; selftest criteria 9-13 run the same rows.  The
+# signed lattices grow fastest, so the checks that walk them stop at 7, and
+# so does lemma210, which walks NC(m) at every degree m up to N.
 TARGETS = {
-    "12": lambda s, k, n, l: (
-        n, convolution_intertwine_counterexample(*_pair(k, n + 1, s), *_pair(k, n + 1, s + 2))),
-    "13": lambda s, k, n, l: (
-        n, product_intertwine_counterexample(*_pair(k, n + 1, s), *_pair(l, n + 1, s + 2))),
-    "14": lambda s, k, n, l: (n, cyclic_cumulant_counterexample(*_pair(k, n + 1, s))),
-    "17": lambda s, k, n, l: (
-        n, cumulant_transform_counterexample(random_delta(k, seed=s + 2), *_pair(k, n + 1, s))),
-    "lemma210": _lemma210,
-    "lemma67": _lemma67,
-    "prop41": lambda s, k, n, l: (n, _explicit_failure(*_families(k, n, s))),
-    "prop54": lambda s, k, n, l: _signed(_cc_difference_failure, s, k, n),
-    "eq5a": lambda s, k, n, l: _signed(eq_typeb_counterexample, s, k, n, "infinitesimal"),
-    "eq55a": lambda s, k, n, l: _signed(eq_bopp_counterexample, s, k, n),
+    "12": Target(lambda s, k, n, l: convolution_intertwine_counterexample(*_pairs(k, k, n + 1, s))),
+    "13": Target(lambda s, k, n, l: product_intertwine_counterexample(*_pairs(k, l, n + 1, s))),
+    "14": Target(lambda s, k, n, l: cyclic_cumulant_counterexample(*_pair(k, n + 1, s))),
+    "17": Target(lambda s, k, n, l: cumulant_transform_counterexample(
+        random_delta(k, seed=s + 2), *_pair(k, n + 1, s))),
+    "lemma210": Target(_lemma210, high=7),
+    "lemma67": Target(_lemma67, low=2),
+    "prop41": Target(lambda s, k, n, l: _explicit_failure(*_families(k, n, s))),
+    "prop54": Target(lambda s, k, n, l: _cc_difference_failure(*_families(k, n, s)), high=7),
+    "eq5a": Target(lambda s, k, n, l: eq_typeb_counterexample(
+        *_families(k, n, s, "infinitesimal")), high=7),
+    "eq55a": Target(lambda s, k, n, l: eq_bopp_counterexample(*_families(k, n, s)), high=7),
 }
+
+
+def _failing_draw(target, base, shapes):
+    """The first (draw, counterexample) where the `TARGETS` row fails, draw i
+    run on seed base + i at the i-th (k, N, l) shape, or None."""
+    check = TARGETS[target].check
+    for i, (k, n, l) in enumerate(shapes):
+        bad = check(base + i, k, n, l)
+        if bad is not None:
+            return i, bad
+    return None
 
 
 VERIFY_INPUT_LIMIT = 1 << 17  # entries in the largest input `verify` may build
@@ -472,11 +453,13 @@ def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> di
         raise ShapeMismatch(f"k and N must be positive, got k={k}, N={big_n}")
     if l < 1:
         raise ShapeMismatch(f"l must be positive, got l={l}")
+    row = TARGETS[theorem]
+    big_n = min(max(big_n, row.low), row.high)
     if _input_size(theorem, k, big_n, l) > VERIFY_INPUT_LIMIT:
         raise LimitExceeded(
             f"{theorem} at k={k}, N={big_n}, l={l} needs an input of more "
             f"than {VERIFY_INPUT_LIMIT} entries")
-    big_n, ce = TARGETS[theorem](seed, k, big_n, l)
+    ce = row.check(seed, k, big_n, l)
     return {
         "theorem": theorem,
         "seed": seed,

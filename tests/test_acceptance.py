@@ -40,6 +40,34 @@ def test_criterion_14_cli_selftest_byte_identical():
     assert first.output == second.output
 
 
+# (criterion, TARGETS row, seed offset of the draw made to fail, the
+# criterion's report): a failure on the fourth draw where the row runs on
+# many draws, on the only one otherwise
+TABLE_RUNS = [
+    (9, "prop54", 303, "difference identity fails at draw 3, word (9, 9)"),
+    (9, "eq5a", 901, "type-B moment reconstruction fails"),
+    (9, "eq55a", 901, "opposite-order moment reconstruction fails"),
+    (10, "17", 403, "transform identity fails at draw 3, word (9, 9)"),
+    (11, "14", 503, "cyclic identity fails at draw 3, word (9, 9)"),
+    (11, "14", 553, "univariate cyclic identity fails at draw 3"),
+    (12, "lemma67", 600, "block identity fails at word (9, 9)"),
+    (13, "12", 703, "convolution intertwine fails at draw 3, word (9, 9)"),
+    (13, "13", 803, "product intertwine fails at draw 3, word (9, 9)"),
+]
+
+
+@pytest.mark.parametrize("num,row,offset,text", TABLE_RUNS,
+                         ids=[f"{num}-{row}-{offset}" for num, row, offset, _ in TABLE_RUNS])
+def test_theorem_criteria_run_the_targets_table(monkeypatch, num, row, offset, text):
+    # the criterion must report the failure of the row it runs, at that draw
+    def check(s, k, n, l):
+        return (9, 9) if s == SEED * 1000 + offset else None
+
+    monkeypatch.setitem(selftest.TARGETS, row, selftest.TARGETS[row]._replace(check=check))
+    fn = next(fn for n, _, fn in selftest.CRITERIA if n == num)
+    assert fn(SEED) == (False, text)
+
+
 # ---------------------------------------------------------------------------
 # Golden verify reports.  `python tests/test_acceptance.py` rewrites the file;
 # run it only on a commit whose reports are the reference.

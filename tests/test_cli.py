@@ -363,23 +363,40 @@ def test_malformed_tensor_json_is_a_usage_error(runner, tmp_path):
 # verification reports
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "theorem,k,asked,checked",
-    [
-        ("prop54", 1, 8, 7),
-        ("eq5a", 1, 8, 7),
-        ("eq55a", 1, 8, 7),
-        ("lemma210", 2, 9, 7),
-        ("lemma67", 1, 1, 2),
-        ("prop41", 1, 6, 6),
-    ],
-)
+# (target, k, N asked, N checked): every `TARGETS` row, clipped or not
+DEGREES_CHECKED = [
+    ("12", 1, 8, 8),
+    ("13", 1, 8, 8),
+    ("14", 1, 9, 9),
+    ("17", 1, 9, 9),
+    ("prop54", 1, 8, 7),
+    ("eq5a", 1, 8, 7),
+    ("eq55a", 1, 8, 7),
+    ("lemma210", 2, 9, 7),
+    ("lemma67", 1, 1, 2),
+    ("prop41", 1, 6, 6),
+]
+
+
+def test_every_target_has_its_degree_checked():
+    assert {row[0] for row in DEGREES_CHECKED} == set(TARGETS)
+
+
+@pytest.mark.parametrize("theorem,k,asked,checked", DEGREES_CHECKED)
 def test_verify_report_states_the_degree_checked(theorem, k, asked, checked):
     from ncprob.selftest import verify_report
 
     report = verify_report(theorem, 3, k, asked)
     assert report["ok"] is True
     assert report["N"] == checked
+
+
+@pytest.mark.parametrize("theorem", ["prop54", "eq5a", "eq55a", "lemma210"])
+def test_verify_sizes_the_input_on_the_clipped_degree(runner, theorem):
+    # at k = 2, N = 16 would need more than 2^17 entries, but N = 7 is checked
+    res = runner.invoke(main, ["verify", "--theorem", theorem, "--N", "16"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["N"] == 7
 
 
 def test_lemma210_reports_the_first_counterexample(monkeypatch):

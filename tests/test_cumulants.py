@@ -397,7 +397,8 @@ def test_internal_tables_match_public_enumeration():
         interval_partitions,
         one_partition,
     )
-    from ncprob.cumulants import _interval_table, _ll_one_table, _nc_mob_table
+    from ncprob.cumulants import _ll_one_table, _nc_mob_table
+    from ncprob.nc import _interval_range
 
     def lift(blocks):
         return tuple(sorted(tuple(x + 1 for x in b) for b in blocks))
@@ -406,7 +407,7 @@ def test_internal_tables_match_public_enumeration():
         assert {lift(blocks) for _, blocks in _nc_mob_table(n)} == {
             p.blocks for p in enumerate_nc(n)
         }
-        assert {lift(blocks) for blocks in _interval_table(n)} == {
+        assert {lift(blocks) for blocks in _interval_range(n)} == {
             p.blocks for p in interval_partitions(n)
         }
         assert {
@@ -447,7 +448,7 @@ def test_kernel_tables_match_public_enumeration():
         enumerate_signed,
         zero_blocks,
     )
-    from ncprob.cumulants import _b_zero_table, _bopp_table, _bopp_zero_table, _roles_table
+    from ncprob.cumulants import _b_zero_table, _bopp_table, _bopp_zero_table
 
     def canon(blocks):
         return tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -516,6 +517,20 @@ def _word_lattice_sum(rows, sources, w):
     return total
 
 
+@lru_cache(maxsize=None)
+def _roles_table(n):
+    """Kernel rows (1, inner blocks, outer blocks) over NC(n): the lattice
+    of the c-free moment-cumulant formula, which the transforms replace by
+    a recursion."""
+    from ncprob.nc import _nc_span, _nests
+
+    out = []
+    for blocks in _nc_span(0, n):
+        inner = tuple(b for b in blocks if any(_nests(v, b) for v in blocks))
+        out.append((1, inner, tuple(b for b in blocks if b not in inner)))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_ranks_match_tuple_indexing(k):
     from ncprob.cumulants import _ranks
@@ -540,7 +555,7 @@ def _row_tables():
 
     return {
         "_nc_mob_table": cu._nc_mob_table,
-        "_roles_table": cu._roles_table,
+        "_roles_table": _roles_table,
         "_bopp_table": cu._bopp_table,
         "_b_zero_table": cu._b_zero_table,
         "_bopp_zero_table": cu._bopp_zero_table,
@@ -691,23 +706,17 @@ def _lattice_oracles():
     """name -> (input kinds, expected(inputs, output)): the values each
     public transform must have, or for the cumulant directions the values
     it must reproduce, written as kernel sums over the lattice tables."""
-    from ncprob.cumulants import (
-        _bopp_table,
-        _cc_cumulants,
-        _interval_table,
-        _ll_one_table,
-        _nc_mob_table,
-        _roles_table,
-    )
+    from ncprob.cumulants import _bopp_table, _cc_cumulants, _ll_one_table, _nc_mob_table
+    from ncprob.nc import _interval_range
 
     def nc_one(n):
         return [(1, blocks) for _, blocks in _nc_mob_table(n)]
 
     def signed_intervals(n):
-        return [((-1) ** (len(blocks) - 1), blocks) for blocks in _interval_table(n)]
+        return [((-1) ** (len(blocks) - 1), blocks) for blocks in _interval_range(n)]
 
     def intervals(n):
-        return [(1, blocks) for blocks in _interval_table(n)]
+        return [(1, blocks) for blocks in _interval_range(n)]
 
     def marked(table):
         # one distinguished block, in a group of its own, per row and block
