@@ -79,7 +79,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .errors import LimitExceeded, ShapeMismatch
-from .families import MultilinearFamily, words_of_length
+from .families import MultilinearFamily, _ranks, words_of_length
 from .nc import _moebius_int, _nc_span
 from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, enumerate_signed, zero_blocks
 
@@ -122,19 +122,6 @@ def _ungraded(D: int, layers: list, k: int, kind: str, scale: int = 1) -> Multil
 def _blank(N: int, parts: int = 1) -> tuple:
     """A jet of layers 0..N of an unknown; the kernels read N off its length."""
     return tuple([[1]] + [None] * N for _ in range(parts))
-
-
-@lru_cache(maxsize=None)
-def _ranks(k: int, n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-    """For the words w of length n in rank order, the rank of w|positions,
-    the letters at the given 0-based positions in the order given, in its
-    own layer: that layer gathered at these ranks reads it on every w|positions."""
-    weight = {i: k ** e for e, i in enumerate(reversed(positions))}
-    ranks = [0]
-    for i in range(n):
-        step = weight.get(i, 0)
-        ranks = [r + d * step for r in ranks for d in range(k)]
-    return tuple(ranks)
 
 
 def _first_word(k: int, n: int, got: list, want: list):

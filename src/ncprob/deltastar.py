@@ -26,12 +26,15 @@ reads the graded Boolean recursion of nu directly.
 This module also hosts the two block-decorated functionals gamma and eta,
 kept as Fraction implementations of their definitions and used as oracles,
 and the verification routines for the main identities relating c-free and
-infinitesimal cumulants.  The search for the block identity between gamma
-and eta builds the slot tables of the Boolean cumulants of chi once per
-search, and checks each case as one two-row lattice sum over a layer.
+infinitesimal cumulants.  Each case of the search for the block identity
+between gamma and eta is a two-row lattice sum.  Rows that agree as data
+(the same core, phi's blocks up to order and rotation) prove the case for
+every input; only rows that differ are summed over the layer, on slot
+tables of the Boolean cumulants of chi built on the first such case.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .errors import (
@@ -268,23 +271,40 @@ def gamma_eta_counterexample(
 
 def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily):
     """What every case of one gamma-eta search shares, after the checks on
-    the whole families, at one grading: (the layers T of the slot tables of
-    the graded Boolean cumulants of chi, graded phi), T[L + 1] over the
-    words (x, u) of length L + 1 summing x's tensor triples (j, l, c) of c *
-    beta(l, u, j)."""
+    the whole families: a function that builds, on its first call only,
+    (the layers T of the slot tables of the graded Boolean cumulants of chi,
+    graded phi) at one grading, T[L + 1] over the words (x, u) of length
+    L + 1 summing x's tensor triples (j, l, c) of c * beta(l, u, j)."""
     if chi.k != delta.k or phi.k != chi.k:
         raise ShapeMismatch("families and tensor must share one dimension")
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
-    _, (p, c) = _graded(phi, chi)
-    beta, expansion = _boolean(c), _scaled_expansion(delta)[1]
-    return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
+
+    @cache
+    def tables():
+        _, (p, c) = _graded(phi, chi)
+        beta, expansion = _boolean(c), _scaled_expansion(delta)[1]
+        return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
+
+    return tables
+
+
+def _least_first(blocks: tuple) -> list:
+    """The blocks, each rotated to start at its least position, sorted."""
+    return sorted(b[b.index(min(b)):] + b[:b.index(min(b))] for b in blocks)
+
+
+def _rows_agree(one: tuple, other: tuple) -> bool:
+    """Whether two rows (cores, blocks of phi) read the same on every input
+    with a tracial phi: the same cores in order, and the same blocks of phi
+    up to their order and rotation."""
+    return one[0] == other[0] and _least_first(one[1]) == _least_first(other[1])
 
 
 def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
     """gamma_eta_counterexample on the tables of `_gamma_eta_tables`, so
-    that a caller checking many cases builds them once; None builds them
-    once the inputs have passed their checks.
+    that a caller checking many cases builds them at most once; None checks
+    the inputs and makes its own.
 
     The sides are the rows +1 and -1 of one lattice sum over 0-based
     positions of w, which vanishes where they agree: the slot tables on the
@@ -293,7 +313,10 @@ def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
     block of pi = f_nm(rho, m) holding m at the rank of m.  Eta reads rho on
     the inserted word (l, w_{m+1},..,w_n, w_1,..,w_{m-1}, j), whose position
     1 < q < n+1 holds w at (m + q - 2) mod n; rho << 1_{n+1} puts 1 and n+1
-    in its first block."""
+    in its first block.
+
+    Rows that agree (`_rows_agree`) prove the case for every input; only
+    rows that differ are summed, on the given inputs, and build the tables."""
     if rho.n != n + 1:
         raise ShapeMismatch(f"rho must partition 1..{n + 1}")
     if not ll_one(rho):
@@ -308,7 +331,9 @@ def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
              tuple(tuple(x - 1 for x in b) for b in pi.blocks if b is not holder))
     pulled = [tuple((m + q - 2) % n for q in b) for b in rho.blocks]
     eta = (((m - 1,) + pulled[0][1:-1],), tuple(pulled[1:]))
-    diff = _lattice_sum(((1, *gamma), (-1, *eta)), tables, phi.k, n)
+    if _rows_agree(gamma, eta):
+        return None
+    diff = _lattice_sum(((1, *gamma), (-1, *eta)), tables(), phi.k, n)
     return _first_word(phi.k, n, diff, [0] * phi.k ** n)
 
 

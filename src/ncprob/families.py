@@ -48,6 +48,19 @@ def words_of_length(k: int, n: int) -> tuple[Word, ...]:
     return tuple(itertools.product(range(1, k + 1), repeat=n))
 
 
+@lru_cache(maxsize=None)
+def _ranks(k: int, n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """For the words w of length n in rank order, the rank of w|positions,
+    the letters at the given 0-based positions in the order given, in its
+    own layer: that layer gathered at these ranks reads it on every w|positions."""
+    weight = {i: k ** e for e, i in enumerate(reversed(positions))}
+    ranks = [0]
+    for i in range(n):
+        step = weight.get(i, 0)
+        ranks = [r + d * step for r in ranks for d in range(k)]
+    return tuple(ranks)
+
+
 def all_words(k: int, max_n: int):
     """Every word of length 1..max_n over {1..k}, shortest first."""
     for n in range(1, max_n + 1):
@@ -201,11 +214,13 @@ def restrict(f: MultilinearFamily, word, positions) -> Fraction:
 
 
 def is_tracial(f: MultilinearFamily) -> bool:
-    """True iff every word's value is invariant under cyclic rotation."""
-    for n in range(2, f.N + 1):
-        for w in words_of_length(f.k, n):
-            if f(w) != f(w[1:] + w[:1]):
-                return False
+    """True iff every word's value is invariant under cyclic rotation: each
+    layer equals its gather through the rank map of the rotation by one."""
+    values = iter(f._values.values())
+    for n in range(1, f.N + 1):
+        layer = list(itertools.islice(values, f.k ** n))
+        if layer != [layer[r] for r in _ranks(f.k, n, (*range(1, n), 0))]:
+            return False
     return True
 
 
@@ -221,16 +236,21 @@ def random_family(k: int, N: int, seed: int, kind: str = "moment") -> Multilinea
 
 
 def random_tracial(k: int, N: int, seed: int, kind: str = "moment") -> MultilinearFamily:
-    """Seeded family constant on cyclic classes of words, hence tracial."""
+    """Seeded family constant on cyclic classes of words, hence tracial:
+    each class draws at its least rank, in rank order, and spreads the value
+    along its orbit under the rank map of the rotation by one."""
     rng = _random.Random(("tracial", k, N, seed).__repr__())
-    classes: dict[Word, Fraction] = {}
-    values = {}
-    for w in all_words(k, N):
-        rep = min(w[i:] + w[:i] for i in range(len(w)))
-        if rep not in classes:
-            classes[rep] = _draw(rng)
-        values[w] = classes[rep]
-    return MultilinearFamily(k, N, values, kind=kind)
+    values = []
+    for n in range(1, N + 1):
+        step = _ranks(k, n, (*range(1, n), 0))
+        layer = [None] * k ** n
+        for r in range(k ** n):
+            if layer[r] is None:
+                v = _draw(rng)
+                while layer[r] is None:
+                    layer[r], r = v, step[r]
+        values += layer
+    return MultilinearFamily(k, N, dict(zip(all_words(k, N), values)), kind=kind)
 
 
 def relabel(f: MultilinearFamily, offset: int) -> MultilinearFamily:

@@ -106,7 +106,7 @@ class NcPartition:
     def _trusted(cls, n: int, canon: Blocks) -> "NcPartition":
         """The partition of {1..n} with the given blocks, unchecked: they
         must already be canonical and non-crossing.  Only the enumerations
-        build through here; every public path validates."""
+        and f_nm build through here; every other public path validates."""
         self = object.__new__(cls)
         self._fill(n, canon)
         return self
@@ -516,15 +516,11 @@ def f_nm(rho: NcPartition, m: int) -> NcPartition:
         raise InvalidPartition(f"m={m} outside 1..{n}")
     if not ll_one(rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
-    size = rho.n
-    tau = lambda k: (m + k - 1) % size + 1
-    hat = [tuple(sorted(tau(k) for k in b)) for b in rho.blocks]
-    # m and m+1 are now in one block; drop m+1 and close the gap
-    blocks = []
-    for b in hat:
-        nb = [x - 1 if x > m + 1 else x for x in b if x != m + 1]
-        blocks.append(tuple(sorted(nb)))
-    return NcPartition(n, blocks)
+    # translating by m sends 1 to m + 1 and n + 1 to m, one block; dropping
+    # m + 1 and closing the gap sends every k > 1 to (m + k - 2) mod n + 1.
+    # The bijection keeps the blocks non-crossing, and none is left empty.
+    blocks = (sorted((m + k - 2) % n + 1 for k in b if k != 1) for b in rho.blocks)
+    return NcPartition._trusted(n, tuple(sorted(map(tuple, blocks))))
 
 
 def f_nm_inverse(pi: NcPartition, m: int) -> NcPartition:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -427,3 +428,93 @@ def test_gamma_eta_search_fails_where_the_identity_is_broken(monkeypatch):
             failures += first is not None
     assert failures > 0
     assert verify_report("lemma67", 0, 2, 4)["ok"] is False
+
+
+@pytest.mark.parametrize("merge_at_next_slot", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch, k, merge_at_next_slot):
+    # every case whose rows agree must have an all-zero layer sum on seeded
+    # inputs, under the real f_nm and under one that merges at slot m+1
+    import ncprob.deltastar as ds
+    from ncprob.selftest import _gamma_eta_cases
+
+    if merge_at_next_slot:
+        real = ds.f_nm
+        monkeypatch.setattr(ds, "f_nm", lambda rho, m: real(rho, m % (rho.n - 1) + 1))
+    phi = random_tracial(k, 6, seed=130 + k)
+    chi = random_family(k, 7, seed=140 + k)
+    d = random_delta(k, seed=150 + k)
+    tables = ds._gamma_eta_tables(d, chi, phi)
+    certified = ds._rows_agree
+    verdicts = []
+
+    def record(*rows):
+        verdicts.append(certified(*rows))
+        return False  # sum every case
+
+    monkeypatch.setattr(ds, "_rows_agree", record)
+    closed = numeric = 0
+    for case in _gamma_eta_cases(6):
+        first = ds._gamma_eta_counterexample(d, chi, tables, phi, *case)
+        if verdicts.pop():
+            assert first is None, case
+            closed += 1
+        numeric += first is not None
+    assert closed > 0
+    assert (numeric > 0) == merge_at_next_slot
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gamma_eta_certificate_closes_every_case_without_slot_tables(monkeypatch, k):
+    import ncprob.deltastar as ds
+    from ncprob.selftest import _gamma_eta_cases, verify_report
+
+    def unreachable(*args):
+        raise AssertionError("a gamma-eta case fell back to the layer sum")
+
+    monkeypatch.setattr(ds, "_slot_table", unreachable)
+    monkeypatch.setattr(ds, "_lattice_sum", unreachable)
+    phi = random_tracial(k, 7, seed=160 + k)
+    chi = random_family(k, 8, seed=170 + k)
+    d = random_delta(k, seed=180 + k)
+    tables = ds._gamma_eta_tables(d, chi, phi)
+    for case in _gamma_eta_cases(7):
+        assert ds._gamma_eta_counterexample(d, chi, tables, phi, *case) is None
+    assert verify_report("lemma67", 0, k, 6)["ok"] is True
+
+
+def _blocks_in_any_order(positions):
+    """Every set partition of the positions, each block in every order."""
+    if not positions:
+        yield ()
+        return
+    head, tail = positions[0], positions[1:]
+    for size in range(len(tail) + 1):
+        for others in itertools.combinations(tail, size):
+            left = [p for p in tail if p not in others]
+            for block in itertools.permutations((head, *others)):
+                for blocks in _blocks_in_any_order(left):
+                    yield (block, *blocks)
+
+
+def test_rows_agree_exactly_when_their_sums_agree():
+    # over 3 letters a seeded tracial phi tells a block from its reorderings
+    # other than rotations, so on every row over 4 positions (an ordered
+    # core, blocks of phi in any order) the certificate must be exact: it
+    # may neither close rows whose sums differ nor miss rows whose sums agree
+    import ncprob.deltastar as ds
+    from ncprob.cumulants import _lattice_sum
+
+    phi = random_tracial(3, 4, seed=190)
+    chi = random_family(3, 5, seed=191)
+    tables = ds._gamma_eta_tables(random_delta(3, seed=192), chi, phi)()
+    rows = [
+        ((core,), blocks)
+        for size in range(1, 5)
+        for core in itertools.permutations(range(4), size)
+        for blocks in _blocks_in_any_order([p for p in range(4) if p not in core])
+    ]
+    sums = [_lattice_sum(((1, *row),), tables, 3, 4) for row in rows]
+    for a, x in zip(rows, sums):
+        for b, y in zip(rows, sums):
+            assert ds._rows_agree(a, b) == (x == y), (a, b)

@@ -88,6 +88,38 @@ def test_single_perturbation_breaks_traciality():
     assert not is_tracial(MultilinearFamily(2, 3, values))
 
 
+def test_tracial_draws_match_the_least_rotation_oracle():
+    # the draws of the definition: each word's class is its least rotation,
+    # drawn on first sight in all_words order; the orbit walk of the rank
+    # map must draw the same values in the same order
+    import random as _random
+
+    from ncprob.families import _draw
+
+    for k, N in ((1, 5), (2, 6), (3, 4)):
+        for seed in range(3):
+            f = random_tracial(k, N, seed)
+            rng = _random.Random(("tracial", k, N, seed).__repr__())
+            classes = {}
+            for w in all_words(k, N):
+                rep = min(w[i:] + w[:i] for i in range(len(w)))
+                if rep not in classes:
+                    classes[rep] = _draw(rng)
+                assert f(w) == classes[rep]
+
+
+def test_is_tracial_matches_the_word_by_word_definition():
+    for k, N in ((1, 4), (2, 5), (3, 4)):
+        base = random_tracial(k, N, seed=12)
+        for w in all_words(k, N):
+            values = base.values
+            values[w] += 1
+            g = MultilinearFamily(k, N, values)
+            assert is_tracial(g) == all(
+                g(u) == g(u[1:] + u[:1]) for u in all_words(k, N)
+            )
+
+
 def test_random_generators_deterministic():
     assert random_family(2, 4, seed=11) == random_family(2, 4, seed=11)
     assert random_tracial(2, 4, seed=11) == random_tracial(2, 4, seed=11)

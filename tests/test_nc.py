@@ -359,6 +359,21 @@ def test_f_nm_round_trip_and_moebius():
                 assert moebius_to_one(pi) == moebius_to_one(rho)
 
 
+def test_f_nm_output_passes_the_validating_constructor():
+    # f_nm builds its result unchecked; the constructor's checks, and the
+    # literal translate-by-m-then-merge of the definition, are the oracle
+    for n in range(1, 9):
+        for rho in enumerate_nc(n + 1):
+            if not ll_one(rho):
+                continue
+            for m in range(1, n + 1):
+                pi = f_nm(rho, m)
+                assert pi == NcPartition(n, pi.blocks)
+                hat = [[(m + x - 1) % (n + 1) + 1 for x in b] for b in rho.blocks]
+                merged = [[x - 1 if x > m + 1 else x for x in b if x != m + 1] for b in hat]
+                assert pi == NcPartition(n, merged)
+
+
 def test_f_nm_is_bijection():
     for n in range(1, 6):
         domain = [r for r in enumerate_nc(n + 1) if ll_one(r)]
