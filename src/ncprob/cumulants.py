@@ -50,15 +50,16 @@ inner = F, the interval inverse of 1 + kappa_phi: F(empty) = 1 and F(u) =
 The sums run on graded ints: with D the lcm of a call's input
 denominators, a value v on w becomes the integer v * D**|w|, every term
 over w scales by exactly D**|w|, and each output word is one Fraction.
-The values are dense layers: layers[n] lists the words of length n in
-`words_of_length` order, so a word's index is its rank, its letters less
-one as base-k digits; layers[0] = [1] is never read.  For w = head|mid|tail
-with a head of length a and rank h and a tail of length L = n - b, the cut
-word head|tail has rank h * k**L + rank(tail).  So the terms of one (a, b)
-over a layer run over h, then inner[b - a] (the mids in rank order), then
-the slice h * k**L : (h+1) * k**L of the column Q(., a) of length
-n - (b - a), already in the layer's order; the interval terms of one i
-are the outer product of block[i] and moments[n - i].
+The values are the families' layers, graded: layers[n] lists the words
+of length n in rank order (`words_of_length`), a word's rank being its
+letters less one as base-k digits; layers[0] = [1] is never read.  For
+w = head|mid|tail with a head of length a and rank h and a tail of
+length L = n - b, the cut word head|tail has rank h * k**L + rank(tail).
+So the terms of one (a, b) over a layer run over h, then inner[b - a]
+(the mids in rank order), then the slice h * k**L : (h+1) * k**L of the
+column Q(., a) of length n - (b - a), already in the layer's order; the
+interval terms of one i are the outer product of block[i] and
+moments[n - i].
 
 The lattice sums stay as the paper's definitions and as the oracles, on
 the same layers.  `_ranks(k, n, positions)` lists, over the words w of
@@ -74,14 +75,14 @@ length at a time.  Each transform maps input degree n to output degree n.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from math import lcm
 from operator import add, mul, sub
 
 from .errors import LimitExceeded, ShapeMismatch
 from .families import MultilinearFamily, _ranks, words_of_length
 from .nc import _moebius_int, _nc_span
-from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, enumerate_signed, zero_blocks
+from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, _abs_block, enumerate_signed, zero_blocks
 
 Blocks0 = tuple[tuple[int, ...], ...]
 
@@ -99,24 +100,20 @@ def _graded(*families: MultilinearFamily) -> tuple[int, list[list]]:
     """(D, the layers of each family): D is the lcm of the families'
     denominators, and layers[n] lists the integers v * D**n of the words of
     length n in rank order, layers[0] = [1] standing for the empty word."""
-    D = lcm(*{v.denominator for f in families for v in f._values.values()})
-    powers = [D ** n for n in range(max(f.N for f in families) + 1)]
-    out = []
-    for f in families:
-        values = iter(f._values.values())
-        out.append([[1]] + [[v.numerator * (powers[n] // v.denominator)
-                             for v in islice(values, f.k ** n)] for n in range(1, f.N + 1)])
-    return D, out
+    D = lcm(*{v.denominator for f in families for layer in f._layers for v in layer})
+    powers = [D ** n for n in range(1, max(f.N for f in families) + 1)]
+    return D, [[[1]] + [[v.numerator * (P // v.denominator) for v in layer]
+                        for P, layer in zip(powers, f._layers[1:])] for f in families]
 
 
 def _ungraded(D: int, layers: list, k: int, kind: str, scale: int = 1) -> MultilinearFamily:
     """The family over k letters, of degree len(layers) - 1, with value
     layers[n][rank] / (scale * D**n)."""
-    values = {}
+    out = [()]
     for n in range(1, len(layers)):
         P = scale * D ** n
-        values.update(zip(words_of_length(k, n), [Fraction(v, P) for v in layers[n]]))
-    return MultilinearFamily._trusted(k, len(layers) - 1, values, kind)
+        out.append(tuple([Fraction(v, P) for v in layers[n]]))
+    return MultilinearFamily._trusted(k, len(layers) - 1, tuple(out), kind)
 
 
 def _blank(N: int, parts: int = 1) -> tuple:
@@ -124,11 +121,20 @@ def _blank(N: int, parts: int = 1) -> tuple:
     return tuple([[1]] + [None] * N for _ in range(parts))
 
 
-def _first_word(k: int, n: int, got: list, want: list):
-    """The first word of length n where the layers got and want differ, or None."""
-    if got != want:
+def _first_word(k: int, n: int, got, want):
+    """The first word of length n where the layers got and want differ, or
+    None; either may be a list or a tuple."""
+    if tuple(got) != tuple(want):
         return next(w for w, x, y in zip(words_of_length(k, n), got, want) if x != y)
     return None
+
+
+def _first_difference(k: int, got, want):
+    """The first word where two tables over k letters differ, or None: got
+    and want list their layers of lengths 1, 2, ... in step, and got may be
+    a generator, so that no layer past the first difference is built."""
+    found = (_first_word(k, n, x, y) for n, (x, y) in enumerate(zip(got, want), 1))
+    return next((w for w in found if w is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +278,7 @@ def _ll_one_table(n: int) -> tuple[tuple[int, tuple[int, ...], Blocks0], ...]:
 
 
 def _abs0(block: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted({abs(x) - 1 for x in block}))
+    return tuple(x - 1 for x in _abs_block(block))
 
 
 def _zero_and_pairs(sigma) -> tuple[Blocks0, Blocks0]:
@@ -455,12 +461,6 @@ def moments_from_cc(
 # Signed-lattice rewritings of the moment formulas (verification routines)
 # ---------------------------------------------------------------------------
 
-def _first_mismatch(rows_of, sources, want: list, k: int, N: int):
-    found = (_first_word(k, n, _lattice_sum(rows_of(n), sources, k, n), want[n])
-             for n in range(1, N + 1))
-    return next((w for w in found if w is not None), None)
-
-
 def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily):
     """Check the type-B single-sum form of the derivative moments: the
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
@@ -468,7 +468,8 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     _require_same_shape(phi, phi_prime)
     _, (p, dp) = _graded(phi, phi_prime)
     kphi, kprime = _dual(p, dp, phi.k)
-    return _first_mismatch(_b_zero_table, (kprime, kphi), dp, phi.k, phi.N)
+    got = (_lattice_sum(_b_zero_table(n), (kprime, kphi), phi.k, n) for n in range(1, phi.N + 1))
+    return _first_difference(phi.k, got, dp[1:])
 
 
 def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
@@ -481,5 +482,5 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
             f"degree {phi.N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}")
     _, (p, c) = _graded(phi, chi)
     kphi, kcc = _cfree(p, p, phi.k), _cc(p, c, phi.k)
-    want = [list(map(sub, x, y)) for x, y in zip(c, p)]
-    return _first_mismatch(_bopp_zero_table, (kcc, kphi), want, phi.k, phi.N)
+    got = (_lattice_sum(_bopp_zero_table(n), (kcc, kphi), phi.k, n) for n in range(1, phi.N + 1))
+    return _first_difference(phi.k, got, [list(map(sub, x, y)) for x, y in zip(c[1:], p[1:])])

@@ -49,13 +49,13 @@ from .families import (
     DeltaTensor,
     MultilinearFamily,
     Word,
-    _first_difference,
     diagonal_delta,
     is_tracial,
     truncate,
 )
 from .cumulants import (
     _boolean,
+    _first_difference,
     _first_word,
     _graded,
     _lattice_sum,
@@ -226,7 +226,8 @@ def cumulant_transform_counterexample(
         raise NotTracial("phi must be tracial")
     phi_prime = delta_star(delta, boolean_cumulants(chi))
     lhs = infinitesimal_cumulants(truncate(phi, phi.N - 1), phi_prime)
-    return _first_difference(lhs, delta_star(delta, cfree_cumulants(phi, chi)))
+    rhs = delta_star(delta, cfree_cumulants(phi, chi))
+    return _first_difference(phi.k, lhs._layers[1:], rhs._layers[1:])
 
 
 def verify_theorem_delta(
@@ -247,7 +248,8 @@ def cyclic_cumulant_counterexample(mu: MultilinearFamily, nu: MultilinearFamily)
         raise NotTracial("mu must be tracial")
     mu_prime = psi_k(nu)
     lhs = infinitesimal_cumulants(truncate(mu, mu.N - 1), mu_prime)
-    return _first_difference(lhs, delta_star(diagonal_delta(mu.k), cfree_cumulants(mu, nu)))
+    rhs = delta_star(diagonal_delta(mu.k), cfree_cumulants(mu, nu))
+    return _first_difference(mu.k, lhs._layers[1:], rhs._layers[1:])
 
 
 def verify_theorem_cyclic(mu: MultilinearFamily, nu: MultilinearFamily) -> bool:

@@ -1,11 +1,13 @@
 """Truncated families of multilinear functionals with exact rational values.
 
-A family of degree N over k generators stores one rational per word of
-length 1..N with letters in {1..k}.  Moment families, every brand of
-cumulants and the derivative-style functionals all share this one
-representation; the `kind` tag records which role a table plays and fixes
-the implied degree-0 normalization (1 for moment-like kinds, 0 for the
-infinitesimal ones).
+A family of degree N over k generators holds one rational per word of
+length 1..N with letters in {1..k}, as its layers, the format the kernels
+of `cumulants` read and write: layer n is the tuple of the values of the
+words of length n in rank order (`words_of_length`).  Moment families,
+every brand of cumulants and the derivative-style functionals all share
+this one representation; the `kind` tag records which role a table plays
+and fixes the implied degree-0 normalization (1 for moment-like kinds, 0
+for the infinitesimal ones).
 
 Degree bookkeeping matters throughout the package: a family of degree N
 answers only words of length <= N, and the one degree-consuming operation
@@ -67,11 +69,6 @@ def all_words(k: int, max_n: int):
         yield from words_of_length(k, n)
 
 
-def _first_difference(f, g):
-    """The first word of f's shape where f and g differ, or None."""
-    return next((w for w in all_words(f.k, f.N) if f(w) != g(w)), None)
-
-
 def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
@@ -80,36 +77,43 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-class MultilinearFamily:
-    """Word-indexed table of exact rationals in `all_words` order; immutable."""
+def _check_shape(k: int, N: int, kind: str) -> None:
+    if k < 1 or N < 1:
+        raise ShapeMismatch(f"k and N must be positive, got k={k}, N={N}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
 
-    __slots__ = ("k", "N", "kind", "unit", "_values", "_hash")
+
+class MultilinearFamily:
+    """Exact rationals on the words of length 1..N, as layers 0..N with
+    layers[0] = (); immutable."""
+
+    __slots__ = ("k", "N", "kind", "unit", "_layers", "_hash")
 
     def __init__(self, k: int, N: int, values, kind: str = "moment") -> None:
-        if k < 1 or N < 1:
-            raise ShapeMismatch(f"k and N must be positive, got k={k}, N={N}")
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
-        table: dict[Word, Fraction] = {}
+        _check_shape(k, N, kind)
+        layers = [[] for _ in range(N + 1)]
         for w in all_words(k, N):
             try:
                 v = values[w]
             except KeyError:
                 raise ShapeMismatch(f"missing value for word {w}") from None
-            table[w] = v if isinstance(v, Fraction) else Fraction(v)
-        self._fill(k, N, table, kind)
+            layers[len(w)].append(v if isinstance(v, Fraction) else Fraction(v))
+        self._fill(k, N, tuple(map(tuple, layers)), kind)
 
-    def _fill(self, k: int, N: int, table: dict, kind: str) -> None:
+    def _fill(self, k: int, N: int, layers: tuple, kind: str) -> None:
         unit = "zero" if kind in _UNIT_ZERO_KINDS else "one"
-        for name, value in zip(self.__slots__, (k, N, kind, unit, table, None)):
+        for name, value in zip(self.__slots__, (k, N, kind, unit, layers, None)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _trusted(cls, k: int, N: int, values: dict, kind: str) -> "MultilinearFamily":
-        """The family with the given table, unchecked: it must map all_words(k,
-        N), in order, to Fractions.  Only the transforms skip validation."""
+    def _trusted(cls, k: int, N: int, layers: tuple, kind: str) -> "MultilinearFamily":
+        """The family with the given layers, unchecked: a tuple whose layer
+        0 is () and whose layer n, for n = 1..N, is the tuple of the
+        Fractions of the words of length n in rank order.  Only the
+        transforms skip validation."""
         self = object.__new__(cls)
-        self._fill(k, N, values, kind)
+        self._fill(k, N, layers, kind)
         return self
 
     def __setattr__(self, name, value):
@@ -121,41 +125,43 @@ class MultilinearFamily:
             raise DegreeTooLow(
                 f"word of length {len(w)} beyond truncation degree {self.N}"
             )
-        try:
-            return self._values[w]
-        except KeyError:
-            raise PositionOutOfRange(f"letters of {w} outside 1..{self.k}") from None
+        letters = range(1, self.k + 1)
+        if not w or not all(x in letters for x in w):
+            raise PositionOutOfRange(f"letters of {w} outside 1..{self.k}")
+        rank = 0
+        for x in w:
+            rank = rank * self.k + letters.index(x)
+        return self._layers[len(w)][rank]
 
     @property
     def values(self) -> dict[Word, Fraction]:
-        return dict(self._values)
+        """A fresh word -> value dict, in `all_words` order."""
+        return dict(zip(all_words(self.k, self.N), itertools.chain(*self._layers)))
 
     def __eq__(self, other):
         return (
             isinstance(other, MultilinearFamily)
             and self.k == other.k
             and self.N == other.N
-            and self._values == other._values
+            and self._layers == other._layers
         )
 
     def __hash__(self):
         if self._hash is None:
-            h = hash((self.k, self.N, tuple(sorted(self._values.items()))))
-            object.__setattr__(self, "_hash", h)
+            object.__setattr__(self, "_hash", hash((self.k, self.N, self._layers)))
         return self._hash
 
     def __repr__(self):
         return f"MultilinearFamily(k={self.k}, N={self.N}, kind={self.kind!r})"
 
     def to_json_dict(self) -> dict:
-        items = sorted(self._values.items(), key=lambda kv: (len(kv[0]), kv[0]))
         return {
             "k": self.k,
             "N": self.N,
             "kind": self.kind,
             "unit": self.unit,
             "values": {
-                ",".join(map(str, w)): format_rational(v) for w, v in items
+                ",".join(map(str, w)): format_rational(v) for w, v in self.values.items()
             },
         }
 
@@ -169,7 +175,7 @@ class MultilinearFamily:
             fam = cls(data["k"], data["N"], values, kind=data.get("kind", "moment"))
         except _MALFORMED as exc:
             raise InvalidFamily(f"malformed family data: {exc!r}") from None
-        if len(data["values"]) != len(fam._values):
+        if len(data["values"]) != sum(map(len, fam._layers)):
             raise InvalidFamily(
                 f"values must name each word of length 1..{fam.N} over 1..{fam.k} exactly once"
             )
@@ -193,12 +199,9 @@ def truncate(f: MultilinearFamily, N: int, kind: str | None = None) -> Multiline
     """Drop all words longer than N."""
     if N > f.N:
         raise DegreeTooLow(f"cannot extend degree {f.N} family to {N}")
-    return MultilinearFamily(
-        f.k,
-        N,
-        {w: f(w) for w in all_words(f.k, N)},
-        kind=kind if kind is not None else f.kind,
-    )
+    kind = kind if kind is not None else f.kind
+    _check_shape(f.k, N, kind)
+    return MultilinearFamily._trusted(f.k, N, f._layers[:N + 1], kind)
 
 
 def restrict(f: MultilinearFamily, word, positions) -> Fraction:
@@ -216,12 +219,8 @@ def restrict(f: MultilinearFamily, word, positions) -> Fraction:
 def is_tracial(f: MultilinearFamily) -> bool:
     """True iff every word's value is invariant under cyclic rotation: each
     layer equals its gather through the rank map of the rotation by one."""
-    values = iter(f._values.values())
-    for n in range(1, f.N + 1):
-        layer = list(itertools.islice(values, f.k ** n))
-        if layer != [layer[r] for r in _ranks(f.k, n, (*range(1, n), 0))]:
-            return False
-    return True
+    return all(layer == tuple([layer[r] for r in _ranks(f.k, n, (*range(1, n), 0))])
+               for n, layer in enumerate(f._layers[1:], 1))
 
 
 def _draw(rng: _random.Random) -> Fraction:
@@ -239,8 +238,9 @@ def random_tracial(k: int, N: int, seed: int, kind: str = "moment") -> Multiline
     """Seeded family constant on cyclic classes of words, hence tracial:
     each class draws at its least rank, in rank order, and spreads the value
     along its orbit under the rank map of the rotation by one."""
+    _check_shape(k, N, kind)
     rng = _random.Random(("tracial", k, N, seed).__repr__())
-    values = []
+    layers = [()]
     for n in range(1, N + 1):
         step = _ranks(k, n, (*range(1, n), 0))
         layer = [None] * k ** n
@@ -249,8 +249,8 @@ def random_tracial(k: int, N: int, seed: int, kind: str = "moment") -> Multiline
                 v = _draw(rng)
                 while layer[r] is None:
                     layer[r], r = v, step[r]
-        values += layer
-    return MultilinearFamily(k, N, dict(zip(all_words(k, N), values)), kind=kind)
+        layers.append(tuple(layer))
+    return MultilinearFamily._trusted(k, N, tuple(layers), kind)
 
 
 def relabel(f: MultilinearFamily, offset: int) -> MultilinearFamily:

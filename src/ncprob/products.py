@@ -14,8 +14,9 @@ ways, from one pass over dual numbers.
 from operator import add
 
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
-from .families import MultilinearFamily, _first_difference, is_tracial, truncate
-from .cumulants import _cfree, _dual, _graded, _moments, _moments_cfree, _ungraded
+from .families import MultilinearFamily, is_tracial, truncate
+from .cumulants import (
+    _cfree, _dual, _first_difference, _graded, _moments, _moments_cfree, _ungraded)
 from .deltastar import psi_k
 
 
@@ -156,7 +157,7 @@ def _intertwine_counterexample(check_pairs, c_op, b_op, mu1, nu1, mu2, nu2):
         raise NotTracial("mu1 and mu2 must be tracial")
     _, nu = c_op(mu1, nu1, mu2, nu2)
     _, mup = b_op(truncate(mu1, mu1.N - 1), psi_k(nu1), truncate(mu2, mu2.N - 1), psi_k(nu2))
-    return _first_difference(mup, psi_k(nu))
+    return _first_difference(mup.k, mup._layers[1:], psi_k(nu)._layers[1:])
 
 
 def product_intertwine_counterexample(

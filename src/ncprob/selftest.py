@@ -59,9 +59,9 @@ from . import (
     to_pair,
     truncate,
 )
-from .cumulants import _cc_cumulants, _first_word, _graded, _lattice_sum, _ll_one_table
+from .cumulants import (
+    _cc_cumulants, _first_difference, _first_word, _graded, _lattice_sum, _ll_one_table)
 from .deltastar import _gamma_eta_counterexample, _gamma_eta_tables
-from .families import _first_difference
 
 
 def _criterion_catalan(seed):
@@ -247,17 +247,18 @@ def _criterion_cfree_formula(seed):
 def _explicit_failure(phi, chi):
     """The first word where the explicit c-free formula and the recursion
     differ, or None."""
-    return _first_difference(cfree_explicit(phi, chi), cfree_cumulants(phi, chi))
+    got, want = cfree_explicit(phi, chi), cfree_cumulants(phi, chi)
+    return _first_difference(phi.k, got._layers[1:], want._layers[1:])
 
 
 def _cc_difference_failure(phi, chi):
     """The first word where the signed-lattice cumulants of (phi, chi),
     solved over the opposite-order lattice, differ from the c-free minus the
     free cumulants, or None."""
-    kf = free_cumulants(phi)._values
-    kc = cfree_cumulants(phi, chi)._values
-    kcc = _cc_cumulants(phi, chi)._values
-    return next((w for w in all_words(phi.k, phi.N) if kcc[w] != kc[w] - kf[w]), None)
+    kf = free_cumulants(phi)._layers[1:]
+    kc = cfree_cumulants(phi, chi)._layers[1:]
+    want = [tuple(a - b for a, b in zip(x, y)) for x, y in zip(kc, kf)]
+    return _first_difference(phi.k, _cc_cumulants(phi, chi)._layers[1:], want)
 
 
 def _criterion_cc(seed):

@@ -171,16 +171,14 @@ def zero_blocks(sigma: SignedNcPartition) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _abs_block(block: tuple[int, ...]) -> tuple[int, ...]:
+    """Abs(U): the sorted absolute values of a signed block."""
+    return tuple(sorted({abs(x) for x in block}))
+
+
 def abs_partition(sigma: SignedNcPartition) -> NcPartition:
     """The partition {Abs(U)} of {1..n}; blocks U and -U collapse to one."""
-    seen = set()
-    blocks = []
-    for b in sigma.blocks:
-        a = tuple(sorted({abs(x) for x in b}))
-        if a not in seen:
-            seen.add(a)
-            blocks.append(a)
-    return NcPartition(sigma.n, blocks)
+    return NcPartition(sigma.n, list(dict.fromkeys(map(_abs_block, sigma.blocks))))
 
 
 def from_pair(pi: NcPartition, s) -> SignedNcPartition:
@@ -209,12 +207,8 @@ def _pair_blocks(pi: NcPartition, chosen) -> list[tuple[int, ...]]:
 def to_pair(sigma: SignedNcPartition) -> tuple[NcPartition, tuple[tuple[int, ...], ...]]:
     """Inverse of from_pair: the absolute-value partition plus the set of
     outer blocks coming from zero-blocks."""
-    pi = abs_partition(sigma)
-    zs = zero_blocks(sigma)
-    s = tuple(
-        sorted(tuple(sorted({abs(x) for x in sigma.blocks[i]})) for i in zs)
-    )
-    return pi, s
+    zero = (sigma.blocks[i] for i in zero_blocks(sigma))
+    return abs_partition(sigma), tuple(sorted(map(_abs_block, zero)))
 
 
 # ---------------------------------------------------------------------------

@@ -604,13 +604,13 @@ def test_signed_checks_report_the_first_counterexample(monkeypatch, theorem, tab
     monkeypatch.setattr(cu, table, broken)
     if theorem == "eq5a":
         phi, phip = _families(2, 4, 5, "infinitesimal")
-        check, args, want = eq_typeb_counterexample, (phi, phip), phip._values
-        sources = (infinitesimal_cumulants(phi, phip)._values, free_cumulants(phi)._values)
+        check, args, want = eq_typeb_counterexample, (phi, phip), phip.values
+        sources = (infinitesimal_cumulants(phi, phip).values, free_cumulants(phi).values)
     else:
         phi, chi = _families(2, 4, 5)
         check, args = eq_bopp_counterexample, (phi, chi)
         want = {w: chi(w) - phi(w) for w in all_words(2, 4)}
-        sources = (cc_cumulants(phi, chi)._values, free_cumulants(phi)._values)
+        sources = (cc_cumulants(phi, chi).values, free_cumulants(phi).values)
     first = next((w for w in all_words(2, 4)
                   if _word_lattice_sum(broken(len(w)), sources, w) != want[w]), None)
     assert first is not None and len(first) == 3
@@ -618,6 +618,30 @@ def test_signed_checks_report_the_first_counterexample(monkeypatch, theorem, tab
     report = verify_report(theorem, 5, 2, 4)
     assert report["ok"] is False
     assert report["counterexample"] == list(first)
+
+
+@pytest.mark.parametrize("k,N", [(1, 8), (2, 5), (3, 4)])
+def test_first_difference_matches_the_word_by_word_oracle(k, N):
+    # one value off at a random word: the layer helper names the word a
+    # per-word scan finds, whether the layers are lists, tuples or lazy
+    from random import Random
+
+    from ncprob.cumulants import _first_difference
+
+    rng = Random(f"first-difference {k}")
+    for seed in range(8):
+        f = random_family(k, N, seed=seed)
+        layers = f._layers[1:]
+        lists = [list(layer) for layer in layers]
+        for got, want in ((layers, layers), (lists, layers), (layers, lists)):
+            assert _first_difference(k, got, want) is None
+        values = f.values
+        values[rng.choice(list(values))] += Fraction(1, 7)
+        g = MultilinearFamily(k, N, values)
+        oracle = next(w for w in all_words(k, N) if f(w) != g(w))
+        assert _first_difference(k, layers, g._layers[1:]) == oracle
+        assert _first_difference(k, lists, g._layers[1:]) == oracle
+        assert _first_difference(k, (list(x) for x in g._layers[1:]), layers) == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +750,7 @@ def _lattice_oracles():
 
     def lattice(rows_of, *sources):
         k, N = sources[0].k, sources[0].N
-        vals = [f._values for f in sources]
+        vals = [f.values for f in sources]
         return {w: _word_lattice_sum(rows_of(len(w)), vals, w) for w in all_words(k, N)}
 
     def kphi(phi):
@@ -742,32 +766,32 @@ def _lattice_oracles():
 
     return {
         "free_cumulants": (
-            ("moment",), lambda a, out: (out._values, lattice(_nc_mob_table, *a))),
+            ("moment",), lambda a, out: (out.values, lattice(_nc_mob_table, *a))),
         "moments_from_free": (
-            ("free-cumulant",), lambda a, out: (out._values, lattice(nc_one, *a))),
+            ("free-cumulant",), lambda a, out: (out.values, lattice(nc_one, *a))),
         "boolean_cumulants": (
-            ("moment",), lambda a, out: (out._values, lattice(signed_intervals, *a))),
+            ("moment",), lambda a, out: (out.values, lattice(signed_intervals, *a))),
         "moments_from_boolean": (
-            ("boolean-cumulant",), lambda a, out: (out._values, lattice(intervals, *a))),
+            ("boolean-cumulant",), lambda a, out: (out.values, lattice(intervals, *a))),
         "cfree_cumulants": (
             ("moment", "moment"),
-            lambda a, out: (a[1]._values, lattice(_roles_table, kphi(a[0]), out))),
+            lambda a, out: (a[1].values, lattice(_roles_table, kphi(a[0]), out))),
         "moments_from_cfree": (
             ("moment", "cfree-cumulant"),
-            lambda a, out: (out._values, lattice(_roles_table, kphi(a[0]), a[1]))),
+            lambda a, out: (out.values, lattice(_roles_table, kphi(a[0]), a[1]))),
         "cfree_explicit": (
-            ("moment", "moment"), lambda a, out: (out._values, explicit(*a))),
+            ("moment", "moment"), lambda a, out: (out.values, explicit(*a))),
         "cc_cumulants": (
-            ("moment", "moment"), lambda a, out: (out._values, _cc_cumulants(*a)._values)),
+            ("moment", "moment"), lambda a, out: (out.values, _cc_cumulants(*a).values)),
         "moments_from_cc": (
             ("moment", "cc-cumulant"),
-            lambda a, out: (out._values, lattice(_bopp_table, kphi(a[0]), a[1]))),
+            lambda a, out: (out.values, lattice(_bopp_table, kphi(a[0]), a[1]))),
         "infinitesimal_cumulants": (
             ("moment", "infinitesimal"),
-            lambda a, out: (out._values, lattice(marked(_nc_mob_table), a[1], a[0]))),
+            lambda a, out: (out.values, lattice(marked(_nc_mob_table), a[1], a[0]))),
         "infinitesimal_moments": (
             ("free-cumulant", "infinitesimal-cumulant"),
-            lambda a, out: (out._values, lattice(marked(nc_one), a[1], a[0]))),
+            lambda a, out: (out.values, lattice(marked(nc_one), a[1], a[0]))),
     }
 
 

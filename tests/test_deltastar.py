@@ -358,7 +358,7 @@ def test_cyclic_identity_checks_psi_k(monkeypatch):
     mu = random_tracial(2, 4, seed=103)
     nu = random_family(2, 4, seed=104)
     good = ds.psi_k(nu)
-    values = dict(good._values)
+    values = dict(good.values)
     values[(2, 1)] += 1
     monkeypatch.setattr(
         ds, "psi_k", lambda f: MultilinearFamily(good.k, good.N, values, kind=good.kind)
@@ -392,7 +392,7 @@ def test_transform_identity_reports_the_word_where_one_side_is_off(monkeypatch):
 
     def off(phi, phi_prime):
         good = real(phi, phi_prime)
-        values = dict(good._values)
+        values = dict(good.values)
         values[(2, 1, 1)] += 1
         return MultilinearFamily(good.k, good.N, values, kind=good.kind)
 

@@ -42,6 +42,42 @@ def test_call_and_errors():
         f((1, 3))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_call_reads_exactly_the_words_of_the_table(k):
+    # letters equal to 1..k read their word, whatever their type; anything
+    # else is out of range, and a word longer than N is too long first
+    f = random_family(k, 3, seed=30 + k)
+    table = f.values
+    for w in all_words(k, 3):
+        assert f(w) == f(list(w)) == f(tuple(map(float, w))) == table[w]
+    assert f((True,)) == f((1.0,)) == table[(1,)]
+    for bad in [(), ("1",), (0,), (k + 1,), (1.5,), (None,), (1, 0), (k, k + 1), (1, 1, -1)]:
+        with pytest.raises(PositionOutOfRange):
+            f(bad)
+    for long in [(1,) * 4, (0,) * 4, ("1",) * 5]:
+        with pytest.raises(DegreeTooLow):
+            f(long)
+    assert list(table) == list(all_words(k, 3))
+    assert list(f.to_json_dict()["values"]) == [",".join(map(str, w)) for w in table]
+    table[(1,)] += 1
+    assert f((1,)) == f.values[(1,)] != table[(1,)]
+
+
+def test_truncate_and_random_tracial_check_shape_and_kind():
+    f = random_family(2, 4, seed=15)
+    g = truncate(f, 2, kind="infinitesimal")
+    assert g == MultilinearFamily(2, 2, {w: f(w) for w in all_words(2, 2)}, kind="infinitesimal")
+    assert (g.kind, g.unit) == ("infinitesimal", "zero")
+    with pytest.raises(ShapeMismatch):
+        truncate(f, 0)
+    with pytest.raises(ValueError):
+        truncate(f, 2, kind="bogus")
+    with pytest.raises(ShapeMismatch):
+        random_tracial(0, 3, seed=1)
+    with pytest.raises(ValueError):
+        random_tracial(2, 3, seed=1, kind="bogus")
+
+
 def test_unit_flag_follows_kind():
     assert random_family(1, 2, seed=0).unit == "one"
     assert random_family(1, 2, seed=0, kind="infinitesimal").unit == "zero"
@@ -165,7 +201,7 @@ def test_trusted_construction_matches_the_validating_constructor(kind):
 
     for f in (random_family(2, 3, seed=5, kind=kind),
               free_cumulants(random_family(3, 3, seed=6))):
-        g = MultilinearFamily._trusted(f.k, f.N, dict(f._values), kind)
+        g = MultilinearFamily._trusted(f.k, f.N, f._layers, kind)
         checked = MultilinearFamily(f.k, f.N, f.values, kind=kind)
         assert g == checked and hash(g) == hash(checked)
         assert g.to_json_dict() == checked.to_json_dict()

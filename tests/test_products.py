@@ -331,7 +331,7 @@ def test_cumulant_tables_determine_families():
 
 
 def _off_on_one_word(fam, w):
-    values = dict(fam._values)
+    values = dict(fam.values)
     values[w] += 1
     return MultilinearFamily(fam.k, fam.N, values, kind=fam.kind)
 
@@ -385,9 +385,9 @@ def _oracle(op, mu1, nu1, mu2, nu2):
     """The op composed of public transforms and the dict-level joins."""
     N = mu1.N
     if op in ("free_product", "cfree_product", "infinitesimal_product"):
-        join = lambda a, b, kind: _concat(a._values, mu1.k, b._values, mu2.k, N, kind)  # noqa: E731
+        join = lambda a, b, kind: _concat(a.values, mu1.k, b.values, mu2.k, N, kind)  # noqa: E731
     else:
-        join = lambda a, b, kind: _add(a._values, b._values, mu1.k, N, kind)  # noqa: E731
+        join = lambda a, b, kind: _add(a.values, b.values, mu1.k, N, kind)  # noqa: E731
     kappa = join(free_cumulants(mu1), free_cumulants(mu2), "free-cumulant")
     mu = moments_from_free(kappa)
     if op in ("free_product", "boxplus"):
