@@ -111,7 +111,7 @@ class MultilinearFamily:
         """The family with the given layers, unchecked: a tuple whose layer
         0 is () and whose layer n, for n = 1..N, is the tuple of the
         Fractions of the words of length n in rank order.  Only the
-        transforms skip validation."""
+        transforms, `truncate` and the random families skip validation."""
         self = object.__new__(cls)
         self._fill(k, N, layers, kind)
         return self
@@ -228,10 +228,12 @@ def _draw(rng: _random.Random) -> Fraction:
 
 
 def random_family(k: int, N: int, seed: int, kind: str = "moment") -> MultilinearFamily:
-    """Seeded family with small rational entries; deterministic per seed."""
+    """Seeded family with small rational entries; deterministic per seed.
+    The words draw in `all_words` order, layer by layer in rank order."""
+    _check_shape(k, N, kind)
     rng = _random.Random(("family", k, N, seed).__repr__())
-    values = {w: _draw(rng) for w in all_words(k, N)}
-    return MultilinearFamily(k, N, values, kind=kind)
+    layers = ((), *(tuple(_draw(rng) for _ in range(k ** n)) for n in range(1, N + 1)))
+    return MultilinearFamily._trusted(k, N, layers, kind)
 
 
 def random_tracial(k: int, N: int, seed: int, kind: str = "moment") -> MultilinearFamily:

@@ -4,19 +4,35 @@ Two circular label orders are supported: type B places the labels as
 (1,..,n,-1,..,-n) around the circle, the opposite variant as
 (1,..,n,-n,..,-1).  A partition must be non-crossing for the chosen order
 and closed under negation; a block equal to its own negation is a
-zero-block.
+zero-block.  The constructor checks crossings with `nc.is_noncrossing` on
+the labels' positions in the flavor's order.
+
+Both lattices have comb(2n, n) elements.  The opposite order is built from
+its bijection with the pairs (pi in NC(n), a set of outer blocks of pi)
+(`from_pair`).  Type B is built as the partitions of 2n circle positions
+that the half-turn maps to themselves, by the block of the first position
+(`_half_turn_span`); it reads neither that bijection nor outer blocks, so
+its count is an independent check of comb(2n, n).
 """
 
+import itertools
 from enum import Enum
 from functools import lru_cache
 from math import comb
 
 from .errors import InvalidPartition, LimitExceeded, NotOuter
-from .nc import NcPartition, _block_text, _blocks_from_text, enumerate_nc, outer_blocks
+from .nc import (
+    Blocks,
+    NcPartition,
+    _block_text,
+    _blocks_from_text,
+    _nc_span,
+    enumerate_nc,
+    is_noncrossing,
+    outer_blocks,
+)
 
 DEFAULT_SIGNED_LIMIT = 8
-
-SignedBlocks = tuple[tuple[int, ...], ...]
 
 
 class Flavor(Enum):
@@ -44,16 +60,6 @@ def _sort_block(block) -> tuple[int, ...]:
     return tuple(pos + neg)
 
 
-def _crosses(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Linear interleave test on positions: four or more alternating runs."""
-    merged = sorted([(x, 0) for x in a] + [(x, 1) for x in b])
-    runs = 1
-    for i in range(1, len(merged)):
-        if merged[i][1] != merged[i - 1][1]:
-            runs += 1
-    return runs >= 4
-
-
 def _flavor(tag) -> Flavor:
     try:
         return Flavor(tag)
@@ -69,6 +75,9 @@ class SignedNcPartition:
     def __init__(self, n: int, flavor: Flavor, blocks) -> None:
         if n < 1:
             raise InvalidPartition(f"n must be positive, got {n}")
+        blocks = [tuple(b) for b in blocks]
+        if not all(blocks):
+            raise InvalidPartition("empty block")
         self._fill(n, flavor, blocks)
         canon = self.blocks
         elems = sorted(x for b in canon for x in b)
@@ -80,16 +89,8 @@ class SignedNcPartition:
         for s in block_sets:
             if frozenset(-x for x in s) not in universe:
                 raise InvalidPartition(f"not closed under negation: {sorted(s)}")
-        pos_blocks = [
-            tuple(sorted(_position(x, n, flavor) for x in b)) for b in canon
-        ]
-        for i in range(len(pos_blocks)):
-            for j in range(i + 1, len(pos_blocks)):
-                if _crosses(pos_blocks[i], pos_blocks[j]):
-                    raise InvalidPartition(
-                        f"crossing blocks in {flavor.value} order: "
-                        f"{canon[i]} and {canon[j]}"
-                    )
+        if not is_noncrossing([[_position(x, n, flavor) + 1 for x in b] for b in canon], 2 * n):
+            raise InvalidPartition(f"crossing blocks in {flavor.value} order: {canon}")
 
     def _fill(self, n: int, flavor: Flavor, blocks) -> None:
         canon = tuple(sorted((_sort_block(b) for b in blocks), key=_block_key))
@@ -216,75 +217,48 @@ def to_pair(sigma: SignedNcPartition) -> tuple[NcPartition, tuple[tuple[int, ...
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _symmetric_position_partitions(n: int, rotation: bool) -> tuple[SignedBlocks, ...]:
-    """Symmetric circular non-crossing partitions of 2n positions.
+def _half_turn_span(m: int) -> tuple[Blocks, ...]:
+    """All non-crossing partitions of the positions 0..2m-1 around a circle
+    that the half-turn p -> p+m maps to themselves, sorted canonically.
 
-    The symmetry is the rotation p -> p+n (type B negation) or the reflection
-    p -> 2n-1-p (opposite order negation).  Backtracking over the block of
-    the least uncovered position; committing a block commits its partner.
+    Recursive construction by the block B of position 0, as `_nc_span`
+    builds NC(n).  Either B is its own half-turn, B = S u (S+m) for a set S
+    in [0, m) holding 0; or B+m lies in one gap of B, so B fits in an arc of
+    at most m positions and B = S - t (mod 2m) for such an S and a t in S.
+    Each gap between neighbours in S holds any non-crossing partition, and
+    the gap's half-turn its mirror image.  In the second case the two arcs
+    after S and after S+m together hold one instance of size m-1-max S.
     """
-    size = 2 * n
-    if rotation:
-        g = lambda p: (p + n) % size
-    else:
-        g = lambda p: size - 1 - p
-    results: list[SignedBlocks] = []
+    if m == 0:
+        return ((),)
 
-    def backtrack(uncovered: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
-        if not uncovered:
-            results.append(tuple(sorted(blocks)))
-            return
-        p = uncovered[0]
-        rest = uncovered[1:]
-        # positions that can share a block with p without crossing anything
-        allowed = [
-            q for q in rest if all(not _crosses((p, q), blk) for blk in blocks)
-        ]
-        unc = set(uncovered)
-        for mask in range(1 << len(allowed)):
-            block = [p]
-            for i in range(len(allowed)):
-                if mask >> i & 1:
-                    block.append(allowed[i])
-            block_t = tuple(block)
-            partner = tuple(sorted(g(x) for x in block_t))
-            if partner == block_t:
-                nxt = tuple(x for x in uncovered if x not in set(block_t))
-                backtrack(nxt, blocks + (block_t,))
-                continue
-            pset = set(partner)
-            if pset & set(block_t):
-                continue
-            if not pset <= unc:
-                continue
-            if _crosses(block_t, partner):
-                continue
-            if any(_crosses(partner, blk) for blk in blocks):
-                continue
-            drop = pset | set(block_t)
-            nxt = tuple(x for x in uncovered if x not in drop)
-            backtrack(nxt, blocks + (block_t, partner))
+    def turned(blocks):
+        return tuple(tuple(p + m for p in b) for b in blocks)
 
-    backtrack(tuple(range(size)), ())
-    return tuple(sorted(results))
-
-
-def _label_of_position(p: int, n: int, flavor: Flavor) -> int:
-    if p < n:
-        return p + 1
-    if flavor is Flavor.B:
-        return -(p - n + 1)
-    return -(2 * n - p)
+    out: list[Blocks] = []
+    for mask in range(1 << (m - 1)):
+        s = (0,) + tuple(i + 1 for i in range(m - 1) if mask >> i & 1)
+        turn = tuple(p + m for p in s)
+        hi = s[-1]
+        place = (*range(hi + 1, m), *range(hi + 1 + m, 2 * m))
+        for combo in itertools.product(*[_nc_span(a + 1, b) for a, b in zip(s, s[1:])]):
+            inner = sum(combo, ())
+            inner += turned(inner)
+            for last in _nc_span(hi + 1, m):
+                out.append((s + turn,) + inner + last + turned(last))
+            for rest in _half_turn_span(m - 1 - hi):
+                body = (s, turn) + inner + tuple(tuple(place[i] for i in b) for b in rest)
+                out += (tuple(tuple(sorted((p - t) % (2 * m) for p in b)) for b in body) for t in s)
+    return tuple(sorted(tuple(sorted(blocks)) for blocks in out))
 
 
 @lru_cache(maxsize=None)
 def _enumerate_b(n: int) -> tuple[SignedNcPartition, ...]:
-    out = []
-    for blocks in _symmetric_position_partitions(n, rotation=True):
-        labeled = [
-            tuple(_label_of_position(p, n, Flavor.B) for p in b) for b in blocks
-        ]
-        out.append(SignedNcPartition._trusted(n, Flavor.B, labeled))
+    label = (*range(1, n + 1), *range(-1, -n - 1, -1))   # inverse of _position
+    out = [
+        SignedNcPartition._trusted(n, Flavor.B, [tuple(label[p] for p in b) for b in blocks])
+        for blocks in _half_turn_span(n)
+    ]
     return tuple(sorted(out, key=lambda s: s.blocks))
 
 

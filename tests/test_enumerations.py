@@ -58,11 +58,12 @@ def test_enumerated_nc_partitions_pass_the_validating_constructor(n, lattice):
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_enumerated_signed_partitions_pass_the_validating_constructor(n, flavor):
     parts = enumerate_signed(n, flavor)
     rebuilt = [SignedNcPartition(p.n, p.flavor, p.blocks) for p in parts]
     assert rebuilt == list(parts) == sorted(rebuilt)
+    assert len(set(rebuilt)) == len(rebuilt)
 
 
 if __name__ == "__main__":

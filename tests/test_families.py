@@ -72,10 +72,13 @@ def test_truncate_and_random_tracial_check_shape_and_kind():
         truncate(f, 0)
     with pytest.raises(ValueError):
         truncate(f, 2, kind="bogus")
-    with pytest.raises(ShapeMismatch):
-        random_tracial(0, 3, seed=1)
-    with pytest.raises(ValueError):
-        random_tracial(2, 3, seed=1, kind="bogus")
+    for random in (random_family, random_tracial):
+        with pytest.raises(ShapeMismatch):
+            random(0, 3, seed=1)
+        with pytest.raises(ShapeMismatch):
+            random(2, 0, seed=1)
+        with pytest.raises(ValueError):
+            random(2, 3, seed=1, kind="bogus")
 
 
 def test_unit_flag_follows_kind():
@@ -154,6 +157,24 @@ def test_is_tracial_matches_the_word_by_word_definition():
             assert is_tracial(g) == all(
                 g(u) == g(u[1:] + u[:1]) for u in all_words(k, N)
             )
+
+
+def test_random_family_matches_the_word_keyed_recipe():
+    # the draws of the definition: one per word in all_words order, passed
+    # to the validating constructor as a word-keyed dict
+    import random as _random
+
+    from ncprob.families import _draw
+
+    for kind in KINDS:
+        for k in range(1, 4):
+            for N in range(1, 5):
+                for seed in range(2):
+                    rng = _random.Random(("family", k, N, seed).__repr__())
+                    values = {w: _draw(rng) for w in all_words(k, N)}
+                    want = MultilinearFamily(k, N, values, kind=kind)
+                    got = random_family(k, N, seed, kind=kind)
+                    assert got == want and got.to_json_dict() == want.to_json_dict()
 
 
 def test_random_generators_deterministic():

@@ -1,4 +1,6 @@
 import json
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from ncprob import (
     to_pair,
     zero_blocks,
 )
-from ncprob.typeb import _label_of_position, _symmetric_position_partitions
+from ncprob.typeb import _position
 
 FIG2 = SignedNcPartition(5, Flavor.B, [(1, 3, -1, -3), (2,), (-2,), (4, 5), (-4, -5)])
 FIG3_LEFT = SignedNcPartition(
@@ -41,9 +43,10 @@ def test_counts_smallest():
 
 
 def test_counts_match_central_binomial():
-    for n in range(1, 7):
-        assert len(enumerate_signed(n, Flavor.B)) == signed_count(n)
-        assert len(enumerate_signed(n, Flavor.B_OPP)) == signed_count(n)
+    for n in range(1, 9):
+        for flavor in Flavor:
+            parts = enumerate_signed(n, flavor)
+            assert len(parts) == len(set(parts)) == signed_count(n)
     assert signed_count(4) == 70
 
 
@@ -159,17 +162,58 @@ def test_outer_subset_count_identity():
         assert total == signed_count(n)
 
 
-def test_backtracker_agrees_with_bijection_for_opposite_order():
-    # independent generation route for the same lattice
-    for n in range(1, 6):
-        built = []
-        for blocks in _symmetric_position_partitions(n, rotation=False):
-            labeled = [
-                tuple(_label_of_position(p, n, Flavor.B_OPP) for p in b)
-                for b in blocks
-            ]
-            built.append(SignedNcPartition(n, Flavor.B_OPP, labeled))
-        assert sorted(built) == list(enumerate_signed(n, Flavor.B_OPP))
+def _set_partitions(elems):
+    """Every set partition of the list elems, as lists of blocks."""
+    if not elems:
+        yield []
+        return
+    for part in _set_partitions(elems[1:]):
+        yield [[elems[0]], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [elems[0], *part[i]], *part[i + 1:]]
+
+
+@cache
+def _symmetric_set_partitions(n):
+    """The set partitions of +-1..+-n that negation maps to themselves."""
+    labels = [*range(1, n + 1), *range(-n, 0)]
+    return [
+        p for p in _set_partitions(labels)
+        if {frozenset(b) for b in p} == {frozenset(-x for x in b) for b in p}
+    ]
+
+
+def _has_crossing_quadruple(blocks, n, flavor):
+    pos = [sorted(_position(x, n, flavor) for x in b) for b in blocks]
+    return any(
+        a < c < b < d
+        for u in pos for v in pos if u is not v
+        for a, b in combinations(u, 2) for c, d in combinations(v, 2)
+    )
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumeration_and_constructor_follow_the_definition(n, flavor):
+    # definition oracle: the symmetric set partitions of +-[n] with no
+    # quadruple a < c < b < d of positions, a, b in one block and c, d in
+    # another, are the enumeration; the constructor rejects the rest
+    noncrossing = []
+    for p in _symmetric_set_partitions(n):
+        if _has_crossing_quadruple(p, n, flavor):
+            with pytest.raises(InvalidPartition):
+                SignedNcPartition(n, flavor, p)
+        else:
+            noncrossing.append(frozenset(map(frozenset, p)))
+    parts = enumerate_signed(n, flavor)
+    assert len(parts) == len(noncrossing)
+    assert {frozenset(map(frozenset, s.blocks)) for s in parts} == set(noncrossing)
+
+
+def test_constructor_rejects_an_empty_block():
+    for flavor in Flavor:
+        with pytest.raises(InvalidPartition, match="empty block"):
+            SignedNcPartition(1, flavor, [(1, -1), ()])
 
 
 def test_serialization():
