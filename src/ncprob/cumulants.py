@@ -36,10 +36,9 @@ the epsilon-part of the free cumulants of phi + epsilon * phi' over the
 dual numbers (epsilon^2 = 0), so their transforms run both steps on jets:
 tuples of parts, part j of a product summing part p of one factor times
 part j - p of the other, one part for the plain sums and two for the duals.
-The public wrappers and the products share the layer entries: `_cfree`
-(the free cumulants are `_cfree(p, p)`), `_moments` (the one
-length-by-length forward loop, on jets of one or two parts),
-`_moments_cfree` and `_dual` (both cumulant layers from one dual pass).
+The public wrappers, the products and the checks share the layer entries:
+`_cfree` (the free cumulants are `_cfree(p, p)`), `_moments_cfree`, and
+`_moments` and its inverse `_dual`, on jets of one part or two.
 
 The explicit c-free formula weighs the partitions with a unique outer
 block V by their Moebius value, which factors over the gaps of V through
@@ -131,8 +130,8 @@ def _first_word(k: int, n: int, got, want):
 
 def _first_difference(k: int, got, want):
     """The first word where two tables over k letters differ, or None: got
-    and want list their layers of lengths 1, 2, ... in step, and got may be
-    a generator, so that no layer past the first difference is built."""
+    and want list their layers of lengths 1, 2, ... in step, at one scale,
+    and got may be a generator, so that no layer past it is built."""
     found = (_first_word(k, n, x, y) for n, (x, y) in enumerate(zip(got, want), 1))
     return next((w for w in found if w is not None), None)
 
@@ -226,11 +225,12 @@ def _moments_cfree(p: list, kc: list, k: int) -> list:
     return _interval(_closed(k, (kc,), (p,), _blank(N), False), _blank(N), False)[0]
 
 
-def _dual(p: list, dp: list, k: int) -> tuple:
-    """(Graded free cumulants of p, graded infinitesimal cumulants of (p, dp)):
-    the real and epsilon parts of the free cumulants of p + epsilon * dp."""
-    N = len(p) - 1
-    return _closed(k, _blank(N, 2), (p, dp), _interval(_blank(N, 2), (p, dp), True), True)
+def _dual(jet: tuple, k: int) -> tuple:
+    """The free cumulant jet of the moments jet, inverting `_moments`: the
+    real part, and for (p, dp) the epsilon part of the free cumulants of
+    p + epsilon * dp, the infinitesimal cumulants, linear in dp."""
+    N, parts = len(jet[0]) - 1, len(jet)
+    return _closed(k, _blank(N, parts), jet, _interval(_blank(N, parts), jet, True), True)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def infinitesimal_cumulants(
     moments, with the usual Moebius weight."""
     _require_same_shape(phi, phi_prime)
     D, (p, dp) = _graded(phi, phi_prime)
-    return _ungraded(D, _dual(p, dp, phi.k)[1], phi.k, "infinitesimal-cumulant")
+    return _ungraded(D, _dual((p, dp), phi.k)[1], phi.k, "infinitesimal-cumulant")
 
 
 def infinitesimal_moments(
@@ -402,9 +402,13 @@ def cfree_explicit(
     the interval inverse of 1 + kappa_phi."""
     _require_same_shape(phi, chi)
     D, (p, c) = _graded(phi, chi)
-    F = _interval(_negated((_cfree(p, p, phi.k),)), _blank(phi.N), False)
-    out = _closed(phi.k, (_boolean(c),), F, _blank(phi.N), False)[0]
-    return _ungraded(D, out, phi.k, "cfree-cumulant")
+    return _ungraded(D, _explicit(p, c, phi.k), phi.k, "cfree-cumulant")
+
+
+def _explicit(p: list, c: list, k: int) -> list:
+    """Graded c-free cumulants of (p, c) by the explicit formula."""
+    F = _interval(_negated((_cfree(p, p, k),)), _blank(len(p) - 1), False)
+    return _closed(k, (_boolean(c),), F, _blank(len(p) - 1), False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +433,18 @@ def cc_cumulants(
     return _ungraded(D, _cc(p, c, phi.k), phi.k, "cc-cumulant")
 
 
-def _cc_cumulants(phi: MultilinearFamily, chi: MultilinearFamily) -> MultilinearFamily:
-    """The alternative c-free cumulants by their definition: solve chi = the
-    sum over the opposite-order lattice, pairs carrying free cumulants of
-    phi and zero-blocks the unknown, for the unknown.  The row whose one
-    zero-block is the whole word isolates it; every other row needs it only
-    on shorter words, which are solved first."""
-    D, (p, c) = _graded(phi, chi)
-    kf, out = _cfree(p, p, phi.k), _blank(phi.N)[0]
-    for n in range(1, phi.N + 1):
+def _cc_cumulants(p: list, c: list, k: int) -> list:
+    """Graded alternative c-free cumulants of (phi, chi) = (p, c) by their
+    definition: solve chi = the sum over the opposite-order lattice, pairs
+    carrying free cumulants of phi and zero-blocks the unknown, for the
+    unknown.  The row whose one zero-block is the whole word isolates it;
+    every other row needs it only on shorter words, which are solved first."""
+    kf, out = _cfree(p, p, k), _blank(len(p) - 1)[0]
+    for n in range(1, len(p)):
         whole = (tuple(range(n)),)
         rows = [r for r in _bopp_table(n) if r[-1] != whole]
-        out[n] = list(map(sub, c[n], _lattice_sum(rows, (kf, out), phi.k, n)))
-    return _ungraded(D, out, phi.k, "cc-cumulant")
+        out[n] = list(map(sub, c[n], _lattice_sum(rows, (kf, out), k, n)))
+    return out
 
 
 def moments_from_cc(
@@ -467,7 +470,7 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
     _, (p, dp) = _graded(phi, phi_prime)
-    kphi, kprime = _dual(p, dp, phi.k)
+    kphi, kprime = _dual((p, dp), phi.k)
     got = (_lattice_sum(_b_zero_table(n), (kprime, kphi), phi.k, n) for n in range(1, phi.N + 1))
     return _first_difference(phi.k, got, dp[1:])
 

@@ -20,17 +20,19 @@ int at the scale T * D**(n+1), and each output word is one Fraction.  The
 slot table over the words (x, u) of length n sums x's triples (j, l, c)
 of c * f(l, u, j), a stride-k slice of f's layer n + 1 per triple; the
 output layer sums it at the n rotations of w, each gathered from the last
-through the rank map (`cumulants._ranks`) of the rotation by one.  `psi_k`
-reads the graded Boolean recursion of nu directly.
+through the rank map (`cumulants._ranks`) of the rotation by one.
+`_graded_psi`, the diagonal case (T = 1), reads the graded Boolean
+recursion of nu directly.
 
 This module also hosts the two block-decorated functionals gamma and eta,
 kept as Fraction implementations of their definitions and used as oracles,
 and the verification routines for the main identities relating c-free and
-infinitesimal cumulants.  Each case of the search for the block identity
-between gamma and eta is a two-row lattice sum.  Rows that agree as data
-(the same core, phi's blocks up to order and rotation) prove the case for
-every input; only rows that differ are summed over the layer, on slot
-tables of the Boolean cumulants of chi built on the first such case.
+infinitesimal cumulants, which compare both sides as ints at one scale.
+Each case of the search for the block identity between gamma and eta is a
+two-row lattice sum.  Rows that agree as data (the same core, phi's blocks
+up to order and rotation) prove the case for every input; only rows that
+differ are summed over the layer, on slot tables of the Boolean cumulants
+of chi built on the first such case.
 """
 
 from fractions import Fraction
@@ -51,10 +53,11 @@ from .families import (
     Word,
     diagonal_delta,
     is_tracial,
-    truncate,
 )
 from .cumulants import (
     _boolean,
+    _cfree,
+    _dual,
     _first_difference,
     _first_word,
     _graded,
@@ -62,8 +65,6 @@ from .cumulants import (
     _ranks,
     _ungraded,
     boolean_cumulants,
-    cfree_cumulants,
-    infinitesimal_cumulants,
 )
 from .nc import NcPartition, f_nm, ll_one
 
@@ -92,11 +93,11 @@ def _slot_table(expansion: dict, layer: list, k: int, L: int) -> list:
     return out
 
 
-def _graded_delta_star(delta: DeltaTensor, D: int, layers: list, k: int) -> MultilinearFamily:
-    """The transform on the graded layers of a family of degree N + 1, to
-    degree N: layer n sums the slot table of the input's layer n + 1 read at
-    the n rotations of w, each gathered from the last through the rank map
-    of the rotation by one; ints at scale T * D**(n+1), each one Fraction."""
+def _graded_delta_star(delta: DeltaTensor, layers: list, k: int) -> tuple[int, list]:
+    """(T, the transform's layers, to degree N) on the graded layers of a
+    family of degree N + 1: layer n sums the slot table of the input's layer
+    n + 1 read at the n rotations of w, each gathered from the last through
+    the rank map of the rotation by one; ints at scale T * D**(n+1)."""
     T, expansion = _scaled_expansion(delta)
     out = [[1]]
     for n in range(1, len(layers) - 1):
@@ -105,7 +106,12 @@ def _graded_delta_star(delta: DeltaTensor, D: int, layers: list, k: int) -> Mult
         for _ in range(n - 1):
             gathers.append([gathers[-1][r] for r in step])
         out.append(list(map(sum, zip(*gathers))))
-    return _ungraded(D, out, k, "infinitesimal", T * D)
+    return T, out
+
+
+def _graded_psi(c: list, k: int) -> list:
+    """psi_k on the graded moments c, at scale D**(n+1)."""
+    return _graded_delta_star(diagonal_delta(k), _boolean(c), k)[1]
 
 
 def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
@@ -115,7 +121,8 @@ def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
     if f.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (val,) = _graded(f)
-    return _graded_delta_star(delta, D, val, f.k)
+    T, out = _graded_delta_star(delta, val, f.k)
+    return _ungraded(D, out, f.k, "infinitesimal", T * D)
 
 
 def psi_delta(delta: DeltaTensor, chi: MultilinearFamily) -> MultilinearFamily:
@@ -132,7 +139,7 @@ def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
     if nu.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (c,) = _graded(nu)
-    return _graded_delta_star(diagonal_delta(nu.k), D, _boolean(c), nu.k)
+    return _ungraded(D, _graded_psi(c, nu.k), nu.k, "infinitesimal", D)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +222,8 @@ def cumulant_transform_counterexample(
 ):
     """Check that the infinitesimal cumulants of (phi, transform of Boolean
     cumulants of chi) equal the transform of the c-free cumulants of
-    (phi, chi), for tracial phi.  Returns the first failing word or None."""
+    (phi, chi), for tracial phi, both at T * D**(n+1) as `_dual` is linear
+    in its second input.  Returns the first failing word or None."""
     if phi.k != chi.k or phi.N != chi.N:
         raise ShapeMismatch("phi and chi must share k and N")
     if phi.k != delta.k:
@@ -224,10 +232,10 @@ def cumulant_transform_counterexample(
         raise DegreeTooLow("inputs must have degree at least 2")
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
-    phi_prime = delta_star(delta, boolean_cumulants(chi))
-    lhs = infinitesimal_cumulants(truncate(phi, phi.N - 1), phi_prime)
-    rhs = delta_star(delta, cfree_cumulants(phi, chi))
-    return _first_difference(phi.k, lhs._layers[1:], rhs._layers[1:])
+    _, (p, c) = _graded(phi, chi)
+    lhs = _dual((p[:-1], _graded_delta_star(delta, _boolean(c), phi.k)[1]), phi.k)[1]
+    rhs = _graded_delta_star(delta, _cfree(p, c, phi.k), phi.k)[1]
+    return _first_difference(phi.k, lhs[1:], rhs[1:])
 
 
 def verify_theorem_delta(
@@ -246,10 +254,10 @@ def cyclic_cumulant_counterexample(mu: MultilinearFamily, nu: MultilinearFamily)
         raise DegreeTooLow("inputs must have degree at least 2")
     if not is_tracial(mu):
         raise NotTracial("mu must be tracial")
-    mu_prime = psi_k(nu)
-    lhs = infinitesimal_cumulants(truncate(mu, mu.N - 1), mu_prime)
-    rhs = delta_star(diagonal_delta(mu.k), cfree_cumulants(mu, nu))
-    return _first_difference(mu.k, lhs._layers[1:], rhs._layers[1:])
+    _, (p, c) = _graded(mu, nu)
+    lhs = _dual((p[:-1], _graded_psi(c, mu.k)), mu.k)[1]
+    rhs = _graded_delta_star(diagonal_delta(mu.k), _cfree(p, c, mu.k), mu.k)[1]
+    return _first_difference(mu.k, lhs[1:], rhs[1:])
 
 
 def verify_theorem_cyclic(mu: MultilinearFamily, nu: MultilinearFamily) -> bool:

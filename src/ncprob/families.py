@@ -69,14 +69,6 @@ def all_words(k: int, max_n: int):
         yield from words_of_length(k, n)
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def _check_shape(k: int, N: int, kind: str) -> None:
     if k < 1 or N < 1:
         raise ShapeMismatch(f"k and N must be positive, got k={k}, N={N}")
@@ -161,7 +153,7 @@ class MultilinearFamily:
             "kind": self.kind,
             "unit": self.unit,
             "values": {
-                ",".join(map(str, w)): format_rational(v) for w, v in self.values.items()
+                ",".join(map(str, w)): str(v) for w, v in self.values.items()
             },
         }
 
@@ -169,7 +161,7 @@ class MultilinearFamily:
     def from_json_dict(cls, data) -> "MultilinearFamily":
         try:
             values = {
-                tuple(int(t) for t in key.split(",")): parse_rational(val)
+                tuple(int(t) for t in key.split(",")): Fraction(val)
                 for key, val in data["values"].items()
             }
             fam = cls(data["k"], data["N"], values, kind=data.get("kind", "moment"))
@@ -319,7 +311,7 @@ class DeltaTensor:
         return {
             "k": self.k,
             "entries": [
-                {"i": i, "j": j, "l": l, "value": format_rational(v)}
+                {"i": i, "j": j, "l": l, "value": str(v)}
                 for (i, j, l), v in sorted(self._entries.items())
             ],
         }
@@ -328,7 +320,7 @@ class DeltaTensor:
     def from_json_dict(cls, data) -> "DeltaTensor":
         try:
             entries = {
-                (e["i"], e["j"], e["l"]): parse_rational(e["value"])
+                (e["i"], e["j"], e["l"]): Fraction(e["value"])
                 for e in data["entries"]
             }
             return cls(data["k"], entries)

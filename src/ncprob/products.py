@@ -4,20 +4,21 @@ Everything is constructed in cumulant space, exactly as the defining
 prescriptions state it: products concatenate cumulants block-diagonally
 with vanishing mixed terms, convolutions add cumulants entrywise, and the
 moment tables are then rebuilt through the inverse transforms.  Each op
-grades its inputs once, at one D, runs the layer entries of `cumulants`,
-joins the cumulant layers (a scatter to their ranks over k1 + k2 letters,
-or an entrywise sum) and ungrades each output family once.  The
-infinitesimal operations get the free and the infinitesimal layers, both
-ways, from one pass over dual numbers.
+grades its inputs once, at one D, and ungrades each output once.  One core,
+`_joined`, serves the free and the infinitesimal ops: it runs the dual
+pass of `cumulants` on jets of one part or two, joins the cumulant layers
+part by part (a scatter to their ranks over k1 + k2 letters, or an
+entrywise sum) and runs the moments pass back.  The intertwining checks
+run the same cores on one grading and build no Fraction.
 """
 
 from operator import add
 
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
-from .families import MultilinearFamily, is_tracial, truncate
+from .families import MultilinearFamily, is_tracial
 from .cumulants import (
     _cfree, _dual, _first_difference, _graded, _moments, _moments_cfree, _ungraded)
-from .deltastar import psi_k
+from .deltastar import _graded_psi
 
 
 def _block_diagonal(k1: int, k2: int):
@@ -58,35 +59,33 @@ def _check_convolution_pairs(mu1, s1, mu2, s2) -> None:
         raise ShapeMismatch("all four inputs must share N")
 
 
-def _free_op(join, K: int, mu1, mu2) -> MultilinearFamily:
-    """The moments over K letters with mu1's and mu2's free cumulants joined."""
-    D, (p1, p2) = _graded(mu1, mu2)
-    kappa = join(_cfree(p1, p1, mu1.k), _cfree(p2, p2, mu2.k))
-    return _ungraded(D, _moments((kappa,), K)[0], K, "moment")
+def _joined(join, K: int, k1: int, jet1: tuple, k2: int, jet2: tuple) -> tuple:
+    """The graded moments jet over K letters whose free cumulant jet joins,
+    part by part, those of the moments jets jet1 over k1 and jet2 over k2."""
+    return _moments(tuple(map(join, _dual(jet1, k1), _dual(jet2, k2))), K)
 
 
-def _cfree_op(join, K: int, mu1, nu1, mu2, nu2):
-    """(Moments, c-free moments) over K letters with the two pairs' cumulants joined."""
-    D, (p1, c1, p2, c2) = _graded(mu1, nu1, mu2, nu2)
-    kappa = join(_cfree(p1, p1, mu1.k), _cfree(p2, p2, mu2.k))
-    kc = join(_cfree(p1, c1, mu1.k), _cfree(p2, c2, mu2.k))
-    mu = _moments((kappa,), K)[0]
-    return _ungraded(D, mu, K, "moment"), _ungraded(D, _moments_cfree(mu, kc, K), K, "moment")
+def _joined_cfree(join, K: int, k1: int, jet1: tuple, k2: int, jet2: tuple) -> tuple:
+    """(Moments, c-free moments) over K letters, graded, with the free and
+    c-free cumulants of the graded pairs jet1 = (p1, c1) and jet2 joined."""
+    (mu,) = _joined(join, K, k1, jet1[:1], k2, jet2[:1])
+    return mu, _moments_cfree(mu, join(_cfree(*jet1, k1), _cfree(*jet2, k2)), K)
 
 
-def _infinitesimal_op(join, K: int, mu1, mu1p, mu2, mu2p):
-    """(Moments, derivative family) over K letters with the pairs' cumulants joined."""
-    D, (p1, dp1, p2, dp2) = _graded(mu1, mu1p, mu2, mu2p)
-    (k1, dk1), (k2, dk2) = _dual(p1, dp1, mu1.k), _dual(p2, dp2, mu2.k)
-    mu, mup = _moments((join(k1, k2), join(dk1, dk2)), K)
-    return _ungraded(D, mu, K, "moment"), _ungraded(D, mup, K, "infinitesimal")
+def _op(join, K: int, pair1: tuple, pair2: tuple, core=_joined, kind="infinitesimal") -> tuple:
+    """Grade the two pairs at one D and build with core the moments over K
+    letters and, for pairs of two families, a second family of that kind."""
+    D, layers = _graded(*pair1, *pair2)
+    jet1, jet2 = tuple(layers[:len(pair1)]), tuple(layers[len(pair1):])
+    out = core(join, K, pair1[0].k, jet1, pair2[0].k, jet2)
+    return tuple(_ungraded(D, x, K, tag) for x, tag in zip(out, ("moment", kind)))
 
 
 def free_product(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
     """Free product of distributions over k and l generators."""
     if mu1.N != mu2.N:
         raise DegreeMismatch(f"degrees differ: {mu1.N} vs {mu2.N}")
-    return _free_op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, mu1, mu2)
+    return _op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, (mu1,), (mu2,))[0]
 
 
 def cfree_product(
@@ -98,7 +97,8 @@ def cfree_product(
     """c-free product of two pairs; the second output is reconstructed from
     the concatenated c-free cumulant prescription relative to the product."""
     _check_product_pairs(mu1, nu1, mu2, nu2)
-    return _cfree_op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, mu1, nu1, mu2, nu2)
+    return _op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, (mu1, nu1), (mu2, nu2),
+               _joined_cfree, "moment")
 
 
 def infinitesimal_product(
@@ -109,14 +109,14 @@ def infinitesimal_product(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free product of two pairs."""
     _check_product_pairs(mu1, mu1p, mu2, mu2p)
-    return _infinitesimal_op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, mu1, mu1p, mu2, mu2p)
+    return _op(_block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, (mu1, mu1p), (mu2, mu2p))
 
 
 def boxplus(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
     """Free additive convolution: free cumulants add entrywise."""
     if mu1.k != mu2.k or mu1.N != mu2.N:
         raise ShapeMismatch("inputs must share k and N")
-    return _free_op(_entrywise, mu1.k, mu1, mu2)
+    return _op(_entrywise, mu1.k, (mu1,), (mu2,))[0]
 
 
 def boxplus_c(
@@ -127,7 +127,7 @@ def boxplus_c(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """c-free additive convolution of two pairs over one generator set."""
     _check_convolution_pairs(mu1, nu1, mu2, nu2)
-    return _cfree_op(_entrywise, mu1.k, mu1, nu1, mu2, nu2)
+    return _op(_entrywise, mu1.k, (mu1, nu1), (mu2, nu2), _joined_cfree, "moment")
 
 
 def boxplus_b(
@@ -138,7 +138,7 @@ def boxplus_b(
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free additive convolution of two pairs."""
     _check_convolution_pairs(mu1, mu1p, mu2, mu2p)
-    return _infinitesimal_op(_entrywise, mu1.k, mu1, mu1p, mu2, mu2p)
+    return _op(_entrywise, mu1.k, (mu1, mu1p), (mu2, mu2p))
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +146,21 @@ def boxplus_b(
 # infinitesimal operations
 # ---------------------------------------------------------------------------
 
-def _intertwine_counterexample(check_pairs, c_op, b_op, mu1, nu1, mu2, nu2):
-    """Map both second components through the cyclic Boolean-cumulant map and
-    combine them with the infinitesimal operation b_op; the result must be
-    the image of the second component of the c-free operation c_op."""
+def _intertwine_counterexample(check_pairs, join, K, mu1, nu1, mu2, nu2):
+    """The intertwining statement for the ops that join cumulants by join
+    over K letters, both sides at the scale D**(n+1) of `_graded_psi`,
+    to which the infinitesimal part is linear."""
     check_pairs(mu1, nu1, mu2, nu2)
     if mu1.N < 2:
         raise DegreeTooLow("inputs must have degree at least 2")
     if not is_tracial(mu1) or not is_tracial(mu2):
         raise NotTracial("mu1 and mu2 must be tracial")
-    _, nu = c_op(mu1, nu1, mu2, nu2)
-    _, mup = b_op(truncate(mu1, mu1.N - 1), psi_k(nu1), truncate(mu2, mu2.N - 1), psi_k(nu2))
-    return _first_difference(mup.k, mup._layers[1:], psi_k(nu)._layers[1:])
+    _, (p1, c1, p2, c2) = _graded(mu1, nu1, mu2, nu2)
+    k1, k2 = mu1.k, mu2.k
+    nu = _joined_cfree(join, K, k1, (p1, c1), k2, (p2, c2))[1]
+    mup = _joined(join, K, k1, (p1[:-1], _graded_psi(c1, k1)),
+                  k2, (p2[:-1], _graded_psi(c2, k2)))[1]
+    return _first_difference(K, mup[1:], _graded_psi(nu, K)[1:])
 
 
 def product_intertwine_counterexample(
@@ -170,7 +173,7 @@ def product_intertwine_counterexample(
     the c-free and the infinitesimal free products.  Inputs at degree N+1,
     comparison at degree N.  Returns a failing word or None."""
     return _intertwine_counterexample(
-        _check_product_pairs, cfree_product, infinitesimal_product, mu1, nu1, mu2, nu2
+        _check_product_pairs, _block_diagonal(mu1.k, mu2.k), mu1.k + mu2.k, mu1, nu1, mu2, nu2
     )
 
 
@@ -187,7 +190,7 @@ def convolution_intertwine_counterexample(
     """Convolution statement, same shape as the product one.  Inputs at
     degree N+1, comparison at degree N.  Returns a failing word or None."""
     return _intertwine_counterexample(
-        _check_convolution_pairs, boxplus_c, boxplus_b, mu1, nu1, mu2, nu2
+        _check_convolution_pairs, _entrywise, mu1.k, mu1, nu1, mu2, nu2
     )
 
 

@@ -21,7 +21,6 @@ from . import (
     boolean_cumulants,
     catalan,
     cfree_cumulants,
-    cfree_explicit,
     cfree_product,
     convolution_intertwine_counterexample,
     cut,
@@ -53,14 +52,14 @@ from . import (
     random_delta,
     random_family,
     random_tracial,
-    relabel,
     signed_count,
     sqsubseteq,
     to_pair,
     truncate,
 )
 from .cumulants import (
-    _cc_cumulants, _first_difference, _first_word, _graded, _lattice_sum, _ll_one_table)
+    _boolean, _cc_cumulants, _cfree, _explicit, _first_difference, _first_word, _graded,
+    _lattice_sum, _ll_one_table)
 from .deltastar import _gamma_eta_counterexample, _gamma_eta_tables
 
 
@@ -221,14 +220,10 @@ def _criterion_cfree_formula(seed):
     fixed_rows = {n: _fixed_block_rows(n) for n in range(2, 6)}
     for i in range(20):
         s = seed * 1000 + 100 + i
-        phi = random_family(2, 5, seed=s)
-        chi = random_family(2, 5, seed=s + 5000)
-        kphi = free_cumulants(phi)
-        kc = cfree_cumulants(phi, chi)
-        if cfree_explicit(phi, chi) != kc:
+        _, (val, c) = _graded(random_family(2, 5, seed=s), random_family(2, 5, seed=s + 5000))
+        kp, kcl, bphi, bchi = _cfree(val, val, 2), _cfree(val, c, 2), _boolean(val), _boolean(c)
+        if _explicit(val, c, 2) != kcl:
             return False, f"explicit formula != recursion at draw {i}"
-        _, (kp, kcl, bphi, bchi, val) = _graded(
-            kphi, kc, boolean_cumulants(phi), boolean_cumulants(chi), phi)
         for n in range(1, 6):
             for want, sources, what in ((kp, (bphi, bphi), "free-from-boolean"),
                                         (kcl, (bchi, bphi), "c-free boolean")):
@@ -246,19 +241,19 @@ def _criterion_cfree_formula(seed):
 
 def _explicit_failure(phi, chi):
     """The first word where the explicit c-free formula and the recursion
-    differ, or None."""
-    got, want = cfree_explicit(phi, chi), cfree_cumulants(phi, chi)
-    return _first_difference(phi.k, got._layers[1:], want._layers[1:])
+    differ, or None; both sides graded at one D."""
+    _, (p, c) = _graded(phi, chi)
+    return _first_difference(phi.k, _explicit(p, c, phi.k)[1:], _cfree(p, c, phi.k)[1:])
 
 
 def _cc_difference_failure(phi, chi):
     """The first word where the signed-lattice cumulants of (phi, chi),
     solved over the opposite-order lattice, differ from the c-free minus the
-    free cumulants, or None."""
-    kf = free_cumulants(phi)._layers[1:]
-    kc = cfree_cumulants(phi, chi)._layers[1:]
-    want = [tuple(a - b for a, b in zip(x, y)) for x, y in zip(kc, kf)]
-    return _first_difference(phi.k, _cc_cumulants(phi, chi)._layers[1:], want)
+    free cumulants, or None; both sides graded at one D."""
+    _, (p, c) = _graded(phi, chi)
+    kc, kf = _cfree(p, c, phi.k), _cfree(p, p, phi.k)
+    want = [[a - b for a, b in zip(x, y)] for x, y in zip(kc[1:], kf[1:])]
+    return _first_difference(phi.k, _cc_cumulants(p, c, phi.k)[1:], want)
 
 
 def _criterion_cc(seed):
@@ -318,10 +313,8 @@ def _check_restrictions(product_nu, nu1, nu2, k):
     for w in all_words(nu1.k, nu1.N):
         if product_nu(w) != nu1(w):
             return False
-    shifted = relabel(nu2, k)
     for w in all_words(nu2.k, nu2.N):
-        sw = tuple(x + k for x in w)
-        if product_nu(sw) != shifted(sw):
+        if product_nu(tuple(x + k for x in w)) != nu2(w):
             return False
     return True
 

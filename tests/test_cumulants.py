@@ -730,7 +730,8 @@ def _lattice_oracles():
     """name -> (input kinds, expected(inputs, output)): the values each
     public transform must have, or for the cumulant directions the values
     it must reproduce, written as kernel sums over the lattice tables."""
-    from ncprob.cumulants import _bopp_table, _cc_cumulants, _ll_one_table, _nc_mob_table
+    from ncprob.cumulants import (
+        _bopp_table, _cc_cumulants, _graded, _ll_one_table, _nc_mob_table, _ungraded)
     from ncprob.nc import _interval_range
 
     def nc_one(n):
@@ -760,6 +761,11 @@ def _lattice_oracles():
         # pi << 1_n weighted by mu(pi, 1_n): the outer block, then the others
         return [(mob, (holder,), others) for mob, holder, others in _ll_one_table(n)]
 
+    def cc(phi, chi):
+        # the signed-lattice solve, on the graded layers of (phi, chi)
+        D, (p, c) = _graded(phi, chi)
+        return _ungraded(D, _cc_cumulants(p, c, phi.k), phi.k, "cc-cumulant").values
+
     def explicit(phi, chi):
         bchi = MultilinearFamily(chi.k, chi.N, lattice(signed_intervals, chi))
         return lattice(unique_outer, bchi, phi)
@@ -782,7 +788,7 @@ def _lattice_oracles():
         "cfree_explicit": (
             ("moment", "moment"), lambda a, out: (out.values, explicit(*a))),
         "cc_cumulants": (
-            ("moment", "moment"), lambda a, out: (out.values, _cc_cumulants(*a).values)),
+            ("moment", "moment"), lambda a, out: (out.values, cc(*a))),
         "moments_from_cc": (
             ("moment", "cc-cumulant"),
             lambda a, out: (out.values, lattice(_bopp_table, kphi(a[0]), a[1]))),

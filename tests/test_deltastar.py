@@ -351,19 +351,21 @@ def test_gamma_eta_rejects_bad_partition():
 
 
 def test_cyclic_identity_checks_psi_k(monkeypatch):
-    # the cyclic check must read psi_k itself: a psi_k that is off on one
-    # word has to make it fail
+    # the cyclic check must read psi_k's graded core itself: a core that is
+    # off on one word has to make it fail at that word
     import ncprob.deltastar as ds
 
+    real = ds._graded_psi
+
+    def off(c, k):
+        out = real(c, k)
+        out[2][words_of_length(2, 2).index((2, 1))] += 1
+        return out
+
+    monkeypatch.setattr(ds, "_graded_psi", off)
     mu = random_tracial(2, 4, seed=103)
     nu = random_family(2, 4, seed=104)
-    good = ds.psi_k(nu)
-    values = dict(good.values)
-    values[(2, 1)] += 1
-    monkeypatch.setattr(
-        ds, "psi_k", lambda f: MultilinearFamily(good.k, good.N, values, kind=good.kind)
-    )
-    assert ds.cyclic_cumulant_counterexample(mu, nu) is not None
+    assert ds.cyclic_cumulant_counterexample(mu, nu) == (2, 1)
     assert not verify_theorem_cyclic(mu, nu)
 
 
@@ -388,15 +390,15 @@ def test_decorated_functionals_check_inputs_before_boolean_cumulants(monkeypatch
 def test_transform_identity_reports_the_word_where_one_side_is_off(monkeypatch):
     import ncprob.deltastar as ds
 
-    real = ds.infinitesimal_cumulants
+    real = ds._dual
 
-    def off(phi, phi_prime):
-        good = real(phi, phi_prime)
-        values = dict(good.values)
-        values[(2, 1, 1)] += 1
-        return MultilinearFamily(good.k, good.N, values, kind=good.kind)
+    def off(jet, k):
+        # the infinitesimal cumulants, the epsilon part, off on one word
+        out = real(jet, k)
+        out[1][3][words_of_length(2, 3).index((2, 1, 1))] += 1
+        return out
 
-    monkeypatch.setattr(ds, "infinitesimal_cumulants", off)
+    monkeypatch.setattr(ds, "_dual", off)
     phi = random_tracial(2, 4, seed=124)
     chi = random_family(2, 4, seed=125)
     assert ds.cumulant_transform_counterexample(random_delta(2, seed=126), phi, chi) == (2, 1, 1)

@@ -28,6 +28,7 @@ from ncprob import (
     relabel,
     verify_convolution_intertwine,
     verify_product_intertwine,
+    words_of_length,
     zero_family,
 )
 
@@ -330,12 +331,6 @@ def test_cumulant_tables_determine_families():
     assert moments_from_free(k1) == moments_from_free(k2) == f
 
 
-def _off_on_one_word(fam, w):
-    values = dict(fam.values)
-    values[w] += 1
-    return MultilinearFamily(fam.k, fam.N, values, kind=fam.kind)
-
-
 @pytest.mark.parametrize(
     "check,op",
     [
@@ -344,17 +339,24 @@ def _off_on_one_word(fam, w):
     ],
 )
 def test_intertwine_reports_the_word_where_one_side_is_off(monkeypatch, check, op):
-    # the infinitesimal side is off on (1, 2) only: that word, and no earlier
-    # one, must come back as the counterexample
+    # the check runs the graded core of the infinitesimal op, not op itself;
+    # with that core off on (1, 2) only, that word, and no earlier one, must
+    # come back as the counterexample
     import ncprob.products as pr
 
-    real = getattr(pr, op)
+    real = pr._joined
 
-    def off(*args):
-        mu, mup = real(*args)
-        return mu, _off_on_one_word(mup, (1, 2))
+    def off(join, K, *jets):
+        out = real(join, K, *jets)
+        if len(out) == 2:  # the infinitesimal side: a moments jet of two parts
+            out[1][2][words_of_length(K, 2).index((1, 2))] += 1
+        return out
 
-    monkeypatch.setattr(pr, op, off)
+    def unreachable(*args):
+        raise AssertionError(f"{op} called by the check")
+
+    monkeypatch.setattr(pr, "_joined", off)
+    monkeypatch.setattr(pr, op, unreachable)
     mu1, nu1 = random_tracial(2, 4, seed=120), random_family(2, 4, seed=121)
     mu2, nu2 = random_tracial(2, 4, seed=122), random_family(2, 4, seed=123)
     assert getattr(pr, check)(mu1, nu1, mu2, nu2) == (1, 2)
