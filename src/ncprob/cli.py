@@ -3,46 +3,56 @@
 Exit codes: 0 on success or a verified identity, 1 when a verification
 fails (the counterexample is printed as JSON), 2 on usage errors.
 All output is deterministic for fixed arguments and seed.
+
+A fresh process loads `nc` and `typeb` (whose `Flavor` names the
+`--flavor` choices); each command imports the other layers it runs when it
+runs, and the `--theorem` choices are read from `selftest.TARGETS` when
+needed.  The enumerations print canonical block rows, with no partition
+objects.
 """
 
-import json
 import sys
+from functools import lru_cache
 
 import click
 
-from . import selftest as _selftest
 from .errors import InvalidFamily, NcprobError
-from .families import DeltaTensor, MultilinearFamily
-from .nc import NcPartition, enumerate_nc, kreweras, moebius_to_one
-from .typeb import Flavor, enumerate_signed
-from .cumulants import (
-    boolean_cumulants,
-    cc_cumulants,
-    cfree_cumulants,
-    free_cumulants,
-    infinitesimal_cumulants,
-    infinitesimal_moments,
-    moments_from_boolean,
-    moments_from_cc,
-    moments_from_cfree,
-    moments_from_free,
-)
-from .deltastar import delta_star, psi_k
-from .products import (
-    boxplus,
-    boxplus_b,
-    boxplus_c,
-    cfree_product,
-    free_product,
-    infinitesimal_product,
-)
+from .nc import NcPartition, _block_text, _nc_rows, kreweras, moebius_to_one
+from .typeb import Flavor, _signed_rows
 
 
 def _dump(obj) -> None:
+    import json
+
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _json_list(items: list[str], pad: str) -> str:
+    """A non-empty JSON array of encoded items laid out as json.dumps(...,
+    indent=2) lays it out when its closing bracket follows pad."""
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(items)}{pad}]"
+
+
+@lru_cache(maxsize=None)
+def _json_block(block: tuple[int, ...], pad: str) -> str:
+    return _json_list(list(map(str, block)), pad)
+
+
+def _json_rows(rows, pad: str) -> list[str]:
+    """Each row of blocks as json.dumps(..., indent=2) writes it at pad, but
+    with each distinct block encoded once and no pure-Python encoder."""
+    inner = pad + "  "
+    return [_json_list([_json_block(b, inner) for b in row], pad) for row in rows]
+
+
+def _echo_rows(rows) -> None:
+    click.echo("\n".join("".join(map(_block_text, row)) for row in rows))
+
+
 def _load_json(path: str):
+    import json
+
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -50,17 +60,29 @@ def _load_json(path: str):
             raise InvalidFamily(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_family(path: str) -> MultilinearFamily:
+def _load_family(path: str):
+    from .families import MultilinearFamily
+
     return MultilinearFamily.from_json_dict(_load_json(path))
-
-
-def _load_delta(path: str) -> DeltaTensor:
-    return DeltaTensor.from_json_dict(_load_json(path))
 
 
 def _want(inputs, count: int, what: str):
     if len(inputs) != count:
         raise click.UsageError(f"{what} needs exactly {count} --input file(s)")
+
+
+class _TargetChoice(click.Choice):
+    """The `--theorem` choices, read from `selftest.TARGETS` each time they
+    are needed, so that building the command line loads no `selftest`."""
+
+    def __init__(self) -> None:
+        self.case_sensitive = True
+
+    @property
+    def choices(self):
+        from .selftest import TARGETS
+
+        return tuple(TARGETS)
 
 
 class _Command(click.Command):
@@ -93,11 +115,11 @@ def nc_group():
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON array.")
 def nc_enumerate(n, as_json):
     """List NC(n) in canonical order, one partition per line."""
-    parts = enumerate_nc(n)
+    rows = _nc_rows(n)
     if as_json:
-        _dump([p.to_json() for p in parts])
+        click.echo(_json_list(_json_rows(rows, "\n  "), "\n"))
     else:
-        click.echo("\n".join(p.to_text() for p in parts))
+        _echo_rows(rows)
 
 
 @nc_group.command("kreweras")
@@ -132,11 +154,15 @@ def typeb_group():
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON array.")
 def typeb_enumerate(n, flavor, as_json):
     """List the symmetric lattice for the chosen circular order."""
-    parts = enumerate_signed(n, Flavor(flavor))
+    rows = _signed_rows(n, Flavor(flavor))
     if as_json:
-        _dump([p.to_json() for p in parts])
+        # each row is the object {"blocks": ..., "flavor": ..., "n": ...}
+        pad = "\n    "
+        rest = f',{pad}"flavor": "{flavor}",{pad}"n": {n}\n  }}'
+        parts = ["{" + pad + '"blocks": ' + r + rest for r in _json_rows(rows, pad)]
+        click.echo(_json_list(parts, "\n"))
     else:
-        click.echo("\n".join(p.to_text() for p in parts))
+        _echo_rows(rows)
 
 
 @main.command("transform")
@@ -165,17 +191,19 @@ def transform(brand, direction, inputs):
     infinitesimal to-cumulants takes (base moments, derivative moments) and
     to-moments takes (free cumulants of the base, derivative cumulants).
     """
+    from . import cumulants as cu
+
     table = {
-        ("free", "to-cumulants"): free_cumulants,
-        ("free", "to-moments"): moments_from_free,
-        ("boolean", "to-cumulants"): boolean_cumulants,
-        ("boolean", "to-moments"): moments_from_boolean,
-        ("cfree", "to-cumulants"): cfree_cumulants,
-        ("cfree", "to-moments"): moments_from_cfree,
-        ("cc", "to-cumulants"): cc_cumulants,
-        ("cc", "to-moments"): moments_from_cc,
-        ("infinitesimal", "to-cumulants"): infinitesimal_cumulants,
-        ("infinitesimal", "to-moments"): infinitesimal_moments,
+        ("free", "to-cumulants"): cu.free_cumulants,
+        ("free", "to-moments"): cu.moments_from_free,
+        ("boolean", "to-cumulants"): cu.boolean_cumulants,
+        ("boolean", "to-moments"): cu.moments_from_boolean,
+        ("cfree", "to-cumulants"): cu.cfree_cumulants,
+        ("cfree", "to-moments"): cu.moments_from_cfree,
+        ("cc", "to-cumulants"): cu.cc_cumulants,
+        ("cc", "to-moments"): cu.moments_from_cc,
+        ("infinitesimal", "to-cumulants"): cu.infinitesimal_cumulants,
+        ("infinitesimal", "to-moments"): cu.infinitesimal_moments,
     }
     _want(inputs, 1 if brand in ("free", "boolean") else 2, brand)
     out = table[(brand, direction)](*(_load_family(p) for p in inputs))
@@ -199,29 +227,35 @@ def transform(brand, direction, inputs):
 )
 def psi(k, input_path, delta_path):
     """Map a distribution to its derivative-style functional."""
+    from .cumulants import boolean_cumulants
+    from .deltastar import delta_star, psi_k
+    from .families import DeltaTensor
+
     nu = _load_family(input_path)
     if k is not None and nu.k != k:
         raise click.UsageError(f"family has k={nu.k}, expected {k}")
     if delta_path is None:
         out = psi_k(nu)
     else:
-        out = delta_star(_load_delta(delta_path), boolean_cumulants(nu))
+        out = delta_star(DeltaTensor.from_json_dict(_load_json(delta_path)), boolean_cumulants(nu))
     _dump(out.to_json_dict())
 
 
 def _pairwise(kind, inputs, product_mode):
+    from . import products as pr
+
     if kind == "free":
         _want(inputs, 2, "free " + ("product" if product_mode else "convolution"))
         a, b = (_load_family(p) for p in inputs)
-        out = free_product(a, b) if product_mode else boxplus(a, b)
+        out = pr.free_product(a, b) if product_mode else pr.boxplus(a, b)
         return out.to_json_dict()
     _want(inputs, 4, kind)
     fams = [_load_family(p) for p in inputs]
     ops = {
-        ("cfree", True): cfree_product,
-        ("cfree", False): boxplus_c,
-        ("infinitesimal", True): infinitesimal_product,
-        ("infinitesimal", False): boxplus_b,
+        ("cfree", True): pr.cfree_product,
+        ("cfree", False): pr.boxplus_c,
+        ("infinitesimal", True): pr.infinitesimal_product,
+        ("infinitesimal", False): pr.boxplus_b,
     }
     first, second = ops[(kind, product_mode)](*fams)
     key = "nu" if kind == "cfree" else "mu_prime"
@@ -269,7 +303,7 @@ def convolve(kind, inputs):
 @main.command("verify")
 @click.option(
     "--theorem",
-    type=click.Choice(list(_selftest.TARGETS)),
+    type=_TargetChoice(),
     required=True,
     help="Which identity to check on seeded random inputs.",
 )
@@ -281,7 +315,9 @@ def convolve(kind, inputs):
               help="Comparison degree.")
 def verify(theorem, seed, k, l, big_n):
     """Check one identity; exit 0 when it holds, 1 with a counterexample."""
-    report = _selftest.verify_report(theorem, seed, k, big_n, l=l)
+    from .selftest import verify_report
+
+    report = verify_report(theorem, seed, k, big_n, l=l)
     _dump(report)
     sys.exit(0 if report["ok"] else 1)
 
@@ -290,7 +326,9 @@ def verify(theorem, seed, k, l, big_n):
 @click.option("--seed", type=int, default=0, show_default=True)
 def selftest(seed):
     """Run the whole acceptance suite, one pass/fail line per criterion."""
-    ok = _selftest.run(seed)
+    from .selftest import run
+
+    ok = run(seed)
     sys.exit(0 if ok else 1)
 
 

@@ -6,7 +6,9 @@ values, block nesting and the cut/attach/cyclic-merge surgeries.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely between threads.  The
-enumeration caches are populated behind ``functools.lru_cache``.
+enumeration caches are populated behind ``functools.lru_cache``.  NC(n) is
+one table of canonical block rows (`_nc_span`), which the transforms and
+the CLI read and `enumerate_nc` wraps in partition objects.
 
 Degenerate case: on a one-point ground set the discrete and the one-block
 partition coincide, and all order predicates hold reflexively.
@@ -223,18 +225,21 @@ def _nc_span(lo: int, hi: int) -> tuple[Blocks, ...]:
     Recursive construction by the block of the minimum element: that block is
     an arbitrary subset containing lo, and the leftover elements fall into
     independent contiguous gaps between its members, each enumerated on its
-    own span, so no sub-partition is ever shifted.
+    own span, so no sub-partition is ever shifted.  Taking the blocks of lo
+    in lexicographic order and each gap's partitions in their own order
+    lists the span canonically, with no sort of partitions.
     """
     if lo == hi:
         return ((),)
+    rest = range(lo + 1, hi)
     out: list[Blocks] = []
-    rest = hi - lo - 1
-    for mask in range(1 << rest):
-        block = (lo,) + tuple(lo + 1 + i for i in range(rest) if mask >> i & 1)
-        gaps = [_nc_span(a + 1, b) for a, b in zip(block, block[1:] + (hi,))]
-        for combo in itertools.product(*gaps):
-            out.append(tuple(sorted((block,) + sum(combo, ()))))
-    return tuple(sorted(out))
+    for block in sorted((lo, *c) for r in range(hi - lo) for c in itertools.combinations(rest, r)):
+        rows = [(block,)]
+        for a, b in zip(block, block[1:] + (hi,)):
+            if b > a + 1:
+                rows = [row + gap for row in rows for gap in _nc_span(a + 1, b)]
+        out += rows
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -242,13 +247,23 @@ def _nc_objects(n: int) -> tuple[NcPartition, ...]:
     return tuple(NcPartition._trusted(n, blocks) for blocks in _nc_span(1, n + 1))
 
 
-def enumerate_nc(n: int, limit: int | None = None) -> tuple[NcPartition, ...]:
-    """All of NC(n) in lexicographic order on the canonical form."""
-    limit = DEFAULT_ENUM_LIMIT if limit is None else limit
+def _check_size(n: int, limit: int, what: str) -> None:
+    """Refuse a ground-set size below 1 or above an enumeration limit."""
     if n < 1:
         raise InvalidPartition(f"n must be positive, got {n}")
     if n > limit:
-        raise LimitExceeded(f"n={n} above enumeration limit {limit}")
+        raise LimitExceeded(f"n={n} above {what} limit {limit}")
+
+
+def _nc_rows(n: int) -> tuple[Blocks, ...]:
+    """The rows of enumerate_nc(n), under its default limit, as blocks."""
+    _check_size(n, DEFAULT_ENUM_LIMIT, "enumeration")
+    return _nc_span(1, n + 1)
+
+
+def enumerate_nc(n: int, limit: int | None = None) -> tuple[NcPartition, ...]:
+    """All of NC(n) in lexicographic order on the canonical form."""
+    _check_size(n, DEFAULT_ENUM_LIMIT if limit is None else limit, "enumeration")
     return _nc_objects(n)
 
 
@@ -265,11 +280,7 @@ def _interval_range(m: int) -> tuple[Blocks, ...]:
 
 def interval_partitions(n: int, limit: int | None = None) -> tuple[NcPartition, ...]:
     """All interval partitions of {1..n} (one per composition of n)."""
-    limit = DEFAULT_ENUM_LIMIT if limit is None else limit
-    if n < 1:
-        raise InvalidPartition(f"n must be positive, got {n}")
-    if n > limit:
-        raise LimitExceeded(f"n={n} above enumeration limit {limit}")
+    _check_size(n, DEFAULT_ENUM_LIMIT if limit is None else limit, "enumeration")
     return tuple(
         NcPartition._trusted(n, tuple(tuple(x + 1 for x in b) for b in blocks))
         for blocks in _interval_range(n)
@@ -445,17 +456,24 @@ def _nests(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
 
 def block_roles(pi: NcPartition) -> dict[int, BlockRole]:
     """Role of each block: INNER when some block nests it, OUTER otherwise."""
-    roles = {}
-    for i, b in enumerate(pi.blocks):
-        inner = any(_nests(w, b) for j, w in enumerate(pi.blocks) if j != i)
-        roles[i] = BlockRole.INNER if inner else BlockRole.OUTER
-    return roles
+    outer = set(_outer(pi.blocks))
+    return {i: BlockRole.OUTER if i in outer else BlockRole.INNER for i in range(len(pi))}
 
 
 def outer_blocks(pi: NcPartition) -> tuple[int, ...]:
     """Indices of the outer blocks."""
-    roles = block_roles(pi)
-    return tuple(i for i in range(len(pi.blocks)) if roles[i] is BlockRole.OUTER)
+    return _outer(pi.blocks)
+
+
+def _outer(blocks: Blocks) -> tuple[int, ...]:
+    """Indices of the outer blocks of canonical non-crossing blocks on {1..n}:
+    a block is nested exactly when an earlier one closes after it opens."""
+    out, reach = [], 0
+    for i, b in enumerate(blocks):
+        if b[0] > reach:
+            out.append(i)
+        reach = max(reach, b[-1])
+    return tuple(out)
 
 
 def parent_block(pi: NcPartition, block_index: int) -> int:

@@ -12,7 +12,9 @@ its bijection with the pairs (pi in NC(n), a set of outer blocks of pi)
 (`from_pair`).  Type B is built as the partitions of 2n circle positions
 that the half-turn maps to themselves, by the block of the first position
 (`_half_turn_span`); it reads neither that bijection nor outer blocks, so
-its count is an independent check of comb(2n, n).
+its count is an independent check of comb(2n, n).  Each lattice is one
+table of canonical block rows (`_signed_blocks`), which the enumerations
+wrap in partition objects and the CLI prints.
 """
 
 import itertools
@@ -20,14 +22,15 @@ from enum import Enum
 from functools import lru_cache
 from math import comb
 
-from .errors import InvalidPartition, LimitExceeded, NotOuter
+from .errors import InvalidPartition, NotOuter
 from .nc import (
     Blocks,
     NcPartition,
     _block_text,
     _blocks_from_text,
+    _check_size,
     _nc_span,
-    enumerate_nc,
+    _outer,
     is_noncrossing,
     outer_blocks,
 )
@@ -78,8 +81,8 @@ class SignedNcPartition:
         blocks = [tuple(b) for b in blocks]
         if not all(blocks):
             raise InvalidPartition("empty block")
-        self._fill(n, flavor, blocks)
-        canon = self.blocks
+        canon = tuple(sorted(map(_sort_block, blocks), key=_block_key))
+        self._fill(n, flavor, canon)
         elems = sorted(x for b in canon for x in b)
         want = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
         if elems != want:
@@ -92,20 +95,19 @@ class SignedNcPartition:
         if not is_noncrossing([[_position(x, n, flavor) + 1 for x in b] for b in canon], 2 * n):
             raise InvalidPartition(f"crossing blocks in {flavor.value} order: {canon}")
 
-    def _fill(self, n: int, flavor: Flavor, blocks) -> None:
-        canon = tuple(sorted((_sort_block(b) for b in blocks), key=_block_key))
+    def _fill(self, n: int, flavor: Flavor, canon: Blocks) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "blocks", canon)
 
     @classmethod
-    def _trusted(cls, n: int, flavor: Flavor, blocks) -> "SignedNcPartition":
-        """The partition with the given blocks in canonical order, unchecked:
-        they must already partition +-1..+-n symmetrically and without
+    def _trusted(cls, n: int, flavor: Flavor, canon: Blocks) -> "SignedNcPartition":
+        """The partition with the given blocks, unchecked: they must already
+        be canonical and partition +-1..+-n symmetrically and without
         crossing in the flavor's order.  Only the enumerations build through
         here; every public path validates."""
         self = object.__new__(cls)
-        self._fill(n, flavor, blocks)
+        self._fill(n, flavor, canon)
         return self
 
     def __setattr__(self, name, value):
@@ -193,16 +195,22 @@ def from_pair(pi: NcPartition, s) -> SignedNcPartition:
     for b in chosen:
         if b not in outer:
             raise NotOuter(f"{b} is not an outer block of {pi}")
-    return SignedNcPartition(pi.n, Flavor.B_OPP, _pair_blocks(pi, chosen))
+    return SignedNcPartition(pi.n, Flavor.B_OPP, _pair_blocks(pi.blocks, chosen))
 
 
-def _pair_blocks(pi: NcPartition, chosen) -> list[tuple[int, ...]]:
-    """The blocks of from_pair(pi, chosen), unchecked."""
-    blocks = []
-    for b in pi.blocks:
-        neg = tuple(-x for x in b)
-        blocks += [b + neg] if b in chosen else [b, neg]
-    return blocks
+def _pair_blocks(blocks: Blocks, chosen) -> Blocks:
+    """The blocks of from_pair on the blocks of pi, unchecked; canonical as
+    built, since each block V of pi gives V, -V or V u (-V) in turn."""
+    out = []
+    for b in blocks:
+        neg = _negated(b)
+        out += [b + neg] if b in chosen else [b, neg]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _negated(block: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in block)
 
 
 def to_pair(sigma: SignedNcPartition) -> tuple[NcPartition, tuple[tuple[int, ...], ...]]:
@@ -219,7 +227,7 @@ def to_pair(sigma: SignedNcPartition) -> tuple[NcPartition, tuple[tuple[int, ...
 @lru_cache(maxsize=None)
 def _half_turn_span(m: int) -> tuple[Blocks, ...]:
     """All non-crossing partitions of the positions 0..2m-1 around a circle
-    that the half-turn p -> p+m maps to themselves, sorted canonically.
+    that the half-turn p -> p+m maps to themselves, each block ascending.
 
     Recursive construction by the block B of position 0, as `_nc_span`
     builds NC(n).  Either B is its own half-turn, B = S u (S+m) for a set S
@@ -228,6 +236,7 @@ def _half_turn_span(m: int) -> tuple[Blocks, ...]:
     Each gap between neighbours in S holds any non-crossing partition, and
     the gap's half-turn its mirror image.  In the second case the two arcs
     after S and after S+m together hold one instance of size m-1-max S.
+    Only `_signed_blocks` puts blocks and partitions in canonical order.
     """
     if m == 0:
         return ((),)
@@ -235,42 +244,70 @@ def _half_turn_span(m: int) -> tuple[Blocks, ...]:
     def turned(blocks):
         return tuple(tuple(p + m for p in b) for b in blocks)
 
+    @lru_cache(maxsize=None)
+    def rotated(block, t):
+        return tuple(sorted((p - t) % (2 * m) for p in block))
+
     out: list[Blocks] = []
     for mask in range(1 << (m - 1)):
         s = (0,) + tuple(i + 1 for i in range(m - 1) if mask >> i & 1)
         turn = tuple(p + m for p in s)
         hi = s[-1]
         place = (*range(hi + 1, m), *range(hi + 1 + m, 2 * m))
+        lasts = [last + turned(last) for last in _nc_span(hi + 1, m)]
+        rests = [tuple(tuple(place[i] for i in b) for b in rest)
+                 for rest in _half_turn_span(m - 1 - hi)]
         for combo in itertools.product(*[_nc_span(a + 1, b) for a, b in zip(s, s[1:])]):
             inner = sum(combo, ())
             inner += turned(inner)
-            for last in _nc_span(hi + 1, m):
-                out.append((s + turn,) + inner + last + turned(last))
-            for rest in _half_turn_span(m - 1 - hi):
-                body = (s, turn) + inner + tuple(tuple(place[i] for i in b) for b in rest)
-                out += (tuple(tuple(sorted((p - t) % (2 * m) for p in b)) for b in body) for t in s)
-    return tuple(sorted(tuple(sorted(blocks)) for blocks in out))
+            out += ((s + turn,) + inner + last for last in lasts)
+            for rest in rests:
+                body = (s, turn) + inner + rest
+                out += (tuple(map(rotated, body, itertools.repeat(t))) for t in s)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _signed_blocks(n: int, flavor: Flavor) -> tuple[Blocks, ...]:
+    """The canonical blocks of every partition of the flavor's lattice, in
+    canonical order: the one table both enumerations and the CLI read.
+    B-opp pairs each row of NC(n) with each set of its outer blocks.  Type B
+    labels the ascending position blocks of `_half_turn_span(n)`, which
+    makes them canonical, and orders them by `_block_key`.
+    """
+    if flavor is Flavor.B_OPP:
+        rows = []
+        for blocks in _nc_span(1, n + 1):
+            outer = [blocks[i] for i in _outer(blocks)]
+            for mask in range(1 << len(outer)):
+                rows.append(_pair_blocks(blocks, {b for i, b in enumerate(outer) if mask >> i & 1}))
+    else:
+        label = (*range(1, n + 1), *range(-1, -n - 1, -1))   # inverse of _position
+
+        @lru_cache(maxsize=None)
+        def keyed(block):
+            signed = tuple(label[p] for p in block)
+            return _block_key(signed), signed
+
+        rows = (tuple(b for _, b in sorted(map(keyed, blocks))) for blocks in _half_turn_span(n))
+    return tuple(sorted(rows))
+
+
+def _signed_rows(n: int, flavor: Flavor) -> tuple[Blocks, ...]:
+    """The rows of enumerate_signed(n, flavor), under its default limit, as blocks."""
+    _check_size(n, DEFAULT_SIGNED_LIMIT, "signed enumeration")
+    return _signed_blocks(n, flavor)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_b(n: int) -> tuple[SignedNcPartition, ...]:
-    label = (*range(1, n + 1), *range(-1, -n - 1, -1))   # inverse of _position
-    out = [
-        SignedNcPartition._trusted(n, Flavor.B, [tuple(label[p] for p in b) for b in blocks])
-        for blocks in _half_turn_span(n)
-    ]
-    return tuple(sorted(out, key=lambda s: s.blocks))
+    return tuple(SignedNcPartition._trusted(n, Flavor.B, b) for b in _signed_blocks(n, Flavor.B))
 
 
 @lru_cache(maxsize=None)
 def _enumerate_bopp(n: int) -> tuple[SignedNcPartition, ...]:
-    out = []
-    for pi in enumerate_nc(n):
-        outer = [pi.blocks[i] for i in outer_blocks(pi)]
-        for mask in range(1 << len(outer)):
-            s = [outer[i] for i in range(len(outer)) if mask >> i & 1]
-            out.append(SignedNcPartition._trusted(n, Flavor.B_OPP, _pair_blocks(pi, s)))
-    return tuple(sorted(out, key=lambda s: s.blocks))
+    rows = _signed_blocks(n, Flavor.B_OPP)
+    return tuple(SignedNcPartition._trusted(n, Flavor.B_OPP, b) for b in rows)
 
 
 def enumerate_signed(
@@ -278,11 +315,7 @@ def enumerate_signed(
 ) -> tuple[SignedNcPartition, ...]:
     """All symmetric non-crossing partitions for the flavor, canonically
     ordered; both flavors are counted by comb(2n, n)."""
-    limit = DEFAULT_SIGNED_LIMIT if limit is None else limit
-    if n < 1:
-        raise InvalidPartition(f"n must be positive, got {n}")
-    if n > limit:
-        raise LimitExceeded(f"n={n} above signed enumeration limit {limit}")
+    _check_size(n, DEFAULT_SIGNED_LIMIT if limit is None else limit, "signed enumeration")
     if flavor is Flavor.B:
         return _enumerate_b(n)
     return _enumerate_bopp(n)

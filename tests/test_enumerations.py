@@ -25,7 +25,7 @@ GOLDEN = Path(__file__).parent / "golden" / "enumerations.json"
 # Golden key -> argv; the key is the argv joined by spaces.
 COMMANDS = (
     [["nc", "enumerate", "--n", str(n)] for n in range(1, 12)]
-    + [["nc", "enumerate", "--n", "10", "--json"]]
+    + [["nc", "enumerate", "--n", str(n), "--json"] for n in (10, 11)]
     + [
         ["typeb", "enumerate", "--n", str(n), "--flavor", f.value]
         for f in Flavor
@@ -64,6 +64,17 @@ def test_enumerated_signed_partitions_pass_the_validating_constructor(n, flavor)
     rebuilt = [SignedNcPartition(p.n, p.flavor, p.blocks) for p in parts]
     assert rebuilt == list(parts) == sorted(rebuilt)
     assert len(set(rebuilt)) == len(rebuilt)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_signed_listing_is_the_text_of_the_validated_lattice(n, flavor):
+    # the CLI prints block rows without building partitions; each line must
+    # be the text of the partition the validating constructor canonicalises
+    res = CliRunner().invoke(main, ["typeb", "enumerate", "--n", str(n), "--flavor", flavor.value])
+    assert res.exit_code == 0, res.output
+    checked = [SignedNcPartition(p.n, p.flavor, p.blocks) for p in enumerate_signed(n, flavor)]
+    assert res.output == "".join(p.to_text() + "\n" for p in checked)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from ncprob import (
     moebius_oracle,
     moebius_to_one,
     one_partition,
+    outer_blocks,
     parent_block,
     sqsubseteq,
     zero_partition,
@@ -70,6 +71,17 @@ def test_enumerate_unique_and_sorted():
     parts = enumerate_nc(6)
     assert len(set(parts)) == len(parts)
     assert list(parts) == sorted(parts, key=lambda p: p.blocks)
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_span_is_built_in_canonical_order(n):
+    # _nc_span lists its rows without sorting them; they must already be
+    # the sorted form of themselves, blocks within each row and the rows
+    from ncprob.nc import _nc_span
+
+    rows = _nc_span(0, n)
+    assert rows == tuple(sorted(tuple(sorted(map(tuple, map(sorted, r)))) for r in rows))
+    assert len(set(rows)) == len(rows) == catalan(n)
 
 
 def test_enumerate_limit():
@@ -265,6 +277,12 @@ def test_block_roles():
     assert roles[(8, 10)] is BlockRole.OUTER
     for p in interval_partitions(6):
         assert all(r is BlockRole.OUTER for r in block_roles(p).values())
+    for n in range(1, 9):
+        for p in enumerate_nc(n):
+            nested = [any(w[0] < b[0] and b[-1] < w[-1] for w in p.blocks) for b in p.blocks]
+            assert outer_blocks(p) == tuple(i for i, x in enumerate(nested) if not x)
+            assert block_roles(p) == {
+                i: BlockRole.INNER if x else BlockRole.OUTER for i, x in enumerate(nested)}
 
 
 def test_parent_block():
