@@ -38,6 +38,7 @@ of chi built on the first such case.
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from typing import Callable
 
 from .errors import (
     DegreeTooLow,
@@ -279,19 +280,21 @@ def gamma_eta_counterexample(
     return _gamma_eta_counterexample(delta, chi, None, phi, n, m, rho)
 
 
-def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily):
+def _gamma_eta_tables(delta: DeltaTensor, draw_chi: Callable, phi: MultilinearFamily):
     """What every case of one gamma-eta search shares, after the checks on
-    the whole families: a function that builds, on its first call only,
-    (the layers T of the slot tables of the graded Boolean cumulants of chi,
-    graded phi) at one grading, T[L + 1] over the words (x, u) of length
-    L + 1 summing x's tensor triples (j, l, c) of c * beta(l, u, j)."""
-    if chi.k != delta.k or phi.k != chi.k:
+    phi: a function that, on its first call only, gets chi from draw_chi
+    and builds (the layers T of the slot tables of the graded Boolean
+    cumulants of chi, graded phi) at one grading, T[L + 1] over the words
+    (x, u) of length L + 1 summing x's tensor triples (j, l, c) of
+    c * beta(l, u, j)."""
+    if phi.k != delta.k:
         raise ShapeMismatch("families and tensor must share one dimension")
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
 
     @cache
     def tables():
+        chi = draw_chi()
         _, (p, c) = _graded(phi, chi)
         beta, expansion = _boolean(c), _scaled_expansion(delta)[1]
         return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
@@ -314,7 +317,7 @@ def _rows_agree(one: tuple, other: tuple) -> bool:
 def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
     """gamma_eta_counterexample on the tables of `_gamma_eta_tables`, so
     that a caller checking many cases builds them at most once; None checks
-    the inputs and makes its own.
+    chi and makes its own.  chi may be None where the tables draw it.
 
     The sides are the rows +1 and -1 of one lattice sum over 0-based
     positions of w, which vanishes where they agree: the slot tables on the
@@ -331,9 +334,12 @@ def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
         raise ShapeMismatch(f"rho must partition 1..{n + 1}")
     if not ll_one(rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
-    if phi.N < n or chi.N < n + 1:
+    if phi.N < n or (chi is not None and chi.N < n + 1):
         raise DegreeTooLow(f"need phi degree >= {n} and chi degree >= {n + 1}")
-    tables = tables if tables is not None else _gamma_eta_tables(delta, chi, phi)
+    if tables is None:
+        if chi.k != delta.k:
+            raise ShapeMismatch("families and tensor must share one dimension")
+        tables = _gamma_eta_tables(delta, lambda: chi, phi)
     pi = f_nm(rho, m)
     holder = pi.blocks[pi.block_of(m)]
     r = holder.index(m)

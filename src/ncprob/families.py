@@ -13,6 +13,14 @@ Degree bookkeeping matters throughout the package: a family of degree N
 answers only words of length <= N, and the one degree-consuming operation
 (the cyclic one-slot comultiplication in `deltastar`) turns degree N+1
 input into degree N output.  Nothing is ever zero-padded.
+
+The seeded random families and tensors are defined by randint draws,
+Fraction(randint(-9, 9), randint(1, 4)) per word (-2..2 over 1..2 per
+tensor entry), from a `random.Random` seeded by a string of the recipe,
+the shape and the seed.  `_draw_layer` makes the same draws through
+`getrandbits` with randint's rejection rule and reads each value from a
+table of prebuilt Fractions; `tests/test_families.py` pins its values and
+the generator state it leaves against the randint recipe.
 """
 
 import itertools
@@ -42,7 +50,8 @@ KINDS = (
 )
 _UNIT_ZERO_KINDS = ("infinitesimal", "infinitesimal-cumulant")
 # What parsing JSON-decoded data of the wrong shape or content can raise.
-_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
+_MALFORMED = (
+    AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
 
 
 @lru_cache(maxsize=None)
@@ -215,8 +224,31 @@ def is_tracial(f: MultilinearFamily) -> bool:
                for n, layer in enumerate(f._layers[1:], 1))
 
 
-def _draw(rng: _random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+@lru_cache(maxsize=None)
+def _grid(top: int, most: int) -> tuple[Fraction, ...]:
+    """Fraction(a, b) for a in -top..top and b in 1..most, at index
+    (a + top) * most + b - 1."""
+    return tuple(Fraction(a, b) for a in range(-top, top + 1) for b in range(1, most + 1))
+
+
+def _draw_layer(rng: _random.Random, count: int, top: int = 9, most: int = 4) -> list:
+    """count draws of Fraction(rng.randint(-top, top), rng.randint(1, most)),
+    the same values leaving rng in the same state: randint draws below n by
+    calling getrandbits(n.bit_length()) until the result is below n, and the
+    value is read from `_grid`."""
+    values, span = _grid(top, most), 2 * top + 1
+    nbits, dbits = span.bit_length(), most.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        a = bits(nbits)
+        while a >= span:
+            a = bits(nbits)
+        b = bits(dbits)
+        while b >= most:
+            b = bits(dbits)
+        out.append(values[a * most + b])
+    return out
 
 
 def random_family(k: int, N: int, seed: int, kind: str = "moment") -> MultilinearFamily:
@@ -224,26 +256,37 @@ def random_family(k: int, N: int, seed: int, kind: str = "moment") -> Multilinea
     The words draw in `all_words` order, layer by layer in rank order."""
     _check_shape(k, N, kind)
     rng = _random.Random(("family", k, N, seed).__repr__())
-    layers = ((), *(tuple(_draw(rng) for _ in range(k ** n)) for n in range(1, N + 1)))
+    layers = ((), *(tuple(_draw_layer(rng, k ** n)) for n in range(1, N + 1)))
     return MultilinearFamily._trusted(k, N, layers, kind)
+
+
+@lru_cache(maxsize=None)
+def _rotation_classes(k: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """(the number of cyclic classes of the words of length n, the class of
+    each word in rank order): classes are numbered in the order of their
+    least ranks, each spread along its orbit under the rank map of the
+    rotation by one."""
+    step = _ranks(k, n, (*range(1, n), 0))
+    ids = [None] * k ** n
+    count = 0
+    for r in range(k ** n):
+        if ids[r] is None:
+            while ids[r] is None:
+                ids[r], r = count, step[r]
+            count += 1
+    return count, tuple(ids)
 
 
 def random_tracial(k: int, N: int, seed: int, kind: str = "moment") -> MultilinearFamily:
     """Seeded family constant on cyclic classes of words, hence tracial:
-    each class draws at its least rank, in rank order, and spreads the value
-    along its orbit under the rank map of the rotation by one."""
+    each class draws once, in the order of `_rotation_classes`, and each
+    word reads its class's value."""
     _check_shape(k, N, kind)
     rng = _random.Random(("tracial", k, N, seed).__repr__())
     layers = [()]
     for n in range(1, N + 1):
-        step = _ranks(k, n, (*range(1, n), 0))
-        layer = [None] * k ** n
-        for r in range(k ** n):
-            if layer[r] is None:
-                v = _draw(rng)
-                while layer[r] is None:
-                    layer[r], r = v, step[r]
-        layers.append(tuple(layer))
+        count, ids = _rotation_classes(k, n)
+        layers.append(tuple(map(_draw_layer(rng, count).__getitem__, ids)))
     return MultilinearFamily._trusted(k, N, tuple(layers), kind)
 
 
@@ -336,9 +379,5 @@ def diagonal_delta(k: int) -> DeltaTensor:
 def random_delta(k: int, seed: int) -> DeltaTensor:
     """Seeded dense tensor with small rational entries."""
     rng = _random.Random(("delta", k, seed).__repr__())
-    entries = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            for l in range(1, k + 1):
-                entries[(i, j, l)] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-    return DeltaTensor(k, entries)
+    keys = itertools.product(range(1, k + 1), repeat=3)
+    return DeltaTensor(k, zip(keys, _draw_layer(rng, k ** 3, top=2, most=2)))

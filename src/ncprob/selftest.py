@@ -368,11 +368,13 @@ def _lemma210(seed, k, n, l):
 
 def _lemma67(seed, k, n, l):
     phi = random_tracial(k, n + 1, seed=seed)
-    chi = random_family(k, n + 2, seed=seed + 1)
     delta = random_delta(k, seed=seed + 2)
-    tables = _gamma_eta_tables(delta, chi, phi)
+    # chi is drawn only if some case's rows differ, at the degree n + 2 its
+    # seed string names, and cut to the n + 1 the cases read
+    tables = _gamma_eta_tables(
+        delta, lambda: truncate(random_family(k, n + 2, seed=seed + 1), n + 1), phi)
     for case in _gamma_eta_cases(n):
-        bad = _gamma_eta_counterexample(delta, chi, tables, phi, *case)
+        bad = _gamma_eta_counterexample(delta, None, tables, phi, *case)
         if bad is not None:
             return bad
     return None
@@ -380,30 +382,37 @@ def _lemma67(seed, k, n, l):
 
 class Target(NamedTuple):
     """A verification target: its check, (seed, k, N, l) -> first
-    counterexample or None on inputs drawn from the seed, and the least and
-    greatest degree N it covers."""
+    counterexample or None on inputs drawn from the seed; how far past N
+    the words of the inputs it builds reach; and the least and greatest
+    degree N it covers."""
 
     check: Callable
+    reach: int
     low: int = 1
     high: float = math.inf
 
 
 # Every `verify` target; selftest criteria 9-13 run the same rows.  The
 # signed lattices grow fastest, so the checks that walk them stop at 7, and
-# so does lemma210, which walks NC(m) at every degree m up to N.
+# so does lemma210, which walks NC(m) at every degree m up to N and draws
+# nothing (it is sized as a row whose words reach N).
 TARGETS = {
-    "12": Target(lambda s, k, n, l: convolution_intertwine_counterexample(*_pairs(k, k, n + 1, s))),
-    "13": Target(lambda s, k, n, l: product_intertwine_counterexample(*_pairs(k, l, n + 1, s))),
-    "14": Target(lambda s, k, n, l: cyclic_cumulant_counterexample(*_pair(k, n + 1, s))),
+    "12": Target(lambda s, k, n, l: convolution_intertwine_counterexample(
+        *_pairs(k, k, n + 1, s)), reach=1),
+    "13": Target(lambda s, k, n, l: product_intertwine_counterexample(
+        *_pairs(k, l, n + 1, s)), reach=1),
+    "14": Target(lambda s, k, n, l: cyclic_cumulant_counterexample(*_pair(k, n + 1, s)), reach=1),
     "17": Target(lambda s, k, n, l: cumulant_transform_counterexample(
-        random_delta(k, seed=s + 2), *_pair(k, n + 1, s))),
-    "lemma210": Target(_lemma210, high=7),
-    "lemma67": Target(_lemma67, low=2),
-    "prop41": Target(lambda s, k, n, l: _explicit_failure(*_families(k, n, s))),
-    "prop54": Target(lambda s, k, n, l: _cc_difference_failure(*_families(k, n, s)), high=7),
+        random_delta(k, seed=s + 2), *_pair(k, n + 1, s)), reach=1),
+    "lemma210": Target(_lemma210, reach=0, high=7),
+    "lemma67": Target(_lemma67, reach=1, low=2),
+    "prop41": Target(lambda s, k, n, l: _explicit_failure(*_families(k, n, s)), reach=0),
+    "prop54": Target(lambda s, k, n, l: _cc_difference_failure(
+        *_families(k, n, s)), reach=0, high=7),
     "eq5a": Target(lambda s, k, n, l: eq_typeb_counterexample(
-        *_families(k, n, s, "infinitesimal")), high=7),
-    "eq55a": Target(lambda s, k, n, l: eq_bopp_counterexample(*_families(k, n, s)), high=7),
+        *_families(k, n, s, "infinitesimal")), reach=0, high=7),
+    "eq55a": Target(lambda s, k, n, l: eq_bopp_counterexample(
+        *_families(k, n, s)), reach=0, high=7),
 }
 
 
@@ -424,12 +433,12 @@ VERIFY_INPUT_LIMIT = 1 << 17  # entries in the largest input `verify` may build
 def _input_size(theorem: str, k: int, big_n: int, l: int) -> int:
     """Entries in the largest input a target builds, counted no further than
     past VERIFY_INPUT_LIMIT: the k^3 delta tensor or the words of length up
-    to max(N, 2) + 2 (lemma67's) over k letters, k + l for target 13.  One
+    to N plus the row's reach over k letters, k + l for target 13.  One
     letter counts as two: the words are then few, but each costs about
     N^2/2 closed-sum terms."""
     letters = max(k + l if theorem == "13" else k, 2)
     words, layer = 0, 1
-    for _ in range(max(big_n, 2) + 2):
+    for _ in range(big_n + TARGETS[theorem].reach):
         layer *= letters
         words += layer
         if words > VERIFY_INPUT_LIMIT:

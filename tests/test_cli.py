@@ -275,8 +275,8 @@ def _cap_memory():
     [
         ["--theorem", "12", "--k", "50", "--N", "100000"],
         ["--theorem", "17", "--k", "51", "--N", "1"],
-        ["--theorem", "prop41", "--k", "2", "--N", "15"],
-        ["--theorem", "13", "--k", "2", "--l", "300", "--N", "1"],
+        ["--theorem", "prop41", "--k", "2", "--N", "17"],
+        ["--theorem", "13", "--k", "2", "--l", "400", "--N", "1"],
     ],
     ids=["words", "delta", "degree", "l"],
 )
@@ -351,6 +351,20 @@ def test_malformed_family_json_is_a_usage_error(runner, tmp_path, content):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "Infinity"])
+def test_infinite_family_value_is_a_usage_error(runner, tmp_path, value):
+    path = tmp_path / "bad.json"
+    path.write_text('{"k": 1, "N": 1, "values": {"1": %s}}' % value)
+    res = runner.invoke(
+        main, ["transform", "--brand", "free", "--direction", "to-cumulants",
+               "--input", str(path)]
+    )
+    assert res.exit_code == 2, res.output
+    assert "malformed family data" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
 def test_malformed_tensor_json_is_a_usage_error(runner, tmp_path):
     nu = write_family(tmp_path, "nu.json", random_family(1, 3, seed=36))
     delta = tmp_path / "delta.json"
@@ -397,6 +411,39 @@ def test_verify_sizes_the_input_on_the_clipped_degree(runner, theorem):
     res = runner.invoke(main, ["verify", "--theorem", theorem, "--N", "16"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["N"] == 7
+
+
+# (target, k, l, the largest N admitted): each row is sized on the words
+# its inputs reach, N + 1 for the theorem rows and lemma67, N for prop41
+SIZE_EDGES = [
+    ("12", 2, 1, 15),
+    ("13", 2, 1, 9),
+    ("13", 2, 359, 1),
+    ("14", 2, 1, 15),
+    ("14", 20, 1, 2),
+    ("17", 2, 1, 15),
+    ("lemma67", 2, 1, 15),
+    ("lemma67", 3, 1, 9),
+    ("prop41", 2, 1, 16),
+]
+
+
+@pytest.mark.parametrize("theorem,k,l,largest", SIZE_EDGES)
+def test_verify_sizes_each_row_on_the_words_its_inputs_reach(theorem, k, l, largest):
+    from ncprob.selftest import VERIFY_INPUT_LIMIT, _input_size
+
+    assert _input_size(theorem, k, largest, l) <= VERIFY_INPUT_LIMIT
+    if theorem == "13" and largest == 1:
+        assert _input_size(theorem, k, largest, l + 1) > VERIFY_INPUT_LIMIT
+    else:
+        assert _input_size(theorem, k, largest + 1, l) > VERIFY_INPUT_LIMIT
+
+
+def test_verify_admits_many_letters_at_low_degree(runner):
+    # 20 letters at N = 1 build 420 words of length up to 2
+    res = runner.invoke(main, ["verify", "--theorem", "14", "--k", "20", "--N", "1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["ok"] is True
 
 
 def test_lemma210_reports_the_first_counterexample(monkeypatch):

@@ -432,6 +432,51 @@ def test_gamma_eta_search_fails_where_the_identity_is_broken(monkeypatch):
     assert verify_report("lemma67", 0, 2, 4)["ok"] is False
 
 
+def _counting_random_family(monkeypatch):
+    """Count the seeded plain families the selftest targets draw."""
+    import ncprob.selftest as st
+
+    calls = []
+    real = st.random_family
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(st, "random_family", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k,N", [(1, 6), (2, 5), (3, 4)])
+def test_lemma67_draws_no_chi_when_no_case_falls_back(monkeypatch, k, N):
+    from ncprob.selftest import verify_report
+
+    calls = _counting_random_family(monkeypatch)
+    assert verify_report("lemma67", 0, k, N)["ok"] is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("k,N,seed", [(1, 4, 0), (2, 4, 0), (2, 3, 5), (3, 4, 5)])
+def test_lemma67_draws_chi_once_and_reports_the_eager_search(monkeypatch, k, N, seed):
+    # under an f_nm that merges at slot m+1 some case falls back; the lazy
+    # chi must be the one the eager search drew, so both report one word
+    import ncprob.deltastar as ds
+    from ncprob.selftest import _gamma_eta_cases, verify_report
+
+    real = ds.f_nm
+    monkeypatch.setattr(ds, "f_nm", lambda rho, m: real(rho, m % (rho.n - 1) + 1))
+    phi = random_tracial(k, N + 1, seed=seed)
+    chi = random_family(k, N + 2, seed=seed + 1)
+    d = random_delta(k, seed=seed + 2)
+    eager = next(filter(None, (
+        ds.gamma_eta_counterexample(d, chi, phi, *case) for case in _gamma_eta_cases(N))))
+    calls = _counting_random_family(monkeypatch)
+    report = verify_report("lemma67", seed, k, N)
+    assert report["ok"] is False
+    assert report["counterexample"] == list(eager) == [1, 1, 1]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("merge_at_next_slot", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch, k, merge_at_next_slot):
@@ -446,7 +491,7 @@ def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch,
     phi = random_tracial(k, 6, seed=130 + k)
     chi = random_family(k, 7, seed=140 + k)
     d = random_delta(k, seed=150 + k)
-    tables = ds._gamma_eta_tables(d, chi, phi)
+    tables = ds._gamma_eta_tables(d, lambda: chi, phi)
     certified = ds._rows_agree
     verdicts = []
 
@@ -479,7 +524,7 @@ def test_gamma_eta_certificate_closes_every_case_without_slot_tables(monkeypatch
     phi = random_tracial(k, 7, seed=160 + k)
     chi = random_family(k, 8, seed=170 + k)
     d = random_delta(k, seed=180 + k)
-    tables = ds._gamma_eta_tables(d, chi, phi)
+    tables = ds._gamma_eta_tables(d, lambda: chi, phi)
     for case in _gamma_eta_cases(7):
         assert ds._gamma_eta_counterexample(d, chi, tables, phi, *case) is None
     assert verify_report("lemma67", 0, k, 6)["ok"] is True
@@ -509,7 +554,7 @@ def test_rows_agree_exactly_when_their_sums_agree():
 
     phi = random_tracial(3, 4, seed=190)
     chi = random_family(3, 5, seed=191)
-    tables = ds._gamma_eta_tables(random_delta(3, seed=192), chi, phi)()
+    tables = ds._gamma_eta_tables(random_delta(3, seed=192), lambda: chi, phi)()
     rows = [
         ((core,), blocks)
         for size in range(1, 5)

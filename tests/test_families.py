@@ -9,6 +9,7 @@ from ncprob import (
     DegreeTooLow,
     DeltaTensor,
     EmptySubset,
+    InvalidFamily,
     MultilinearFamily,
     NcprobError,
     PositionOutOfRange,
@@ -127,13 +128,16 @@ def test_single_perturbation_breaks_traciality():
     assert not is_tracial(MultilinearFamily(2, 3, values))
 
 
+def _recipe(rng, top=9, most=4):
+    """One seeded value the way the random families are defined to draw it."""
+    return Fraction(rng.randint(-top, top), rng.randint(1, most))
+
+
 def test_tracial_draws_match_the_least_rotation_oracle():
     # the draws of the definition: each word's class is its least rotation,
     # drawn on first sight in all_words order; the orbit walk of the rank
     # map must draw the same values in the same order
     import random as _random
-
-    from ncprob.families import _draw
 
     for k, N in ((1, 5), (2, 6), (3, 4)):
         for seed in range(3):
@@ -143,7 +147,7 @@ def test_tracial_draws_match_the_least_rotation_oracle():
             for w in all_words(k, N):
                 rep = min(w[i:] + w[:i] for i in range(len(w)))
                 if rep not in classes:
-                    classes[rep] = _draw(rng)
+                    classes[rep] = _recipe(rng)
                 assert f(w) == classes[rep]
 
 
@@ -164,17 +168,43 @@ def test_random_family_matches_the_word_keyed_recipe():
     # to the validating constructor as a word-keyed dict
     import random as _random
 
-    from ncprob.families import _draw
-
     for kind in KINDS:
         for k in range(1, 4):
             for N in range(1, 5):
                 for seed in range(2):
                     rng = _random.Random(("family", k, N, seed).__repr__())
-                    values = {w: _draw(rng) for w in all_words(k, N)}
+                    values = {w: _recipe(rng) for w in all_words(k, N)}
                     want = MultilinearFamily(k, N, values, kind=kind)
                     got = random_family(k, N, seed, kind=kind)
                     assert got == want and got.to_json_dict() == want.to_json_dict()
+
+
+def test_random_delta_matches_its_recipe():
+    import random as _random
+
+    for k in range(1, 5):
+        for seed in range(5):
+            rng = _random.Random(("delta", k, seed).__repr__())
+            entries = {
+                (i, j, l): _recipe(rng, 2, 2)
+                for i in range(1, k + 1) for j in range(1, k + 1) for l in range(1, k + 1)
+            }
+            assert random_delta(k, seed) == DeltaTensor(k, entries)
+
+
+@pytest.mark.parametrize("top,most", [(9, 4), (2, 2)])
+def test_layer_draws_leave_the_generator_where_the_recipe_does(top, most):
+    # randint's values and its generator state after a layer, over enough
+    # draws that every rejection path of both bounds is taken
+    import random as _random
+
+    from ncprob.families import _draw_layer
+
+    for seed in range(20):
+        want, got = _random.Random(seed), _random.Random(seed)
+        values = [_recipe(want, top, most) for _ in range(500)]
+        assert _draw_layer(got, 500, top, most) == values
+        assert got.getstate() == want.getstate()
 
 
 def test_random_generators_deterministic():
@@ -300,6 +330,15 @@ def _family_blob():
 def test_family_from_json_dict_rejects_malformed_data(mutate):
     with pytest.raises(NcprobError):
         MultilinearFamily.from_json_dict(mutate(_family_blob()))
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "Infinity"])
+def test_family_from_json_dict_rejects_an_infinite_value(text):
+    # JSON decodes these to float infinities, which no Fraction holds
+    blob = _family_blob()
+    blob["values"]["1"] = json.loads(text)
+    with pytest.raises(InvalidFamily, match="malformed family data"):
+        MultilinearFamily.from_json_dict(blob)
 
 
 @pytest.mark.parametrize(
