@@ -64,12 +64,13 @@ The lattice sums stay as the paper's definitions and as the oracles, on
 the same layers.  `_ranks(k, n, positions)` lists, over the words w of
 length n in rank order, the rank of w|positions in its own layer, so a
 source read on w|b for every w is one gather.  `_lattice_sum` returns a
-whole layer: each row of a table read off the cached partition
-enumerations adds its coefficient times the product of the gathers on its
-blocks, one gather per (source, block) and call.  It runs the
-signed-lattice rewritings, the selftest's resummation lemmas and the
-gamma-eta search, and `_cc_cumulants` solves the opposite-order sum one
-length at a time.  Each transform maps input degree n to output degree n.
+whole layer: each row of a cached table, read off the block rows of NC(n)
+or of a signed lattice and never off partition objects, adds its
+coefficient times the product of the gathers on its blocks, one gather per
+(source, block) and call.  It runs the signed-lattice rewritings on one
+table per flavor (`_signed_table`), the selftest's resummation lemmas and
+the gamma-eta search, and `_cc_cumulants` solves the opposite-order sum
+one length at a time.  Each transform maps input degree n to output degree n.
 """
 
 from fractions import Fraction
@@ -78,10 +79,10 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul, sub
 
-from .errors import LimitExceeded, ShapeMismatch
+from .errors import ShapeMismatch
 from .families import MultilinearFamily, _ranks, words_of_length
 from .nc import _moebius_int, _nc_span
-from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, _abs_block, enumerate_signed, zero_blocks
+from .typeb import Flavor, _signed_rows
 
 Blocks0 = tuple[tuple[int, ...], ...]
 
@@ -277,44 +278,22 @@ def _ll_one_table(n: int) -> tuple[tuple[int, tuple[int, ...], Blocks0], ...]:
     )
 
 
-def _abs0(block: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - 1 for x in _abs_block(block))
-
-
-def _zero_and_pairs(sigma) -> tuple[Blocks0, Blocks0]:
-    """(Abs of each zero-block, Abs of each symmetric pair of other blocks)."""
-    zs = zero_blocks(sigma)
-    zero = tuple(_abs0(sigma.blocks[i]) for i in zs)
-    rest = (b for i, b in enumerate(sigma.blocks) if i not in zs)
-    return zero, tuple(dict.fromkeys(_abs0(b) for b in rest))
-
-
 @lru_cache(maxsize=None)
-def _bopp_table(n: int):
-    """Kernel rows over the opposite-order lattice: (1, Abs of each
-    symmetric pair, Abs of each zero-block).  A pair there is a block
-    inside the positives and its negative."""
-    return tuple(
-        (1, *_zero_and_pairs(sigma)[::-1]) for sigma in enumerate_signed(n, Flavor.B_OPP)
-    )
+def _signed_table(n: int, flavor: Flavor):
+    """Kernel rows over the flavor's signed lattice, in its canonical order:
+    (1, Abs of each zero-block, Abs of each symmetric pair), read off its
+    block rows.  A block is a zero-block when it holds the negative of its
+    first label; a pair's two blocks give one Abs, kept once."""
+    @lru_cache(maxsize=None)
+    def read(block):
+        return -block[0] in block, tuple(sorted({abs(x) - 1 for x in block}))
 
-
-@lru_cache(maxsize=None)
-def _b_zero_table(n: int):
-    """Kernel rows over the type-B partitions with a zero-block, of which
-    there is at most one: (1, (Abs of the zero-block,), Abs of each
-    symmetric pair)."""
-    return tuple(
-        (1, *_zero_and_pairs(sigma)) for sigma in enumerate_signed(n, Flavor.B)
-        if zero_blocks(sigma)
-    )
-
-
-@lru_cache(maxsize=None)
-def _bopp_zero_table(n: int):
-    """Kernel rows over the opposite-order partitions with at least one
-    zero-block: (1, Abs of each zero-block, Abs of each symmetric pair)."""
-    return tuple((1, zero, pairs) for _, pairs, zero in _bopp_table(n) if zero)
+    rows = []
+    for blocks in _signed_rows(n, flavor):
+        groups = list(map(read, blocks))
+        rows.append((1, tuple(a for zero, a in groups if zero),
+                     tuple(dict.fromkeys(a for zero, a in groups if not zero))))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +421,8 @@ def _cc_cumulants(p: list, c: list, k: int) -> list:
     kf, out = _cfree(p, p, k), _blank(len(p) - 1)[0]
     for n in range(1, len(p)):
         whole = (tuple(range(n)),)
-        rows = [r for r in _bopp_table(n) if r[-1] != whole]
-        out[n] = list(map(sub, c[n], _lattice_sum(rows, (kf, out), k, n)))
+        rows = [r for r in _signed_table(n, Flavor.B_OPP) if r[1] != whole]
+        out[n] = list(map(sub, c[n], _lattice_sum(rows, (out, kf), k, n)))
     return out
 
 
@@ -469,9 +448,12 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
+    # every degree's rows before any sum, the highest first, so that a degree
+    # above the enumeration limit is refused at once
+    tables = [[r for r in _signed_table(n, Flavor.B) if r[1]] for n in range(phi.N, 0, -1)][::-1]
     _, (p, dp) = _graded(phi, phi_prime)
     kphi, kprime = _dual((p, dp), phi.k)
-    got = (_lattice_sum(_b_zero_table(n), (kprime, kphi), phi.k, n) for n in range(1, phi.N + 1))
+    got = (_lattice_sum(rows, (kprime, kphi), phi.k, n) for n, rows in enumerate(tables, 1))
     return _first_difference(phi.k, got, dp[1:])
 
 
@@ -480,10 +462,9 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
     carry alternative c-free cumulants, pairs carry free cumulants of phi.
     Returns the first failing word or None."""
     _require_same_shape(phi, chi)
-    if phi.N > DEFAULT_SIGNED_LIMIT:
-        raise LimitExceeded(
-            f"degree {phi.N} above signed enumeration limit {DEFAULT_SIGNED_LIMIT}")
+    tables = [[r for r in _signed_table(n, Flavor.B_OPP) if r[1]]
+              for n in range(phi.N, 0, -1)][::-1]
     _, (p, c) = _graded(phi, chi)
     kphi, kcc = _cfree(p, p, phi.k), _cc(p, c, phi.k)
-    got = (_lattice_sum(_bopp_zero_table(n), (kcc, kphi), phi.k, n) for n in range(1, phi.N + 1))
+    got = (_lattice_sum(rows, (kcc, kphi), phi.k, n) for n, rows in enumerate(tables, 1))
     return _first_difference(phi.k, got, [list(map(sub, x, y)) for x, y in zip(c[1:], p[1:])])

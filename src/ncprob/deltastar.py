@@ -277,7 +277,15 @@ def gamma_eta_counterexample(
     decorated gamma functional on the merged partition equals the unique-
     outer-block eta functional pulled back through the slot-m insertion.
     Returns the first failing word or None."""
-    return _gamma_eta_counterexample(delta, chi, None, phi, n, m, rho)
+    if rho.n != n + 1:
+        raise ShapeMismatch(f"rho must partition 1..{n + 1}")
+    if not ll_one(rho):
+        raise NotLLOne(f"{rho} is not << 1_{rho.n}")
+    if phi.N < n or chi.N < n + 1:
+        raise DegreeTooLow(f"need phi degree >= {n} and chi degree >= {n + 1}")
+    if chi.k != delta.k:
+        raise ShapeMismatch("families and tensor must share one dimension")
+    return _gamma_eta_counterexample(_gamma_eta_tables(delta, lambda: chi, phi), phi.k, n, m, rho)
 
 
 def _gamma_eta_tables(delta: DeltaTensor, draw_chi: Callable, phi: MultilinearFamily):
@@ -314,10 +322,10 @@ def _rows_agree(one: tuple, other: tuple) -> bool:
     return one[0] == other[0] and _least_first(one[1]) == _least_first(other[1])
 
 
-def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
-    """gamma_eta_counterexample on the tables of `_gamma_eta_tables`, so
-    that a caller checking many cases builds them at most once; None checks
-    chi and makes its own.  chi may be None where the tables draw it.
+def _gamma_eta_counterexample(tables, k: int, n: int, m: int, rho: NcPartition):
+    """gamma_eta_counterexample over k letters on the tables of
+    `_gamma_eta_tables`, so that a caller checking many cases builds them at
+    most once; the case (n, m, rho) must be one the public check admits.
 
     The sides are the rows +1 and -1 of one lattice sum over 0-based
     positions of w, which vanishes where they agree: the slot tables on the
@@ -330,16 +338,6 @@ def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
 
     Rows that agree (`_rows_agree`) prove the case for every input; only
     rows that differ are summed, on the given inputs, and build the tables."""
-    if rho.n != n + 1:
-        raise ShapeMismatch(f"rho must partition 1..{n + 1}")
-    if not ll_one(rho):
-        raise NotLLOne(f"{rho} is not << 1_{rho.n}")
-    if phi.N < n or (chi is not None and chi.N < n + 1):
-        raise DegreeTooLow(f"need phi degree >= {n} and chi degree >= {n + 1}")
-    if tables is None:
-        if chi.k != delta.k:
-            raise ShapeMismatch("families and tensor must share one dimension")
-        tables = _gamma_eta_tables(delta, lambda: chi, phi)
     pi = f_nm(rho, m)
     holder = pi.blocks[pi.block_of(m)]
     r = holder.index(m)
@@ -349,8 +347,8 @@ def _gamma_eta_counterexample(delta, chi, tables, phi, n, m, rho):
     eta = (((m - 1,) + pulled[0][1:-1],), tuple(pulled[1:]))
     if _rows_agree(gamma, eta):
         return None
-    diff = _lattice_sum(((1, *gamma), (-1, *eta)), tables(), phi.k, n)
-    return _first_word(phi.k, n, diff, [0] * phi.k ** n)
+    diff = _lattice_sum(((1, *gamma), (-1, *eta)), tables(), k, n)
+    return _first_word(k, n, diff, [0] * k ** n)
 
 
 def verify_gamma_eta(

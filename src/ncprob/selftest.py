@@ -374,7 +374,7 @@ def _lemma67(seed, k, n, l):
     tables = _gamma_eta_tables(
         delta, lambda: truncate(random_family(k, n + 2, seed=seed + 1), n + 1), phi)
     for case in _gamma_eta_cases(n):
-        bad = _gamma_eta_counterexample(delta, None, tables, phi, *case)
+        bad = _gamma_eta_counterexample(tables, k, *case)
         if bad is not None:
             return bad
     return None
@@ -383,11 +383,13 @@ def _lemma67(seed, k, n, l):
 class Target(NamedTuple):
     """A verification target: its check, (seed, k, N, l) -> first
     counterexample or None on inputs drawn from the seed; how far past N
-    the words of the inputs it builds reach; and the least and greatest
-    degree N it covers."""
+    the words of the families it draws reach, None if it draws none;
+    whether it draws a k^3 delta tensor; and the least and greatest degree
+    N it covers."""
 
     check: Callable
-    reach: int
+    reach: int | None
+    tensor: bool = False
     low: int = 1
     high: float = math.inf
 
@@ -395,7 +397,7 @@ class Target(NamedTuple):
 # Every `verify` target; selftest criteria 9-13 run the same rows.  The
 # signed lattices grow fastest, so the checks that walk them stop at 7, and
 # so does lemma210, which walks NC(m) at every degree m up to N and draws
-# nothing (it is sized as a row whose words reach N).
+# nothing.
 TARGETS = {
     "12": Target(lambda s, k, n, l: convolution_intertwine_counterexample(
         *_pairs(k, k, n + 1, s)), reach=1),
@@ -403,9 +405,9 @@ TARGETS = {
         *_pairs(k, l, n + 1, s)), reach=1),
     "14": Target(lambda s, k, n, l: cyclic_cumulant_counterexample(*_pair(k, n + 1, s)), reach=1),
     "17": Target(lambda s, k, n, l: cumulant_transform_counterexample(
-        random_delta(k, seed=s + 2), *_pair(k, n + 1, s)), reach=1),
-    "lemma210": Target(_lemma210, reach=0, high=7),
-    "lemma67": Target(_lemma67, reach=1, low=2),
+        random_delta(k, seed=s + 2), *_pair(k, n + 1, s)), reach=1, tensor=True),
+    "lemma210": Target(_lemma210, reach=None, high=7),
+    "lemma67": Target(_lemma67, reach=1, tensor=True, low=2),
     "prop41": Target(lambda s, k, n, l: _explicit_failure(*_families(k, n, s)), reach=0),
     "prop54": Target(lambda s, k, n, l: _cc_difference_failure(
         *_families(k, n, s)), reach=0, high=7),
@@ -431,19 +433,21 @@ VERIFY_INPUT_LIMIT = 1 << 17  # entries in the largest input `verify` may build
 
 
 def _input_size(theorem: str, k: int, big_n: int, l: int) -> int:
-    """Entries in the largest input a target builds, counted no further than
-    past VERIFY_INPUT_LIMIT: the k^3 delta tensor or the words of length up
-    to N plus the row's reach over k letters, k + l for target 13.  One
-    letter counts as two: the words are then few, but each costs about
-    N^2/2 closed-sum terms."""
+    """Entries in the largest input a target draws, counted no further than
+    past VERIFY_INPUT_LIMIT: the k^3 delta tensor of a row that draws one,
+    and the words of length up to N plus the row's reach over k letters,
+    k + l for target 13, of a row that draws families.  One letter counts
+    as two: the words are then few, but each costs about N^2/2 closed-sum
+    terms."""
+    row = TARGETS[theorem]
     letters = max(k + l if theorem == "13" else k, 2)
     words, layer = 0, 1
-    for _ in range(big_n + TARGETS[theorem].reach):
+    for _ in range(0 if row.reach is None else big_n + row.reach):
         layer *= letters
         words += layer
         if words > VERIFY_INPUT_LIMIT:
             break
-    return max(words, k ** 3)
+    return max(words, k ** 3 if row.tensor else 0)
 
 
 def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> dict:

@@ -13,8 +13,9 @@ its bijection with the pairs (pi in NC(n), a set of outer blocks of pi)
 that the half-turn maps to themselves, by the block of the first position
 (`_half_turn_span`); it reads neither that bijection nor outer blocks, so
 its count is an independent check of comb(2n, n).  Each lattice is one
-table of canonical block rows (`_signed_blocks`), which the enumerations
-wrap in partition objects and the CLI prints.
+table of canonical block rows (`_signed_blocks`): the CLI prints it, the
+kernel tables of `cumulants` read it, and only the enumerations wrap it in
+partition objects (`_signed_objects`).
 """
 
 import itertools
@@ -166,12 +167,10 @@ class SignedNcPartition:
 
 
 def zero_blocks(sigma: SignedNcPartition) -> tuple[int, ...]:
-    """Indices of the blocks fixed by negation."""
-    out = []
-    for i, b in enumerate(sigma.blocks):
-        if frozenset(b) == frozenset(-x for x in b):
-            out.append(i)
-    return tuple(out)
+    """Indices of the blocks fixed by negation: a block that meets its
+    negation is its negation, so those holding the negative of their first
+    label."""
+    return tuple(i for i, b in enumerate(sigma.blocks) if -b[0] in b)
 
 
 def _abs_block(block: tuple[int, ...]) -> tuple[int, ...]:
@@ -300,14 +299,8 @@ def _signed_rows(n: int, flavor: Flavor) -> tuple[Blocks, ...]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_b(n: int) -> tuple[SignedNcPartition, ...]:
-    return tuple(SignedNcPartition._trusted(n, Flavor.B, b) for b in _signed_blocks(n, Flavor.B))
-
-
-@lru_cache(maxsize=None)
-def _enumerate_bopp(n: int) -> tuple[SignedNcPartition, ...]:
-    rows = _signed_blocks(n, Flavor.B_OPP)
-    return tuple(SignedNcPartition._trusted(n, Flavor.B_OPP, b) for b in rows)
+def _signed_objects(n: int, flavor: Flavor) -> tuple[SignedNcPartition, ...]:
+    return tuple(SignedNcPartition._trusted(n, flavor, b) for b in _signed_blocks(n, flavor))
 
 
 def enumerate_signed(
@@ -316,9 +309,7 @@ def enumerate_signed(
     """All symmetric non-crossing partitions for the flavor, canonically
     ordered; both flavors are counted by comb(2n, n)."""
     _check_size(n, DEFAULT_SIGNED_LIMIT if limit is None else limit, "signed enumeration")
-    if flavor is Flavor.B:
-        return _enumerate_b(n)
-    return _enumerate_bopp(n)
+    return _signed_objects(n, flavor)
 
 
 def signed_count(n: int) -> int:

@@ -413,18 +413,25 @@ def test_verify_sizes_the_input_on_the_clipped_degree(runner, theorem):
     assert json.loads(res.output)["N"] == 7
 
 
-# (target, k, l, the largest N admitted): each row is sized on the words
-# its inputs reach, N + 1 for the theorem rows and lemma67, N for prop41
+# (target, k, l, the largest N admitted, 0 for none and None for every N):
+# each row is sized on what it draws, the words its families reach, N + 1
+# for the theorem rows and lemma67 and N for prop41, and the k^3 tensor of
+# 17 and lemma67; lemma210 draws nothing
 SIZE_EDGES = [
     ("12", 2, 1, 15),
+    ("12", 51, 1, 1),
     ("13", 2, 1, 9),
     ("13", 2, 359, 1),
     ("14", 2, 1, 15),
     ("14", 20, 1, 2),
     ("17", 2, 1, 15),
+    ("17", 51, 1, 0),
     ("lemma67", 2, 1, 15),
     ("lemma67", 3, 1, 9),
+    ("lemma67", 51, 1, 0),
     ("prop41", 2, 1, 16),
+    ("prop41", 51, 1, 2),
+    ("lemma210", 6, 1, None),
 ]
 
 
@@ -432,11 +439,24 @@ SIZE_EDGES = [
 def test_verify_sizes_each_row_on_the_words_its_inputs_reach(theorem, k, l, largest):
     from ncprob.selftest import VERIFY_INPUT_LIMIT, _input_size
 
-    assert _input_size(theorem, k, largest, l) <= VERIFY_INPUT_LIMIT
-    if theorem == "13" and largest == 1:
-        assert _input_size(theorem, k, largest, l + 1) > VERIFY_INPUT_LIMIT
+    def admitted(n, l=l):
+        return _input_size(theorem, k, n, l) <= VERIFY_INPUT_LIMIT
+
+    if largest is None:
+        assert admitted(10 ** 6)
+    elif theorem == "13" and largest == 1:
+        assert admitted(1) and not admitted(1, l + 1)
     else:
-        assert _input_size(theorem, k, largest + 1, l) > VERIFY_INPUT_LIMIT
+        assert (largest == 0 or admitted(largest)) and not admitted(largest + 1)
+
+
+@pytest.mark.parametrize("theorem,k,N", [("prop41", 51, 1), ("12", 51, 1), ("lemma210", 6, 7)])
+def test_verify_admits_what_its_row_does_not_draw(runner, theorem, k, N):
+    # no k^3 tensor outside 17 and lemma67, and no words for lemma210; the
+    # refusal of 17 at k = 51 is pinned above
+    res = runner.invoke(main, ["verify", "--theorem", theorem, "--k", str(k), "--N", str(N)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["ok"] is True
 
 
 def test_verify_admits_many_letters_at_low_degree(runner):
@@ -465,7 +485,7 @@ def test_lemma210_reports_the_first_counterexample(monkeypatch):
 def test_lemma67_reports_the_first_counterexample(monkeypatch):
     import ncprob.selftest as st
 
-    def check(delta, chi, beta, phi, n, m, rho):
+    def check(tables, k, n, m, rho):
         return (n, m) if (n, m) in {(2, 1), (3, 2)} else None
 
     monkeypatch.setattr(st, "_gamma_eta_counterexample", check)

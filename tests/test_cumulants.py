@@ -437,7 +437,8 @@ def test_transforms_preserve_shape_and_tag():
 
 def test_kernel_tables_match_public_enumeration():
     # the kernel's row tables for the c-free and signed-lattice sums, pinned
-    # to block_roles and to the signed enumerations with their zero-blocks
+    # to block_roles and to the signed enumerations, whose zero-blocks are
+    # found here by their definition
     from collections import Counter
 
     from ncprob import (
@@ -446,9 +447,8 @@ def test_kernel_tables_match_public_enumeration():
         abs_partition,
         block_roles,
         enumerate_signed,
-        zero_blocks,
     )
-    from ncprob.cumulants import _b_zero_table, _bopp_table, _bopp_zero_table
+    from ncprob.cumulants import _signed_table
 
     def canon(blocks):
         return tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -461,7 +461,7 @@ def test_kernel_tables_match_public_enumeration():
             for _, *groups in table(n)
         )
 
-    for n in range(1, 7):
+    for n in range(1, 9):
         want = Counter()
         for p in enumerate_nc(n):
             roles = block_roles(p)
@@ -470,28 +470,39 @@ def test_kernel_tables_match_public_enumeration():
             want[(canon(inner), canon(outer))] += 1
         assert rows(_roles_table, n) == want
 
-        for flavor, table in (
-            (Flavor.B_OPP, _bopp_table),
-            (Flavor.B, _b_zero_table),
-            (Flavor.B_OPP, _bopp_zero_table),
-        ):
+        for flavor in Flavor:
             want = Counter()
             for sigma in enumerate_signed(n, flavor):
-                zs = zero_blocks(sigma)
+                zs = [i for i, b in enumerate(sigma.blocks) if {-x for x in b} == set(b)]
                 zero = canon({abs(x) for x in sigma.blocks[i]} for i in zs)
-                if table is _bopp_table:
-                    # blocks inside the positives, then the zero-blocks
-                    pos = canon(
+                if flavor is Flavor.B_OPP:
+                    # a pair there is a block inside the positives and its negative
+                    pairs = canon(
                         b for i, b in enumerate(sigma.blocks)
                         if i not in zs and min(b) > 0
                     )
-                    want[(pos, zero)] += 1
-                elif zs:
+                else:
                     pairs = canon(
                         b for b in abs_partition(sigma).blocks if b not in zero
                     )
-                    want[(zero, pairs)] += 1
-            assert rows(table, n) == want
+                want[(zero, pairs)] += 1
+            assert rows(lambda n: _signed_table(n, flavor), n) == want
+
+
+@pytest.mark.parametrize("check, kind", [(eq_typeb_counterexample, "infinitesimal"),
+                                         (eq_bopp_counterexample, "moment")])
+def test_signed_checks_refuse_a_degree_above_the_limit_before_any_sum(monkeypatch, check, kind):
+    import ncprob.cumulants as cu
+    from ncprob import LimitExceeded
+
+    def unreachable(*args):
+        raise AssertionError("a degree above the limit was summed before it was refused")
+
+    monkeypatch.setattr(cu, "_graded", unreachable)
+    monkeypatch.setattr(cu, "_lattice_sum", unreachable)
+    phi, other = random_family(1, 9, seed=185), random_family(1, 9, seed=186, kind=kind)
+    with pytest.raises(LimitExceeded, match="n=9 above signed enumeration limit 8"):
+        check(phi, other)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +558,7 @@ def test_ranks_match_tuple_indexing(k):
 
 
 def _row_tables():
+    from ncprob import Flavor
     from ncprob import cumulants as cu
     from ncprob.selftest import _fixed_block_rows, _ll_one_sign_rows
 
@@ -556,9 +568,8 @@ def _row_tables():
     return {
         "_nc_mob_table": cu._nc_mob_table,
         "_roles_table": _roles_table,
-        "_bopp_table": cu._bopp_table,
-        "_b_zero_table": cu._b_zero_table,
-        "_bopp_zero_table": cu._bopp_zero_table,
+        "_signed_table_B": lambda n: cu._signed_table(n, Flavor.B),
+        "_signed_table_B-opp": lambda n: cu._signed_table(n, Flavor.B_OPP),
         "_ll_one_sign_rows": _ll_one_sign_rows,
         "_fixed_block_rows": fixed,
     }
@@ -586,22 +597,26 @@ def test_layer_lattice_sum_matches_the_per_word_sum(table, k):
             _word_lattice_sum(rows, by_word, w) for w in words_of_length(k, n)]
 
 
-@pytest.mark.parametrize("theorem, table", [("eq5a", "_b_zero_table"),
-                                            ("eq55a", "_bopp_zero_table")])
-def test_signed_checks_report_the_first_counterexample(monkeypatch, theorem, table):
-    # doubling one row at n = 3 breaks the rewriting: the layer check must
-    # name the first word where a per-word scan with the broken rows fails
+@pytest.mark.parametrize("theorem, flavor", [("eq5a", "B"), ("eq55a", "B-opp")])
+def test_signed_checks_report_the_first_counterexample(monkeypatch, theorem, flavor):
+    # doubling one row with a zero-block at n = 3 breaks the rewriting: the
+    # layer check must name the first word where a per-word scan with the
+    # broken rows fails
     import ncprob.cumulants as cu
+    from ncprob import Flavor
     from ncprob.selftest import _families, verify_report
 
-    real = getattr(cu, table)
+    target, real = Flavor(flavor), cu._signed_table
 
-    def broken(n):
-        rows = real(n)
-        i = len(rows) // 2
-        return rows if n != 3 else rows[:i] + ((2 * rows[i][0], *rows[i][1:]),) + rows[i + 1:]
+    def broken(n, f):
+        rows = real(n, f)
+        if (n, f) != (3, target):
+            return rows
+        zero = [j for j, row in enumerate(rows) if row[1]]
+        i = zero[len(zero) // 2]
+        return rows[:i] + ((2 * rows[i][0], *rows[i][1:]),) + rows[i + 1:]
 
-    monkeypatch.setattr(cu, table, broken)
+    monkeypatch.setattr(cu, "_signed_table", broken)
     if theorem == "eq5a":
         phi, phip = _families(2, 4, 5, "infinitesimal")
         check, args, want = eq_typeb_counterexample, (phi, phip), phip.values
@@ -611,8 +626,8 @@ def test_signed_checks_report_the_first_counterexample(monkeypatch, theorem, tab
         check, args = eq_bopp_counterexample, (phi, chi)
         want = {w: chi(w) - phi(w) for w in all_words(2, 4)}
         sources = (cc_cumulants(phi, chi).values, free_cumulants(phi).values)
-    first = next((w for w in all_words(2, 4)
-                  if _word_lattice_sum(broken(len(w)), sources, w) != want[w]), None)
+    first = next((w for w in all_words(2, 4) if _word_lattice_sum(
+        [row for row in broken(len(w), target) if row[1]], sources, w) != want[w]), None)
     assert first is not None and len(first) == 3
     assert check(*args) == first
     report = verify_report(theorem, 5, 2, 4)
@@ -730,8 +745,9 @@ def _lattice_oracles():
     """name -> (input kinds, expected(inputs, output)): the values each
     public transform must have, or for the cumulant directions the values
     it must reproduce, written as kernel sums over the lattice tables."""
+    from ncprob import Flavor
     from ncprob.cumulants import (
-        _bopp_table, _cc_cumulants, _graded, _ll_one_table, _nc_mob_table, _ungraded)
+        _cc_cumulants, _graded, _ll_one_table, _nc_mob_table, _signed_table, _ungraded)
     from ncprob.nc import _interval_range
 
     def nc_one(n):
@@ -791,7 +807,8 @@ def _lattice_oracles():
             ("moment", "moment"), lambda a, out: (out.values, cc(*a))),
         "moments_from_cc": (
             ("moment", "cc-cumulant"),
-            lambda a, out: (out.values, lattice(_bopp_table, kphi(a[0]), a[1]))),
+            lambda a, out: (out.values, lattice(
+                lambda n: _signed_table(n, Flavor.B_OPP), a[1], kphi(a[0])))),
         "infinitesimal_cumulants": (
             ("moment", "infinitesimal"),
             lambda a, out: (out.values, lattice(marked(_nc_mob_table), a[1], a[0]))),

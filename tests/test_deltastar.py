@@ -502,7 +502,7 @@ def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch,
     monkeypatch.setattr(ds, "_rows_agree", record)
     closed = numeric = 0
     for case in _gamma_eta_cases(6):
-        first = ds._gamma_eta_counterexample(d, chi, tables, phi, *case)
+        first = ds._gamma_eta_counterexample(tables, k, *case)
         if verdicts.pop():
             assert first is None, case
             closed += 1
@@ -526,7 +526,7 @@ def test_gamma_eta_certificate_closes_every_case_without_slot_tables(monkeypatch
     d = random_delta(k, seed=180 + k)
     tables = ds._gamma_eta_tables(d, lambda: chi, phi)
     for case in _gamma_eta_cases(7):
-        assert ds._gamma_eta_counterexample(d, chi, tables, phi, *case) is None
+        assert ds._gamma_eta_counterexample(tables, k, *case) is None
     assert verify_report("lemma67", 0, k, 6)["ok"] is True
 
 
