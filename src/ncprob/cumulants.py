@@ -47,8 +47,13 @@ inner = F, the interval inverse of 1 + kappa_phi: F(empty) = 1 and F(u) =
 -sum over u = xy with x nonempty of kappa_phi(x) * F(y).
 
 The sums run on graded ints: with D the lcm of a call's input
-denominators, a value v on w becomes the integer v * D**|w|, every term
-over w scales by exactly D**|w|, and each output word is one Fraction.
+denominators, a value v on w becomes the integer v * D**|w|, and every term
+over w scales by exactly D**|w|.  A value enters by one read of each slot
+of CPython's `fractions.Fraction` (`__slots__ = ('_numerator',
+'_denominator')` on 3.10 to 3.13, the canonical pair), in `_scaled` and
+`_denominator_lcm`, the package's one reader; it leaves, at the positive
+scale P, as v/g over P/g with one g = gcd(v, P), set into a bare
+Fraction's slots with no constructor call.
 The values are the families' layers, graded: layers[n] lists the words
 of length n in rank order (`words_of_length`), a word's rank being its
 letters less one as base-k digits; layers[0] = [1] is never read.  For
@@ -76,7 +81,7 @@ one length at a time.  Each transform maps input degree n to output degree n.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import ShapeMismatch
@@ -96,23 +101,34 @@ def _require_same_shape(f: MultilinearFamily, g: MultilinearFamily) -> None:
 # Graded integers on dense per-length layers
 # ---------------------------------------------------------------------------
 
+def _denominator_lcm(layers) -> int:
+    """The lcm of the denominators of the Fractions in the given layers."""
+    return lcm(*{v._denominator for layer in layers for v in layer})
+
+
+def _scaled(layer, P: int) -> list:
+    """The ints v * P of the Fractions v of a layer, P a multiple of each denominator."""
+    return [v._numerator * (P // v._denominator) for v in layer]
+
+
 def _graded(*families: MultilinearFamily) -> tuple[int, list[list]]:
     """(D, the layers of each family): D is the lcm of the families'
     denominators, and layers[n] lists the integers v * D**n of the words of
     length n in rank order, layers[0] = [1] standing for the empty word."""
-    D = lcm(*{v.denominator for f in families for layer in f._layers for v in layer})
-    powers = [D ** n for n in range(1, max(f.N for f in families) + 1)]
-    return D, [[[1]] + [[v.numerator * (P // v.denominator) for v in layer]
-                        for P, layer in zip(powers, f._layers[1:])] for f in families]
+    D = _denominator_lcm(layer for f in families for layer in f._layers)
+    return D, [[[1]] + [_scaled(x, D ** n) for n, x in enumerate(f._layers) if n] for f in families]
 
 
 def _ungraded(D: int, layers: list, k: int, kind: str, scale: int = 1) -> MultilinearFamily:
-    """The family over k letters, of degree len(layers) - 1, with value
-    layers[n][rank] / (scale * D**n)."""
-    out = [()]
+    """The family of degree len(layers) - 1 with value layers[n][rank] / (scale * D**n)."""
+    out, new = [()], object.__new__
     for n in range(1, len(layers)):
-        P = scale * D ** n
-        out.append(tuple([Fraction(v, P) for v in layers[n]]))
+        P, layer = scale * D ** n, []
+        for v in layers[n]:
+            g, q = gcd(v, P), new(Fraction)
+            q._numerator, q._denominator = v // g, P // g
+            layer.append(q)
+        out.append(tuple(layer))
     return MultilinearFamily._trusted(k, len(layers) - 1, tuple(out), kind)
 
 

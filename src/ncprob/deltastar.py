@@ -13,16 +13,16 @@ words.  Specializing to the diagonal tensor gives the cyclic Boolean-
 cumulant sum that turns a distribution into a mean-zero derivative-style
 functional.
 
-The transform runs on graded ints, with the scaling and the dense layers
-of `cumulants._graded`: with D the lcm of the family's denominators and T
-that of the tensor's, every term over an output word of length n is an
-int at the scale T * D**(n+1), and each output word is one Fraction.  The
-slot table over the words (x, u) of length n sums x's triples (j, l, c)
-of c * f(l, u, j), a stride-k slice of f's layer n + 1 per triple; the
-output layer sums it at the n rotations of w, each gathered from the last
-through the rank map (`cumulants._ranks`) of the rotation by one.
-`_graded_psi`, the diagonal case (T = 1), reads the graded Boolean
-recursion of nu directly.
+The transform runs on graded ints, with the scaling, the dense layers and
+the Fraction reader of `cumulants._graded`: with D the lcm of the
+family's denominators and T that of the tensor's, every term over an
+output word of length n is an int at the scale T * D**(n+1), and each
+output word is one Fraction.  The slot table over the words (x, u) of
+length n sums x's triples (j, l, c) of c * f(l, u, j), a stride-k slice
+of f's layer n + 1 per triple; the output layer sums it at the n
+rotations of w, each gathered from the last through the rank map
+(`cumulants._ranks`) of the rotation by one.  `_graded_psi`, the diagonal
+case (T = 1), reads the graded Boolean recursion of nu directly.
 
 This module also hosts the two block-decorated functionals gamma and eta,
 kept as Fraction implementations of their definitions and used as oracles,
@@ -37,7 +37,6 @@ of chi built on the first such case.
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from typing import Callable
 
 from .errors import (
@@ -58,12 +57,14 @@ from .families import (
 from .cumulants import (
     _boolean,
     _cfree,
+    _denominator_lcm,
     _dual,
     _first_difference,
     _first_word,
     _graded,
     _lattice_sum,
     _ranks,
+    _scaled,
     _ungraded,
     boolean_cumulants,
 )
@@ -73,10 +74,11 @@ from .nc import NcPartition, f_nm, ll_one
 def _scaled_expansion(delta: DeltaTensor) -> tuple[int, dict]:
     """(T, letter -> its (j, l, T * coefficient) triples): T is the lcm of
     the tensor's denominators, so every scaled coefficient is an int."""
-    T = lcm(*(v.denominator for v in delta._entries.values()))
+    items = sorted(delta._entries.items())
+    T = _denominator_lcm([delta._entries.values()])
     out: dict = {i: [] for i in range(1, delta.k + 1)}
-    for (i, j, l), v in sorted(delta._entries.items()):
-        out[i].append((j, l, v.numerator * (T // v.denominator)))
+    for ((i, j, l), _), c in zip(items, _scaled([v for _, v in items], T)):
+        out[i].append((j, l, c))
     return T, {i: tuple(triples) for i, triples in out.items()}
 
 

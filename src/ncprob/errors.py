@@ -6,7 +6,7 @@ class NcprobError(Exception):
 
 
 class LimitExceeded(NcprobError):
-    """Requested size is above the configured enumeration limit."""
+    """A requested size, or a value to write out, is above a configured limit."""
 
 
 class InvalidPartition(NcprobError):

@@ -33,6 +33,7 @@ from .errors import (
     DimMismatch,
     EmptySubset,
     InvalidFamily,
+    LimitExceeded,
     PositionOutOfRange,
     ShapeMismatch,
 )
@@ -156,15 +157,11 @@ class MultilinearFamily:
         return f"MultilinearFamily(k={self.k}, N={self.N}, kind={self.kind!r})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "N": self.N,
-            "kind": self.kind,
-            "unit": self.unit,
-            "values": {
-                ",".join(map(str, w)): str(v) for w, v in self.values.items()
-            },
-        }
+        try:
+            values = {",".join(map(str, w)): str(v) for w, v in self.values.items()}
+        except ValueError:  # an int past the interpreter's int-to-str digit limit
+            raise LimitExceeded("a value has too many digits to write out") from None
+        return {"k": self.k, "N": self.N, "kind": self.kind, "unit": self.unit, "values": values}
 
     @classmethod
     def from_json_dict(cls, data) -> "MultilinearFamily":

@@ -365,6 +365,25 @@ def test_infinite_family_value_is_a_usage_error(runner, tmp_path, value):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("command", [
+    ["transform", "--brand", "free", "--direction", "to-cumulants"],
+    ["convolve", "--kind", "free"],
+    ["product", "--kind", "free"],
+    ["psi"],
+], ids=["transform", "convolve", "product", "psi"])
+def test_value_too_long_to_write_is_a_usage_error(runner, tmp_path, command):
+    # "1e5000" parses exactly, but its 5,001 digits are past the interpreter's
+    # int-to-str limit, so the result cannot be written out
+    path = tmp_path / "huge.json"
+    path.write_text('{"k": 1, "N": 2, "values": {"1": "1e5000", "1,1": "2"}}')
+    inputs = ["--input", str(path)] * (2 if command[0] in ("convolve", "product") else 1)
+    res = runner.invoke(main, command + inputs)
+    assert res.exit_code == 2, res.output
+    assert "Error: a value has too many digits to write out" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
 def test_malformed_tensor_json_is_a_usage_error(runner, tmp_path):
     nu = write_family(tmp_path, "nu.json", random_family(1, 3, seed=36))
     delta = tmp_path / "delta.json"
