@@ -73,6 +73,15 @@ def _ranks(k: int, n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _word_count(k: int, N: int, stop: int) -> int:
+    """The words of length 1..N over k letters, counted no further than past stop."""
+    words = n = 0
+    while n < N and words <= stop:
+        n += 1
+        words += k ** n
+    return words
+
+
 def all_words(k: int, max_n: int):
     """Every word of length 1..max_n over {1..k}, shortest first."""
     for n in range(1, max_n + 1):
@@ -166,17 +175,19 @@ class MultilinearFamily:
     @classmethod
     def from_json_dict(cls, data) -> "MultilinearFamily":
         try:
+            k, N, kind, named = data["k"], data["N"], data.get("kind", "moment"), data["values"]
+            _check_shape(k, N, kind)
+            # counted before any word is listed, so a huge k costs nothing
+            if _word_count(k, N, len(named)) != len(named):
+                raise InvalidFamily(
+                    f"values must name each word of length 1..{N} over 1..{k} exactly once")
             values = {
                 tuple(int(t) for t in key.split(",")): Fraction(val)
-                for key, val in data["values"].items()
+                for key, val in named.items()
             }
-            fam = cls(data["k"], data["N"], values, kind=data.get("kind", "moment"))
+            fam = cls(k, N, values, kind=kind)
         except _MALFORMED as exc:
             raise InvalidFamily(f"malformed family data: {exc!r}") from None
-        if len(data["values"]) != sum(map(len, fam._layers)):
-            raise InvalidFamily(
-                f"values must name each word of length 1..{fam.N} over 1..{fam.k} exactly once"
-            )
         if "unit" in data and data["unit"] != fam.unit:
             raise ShapeMismatch(
                 f"unit {data['unit']!r} inconsistent with kind {fam.kind!r}"

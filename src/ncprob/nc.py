@@ -8,7 +8,10 @@ All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely between threads.  The
 enumeration caches are populated behind ``functools.lru_cache``.  NC(n) is
 one table of canonical block rows (`_nc_span`), which the transforms and
-the CLI read and `enumerate_nc` wraps in partition objects.
+the CLI read and `enumerate_nc` wraps in partition objects.  Kreweras
+complementation and each surgery run one core on such rows, which the lemma
+2.10 check walks directly; the public functions check their arguments and
+wrap the core's result unchecked.
 
 Degenerate case: on a one-point ground set the discrete and the one-block
 partition coincide, and all order predicates hold reflexively.
@@ -19,7 +22,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .errors import (
     InvalidPartition,
@@ -107,8 +110,8 @@ class NcPartition:
     @classmethod
     def _trusted(cls, n: int, canon: Blocks) -> "NcPartition":
         """The partition of {1..n} with the given blocks, unchecked: they
-        must already be canonical and non-crossing.  Only the enumerations
-        and f_nm build through here; every other public path validates."""
+        must already be canonical and non-crossing.  The enumerations, f_nm,
+        kreweras and the surgeries build their results through here."""
         self = object.__new__(cls)
         self._fill(n, canon)
         return self
@@ -316,7 +319,6 @@ def leq(pi: NcPartition, rho: NcPartition) -> bool:
 def ll(pi: NcPartition, rho: NcPartition) -> bool:
     """pi << rho: pi <= rho and each block of rho has its min and max inside
     one block of pi."""
-    _require_same_n(pi, rho)
     if not leq(pi, rho):
         return False
     owner = pi._owner
@@ -326,7 +328,6 @@ def ll(pi: NcPartition, rho: NcPartition) -> bool:
 def sqsubseteq(pi: NcPartition, rho: NcPartition) -> bool:
     """Interval refinement: pi <= rho and pi induces an interval partition on
     every block of rho (with respect to the order induced on that block)."""
-    _require_same_n(pi, rho)
     if not leq(pi, rho):
         return False
     owner = pi._owner
@@ -357,31 +358,33 @@ def enumerate_ll_below(rho: NcPartition) -> tuple[NcPartition, ...]:
 # Kreweras complementation and Moebius values
 # ---------------------------------------------------------------------------
 
-def _kreweras_blocks0(blocks: Blocks, n: int) -> Blocks:
-    """Kreweras complement on 0-based blocks, via the cycle construction.
+def _kreweras(blocks: Blocks, n: int) -> Blocks:
+    """Kreweras complement of canonical rows on {lo..lo+n-1}, lo = blocks[0][0].
 
     Each block, traversed increasingly, is a cycle of a permutation p; the
-    complement is the cycle structure of i -> p^{-1}(i+1 mod n).  This is the
-    direct equivalent of the maximal interleaving partition.
-    """
-    pinv = list(range(n))
+    complement is the cycle structure of x -> p^{-1}(x+1), with lo after the
+    last point.  Each cycle, opened at its least point, runs increasingly, so
+    opening them in increasing order lists the blocks canonically."""
+    lo = blocks[0][0]
+    hi = lo + n
+    pinv = [0] * (hi + 1)
     for b in blocks:
+        pinv[b[0]] = b[-1]
         for a, c in zip(b, b[1:]):
             pinv[c] = a
-        pinv[b[0]] = b[-1]
+    pinv[hi] = pinv[lo]
+    seen = [False] * hi
     out = []
-    seen = [False] * n
-    for start in range(n):
+    for start in range(lo, hi):
         if seen[start]:
             continue
-        cyc = []
-        x = start
+        cyc, x = [], start
         while not seen[x]:
             seen[x] = True
             cyc.append(x)
-            x = pinv[(x + 1) % n]
-        out.append(tuple(sorted(cyc)))
-    return tuple(sorted(out))
+            x = pinv[x + 1]
+        out.append(tuple(cyc))
+    return tuple(out)
 
 
 def kreweras(pi: NcPartition) -> NcPartition:
@@ -391,25 +394,17 @@ def kreweras(pi: NcPartition) -> NcPartition:
     on the odd points and sigma on the even points of {1..2n} stays
     non-crossing.
     """
-    blocks0 = tuple(tuple(x - 1 for x in b) for b in pi.blocks)
-    comp = _kreweras_blocks0(blocks0, pi.n)
-    return NcPartition(pi.n, [tuple(x + 1 for x in b) for b in comp])
+    return NcPartition._trusted(pi.n, _kreweras(pi.blocks, pi.n))
 
 
 def _moebius_int(blocks: Blocks, n: int) -> int:
-    comp = _kreweras_blocks0(blocks, n)
-    sign = -1 if (len(blocks) - 1) % 2 else 1
-    prod = 1
-    for b in comp:
-        prod *= catalan(len(b) - 1)
-    return sign * prod
+    return (-1) ** (len(blocks) - 1) * prod(catalan(len(b) - 1) for b in _kreweras(blocks, n))
 
 
 def moebius_to_one(pi: NcPartition) -> Fraction:
     """Moeb_n(pi, 1_n) as a signed product of Catalan numbers over the
     Kreweras complement."""
-    blocks0 = tuple(tuple(x - 1 for x in b) for b in pi.blocks)
-    return Fraction(_moebius_int(blocks0, pi.n))
+    return Fraction(_moebius_int(pi.blocks, pi.n))
 
 
 @lru_cache(maxsize=32)
@@ -476,47 +471,55 @@ def _outer(blocks: Blocks) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _parent(blocks: Blocks, idx: int) -> int | None:
+    """Index of the parent-block of block idx in canonical rows, None when it
+    is outer: the nesting blocks form a chain, and it opens latest."""
+    b = blocks[idx]
+    for j in range(idx - 1, -1, -1):
+        if _nests(blocks[j], b):
+            return j
+    return None
+
+
 def parent_block(pi: NcPartition, block_index: int) -> int:
-    """Index of the parent-block: the minimal block nesting the given one."""
-    b = pi.blocks[block_index]
-    nesting = [
-        (w[0], j)
-        for j, w in enumerate(pi.blocks)
-        if j != block_index and _nests(w, b)
-    ]
-    if not nesting:
-        raise NotInner(f"block {b} is outer in {pi}")
-    # nesting blocks form a chain; the parent is the one opening latest
-    return max(nesting)[1]
+    """Index of the parent-block: the minimal block nesting the given one;
+    NotInner when the block is outer."""
+    parent = _parent(pi.blocks, range(len(pi))[block_index])  # negative counts from the end
+    if parent is None:
+        raise NotInner(f"block {pi.blocks[block_index]} is outer in {pi}")
+    return parent
 
 
 # ---------------------------------------------------------------------------
 # Cut / attach surgeries
 # ---------------------------------------------------------------------------
 
+def _cut(blocks: Blocks, idx: int, i: int) -> Blocks:
+    """Canonical rows with block idx split into its parts up to i and after i."""
+    p = blocks[idx]
+    k = p.index(i) + 1
+    return tuple(sorted(blocks[:idx] + (p[:k], p[k:]) + blocks[idx + 1:]))
+
+
+def _attach(blocks: Blocks, idx: int, parent: int) -> Blocks:
+    """Canonical rows with block idx merged into the earlier block parent."""
+    merged = tuple(sorted(blocks[parent] + blocks[idx]))
+    return blocks[:parent] + (merged,) + blocks[parent + 1:idx] + blocks[idx + 1:]
+
+
 def cut(pi: NcPartition, i: int) -> NcPartition:
     """Split the inner block containing i into its parts up to i and after i."""
     idx = pi.block_of(i)
-    if block_roles(pi)[idx] is not BlockRole.INNER:
-        raise NotInner(f"{i} lies in an outer block of {pi}")
-    p = pi.blocks[idx]
-    if i == p[-1]:
-        raise IsBlockMax(f"{i} is the maximum of its block {p}")
-    low = tuple(j for j in p if j <= i)
-    high = tuple(j for j in p if j > i)
-    blocks = [b for j, b in enumerate(pi.blocks) if j != idx] + [low, high]
-    return NcPartition(pi.n, blocks)
+    parent_block(pi, idx)  # NotInner when the block is outer
+    if i == pi.blocks[idx][-1]:
+        raise IsBlockMax(f"{i} is the maximum of its block {pi.blocks[idx]}")
+    return NcPartition._trusted(pi.n, _cut(pi.blocks, idx, i))
 
 
 def attach(pi: NcPartition, i: int) -> NcPartition:
     """Merge the inner block containing i into its parent-block."""
     idx = pi.block_of(i)
-    if block_roles(pi)[idx] is not BlockRole.INNER:
-        raise NotInner(f"{i} lies in an outer block of {pi}")
-    ridx = parent_block(pi, idx)
-    merged = tuple(sorted(pi.blocks[idx] + pi.blocks[ridx]))
-    blocks = [b for j, b in enumerate(pi.blocks) if j not in (idx, ridx)] + [merged]
-    return NcPartition(pi.n, blocks)
+    return NcPartition._trusted(pi.n, _attach(pi.blocks, idx, parent_block(pi, idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,16 +549,8 @@ def f_nm_inverse(pi: NcPartition, m: int) -> NcPartition:
     n = pi.n
     if not 1 <= m <= n:
         raise InvalidPartition(f"m={m} outside 1..{n}")
-    size = n + 1
-    hat = []
-    for b in pi.blocks:
-        nb = [x + 1 if x > m else x for x in b]
-        if m in b:
-            nb.append(m + 1)
-        hat.append(tuple(sorted(nb)))
-    tau_inv = lambda k: (k - m - 1) % size + 1
-    blocks = [tuple(sorted(tau_inv(k) for k in b)) for b in hat]
-    rho = NcPartition(size, blocks)
-    if not ll_one(rho):
-        raise NotLLOne(f"inverse image {rho} is not << 1_{size}")
-    return rho
+    # f_nm's map inverted sends each k to (k - m - 1) mod n + 2, m to n + 1,
+    # and the reopened point 1 joins m's block, so the image is << 1_{n+1}
+    blocks = (((1,) if m in b else ()) + tuple(sorted((k - m - 1) % n + 2 for k in b))
+              for b in pi.blocks)
+    return NcPartition._trusted(n + 1, tuple(sorted(blocks)))

@@ -10,20 +10,16 @@ import math
 from typing import Callable, NamedTuple
 
 from . import (
-    BlockRole,
     Flavor,
     LimitExceeded,
     NcPartition,
     ShapeMismatch,
     all_words,
-    attach,
-    block_roles,
     boolean_cumulants,
     catalan,
     cfree_cumulants,
     cfree_product,
     convolution_intertwine_counterexample,
-    cut,
     cyclic_cumulant_counterexample,
     cumulant_transform_counterexample,
     enumerate_nc,
@@ -61,6 +57,8 @@ from .cumulants import (
     _boolean, _cc_cumulants, _cfree, _explicit, _first_difference, _first_word, _graded,
     _lattice_sum, _ll_one_table)
 from .deltastar import _gamma_eta_counterexample, _gamma_eta_tables
+from .families import _word_count
+from .nc import _attach, _cut, _kreweras, _nc_span, _parent
 
 
 def _criterion_catalan(seed):
@@ -122,17 +120,18 @@ def _criterion_ideals(seed):
 
 def _cut_attach_failure(n):
     """The first (partition, i) with pi << 1_n and i in an inner block, not
-    its maximum, where K(cut(pi, i)) != attach(K(pi), i); None if none."""
-    for p in enumerate_nc(n):
-        if not ll_one(p):
+    its maximum, where K(cut(pi, i)) != attach(K(pi), i); None if none.
+    Under 1_n's first block every other block is inner."""
+    for row in _nc_span(1, n + 1):
+        if row[0][-1] != n:
             continue
-        roles = block_roles(p)
-        for idx, blk in enumerate(p.blocks):
-            if roles[idx] is not BlockRole.INNER:
-                continue
-            for x in blk[:-1]:
-                if kreweras(cut(p, x)) != attach(kreweras(p), x):
-                    return p, x
+        comp = _kreweras(row, n)
+        for idx in range(1, len(row)):
+            for x in row[idx][:-1]:
+                j = next(j for j, b in enumerate(comp) if x in b)
+                parent = _parent(comp, j)
+                if parent is None or _kreweras(_cut(row, idx, x), n) != _attach(comp, j, parent):
+                    return NcPartition(n, row), x
     return None
 
 
@@ -140,14 +139,12 @@ def _criterion_cut_attach(seed):
     for n in range(1, 8):
         parts = enumerate_nc(n)
         domain = [p for p in parts if ll_one(p)]
-        image = {kreweras(p) for p in domain}
-        want = {s for s in parts if (n,) in s.blocks}
-        if image != want:
+        comps = [kreweras(p) for p in domain]
+        if set(comps) != {s for s in parts if (n,) in s.blocks}:
             return False, f"image of the restricted complement wrong at n={n}"
-        for a in domain:
-            ka = kreweras(a)
-            for b in domain:
-                if sqsubseteq(a, b) != ll(kreweras(b), ka):
+        for a, ka in zip(domain, comps):
+            for b, kb in zip(domain, comps):
+                if sqsubseteq(a, b) != ll(kb, ka):
                     return False, f"anti-isomorphism fails at n={n}"
         bad = _cut_attach_failure(n)
         if bad is not None:
@@ -395,9 +392,9 @@ class Target(NamedTuple):
 
 
 # Every `verify` target; selftest criteria 9-13 run the same rows.  The
-# signed lattices grow fastest, so the checks that walk them stop at 7, and
-# so does lemma210, which walks NC(m) at every degree m up to N and draws
-# nothing.
+# signed lattices grow fastest, so the checks that walk them stop at 7;
+# lemma210, which walks the rows of NC(m) at every degree m up to N and
+# draws nothing, stops at 10.
 TARGETS = {
     "12": Target(lambda s, k, n, l: convolution_intertwine_counterexample(
         *_pairs(k, k, n + 1, s)), reach=1),
@@ -406,7 +403,7 @@ TARGETS = {
     "14": Target(lambda s, k, n, l: cyclic_cumulant_counterexample(*_pair(k, n + 1, s)), reach=1),
     "17": Target(lambda s, k, n, l: cumulant_transform_counterexample(
         random_delta(k, seed=s + 2), *_pair(k, n + 1, s)), reach=1, tensor=True),
-    "lemma210": Target(_lemma210, reach=None, high=7),
+    "lemma210": Target(_lemma210, reach=None, high=10),
     "lemma67": Target(_lemma67, reach=1, tensor=True, low=2),
     "prop41": Target(lambda s, k, n, l: _explicit_failure(*_families(k, n, s)), reach=0),
     "prop54": Target(lambda s, k, n, l: _cc_difference_failure(
@@ -441,12 +438,8 @@ def _input_size(theorem: str, k: int, big_n: int, l: int) -> int:
     terms."""
     row = TARGETS[theorem]
     letters = max(k + l if theorem == "13" else k, 2)
-    words, layer = 0, 1
-    for _ in range(0 if row.reach is None else big_n + row.reach):
-        layer *= letters
-        words += layer
-        if words > VERIFY_INPUT_LIMIT:
-            break
+    length = 0 if row.reach is None else big_n + row.reach
+    words = _word_count(letters, length, VERIFY_INPUT_LIMIT)
     return max(words, k ** 3 if row.tensor else 0)
 
 

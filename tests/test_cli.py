@@ -292,6 +292,22 @@ def test_verify_refuses_oversized_inputs_before_building_them(args):
     assert "than 131072 entries" in res.stderr
 
 
+def test_transform_refuses_a_huge_declared_k(tmp_path):
+    # the 10^8 words of length 1 are counted, never listed: a child capped at
+    # 1 GiB fails if they are
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"k": 100000000, "N": 1, "values": {"1": "1"}}))
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    res = subprocess.run(
+        [sys.executable, "-m", "ncprob.cli", "transform", "--brand", "free",
+         "--direction", "to-cumulants", "--input", str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_memory, timeout=60,
+    )
+    assert res.returncode == 2, res.stderr[-500:]
+    assert "exactly once" in res.stderr
+
+
 def test_verify_failure_exit_code(runner, monkeypatch):
     # no identity in scope actually fails, so fake a counterexample to pin
     # down the exit-code contract
@@ -405,7 +421,7 @@ DEGREES_CHECKED = [
     ("prop54", 1, 8, 7),
     ("eq5a", 1, 8, 7),
     ("eq55a", 1, 8, 7),
-    ("lemma210", 2, 9, 7),
+    ("lemma210", 2, 11, 10),
     ("lemma67", 1, 1, 2),
     ("prop41", 1, 6, 6),
 ]
@@ -424,12 +440,18 @@ def test_verify_report_states_the_degree_checked(theorem, k, asked, checked):
     assert report["N"] == checked
 
 
-@pytest.mark.parametrize("theorem", ["prop54", "eq5a", "eq55a", "lemma210"])
+@pytest.mark.parametrize("theorem", ["prop54", "eq5a", "eq55a"])
 def test_verify_sizes_the_input_on_the_clipped_degree(runner, theorem):
     # at k = 2, N = 16 would need more than 2^17 entries, but N = 7 is checked
     res = runner.invoke(main, ["verify", "--theorem", theorem, "--N", "16"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["N"] == 7
+
+
+def test_verify_clips_lemma210_at_ten(runner):
+    res = runner.invoke(main, ["verify", "--theorem", "lemma210", "--N", "16"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["N"] == 10
 
 
 # (target, k, l, the largest N admitted, 0 for none and None for every N):
@@ -488,17 +510,29 @@ def test_verify_admits_many_letters_at_low_degree(runner):
 def test_lemma210_reports_the_first_counterexample(monkeypatch):
     import ncprob.selftest as st
 
-    real_cut = st.cut
-    broken = {("{1,4}{2,3}", 2), ("{1,5}{2,3,4}", 3)}
+    real_cut = st._cut
+    broken = {(((1, 4), (2, 3)), 2), (((1, 5), (2, 3, 4)), 3)}
 
-    def cut(p, x):
+    def cut(blocks, idx, x):
         # an unsplit partition never matches attach: the duality fails here
-        return p if (p.to_text(), x) in broken else real_cut(p, x)
+        return blocks if (blocks, x) in broken else real_cut(blocks, idx, x)
 
-    monkeypatch.setattr(st, "cut", cut)
+    monkeypatch.setattr(st, "_cut", cut)
     report = st.verify_report("lemma210", 0, 2, 5)
     assert report["ok"] is False
     assert report["counterexample"] == "n=4, partition {1,4}{2,3}, i=2"
+
+
+def test_lemma210_builds_no_partition_object(monkeypatch):
+    import ncprob.nc as nc
+    from ncprob.selftest import verify_report
+
+    def fill(*args):
+        raise AssertionError("a partition object was built")
+
+    nc._nc_objects.cache_clear()
+    monkeypatch.setattr(nc.NcPartition, "_fill", fill)
+    assert verify_report("lemma210", 0, 2, 7)["ok"] is True
 
 
 def test_lemma67_reports_the_first_counterexample(monkeypatch):

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import nc
 from ncprob import (
     BlockRole,
     InvalidPartition,
@@ -325,6 +327,73 @@ def test_cut_attach_duality():
                     continue
                 for x in blk[:-1]:
                     assert kreweras(cut(p, x)) == attach(kreweras(p), x)
+
+
+def _old_kreweras(pi):
+    # the 0-based cycle construction with sorted cycles, then validated
+    n = pi.n
+    pinv = list(range(n))
+    for b in pi.blocks:
+        for a, c in zip(b, b[1:]):
+            pinv[c - 1] = a - 1
+        pinv[b[0] - 1] = b[-1] - 1
+    out, seen = [], [False] * n
+    for start in range(n):
+        cyc, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x + 1)
+            x = pinv[(x + 1) % n]
+        if cyc:
+            out.append(cyc)
+    return NcPartition(n, out)
+
+
+def _old_inner(pi, i):
+    # the block holding i and its parent-block, the latest-opening block
+    # nesting it (None when there is none)
+    b = pi.blocks[pi.block_of(i)]
+    nesting = [w for w in pi.blocks if w[0] < b[0] and b[-1] < w[-1]]
+    return b, max(nesting) if nesting else None
+
+
+def test_row_surgeries_match_the_object_recipes():
+    # each result equals its rebuild through the validating constructor
+    # and the partition the object-level recipe builds
+    def rebuilt(p):
+        return NcPartition(p.n, p.blocks)
+
+    for n in range(1, 9):
+        for pi in enumerate_nc(n):
+            blocks0 = tuple(tuple(x - 1 for x in b) for b in pi.blocks)
+            assert nc._kreweras(blocks0, n) == tuple(
+                tuple(x - 1 for x in b) for b in nc._kreweras(pi.blocks, n))
+            k, old = kreweras(pi), _old_kreweras(pi)
+            assert k.blocks == rebuilt(k).blocks == old.blocks
+            assert moebius_to_one(pi) == (-1) ** (len(pi) - 1) * math.prod(
+                catalan(len(b) - 1) for b in old.blocks)
+            for i in range(1, n + 1):
+                b, parent = _old_inner(pi, i)
+                if parent is None:
+                    with pytest.raises(NotInner):
+                        cut(pi, i)
+                    with pytest.raises(NotInner):
+                        attach(pi, i)
+                    continue
+                assert pi.blocks[parent_block(pi, pi.block_of(i))] == parent
+                rest = [w for w in pi.blocks if w not in (b, parent)]
+                a = attach(pi, i)
+                assert a.blocks == rebuilt(a).blocks == NcPartition(
+                    n, rest + [tuple(sorted(b + parent))]).blocks
+                if i == b[-1]:
+                    with pytest.raises(IsBlockMax):
+                        cut(pi, i)
+                    continue
+                c = cut(pi, i)
+                low = tuple(j for j in b if j <= i)
+                high = tuple(j for j in b if j > i)
+                assert c.blocks == rebuilt(c).blocks == NcPartition(
+                    n, rest + [parent, low, high]).blocks
 
 
 def test_upper_ideal_alternating_sum():
