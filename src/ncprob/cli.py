@@ -227,18 +227,15 @@ def transform(brand, direction, inputs):
 )
 def psi(k, input_path, delta_path):
     """Map a distribution to its derivative-style functional."""
-    from .cumulants import boolean_cumulants
-    from .deltastar import delta_star, psi_k
-    from .families import DeltaTensor
+    from .deltastar import psi_delta
+    from .families import DeltaTensor, diagonal_delta
 
     nu = _load_family(input_path)
     if k is not None and nu.k != k:
         raise click.UsageError(f"family has k={nu.k}, expected {k}")
-    if delta_path is None:
-        out = psi_k(nu)
-    else:
-        out = delta_star(DeltaTensor.from_json_dict(_load_json(delta_path)), boolean_cumulants(nu))
-    _dump(out.to_json_dict())
+    delta = (diagonal_delta(nu.k) if delta_path is None
+             else DeltaTensor.from_json_dict(_load_json(delta_path)))
+    _dump(psi_delta(delta, nu).to_json_dict())
 
 
 def _pairwise(kind, inputs, product_mode):

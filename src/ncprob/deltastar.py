@@ -21,13 +21,16 @@ output word is one Fraction.  The slot table over the words (x, u) of
 length n sums x's triples (j, l, c) of c * f(l, u, j), a stride-k slice
 of f's layer n + 1 per triple; the output layer sums it at the n
 rotations of w, each gathered from the last through the rank map
-(`cumulants._ranks`) of the rotation by one.  `_graded_psi`, the diagonal
-case (T = 1), reads the graded Boolean recursion of nu directly.
+(`cumulants._ranks`) of the rotation by one.  psi_delta, psi_k (at the
+diagonal tensor, T = 1) and the identity checks all read one core,
+`_graded_psi`; delta_star and psi_delta share one boundary: the input
+checks, one grading and one reading at T * D.
 
 This module also hosts the two block-decorated functionals gamma and eta,
 kept as Fraction implementations of their definitions and used as oracles,
 and the verification routines for the main identities relating c-free and
-infinitesimal cumulants, which compare both sides as ints at one scale.
+infinitesimal cumulants, which compare both sides as ints at one scale;
+the cyclic identity check is the transform check at the diagonal tensor.
 Each case of the search for the block identity between gamma and eta is a
 two-row lattice sum.  Rows that agree as data (the same core, phi's blocks
 up to order and rotation) prove the case for every input; only rows that
@@ -112,25 +115,30 @@ def _graded_delta_star(delta: DeltaTensor, layers: list, k: int) -> tuple[int, l
     return T, out
 
 
-def _graded_psi(c: list, k: int) -> list:
-    """psi_k on the graded moments c, at scale D**(n+1)."""
-    return _graded_delta_star(diagonal_delta(k), _boolean(c), k)[1]
+def _graded_psi(delta: DeltaTensor, c: list, k: int) -> tuple[int, list]:
+    """(T, the transform's layers on the graded Boolean cumulants of moments c)."""
+    return _graded_delta_star(delta, _boolean(c), k)
 
 
-def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
-    """Apply the transform; output degree is input degree minus one."""
+def _transformed(core: Callable, delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
+    """The input checks, then core(delta, the graded layers of f, k) read at T * D."""
     if f.k != delta.k:
         raise DimMismatch(f"family over k={f.k} but tensor over k={delta.k}")
     if f.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (val,) = _graded(f)
-    T, out = _graded_delta_star(delta, val, f.k)
+    T, out = core(delta, val, f.k)
     return _ungraded(D, out, f.k, "infinitesimal", T * D)
+
+
+def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
+    """Apply the transform; output degree is input degree minus one."""
+    return _transformed(_graded_delta_star, delta, f)
 
 
 def psi_delta(delta: DeltaTensor, chi: MultilinearFamily) -> MultilinearFamily:
     """The transform applied to the Boolean cumulants of chi."""
-    return delta_star(delta, boolean_cumulants(chi))
+    return _transformed(_graded_psi, delta, chi)
 
 
 def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
@@ -139,10 +147,7 @@ def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
     mu'(i_1..i_n) = sum_m beta_{n+1}(i_m,..,i_n,i_1,..,i_m), each tuple
     wrapping around so that it starts and ends with the same letter.
     """
-    if nu.N < 2:
-        raise DegreeTooLow("input degree must be at least 2")
-    D, (c,) = _graded(nu)
-    return _ungraded(D, _graded_psi(c, nu.k), nu.k, "infinitesimal", D)
+    return psi_delta(diagonal_delta(nu.k), nu)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,7 @@ def cumulant_transform_counterexample(
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
     _, (p, c) = _graded(phi, chi)
-    lhs = _dual((p[:-1], _graded_delta_star(delta, _boolean(c), phi.k)[1]), phi.k)[1]
+    lhs = _dual((p[:-1], _graded_psi(delta, c, phi.k)[1]), phi.k)[1]
     rhs = _graded_delta_star(delta, _cfree(p, c, phi.k), phi.k)[1]
     return _first_difference(phi.k, lhs[1:], rhs[1:])
 
@@ -250,17 +255,9 @@ def verify_theorem_delta(
 def cyclic_cumulant_counterexample(mu: MultilinearFamily, nu: MultilinearFamily):
     """Check that the infinitesimal cumulants of (mu, psi_k(nu)) are the
     cyclic wrap-around sums of the c-free cumulants of (mu, nu), for tracial
-    mu.  Returns the first failing word or None."""
-    if mu.k != nu.k or mu.N != nu.N:
-        raise ShapeMismatch("mu and nu must share k and N")
-    if mu.N < 2:
-        raise DegreeTooLow("inputs must have degree at least 2")
-    if not is_tracial(mu):
-        raise NotTracial("mu must be tracial")
-    _, (p, c) = _graded(mu, nu)
-    lhs = _dual((p[:-1], _graded_psi(c, mu.k)), mu.k)[1]
-    rhs = _graded_delta_star(diagonal_delta(mu.k), _cfree(p, c, mu.k), mu.k)[1]
-    return _first_difference(mu.k, lhs[1:], rhs[1:])
+    mu: the transform check at the diagonal tensor.  Returns the first
+    failing word or None."""
+    return cumulant_transform_counterexample(diagonal_delta(mu.k), mu, nu)
 
 
 def verify_theorem_cyclic(mu: MultilinearFamily, nu: MultilinearFamily) -> bool:

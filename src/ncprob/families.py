@@ -103,6 +103,8 @@ class MultilinearFamily:
 
     def __init__(self, k: int, N: int, values, kind: str = "moment") -> None:
         _check_shape(k, N, kind)
+        if _word_count(k, N, len(values)) > len(values):  # counted before any word is listed
+            raise ShapeMismatch(f"fewer values than words of length 1..{N} over 1..{k}")
         layers = [[] for _ in range(N + 1)]
         for w in all_words(k, N):
             try:

@@ -11,7 +11,8 @@ one table of canonical block rows (`_nc_span`), which the transforms and
 the CLI read and `enumerate_nc` wraps in partition objects.  Kreweras
 complementation and each surgery run one core on such rows, which the lemma
 2.10 check walks directly; the public functions check their arguments and
-wrap the core's result unchecked.
+wrap the core's result unchecked.  One stack scan, `is_noncrossing`, tests
+crossings, and the validating constructor reads it.
 
 Degenerate case: on a one-point ground set the discrete and the one-block
 partition coincide, and all order predicates hold reflexively.
@@ -50,29 +51,6 @@ class BlockRole(Enum):
     OUTER = "outer"
 
 
-def _check_noncrossing_scan(n: int, owner: list[int]) -> bool:
-    """Linear-time stack test; ``owner[x]`` is the block id of element x (1-based)."""
-    first = {}
-    last = {}
-    for x in range(1, n + 1):
-        b = owner[x]
-        if b not in first:
-            first[b] = x
-        last[b] = x
-    stack: list[int] = []
-    for x in range(1, n + 1):
-        b = owner[x]
-        if stack and stack[-1] == b:
-            pass
-        elif first[b] == x:
-            stack.append(b)
-        else:
-            return False
-        if last[b] == x:
-            stack.pop()
-    return True
-
-
 class NcPartition:
     """A canonical non-crossing set partition of {1..n}.
 
@@ -87,16 +65,11 @@ class NcPartition:
         if n < 1:
             raise InvalidPartition(f"ground-set size must be positive, got {n}")
         canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        seen: list[int] = []
-        for b in canon:
-            if not b:
-                raise InvalidPartition("empty block")
-            seen.extend(b)
-        if sorted(seen) != list(range(1, n + 1)):
-            raise InvalidPartition(f"blocks do not partition 1..{n}: {canon}")
-        self._fill(n, canon)
-        if not _check_noncrossing_scan(n, self._owner):
+        if () in canon:
+            raise InvalidPartition("empty block")
+        if not is_noncrossing(canon, n):
             raise InvalidPartition(f"partition is crossing: {canon}")
+        self._fill(n, canon)
 
     def _fill(self, n: int, canon: Blocks) -> None:
         owner = [-1] * (n + 1)
@@ -201,20 +174,31 @@ def one_partition(n: int) -> NcPartition:
 def is_noncrossing(blocks, n: int | None = None) -> bool:
     """Crossing test for a raw set partition of {1..n}.
 
-    Raises InvalidPartition when the blocks do not partition the ground set;
-    returns False when they do but cross.
+    One stack scan over the points: a block is pushed at its first point and
+    popped at its last, and the blocks cross exactly when a point that opens
+    no block finds another block on top.  Raises InvalidPartition when the
+    blocks do not partition the ground set; returns False when they cross.
     """
-    blocks = [tuple(sorted(b)) for b in blocks]
+    blocks = tuple(tuple(sorted(b)) for b in blocks)
     elems = sorted(x for b in blocks for x in b)
     if n is None:
         n = len(elems)
     if elems != list(range(1, n + 1)):
-        raise InvalidPartition(f"blocks do not partition 1..{n}")
-    owner = [-1] * (n + 1)
-    for i, b in enumerate(blocks):
+        raise InvalidPartition(f"blocks do not partition 1..{n}: {blocks}")
+    owner = [()] * (n + 1)
+    for b in blocks:
         for x in b:
-            owner[x] = i
-    return _check_noncrossing_scan(n, owner)
+            owner[x] = b
+    stack: list = []
+    for x in range(1, n + 1):
+        b = owner[x]
+        if x == b[0]:
+            stack.append(b)
+        elif stack[-1] is not b:
+            return False
+        if x == b[-1]:
+            stack.pop()
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ run the same cores on one grading and build no Fraction.
 from operator import add
 
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
-from .families import MultilinearFamily, is_tracial
+from .families import MultilinearFamily, diagonal_delta, is_tracial
 from .cumulants import (
     _cfree, _dual, _first_difference, _graded, _moments, _moments_cfree, _ungraded)
 from .deltastar import _graded_psi
@@ -148,8 +148,8 @@ def boxplus_b(
 
 def _intertwine_counterexample(check_pairs, join, K, mu1, nu1, mu2, nu2):
     """The intertwining statement for the ops that join cumulants by join
-    over K letters, both sides at the scale D**(n+1) of `_graded_psi`,
-    to which the infinitesimal part is linear."""
+    over K letters, both sides at the scale D**(n+1) of `_graded_psi` at
+    the diagonal tensor, to which the infinitesimal part is linear."""
     check_pairs(mu1, nu1, mu2, nu2)
     if mu1.N < 2:
         raise DegreeTooLow("inputs must have degree at least 2")
@@ -158,9 +158,9 @@ def _intertwine_counterexample(check_pairs, join, K, mu1, nu1, mu2, nu2):
     _, (p1, c1, p2, c2) = _graded(mu1, nu1, mu2, nu2)
     k1, k2 = mu1.k, mu2.k
     nu = _joined_cfree(join, K, k1, (p1, c1), k2, (p2, c2))[1]
-    mup = _joined(join, K, k1, (p1[:-1], _graded_psi(c1, k1)),
-                  k2, (p2[:-1], _graded_psi(c2, k2)))[1]
-    return _first_difference(K, mup[1:], _graded_psi(nu, K)[1:])
+    mup = _joined(join, K, k1, (p1[:-1], _graded_psi(diagonal_delta(k1), c1, k1)[1]),
+                  k2, (p2[:-1], _graded_psi(diagonal_delta(k2), c2, k2)[1]))[1]
+    return _first_difference(K, mup[1:], _graded_psi(diagonal_delta(K), nu, K)[1][1:])
 
 
 def product_intertwine_counterexample(

@@ -394,7 +394,7 @@ class Target(NamedTuple):
 # Every `verify` target; selftest criteria 9-13 run the same rows.  The
 # signed lattices grow fastest, so the checks that walk them stop at 7;
 # lemma210, which walks the rows of NC(m) at every degree m up to N and
-# draws nothing, stops at 10.
+# draws nothing, stops at 11.
 TARGETS = {
     "12": Target(lambda s, k, n, l: convolution_intertwine_counterexample(
         *_pairs(k, k, n + 1, s)), reach=1),
@@ -403,7 +403,7 @@ TARGETS = {
     "14": Target(lambda s, k, n, l: cyclic_cumulant_counterexample(*_pair(k, n + 1, s)), reach=1),
     "17": Target(lambda s, k, n, l: cumulant_transform_counterexample(
         random_delta(k, seed=s + 2), *_pair(k, n + 1, s)), reach=1, tensor=True),
-    "lemma210": Target(_lemma210, reach=None, high=10),
+    "lemma210": Target(_lemma210, reach=None, high=11),
     "lemma67": Target(_lemma67, reach=1, tensor=True, low=2),
     "prop41": Target(lambda s, k, n, l: _explicit_failure(*_families(k, n, s)), reach=0),
     "prop54": Target(lambda s, k, n, l: _cc_difference_failure(

@@ -8,9 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 from ncprob.cli import main
-from ncprob.families import MultilinearFamily, random_family
-from ncprob.cumulants import free_cumulants
-from ncprob.deltastar import psi_k
+from ncprob.families import MultilinearFamily, random_delta, random_family
+from ncprob.cumulants import boolean_cumulants, free_cumulants
+from ncprob.deltastar import delta_star, psi_delta, psi_k
 from ncprob.selftest import TARGETS
 
 
@@ -163,6 +163,19 @@ def test_psi_matches_library(runner, tmp_path):
     assert got == psi_k(nu)
 
 
+def test_psi_with_a_tensor_matches_library(runner, tmp_path):
+    nu = random_family(2, 4, seed=23)
+    delta = random_delta(2, seed=24)
+    src = write_family(tmp_path, "nu.json", nu)
+    delta_path = tmp_path / "delta.json"
+    delta_path.write_text(json.dumps(delta.to_json_dict()))
+    res = runner.invoke(main, ["psi", "--k", "2", "--input", src, "--delta", str(delta_path)])
+    assert res.exit_code == 0, res.output
+    got = json.loads(res.output)
+    assert got == psi_delta(delta, nu).to_json_dict()
+    assert got == delta_star(delta, boolean_cumulants(nu)).to_json_dict()
+
+
 def test_psi_k_mismatch(runner, tmp_path):
     src = write_family(tmp_path, "nu.json", random_family(2, 3, seed=22))
     res = runner.invoke(main, ["psi", "--k", "3", "--input", src])
@@ -270,6 +283,15 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _capped_child(*args):
+    """Run the interpreter on args, with this checkout's package, in a child
+    capped at 1 GiB of address space."""
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, preexec_fn=_cap_memory, timeout=60)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -282,12 +304,7 @@ def _cap_memory():
 )
 def test_verify_refuses_oversized_inputs_before_building_them(args):
     # in a child capped at 1 GiB, so a build that is not refused fails there
-    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    res = subprocess.run(
-        [sys.executable, "-m", "ncprob.cli", "verify"] + args,
-        capture_output=True, text=True, env=env, preexec_fn=_cap_memory, timeout=60,
-    )
+    res = _capped_child("-m", "ncprob.cli", "verify", *args)
     assert res.returncode == 2, res.stderr[-500:]
     assert "than 131072 entries" in res.stderr
 
@@ -297,15 +314,20 @@ def test_transform_refuses_a_huge_declared_k(tmp_path):
     # 1 GiB fails if they are
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"k": 100000000, "N": 1, "values": {"1": "1"}}))
-    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    res = subprocess.run(
-        [sys.executable, "-m", "ncprob.cli", "transform", "--brand", "free",
-         "--direction", "to-cumulants", "--input", str(path)],
-        capture_output=True, text=True, env=env, preexec_fn=_cap_memory, timeout=60,
-    )
+    res = _capped_child("-m", "ncprob.cli", "transform", "--brand", "free",
+                        "--direction", "to-cumulants", "--input", str(path))
     assert res.returncode == 2, res.stderr[-500:]
     assert "exactly once" in res.stderr
+
+
+def test_constructor_refuses_a_huge_k_before_listing_words():
+    # the same count guards the constructor called from Python: one value for
+    # 10^8 words is refused in a child capped at 1 GiB, not listed out
+    script = ("from ncprob import MultilinearFamily, ShapeMismatch\n"
+              "try:\n    MultilinearFamily(10**8, 1, {(1,): 1})\n"
+              "except ShapeMismatch:\n    raise SystemExit(3)\n")
+    res = _capped_child("-c", script)
+    assert res.returncode == 3, res.stderr[-500:]
 
 
 def test_verify_failure_exit_code(runner, monkeypatch):
@@ -421,7 +443,7 @@ DEGREES_CHECKED = [
     ("prop54", 1, 8, 7),
     ("eq5a", 1, 8, 7),
     ("eq55a", 1, 8, 7),
-    ("lemma210", 2, 11, 10),
+    ("lemma210", 2, 12, 11),
     ("lemma67", 1, 1, 2),
     ("prop41", 1, 6, 6),
 ]
@@ -448,10 +470,10 @@ def test_verify_sizes_the_input_on_the_clipped_degree(runner, theorem):
     assert json.loads(res.output)["N"] == 7
 
 
-def test_verify_clips_lemma210_at_ten(runner):
+def test_verify_clips_lemma210_at_eleven(runner):
     res = runner.invoke(main, ["verify", "--theorem", "lemma210", "--N", "16"])
     assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["N"] == 10
+    assert json.loads(res.output)["N"] == 11
 
 
 # (target, k, l, the largest N admitted, 0 for none and None for every N):

@@ -357,10 +357,10 @@ def test_cyclic_identity_checks_psi_k(monkeypatch):
 
     real = ds._graded_psi
 
-    def off(c, k):
-        out = real(c, k)
+    def off(delta, c, k):
+        T, out = real(delta, c, k)
         out[2][words_of_length(2, 2).index((2, 1))] += 1
-        return out
+        return T, out
 
     monkeypatch.setattr(ds, "_graded_psi", off)
     mu = random_tracial(2, 4, seed=103)

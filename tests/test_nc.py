@@ -121,8 +121,16 @@ def raw_partitions(draw):
 @given(raw_partitions())
 @settings(max_examples=200, deadline=None)
 def test_is_noncrossing_matches_quadruple_scan(data):
+    # the validating constructor reads the same scan: it refuses exactly the
+    # partitions in which the quadruple oracle finds a crossing
     n, blocks = data
-    assert is_noncrossing(blocks, n) == (not crossing_by_quadruples(blocks, n))
+    crossing = crossing_by_quadruples(blocks, n)
+    assert is_noncrossing(blocks, n) == (not crossing)
+    if crossing:
+        with pytest.raises(InvalidPartition):
+            NcPartition(n, blocks)
+    else:
+        assert NcPartition(n, blocks).blocks == tuple(sorted(blocks))
 
 
 def test_constructor_rejects_crossing():
