@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `_Value`, the base of its
+immutable partitions, families and tensors."""
 
 
 class NcprobError(Exception):
@@ -67,3 +68,26 @@ class DegreeMismatch(NcprobError):
 
 class NotTracial(NcprobError):
     """The operation requires a tracial family."""
+
+
+class _Value:
+    """An immutable value, equal to another of its type with an equal `_key()`
+    and hashed by it; a subclass fills its `__slots__` in `_fill`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value filled from the fields, unchecked."""
+        self = object.__new__(cls)
+        self._fill(*fields)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())

@@ -36,6 +36,7 @@ from .errors import (
     LimitExceeded,
     PositionOutOfRange,
     ShapeMismatch,
+    _Value,
 )
 
 Word = tuple[int, ...]
@@ -95,11 +96,11 @@ def _check_shape(k: int, N: int, kind: str) -> None:
         raise ValueError(f"unknown kind {kind!r}")
 
 
-class MultilinearFamily:
+class MultilinearFamily(_Value):
     """Exact rationals on the words of length 1..N, as layers 0..N with
-    layers[0] = (); immutable."""
+    layers[0] = (); `_trusted` takes each layer as Fractions in rank order."""
 
-    __slots__ = ("k", "N", "kind", "unit", "_layers", "_hash")
+    __slots__ = ("k", "N", "kind", "unit", "_layers")
 
     def __init__(self, k: int, N: int, values, kind: str = "moment") -> None:
         _check_shape(k, N, kind)
@@ -116,21 +117,11 @@ class MultilinearFamily:
 
     def _fill(self, k: int, N: int, layers: tuple, kind: str) -> None:
         unit = "zero" if kind in _UNIT_ZERO_KINDS else "one"
-        for name, value in zip(self.__slots__, (k, N, kind, unit, layers, None)):
+        for name, value in zip(self.__slots__, (k, N, kind, unit, layers)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def _trusted(cls, k: int, N: int, layers: tuple, kind: str) -> "MultilinearFamily":
-        """The family with the given layers, unchecked: a tuple whose layer
-        0 is () and whose layer n, for n = 1..N, is the tuple of the
-        Fractions of the words of length n in rank order.  Only the
-        transforms, `truncate` and the random families skip validation."""
-        self = object.__new__(cls)
-        self._fill(k, N, layers, kind)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultilinearFamily is immutable")
+    def _key(self):
+        return self.k, self.N, self._layers
 
     def __call__(self, word) -> Fraction:
         w = tuple(word)
@@ -150,19 +141,6 @@ class MultilinearFamily:
     def values(self) -> dict[Word, Fraction]:
         """A fresh word -> value dict, in `all_words` order."""
         return dict(zip(all_words(self.k, self.N), itertools.chain(*self._layers)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultilinearFamily)
-            and self.k == other.k
-            and self.N == other.N
-            and self._layers == other._layers
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.k, self.N, self._layers)))
-        return self._hash
 
     def __repr__(self):
         return f"MultilinearFamily(k={self.k}, N={self.N}, kind={self.kind!r})"
@@ -316,10 +294,10 @@ def relabel(f: MultilinearFamily, offset: int) -> MultilinearFamily:
     return build_family(k2, f.N, fn, kind=f.kind)
 
 
-class DeltaTensor:
+class DeltaTensor(_Value):
     """A linear map V -> V (x) V on a fixed basis, as a sparse rational
     rank-3 table: entry (i, j, l) is the coefficient of e_j (x) e_l in the
-    image of e_i, with j the first tensor factor."""
+    image of e_i, j the first factor; `_trusted` takes nonzero Fractions."""
 
     __slots__ = ("k", "_entries")
 
@@ -333,21 +311,14 @@ class DeltaTensor:
             q = v if isinstance(v, Fraction) else Fraction(v)
             if q != 0:
                 table[(i, j, l)] = q
+        self._fill(k, table)
+
+    def _fill(self, k: int, table: dict) -> None:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_entries", table)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DeltaTensor is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeltaTensor)
-            and self.k == other.k
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash((self.k, tuple(sorted(self._entries.items()))))
+    def _key(self):
+        return self.k, tuple(sorted(self._entries.items()))
 
     def __repr__(self):
         return f"DeltaTensor(k={self.k}, nnz={len(self._entries)})"

@@ -10,9 +10,10 @@ enumeration caches are populated behind ``functools.lru_cache``.  NC(n) is
 one table of canonical block rows (`_nc_span`), which the transforms and
 the CLI read and `enumerate_nc` wraps in partition objects.  Kreweras
 complementation and each surgery run one core on such rows, which the lemma
-2.10 check walks directly; the public functions check their arguments and
-wrap the core's result unchecked.  One stack scan, `is_noncrossing`, tests
-crossings, and the validating constructor reads it.
+2.10 check walks directly; the public functions check their arguments and,
+as the enumerations and `f_nm` do, wrap the result with the unchecked
+`_Value._trusted`.  One stack scan, `is_noncrossing`, tests crossings, and
+the validating constructor reads it; both refuse labels that are not ints.
 
 Degenerate case: on a one-point ground set the discrete and the one-block
 partition coincide, and all order predicates hold reflexively.
@@ -33,6 +34,7 @@ from .errors import (
     NotInner,
     NotLLOne,
     SizeMismatch,
+    _Value,
 )
 
 DEFAULT_ENUM_LIMIT = 12
@@ -51,12 +53,12 @@ class BlockRole(Enum):
     OUTER = "outer"
 
 
-class NcPartition:
+class NcPartition(_Value):
     """A canonical non-crossing set partition of {1..n}.
 
     Blocks are stored with elements ascending and blocks ordered by their
     minimum, which makes equality, hashing and the serialized forms
-    unambiguous.
+    unambiguous.  `_trusted(n, blocks)` takes blocks canonical and non-crossing.
     """
 
     __slots__ = ("n", "blocks", "_owner")
@@ -64,7 +66,7 @@ class NcPartition:
     def __init__(self, n: int, blocks) -> None:
         if n < 1:
             raise InvalidPartition(f"ground-set size must be positive, got {n}")
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        canon = tuple(sorted(tuple(sorted(b)) for b in _int_blocks(blocks)))
         if () in canon:
             raise InvalidPartition("empty block")
         if not is_noncrossing(canon, n):
@@ -80,27 +82,8 @@ class NcPartition:
         object.__setattr__(self, "blocks", canon)
         object.__setattr__(self, "_owner", tuple(owner))
 
-    @classmethod
-    def _trusted(cls, n: int, canon: Blocks) -> "NcPartition":
-        """The partition of {1..n} with the given blocks, unchecked: they
-        must already be canonical and non-crossing.  The enumerations, f_nm,
-        kreweras and the surgeries build their results through here."""
-        self = object.__new__(cls)
-        self._fill(n, canon)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NcPartition is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NcPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
+    def _key(self):
+        return self.n, self.blocks
 
     def __lt__(self, other):
         return self.blocks < other.blocks
@@ -171,6 +154,16 @@ def one_partition(n: int) -> NcPartition:
     return NcPartition(n, [tuple(range(1, n + 1))])
 
 
+def _int_blocks(blocks) -> list[tuple[int, ...]]:
+    """The blocks as tuples; InvalidPartition for a label that is not an int."""
+    blocks = [tuple(b) for b in blocks]
+    for b in blocks:
+        for x in b:
+            if type(x) is not int:
+                raise InvalidPartition(f"label {x!r} is not an int")
+    return blocks
+
+
 def is_noncrossing(blocks, n: int | None = None) -> bool:
     """Crossing test for a raw set partition of {1..n}.
 
@@ -179,7 +172,7 @@ def is_noncrossing(blocks, n: int | None = None) -> bool:
     no block finds another block on top.  Raises InvalidPartition when the
     blocks do not partition the ground set; returns False when they cross.
     """
-    blocks = tuple(tuple(sorted(b)) for b in blocks)
+    blocks = tuple(tuple(sorted(b)) for b in _int_blocks(blocks))
     elems = sorted(x for b in blocks for x in b)
     if n is None:
         n = len(elems)
@@ -517,8 +510,8 @@ def f_nm(rho: NcPartition, m: int) -> NcPartition:
     n+1 to a partition of {1..n}; a bijection, inverted by f_nm_inverse.
     """
     n = rho.n - 1
-    if n < 1 or not 1 <= m <= n:
-        raise InvalidPartition(f"m={m} outside 1..{n}")
+    if type(m) is not int or n < 1 or not 1 <= m <= n:
+        raise InvalidPartition(f"m={m!r} outside 1..{n}")
     if not ll_one(rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
     # translating by m sends 1 to m + 1 and n + 1 to m, one block; dropping
@@ -531,8 +524,8 @@ def f_nm(rho: NcPartition, m: int) -> NcPartition:
 def f_nm_inverse(pi: NcPartition, m: int) -> NcPartition:
     """Inverse of f_nm: reopen the merged point and translate back."""
     n = pi.n
-    if not 1 <= m <= n:
-        raise InvalidPartition(f"m={m} outside 1..{n}")
+    if type(m) is not int or not 1 <= m <= n:
+        raise InvalidPartition(f"m={m!r} outside 1..{n}")
     # f_nm's map inverted sends each k to (k - m - 1) mod n + 2, m to n + 1,
     # and the reopened point 1 joins m's block, so the image is << 1_{n+1}
     blocks = (((1,) if m in b else ()) + tuple(sorted((k - m - 1) % n + 2 for k in b))

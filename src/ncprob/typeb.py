@@ -4,8 +4,9 @@ Two circular label orders are supported: type B places the labels as
 (1,..,n,-1,..,-n) around the circle, the opposite variant as
 (1,..,n,-n,..,-1).  A partition must be non-crossing for the chosen order
 and closed under negation; a block equal to its own negation is a
-zero-block.  The constructor checks crossings with `nc.is_noncrossing` on
-the labels' positions in the flavor's order.
+zero-block.  The constructor refuses labels that are not ints and checks
+crossings with `nc.is_noncrossing` on the labels' positions in the flavor's
+order; only the enumerations build through the unchecked `_trusted`.
 
 Both lattices have comb(2n, n) elements.  The opposite order is built from
 its bijection with the pairs (pi in NC(n), a set of outer blocks of pi)
@@ -23,13 +24,14 @@ from enum import Enum
 from functools import lru_cache
 from math import comb
 
-from .errors import InvalidPartition, NotOuter
+from .errors import InvalidPartition, NotOuter, _Value
 from .nc import (
     Blocks,
     NcPartition,
     _block_text,
     _blocks_from_text,
     _check_size,
+    _int_blocks,
     _nc_span,
     _outer,
     is_noncrossing,
@@ -71,15 +73,16 @@ def _flavor(tag) -> Flavor:
         raise InvalidPartition(f"unknown flavor {tag!r}") from None
 
 
-class SignedNcPartition:
-    """Canonical symmetric non-crossing partition of {+-1..+-n}."""
+class SignedNcPartition(_Value):
+    """Canonical symmetric non-crossing partition of {+-1..+-n}; `_trusted`
+    takes blocks canonical, symmetric and non-crossing in the flavor's order."""
 
     __slots__ = ("n", "flavor", "blocks")
 
     def __init__(self, n: int, flavor: Flavor, blocks) -> None:
         if n < 1:
             raise InvalidPartition(f"n must be positive, got {n}")
-        blocks = [tuple(b) for b in blocks]
+        blocks = _int_blocks(blocks)
         if not all(blocks):
             raise InvalidPartition("empty block")
         canon = tuple(sorted(map(_sort_block, blocks), key=_block_key))
@@ -101,29 +104,8 @@ class SignedNcPartition:
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "blocks", canon)
 
-    @classmethod
-    def _trusted(cls, n: int, flavor: Flavor, canon: Blocks) -> "SignedNcPartition":
-        """The partition with the given blocks, unchecked: they must already
-        be canonical and partition +-1..+-n symmetrically and without
-        crossing in the flavor's order.  Only the enumerations build through
-        here; every public path validates."""
-        self = object.__new__(cls)
-        self._fill(n, flavor, canon)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedNcPartition is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedNcPartition)
-            and self.n == other.n
-            and self.flavor == other.flavor
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.flavor, self.blocks))
+    def _key(self):
+        return self.n, self.flavor, self.blocks
 
     def __lt__(self, other):
         return self.blocks < other.blocks

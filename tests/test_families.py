@@ -9,11 +9,14 @@ from ncprob import (
     DegreeTooLow,
     DeltaTensor,
     EmptySubset,
+    Flavor,
     InvalidFamily,
     MultilinearFamily,
+    NcPartition,
     NcprobError,
     PositionOutOfRange,
     ShapeMismatch,
+    SignedNcPartition,
     all_words,
     build_family,
     diagonal_delta,
@@ -257,8 +260,55 @@ def test_trusted_construction_matches_the_validating_constructor(kind):
         assert g == checked and hash(g) == hash(checked)
         assert g.to_json_dict() == checked.to_json_dict()
         assert (g.kind, g.unit) == (checked.kind, checked.unit)
-        with pytest.raises(AttributeError):
-            g.k = 1
+
+
+_F = random_family(2, 2, seed=7)
+_D = {(1, 1, 1): Fraction(1, 2), (2, 1, 2): Fraction(-3)}
+_DISCRETE = [(1,), (-1,), (2,), (-2,)]
+# per value class: a value from the validating constructor, its `_trusted`
+# twin (for the family, of another kind) and values that differ from it in
+# one field its equality compares
+VALUE_CASES = {
+    "NcPartition": (
+        NcPartition(4, [(3, 2), (4, 1)]),
+        NcPartition._trusted(4, ((1, 4), (2, 3))),
+        [NcPartition._trusted(5, ((1, 4), (2, 3))), NcPartition(4, [(1, 2), (3, 4)])],
+    ),
+    "SignedNcPartition": (
+        SignedNcPartition(2, Flavor.B, reversed(_DISCRETE)),
+        SignedNcPartition._trusted(2, Flavor.B, tuple(_DISCRETE)),
+        [SignedNcPartition._trusted(3, Flavor.B, tuple(_DISCRETE)),
+         SignedNcPartition(2, Flavor.B_OPP, _DISCRETE),
+         SignedNcPartition(2, Flavor.B, [(1, 2), (-1, -2)])],
+    ),
+    "MultilinearFamily": (
+        MultilinearFamily(2, 2, _F.values),
+        MultilinearFamily._trusted(2, 2, _F._layers, "free-cumulant"),
+        [MultilinearFamily(2, 2, {**_F.values, (2, 1): _F((2, 1)) + 1}),
+         MultilinearFamily._trusted(3, 2, _F._layers, "moment")],
+    ),
+    "DeltaTensor": (
+        DeltaTensor(2, {**_D, (2, 2, 2): 0}),
+        DeltaTensor._trusted(2, dict(_D)),
+        [DeltaTensor(2, {**_D, (2, 1, 2): Fraction(3)}), DeltaTensor(3, _D)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_values_are_immutable_and_compare_by_their_fields(name):
+    checked, trusted, others = VALUE_CASES[name]
+    assert type(checked).__name__ == type(trusted).__name__ == name
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(trusted, type(trusted).__slots__[0], 1)  # n or k
+    if name == "MultilinearFamily":  # a family's kind stays out of equality
+        assert checked.kind != trusted.kind
+    assert checked == trusted and hash(checked) == hash(trusted)
+    for other in others:
+        assert other != trusted and trusted != other
+    for name_b, (value_b, _, _) in VALUE_CASES.items():
+        assert (checked == value_b) is (name_b == name)
+    assert (checked == trusted._key()) is False and checked != object()
 
 
 def test_family_json_round_trip():

@@ -106,6 +106,16 @@ def test_is_noncrossing_rejects_non_partition():
         is_noncrossing([(1, 2), (2, 3)])
     with pytest.raises(InvalidPartition):
         is_noncrossing([(1, 3)], n=3)
+    # a label or m whose type is not int is refused before any sort or index
+    for blocks in ([(1.0,), (2,)], [("a",), (2,)], [(True,), (2,)]):
+        with pytest.raises(InvalidPartition, match="is not an int"):
+            is_noncrossing(blocks)
+        with pytest.raises(InvalidPartition, match="is not an int"):
+            NcPartition(2, blocks)
+    with pytest.raises(InvalidPartition):
+        f_nm(NcPartition(4, [(1, 4), (2, 3)]), 1.0)
+    with pytest.raises(InvalidPartition):
+        f_nm_inverse(one_partition(3), True)
 
 
 @st.composite

@@ -71,6 +71,11 @@ def test_constructor_validation():
         SignedNcPartition(2, Flavor.B, [(1, -1), (2, -2)])
     # same blocks are fine in the opposite order (1,2,-2,-1)
     SignedNcPartition(2, Flavor.B_OPP, [(1, -1), (2, -2)])
+    # labels whose type is not int
+    for flavor in Flavor:
+        for blocks in ([(1.0, -1.0), (2, -2)], [("a", -1), (2, -2)], [(True, -1), (2, -2)]):
+            with pytest.raises(InvalidPartition, match="is not an int"):
+                SignedNcPartition(2, flavor, blocks)
 
 
 def test_zero_blocks():
