@@ -122,20 +122,18 @@ def nc_enumerate(n, as_json):
         _echo_rows(rows)
 
 
-@nc_group.command("kreweras")
-@click.option("--partition", "text", required=True, help='Text form, e.g. "{1,3}{2}".')
-def nc_kreweras(text):
-    """Print the Kreweras complement of a partition."""
-    pi = NcPartition.from_text(text)
-    click.echo(kreweras(pi).to_text())
+def _on_partition(name: str, op, doc: str) -> None:
+    """Register `nc <name>`, which prints op of the partition given as text."""
+
+    @nc_group.command(name, help=doc)
+    @click.option("--partition", "text", required=True, help='Text form, e.g. "{1,3}{2}".')
+    def command(text):
+        click.echo(str(op(NcPartition.from_text(text))))
 
 
-@nc_group.command("moebius")
-@click.option("--partition", "text", required=True, help='Text form, e.g. "{1,3}{2}".')
-def nc_moebius(text):
-    """Print the Moebius value of the partition against the one-block one."""
-    pi = NcPartition.from_text(text)
-    click.echo(str(moebius_to_one(pi)))
+_on_partition("kreweras", kreweras, "Print the Kreweras complement of a partition.")
+_on_partition("moebius", moebius_to_one,
+              "Print the Moebius value of the partition against the one-block one.")
 
 
 @main.group("typeb")
@@ -238,63 +236,34 @@ def psi(k, input_path, delta_path):
     _dump(psi_delta(delta, nu).to_json_dict())
 
 
-def _pairwise(kind, inputs, product_mode):
-    from . import products as pr
+def _pairwise(name: str, doc: str) -> None:
+    """Register `<name> --kind ...`: the free op on two families, or the
+    c-free or infinitesimal op on four (two pairs), which returns a pair."""
 
-    if kind == "free":
-        _want(inputs, 2, "free " + ("product" if product_mode else "convolution"))
-        a, b = (_load_family(p) for p in inputs)
-        out = pr.free_product(a, b) if product_mode else pr.boxplus(a, b)
-        return out.to_json_dict()
-    _want(inputs, 4, kind)
-    fams = [_load_family(p) for p in inputs]
-    ops = {
-        ("cfree", True): pr.cfree_product,
-        ("cfree", False): pr.boxplus_c,
-        ("infinitesimal", True): pr.infinitesimal_product,
-        ("infinitesimal", False): pr.boxplus_b,
-    }
-    first, second = ops[(kind, product_mode)](*fams)
-    key = "nu" if kind == "cfree" else "mu_prime"
-    return {"mu": first.to_json_dict(), key: second.to_json_dict()}
+    @main.command(name, help=doc)
+    @click.option("--kind", type=click.Choice(["free", "cfree", "infinitesimal"]), required=True)
+    @click.option("--input", "inputs", multiple=True, required=True,
+                  type=click.Path(exists=True, dir_okay=False),
+                  help="Two files for free, four (mu1 nu1 mu2 nu2) otherwise.")
+    def command(kind, inputs):
+        from . import products as pr
 
-
-@main.command("product")
-@click.option(
-    "--kind",
-    type=click.Choice(["free", "cfree", "infinitesimal"]),
-    required=True,
-)
-@click.option(
-    "--input",
-    "inputs",
-    multiple=True,
-    required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Two files for free, four (mu1 nu1 mu2 nu2) otherwise.",
-)
-def product(kind, inputs):
-    """Free product of distributions or pairs; result JSON on stdout."""
-    _dump(_pairwise(kind, inputs, product_mode=True))
+        op, keys = {
+            ("free", "product"): (pr.free_product, ()),
+            ("free", "convolve"): (pr.boxplus, ()),
+            ("cfree", "product"): (pr.cfree_product, ("mu", "nu")),
+            ("cfree", "convolve"): (pr.boxplus_c, ("mu", "nu")),
+            ("infinitesimal", "product"): (pr.infinitesimal_product, ("mu", "mu_prime")),
+            ("infinitesimal", "convolve"): (pr.boxplus_b, ("mu", "mu_prime")),
+        }[(kind, name)]
+        _want(inputs, 4 if keys else 2, f"{name} --kind {kind}")
+        out = op(*map(_load_family, inputs))
+        _dump({key: f.to_json_dict() for key, f in zip(keys, out)} if keys
+              else out.to_json_dict())
 
 
-@main.command("convolve")
-@click.option(
-    "--kind",
-    type=click.Choice(["free", "cfree", "infinitesimal"]),
-    required=True,
-)
-@click.option(
-    "--input",
-    "inputs",
-    multiple=True,
-    required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Two files for free, four (mu1 nu1 mu2 nu2) otherwise.",
-)
-def convolve(kind, inputs):
-    """Additive convolution of distributions or pairs."""
-    _dump(_pairwise(kind, inputs, product_mode=False))
+_pairwise("product", "Free product of distributions or pairs; result JSON on stdout.")
+_pairwise("convolve", "Additive convolution of distributions or pairs.")
 
 
 @main.command("verify")

@@ -49,6 +49,7 @@ from .errors import (
     NotTracial,
     PositionOutOfRange,
     ShapeMismatch,
+    _int_in,
 )
 from .families import (
     DeltaTensor,
@@ -155,7 +156,7 @@ def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
 # ---------------------------------------------------------------------------
 
 def _check_letters(w: Word, k: int) -> None:
-    if not all(1 <= x <= k for x in w):
+    if not all(_int_in(x, 1, k) for x in w):
         raise PositionOutOfRange(f"letters of {w} outside 1..{k}")
 
 
@@ -179,8 +180,8 @@ def eval_gamma(
     if chi.k != delta.k or phi.k != chi.k:
         raise ShapeMismatch("families and tensor must share one dimension")
     _check_letters(w, chi.k)
-    if not 1 <= m <= pi.n:
-        raise ShapeMismatch(f"m={m} outside 1..{pi.n}")
+    if not _int_in(m, 1, pi.n):
+        raise ShapeMismatch(f"m={m!r} outside 1..{pi.n}")
     holder = pi.blocks[pi.block_of(m)]
     r = holder.index(m) + 1
     sub = tuple(w[p - 1] for p in holder)

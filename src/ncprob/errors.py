@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and `_Value`, the base of its
-immutable partitions, families and tensors."""
+"""Exception types shared across the package; `_int_in`, the one test of a
+count or index read from outside; and `_Value`, the base of its immutable
+partitions, families and tensors."""
 
 
 class NcprobError(Exception):
@@ -68,6 +69,12 @@ class DegreeMismatch(NcprobError):
 
 class NotTracial(NcprobError):
     """The operation requires a tracial family."""
+
+
+def _int_in(value, lo: int, hi: int | None = None) -> bool:
+    """True iff value is an int, not a bool, with lo <= value <= hi (no upper
+    bound when hi is None)."""
+    return type(value) is int and lo <= value and (hi is None or value <= hi)
 
 
 class _Value:

@@ -36,6 +36,7 @@ from .errors import (
     LimitExceeded,
     PositionOutOfRange,
     ShapeMismatch,
+    _int_in,
     _Value,
 )
 
@@ -54,6 +55,11 @@ _UNIT_ZERO_KINDS = ("infinitesimal", "infinitesimal-cumulant")
 # What parsing JSON-decoded data of the wrong shape or content can raise.
 _MALFORMED = (
     AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _json_fraction(value) -> Fraction:
+    """A value read from JSON, where `true` and `false` are no numbers."""
+    return Fraction(str(value) if type(value) is bool else value)
 
 
 @lru_cache(maxsize=None)
@@ -90,8 +96,8 @@ def all_words(k: int, max_n: int):
 
 
 def _check_shape(k: int, N: int, kind: str) -> None:
-    if k < 1 or N < 1:
-        raise ShapeMismatch(f"k and N must be positive, got k={k}, N={N}")
+    if not (_int_in(k, 1) and _int_in(N, 1)):
+        raise ShapeMismatch(f"k and N must be positive, got k={k!r}, N={N!r}")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
 
@@ -129,12 +135,12 @@ class MultilinearFamily(_Value):
             raise DegreeTooLow(
                 f"word of length {len(w)} beyond truncation degree {self.N}"
             )
-        letters = range(1, self.k + 1)
-        if not w or not all(x in letters for x in w):
-            raise PositionOutOfRange(f"letters of {w} outside 1..{self.k}")
+        k = self.k
+        if not w or not all(_int_in(x, 1, k) for x in w):
+            raise PositionOutOfRange(f"letters of {w} outside 1..{k}")
         rank = 0
         for x in w:
-            rank = rank * self.k + letters.index(x)
+            rank = rank * k + x - 1
         return self._layers[len(w)][rank]
 
     @property
@@ -162,7 +168,7 @@ class MultilinearFamily(_Value):
                 raise InvalidFamily(
                     f"values must name each word of length 1..{N} over 1..{k} exactly once")
             values = {
-                tuple(int(t) for t in key.split(",")): Fraction(val)
+                tuple(int(t) for t in key.split(",")): _json_fraction(val)
                 for key, val in named.items()
             }
             fam = cls(k, N, values, kind=kind)
@@ -186,10 +192,10 @@ def zero_family(k: int, N: int, kind: str = "infinitesimal") -> MultilinearFamil
 
 def truncate(f: MultilinearFamily, N: int, kind: str | None = None) -> MultilinearFamily:
     """Drop all words longer than N."""
-    if N > f.N:
-        raise DegreeTooLow(f"cannot extend degree {f.N} family to {N}")
     kind = kind if kind is not None else f.kind
     _check_shape(f.k, N, kind)
+    if N > f.N:
+        raise DegreeTooLow(f"cannot extend degree {f.N} family to {N}")
     return MultilinearFamily._trusted(f.k, N, f._layers[:N + 1], kind)
 
 
@@ -197,12 +203,13 @@ def restrict(f: MultilinearFamily, word, positions) -> Fraction:
     """Value of f on the subword picked out by a set of 1-based positions,
     always taken in increasing order."""
     w = tuple(word)
-    pos = sorted(set(positions))
+    pos = set(positions)
     if not pos:
         raise EmptySubset("position subset must be non-empty")
-    if pos[0] < 1 or pos[-1] > len(w):
-        raise PositionOutOfRange(f"positions {pos} outside 1..{len(w)}")
-    return f(tuple(w[p - 1] for p in pos))
+    if not all(_int_in(p, 1, len(w)) for p in pos):
+        shown = sorted(pos, key=lambda p: (type(p) is not int, p if type(p) is int else repr(p)))
+        raise PositionOutOfRange(f"positions {shown} outside 1..{len(w)}")
+    return f(tuple(w[p - 1] for p in sorted(pos)))
 
 
 def is_tracial(f: MultilinearFamily) -> bool:
@@ -280,8 +287,8 @@ def random_tracial(k: int, N: int, seed: int, kind: str = "moment") -> Multiline
 
 def relabel(f: MultilinearFamily, offset: int) -> MultilinearFamily:
     """Shift the generators up by `offset`; unshifted letters get value 0."""
-    if offset < 0:
-        raise ShapeMismatch(f"offset must be >= 0, got {offset}")
+    if not _int_in(offset, 0):
+        raise ShapeMismatch(f"offset must be >= 0, got {offset!r}")
     if offset == 0:
         return f
     k2 = f.k + offset
@@ -302,12 +309,12 @@ class DeltaTensor(_Value):
     __slots__ = ("k", "_entries")
 
     def __init__(self, k: int, entries) -> None:
-        if k < 1:
-            raise DimMismatch(f"k must be positive, got {k}")
+        if not _int_in(k, 1):
+            raise DimMismatch(f"k must be positive, got {k!r}")
         table: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, l), v in dict(entries).items():
-            if not (1 <= i <= k and 1 <= j <= k and 1 <= l <= k):
-                raise DimMismatch(f"index ({i},{j},{l}) outside 1..{k}")
+            if not (_int_in(i, 1, k) and _int_in(j, 1, k) and _int_in(l, 1, k)):
+                raise DimMismatch(f"index ({i!r},{j!r},{l!r}) outside 1..{k}")
             q = v if isinstance(v, Fraction) else Fraction(v)
             if q != 0:
                 table[(i, j, l)] = q
@@ -344,7 +351,7 @@ class DeltaTensor(_Value):
     def from_json_dict(cls, data) -> "DeltaTensor":
         try:
             entries = {
-                (e["i"], e["j"], e["l"]): Fraction(e["value"])
+                (e["i"], e["j"], e["l"]): _json_fraction(e["value"])
                 for e in data["entries"]
             }
             return cls(data["k"], entries)

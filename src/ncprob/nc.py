@@ -13,7 +13,8 @@ complementation and each surgery run one core on such rows, which the lemma
 2.10 check walks directly; the public functions check their arguments and,
 as the enumerations and `f_nm` do, wrap the result with the unchecked
 `_Value._trusted`.  One stack scan, `is_noncrossing`, tests crossings, and
-the validating constructor reads it; both refuse labels that are not ints.
+the validating constructor reads its core; both refuse labels that are not
+ints, and every count or index passes `errors._int_in`.
 
 Degenerate case: on a one-point ground set the discrete and the one-block
 partition coincide, and all order predicates hold reflexively.
@@ -34,6 +35,7 @@ from .errors import (
     NotInner,
     NotLLOne,
     SizeMismatch,
+    _int_in,
     _Value,
 )
 
@@ -64,12 +66,12 @@ class NcPartition(_Value):
     __slots__ = ("n", "blocks", "_owner")
 
     def __init__(self, n: int, blocks) -> None:
-        if n < 1:
-            raise InvalidPartition(f"ground-set size must be positive, got {n}")
+        if not _int_in(n, 1):
+            raise InvalidPartition(f"ground-set size must be positive, got {n!r}")
         canon = tuple(sorted(tuple(sorted(b)) for b in _int_blocks(blocks)))
         if () in canon:
             raise InvalidPartition("empty block")
-        if not is_noncrossing(canon, n):
+        if not _noncrossing(canon, n):
             raise InvalidPartition(f"partition is crossing: {canon}")
         self._fill(n, canon)
 
@@ -99,8 +101,8 @@ class NcPartition(_Value):
 
     def block_of(self, x: int) -> int:
         """Index of the block containing element x."""
-        if not 1 <= x <= self.n:
-            raise InvalidPartition(f"element {x} outside 1..{self.n}")
+        if not _int_in(x, 1, self.n):
+            raise InvalidPartition(f"element {x!r} outside 1..{self.n}")
         return self._owner[x]
 
     def to_text(self) -> str:
@@ -111,21 +113,17 @@ class NcPartition(_Value):
         return [list(b) for b in self.blocks]
 
     @classmethod
-    def from_json(cls, data, n: int | None = None) -> "NcPartition":
+    def from_json(cls, data) -> "NcPartition":
         try:
             blocks = [tuple(b) for b in data]
-            if n is None:
-                n = sum(len(b) for b in blocks)
-            return cls(n, blocks)
+            return cls(sum(map(len, blocks)), blocks)
         except (TypeError, ValueError) as exc:
             raise InvalidPartition(f"malformed partition data: {exc!r}") from None
 
     @classmethod
-    def from_text(cls, text: str, n: int | None = None) -> "NcPartition":
+    def from_text(cls, text: str) -> "NcPartition":
         blocks = _blocks_from_text(text)
-        if n is None:
-            n = sum(len(b) for b in blocks)
-        return cls(n, blocks)
+        return cls(sum(map(len, blocks)), blocks)
 
 
 @lru_cache(maxsize=None)
@@ -173,11 +171,14 @@ def is_noncrossing(blocks, n: int | None = None) -> bool:
     blocks do not partition the ground set; returns False when they cross.
     """
     blocks = tuple(tuple(sorted(b)) for b in _int_blocks(blocks))
+    return _noncrossing(blocks, sum(map(len, blocks)) if n is None else n)
+
+
+def _noncrossing(blocks: Blocks, n: int) -> bool:
+    """is_noncrossing on blocks of int labels, each ascending."""
     elems = sorted(x for b in blocks for x in b)
-    if n is None:
-        n = len(elems)
-    if elems != list(range(1, n + 1)):
-        raise InvalidPartition(f"blocks do not partition 1..{n}: {blocks}")
+    if not _int_in(n, 0) or elems != list(range(1, n + 1)):
+        raise InvalidPartition(f"blocks do not partition 1..{n!r}: {blocks}")
     owner = [()] * (n + 1)
     for b in blocks:
         for x in b:
@@ -228,9 +229,9 @@ def _nc_objects(n: int) -> tuple[NcPartition, ...]:
 
 
 def _check_size(n: int, limit: int, what: str) -> None:
-    """Refuse a ground-set size below 1 or above an enumeration limit."""
-    if n < 1:
-        raise InvalidPartition(f"n must be positive, got {n}")
+    """Refuse a ground-set size that is not an int from 1 to an enumeration limit."""
+    if not _int_in(n, 1):
+        raise InvalidPartition(f"n must be positive, got {n!r}")
     if n > limit:
         raise LimitExceeded(f"n={n} above {what} limit {limit}")
 
@@ -510,7 +511,7 @@ def f_nm(rho: NcPartition, m: int) -> NcPartition:
     n+1 to a partition of {1..n}; a bijection, inverted by f_nm_inverse.
     """
     n = rho.n - 1
-    if type(m) is not int or n < 1 or not 1 <= m <= n:
+    if not _int_in(m, 1, n):
         raise InvalidPartition(f"m={m!r} outside 1..{n}")
     if not ll_one(rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
@@ -524,7 +525,7 @@ def f_nm(rho: NcPartition, m: int) -> NcPartition:
 def f_nm_inverse(pi: NcPartition, m: int) -> NcPartition:
     """Inverse of f_nm: reopen the merged point and translate back."""
     n = pi.n
-    if type(m) is not int or not 1 <= m <= n:
+    if not _int_in(m, 1, n):
         raise InvalidPartition(f"m={m!r} outside 1..{n}")
     # f_nm's map inverted sends each k to (k - m - 1) mod n + 2, m to n + 1,
     # and the reopened point 1 joins m's block, so the image is << 1_{n+1}

@@ -57,7 +57,8 @@ from .cumulants import (
     _boolean, _cc_cumulants, _cfree, _explicit, _first_difference, _first_word, _graded,
     _lattice_sum, _ll_one_table)
 from .deltastar import _gamma_eta_counterexample, _gamma_eta_tables
-from .families import _word_count
+from .errors import _int_in
+from .families import _check_shape, _word_count
 from .nc import _attach, _cut, _kreweras, _nc_span, _parent
 
 
@@ -449,10 +450,9 @@ def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> di
     the counterexample is the first one found."""
     if theorem not in TARGETS:
         raise ValueError(f"unknown verification target {theorem!r}")
-    if k < 1 or big_n < 1:
-        raise ShapeMismatch(f"k and N must be positive, got k={k}, N={big_n}")
-    if l < 1:
-        raise ShapeMismatch(f"l must be positive, got l={l}")
+    _check_shape(k, big_n, "moment")
+    if not _int_in(l, 1):
+        raise ShapeMismatch(f"l must be positive, got l={l!r}")
     row = TARGETS[theorem]
     big_n = min(max(big_n, row.low), row.high)
     if _input_size(theorem, k, big_n, l) > VERIFY_INPUT_LIMIT:

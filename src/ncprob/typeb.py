@@ -24,7 +24,7 @@ from enum import Enum
 from functools import lru_cache
 from math import comb
 
-from .errors import InvalidPartition, NotOuter, _Value
+from .errors import InvalidPartition, NotOuter, _int_in, _Value
 from .nc import (
     Blocks,
     NcPartition,
@@ -80,8 +80,8 @@ class SignedNcPartition(_Value):
     __slots__ = ("n", "flavor", "blocks")
 
     def __init__(self, n: int, flavor: Flavor, blocks) -> None:
-        if n < 1:
-            raise InvalidPartition(f"n must be positive, got {n}")
+        if not _int_in(n, 1):
+            raise InvalidPartition(f"n must be positive, got {n!r}")
         blocks = _int_blocks(blocks)
         if not all(blocks):
             raise InvalidPartition("empty block")

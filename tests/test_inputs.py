@@ -1,0 +1,274 @@
+"""Counts, indices and values read from outside: each is an int (a number,
+for a value), never a bool, and anything else is an NcprobError in Python
+and exit 2 on the command line, never a traceback."""
+
+import json
+import os
+import tempfile
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ncprob.cli import main
+from ncprob.deltastar import eval_eta, eval_gamma
+from ncprob.errors import (
+    DimMismatch,
+    InvalidFamily,
+    InvalidPartition,
+    PositionOutOfRange,
+    ShapeMismatch,
+)
+from ncprob.families import (
+    DeltaTensor,
+    MultilinearFamily,
+    diagonal_delta,
+    random_delta,
+    random_family,
+    relabel,
+    restrict,
+    truncate,
+)
+from ncprob.nc import NcPartition, enumerate_nc, f_nm, f_nm_inverse, is_noncrossing
+from ncprob.selftest import TARGETS, verify_report
+from ncprob.typeb import Flavor, SignedNcPartition, enumerate_signed
+
+F = random_family(2, 3, seed=7)
+PI = NcPartition(2, [(1,), (2,)])
+RHO = NcPartition(3, [(1, 3), (2,)])
+
+CASES = {
+    "NcPartition(True)": (lambda: NcPartition(True, [(1,)]), InvalidPartition),
+    "NcPartition(2.0)": (lambda: NcPartition(2.0, [(1,), (2,)]), InvalidPartition),
+    "NcPartition('2')": (lambda: NcPartition("2", [(1,), (2,)]), InvalidPartition),
+    "enumerate_nc(True)": (lambda: enumerate_nc(True), InvalidPartition),
+    "enumerate_nc(3.0)": (lambda: enumerate_nc(3.0), InvalidPartition),
+    "enumerate_signed(2.0)": (lambda: enumerate_signed(2.0, Flavor.B), InvalidPartition),
+    "is_noncrossing(n=2.0)": (lambda: is_noncrossing([(1,), (2,)], 2.0), InvalidPartition),
+    "SignedNcPartition(1.0)": (
+        lambda: SignedNcPartition(1.0, Flavor.B, [(1, -1)]), InvalidPartition),
+    "block_of(1.0)": (lambda: PI.block_of(1.0), InvalidPartition),
+    "block_of(True)": (lambda: PI.block_of(True), InvalidPartition),
+    "f_nm(True)": (lambda: f_nm(RHO, True), InvalidPartition),
+    "f_nm_inverse(1.0)": (lambda: f_nm_inverse(PI, 1.0), InvalidPartition),
+    "truncate(True)": (lambda: truncate(F, True), ShapeMismatch),
+    "truncate('2')": (lambda: truncate(F, "2"), ShapeMismatch),
+    "family k=True": (lambda: MultilinearFamily(True, 1, {(1,): 1}), ShapeMismatch),
+    "random_family N=2.0": (lambda: random_family(1, 2.0, 0), ShapeMismatch),
+    "relabel(1.0)": (lambda: relabel(F, 1.0), ShapeMismatch),
+    "relabel(True)": (lambda: relabel(F, True), ShapeMismatch),
+    "restrict([1.0])": (lambda: restrict(F, (1, 2), [1.0]), PositionOutOfRange),
+    "restrict(['1', 2])": (lambda: restrict(F, (1, 2), ["1", 2]), PositionOutOfRange),
+    "f((True,))": (lambda: F((True,)), PositionOutOfRange),
+    "f((1.0,))": (lambda: F((1.0,)), PositionOutOfRange),
+    "tensor k=2.0": (lambda: DeltaTensor(2.0, {}), DimMismatch),
+    "tensor i=True": (lambda: DeltaTensor(2, {(True, 1, 1): 1}), DimMismatch),
+    "tensor l=1.0": (lambda: DeltaTensor(2, {(1, 1, 1.0): 1}), DimMismatch),
+    "eval_eta letters": (lambda: eval_eta(F, F, RHO, (True, 1, 1)), PositionOutOfRange),
+    "eval_gamma m=1.0": (
+        lambda: eval_gamma(diagonal_delta(2), F, F, RHO, 1.0, (1, 1, 1)), ShapeMismatch),
+    "verify_report k=True": (lambda: verify_report("prop41", 0, True, 3), ShapeMismatch),
+    "verify_report l=1.0": (lambda: verify_report("13", 0, 2, 3, l=1.0), ShapeMismatch),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_a_count_or_index_that_is_not_an_int_is_refused(case):
+    make, error = CASES[case]
+    with pytest.raises(error):
+        make()
+
+
+def test_the_messages_for_ints_are_unchanged():
+    with pytest.raises(InvalidPartition, match=r"^ground-set size must be positive, got 0$"):
+        NcPartition(0, [])
+    with pytest.raises(InvalidPartition, match=r"^element 3 outside 1\.\.2$"):
+        PI.block_of(3)
+    with pytest.raises(PositionOutOfRange, match=r"^positions \[2, 10\] outside 1\.\.2$"):
+        restrict(F, (1, 2), [10, 2])
+    with pytest.raises(DimMismatch, match=r"^index \(1,1,3\) outside 1\.\.2$"):
+        DeltaTensor(2, {(1, 1, 3): 1})
+
+
+def test_json_true_and_false_are_not_values():
+    data = random_family(1, 2, seed=0).to_json_dict()
+    for flag in (True, False):
+        with pytest.raises(InvalidFamily):
+            MultilinearFamily.from_json_dict({**data, "values": {"1": flag, "1,1": "1"}})
+        tensor = {"k": 1, "entries": [{"i": 1, "j": 1, "l": 1, "value": flag}]}
+        with pytest.raises(InvalidFamily):
+            DeltaTensor.from_json_dict(tensor)
+    # a JSON number still reads as before
+    assert MultilinearFamily.from_json_dict({**data, "values": {"1": 1, "1,1": 0.5}})((1, 1)) == 0.5
+
+
+def _run(argv):
+    """Invoke the CLI in process, with each ("file", text) argument written
+    to a temporary file first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for i, arg in enumerate(argv):
+            if isinstance(arg, tuple):
+                path = os.path.join(tmp, f"{i}.json")
+                with open(path, "w") as fh:
+                    fh.write(arg[1])
+                arg = path
+            args.append(arg)
+        return CliRunner().invoke(main, args)
+
+
+def _file(obj):
+    return ("file", json.dumps(obj))
+
+
+FAMILY = random_family(2, 3, seed=1).to_json_dict()
+TENSOR = random_delta(2, seed=1).to_json_dict()
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--input", _file(FAMILY), "--delta", _file({**TENSOR, "k": 2.0})],
+    ["psi", "--input", _file(FAMILY), "--delta",
+     _file({"k": 2, "entries": [{"i": True, "j": 1, "l": 1, "value": "1"}]})],
+    ["psi", "--input", _file(FAMILY), "--delta",
+     _file({"k": 2, "entries": [{"i": 1.0, "j": 1, "l": 1, "value": "1"}]})],
+    ["psi", "--input", _file(FAMILY), "--delta",
+     _file({"k": 2, "entries": [{"i": 1, "j": 1, "l": 1, "value": True}]})],
+    ["transform", "--brand", "free", "--direction", "to-cumulants",
+     "--input", _file({**FAMILY, "k": True})],
+    ["transform", "--brand", "free", "--direction", "to-cumulants",
+     "--input", _file({**FAMILY, "N": True})],
+    ["transform", "--brand", "free", "--direction", "to-cumulants",
+     "--input", _file({**FAMILY, "values": {**FAMILY["values"], "1": True}})],
+])
+def test_a_bad_count_index_or_value_in_a_file_exits_2(argv):
+    res = _run(argv)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    error = [line for line in res.output.splitlines() if line.startswith("Error: ")]
+    assert len(error) == 1 and res.output.endswith(error[0] + "\n")
+
+
+# ---------------------------------------------------------------------------
+# The command line under malformed input
+# ---------------------------------------------------------------------------
+
+def _wrong(v):
+    """The count v as a float or a string, a bool, zero, its negative or no
+    number at all."""
+    return st.sampled_from([float(v), str(v), True, False, 0, -v, None, [v]])
+
+
+NOT_A_VALUE = st.sampled_from([True, False, None, [1], "x", "1/0", "1e400", "Infinity"])
+
+
+def _family(k, N, seed):
+    return random_family(k, N, seed).to_json_dict()
+
+
+@st.composite
+def family_text(draw, k):
+    """The JSON text of a family over k letters of degree up to 3, valid or
+    broken in one place."""
+    data = _family(k, draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    where = draw(st.one_of(st.just("none"), st.sampled_from(
+        ["k", "N", "kind", "unit", "values", "value", "key", "drop", "whole", "text"])))
+    if where in ("k", "N"):
+        data[where] = draw(_wrong(data[where]))
+    elif where in ("kind", "unit", "values"):
+        data[where] = draw(NOT_A_VALUE)
+    elif where == "value":
+        data["values"][draw(st.sampled_from(sorted(data["values"])))] = draw(NOT_A_VALUE)
+    elif where == "key":
+        key = draw(st.sampled_from(sorted(data["values"])))
+        data["values"][draw(st.sampled_from(["0", "3", "1,", ",", "a", "1,1,1,1", "-1"]))] = (
+            data["values"].pop(key))
+    elif where == "drop":
+        del data[draw(st.sampled_from(["k", "N", "values"]))]
+    elif where == "whole":
+        data = draw(st.sampled_from([[], 3, "x", None, {}]))
+    elif where == "text":
+        return ("file", draw(st.sampled_from(["", "{", "[1,", "\xff", "nan"])))
+    return _file(data)
+
+
+@st.composite
+def tensor_text(draw, k):
+    """The JSON text of a tensor over k letters, valid or broken in one place."""
+    data = diagonal_delta(k).to_json_dict()
+    entry = data["entries"][-1]
+    where = draw(st.sampled_from(["k", "i", "j", "l", "value", "entries", "drop", "none"]))
+    if where == "k":
+        data["k"] = draw(_wrong(k))
+    elif where in "ijl":
+        entry[where] = draw(_wrong(entry[where]))
+    elif where in ("value", "entries"):
+        (entry if where == "value" else data)[where] = draw(NOT_A_VALUE)
+    elif where == "drop":
+        del data[draw(st.sampled_from(["k", "entries"]))]
+    return _file(data)
+
+
+PARTITION_TEXT = st.one_of(
+    st.text(alphabet="{},-0123456789a ", max_size=14),
+    st.from_regex(r"(\{-?[0-9](,-?[0-9])*\})+", fullmatch=True),
+)
+
+COMMANDS = {
+    "nc enumerate": st.tuples(
+        st.just(["nc", "enumerate", "--n"]), st.sampled_from(["-1", "0", "1", "4", "13", "x", "2.0"]),
+        st.sampled_from([[], ["--json"]])).map(lambda t: t[0] + [t[1]] + t[2]),
+    "nc kreweras": PARTITION_TEXT.map(lambda p: ["nc", "kreweras", "--partition", p]),
+    "nc moebius": PARTITION_TEXT.map(lambda p: ["nc", "moebius", "--partition", p]),
+    "typeb enumerate": st.tuples(
+        st.sampled_from(["-1", "0", "1", "3", "9", "x"]), st.sampled_from(["B", "B-opp", "C"]),
+        st.sampled_from([[], ["--json"]])).map(
+            lambda t: ["typeb", "enumerate", "--n", t[0], "--flavor", t[1]] + t[2]),
+    "transform": st.tuples(
+        st.sampled_from(["free", "boolean", "cfree", "cc", "infinitesimal", "x"]),
+        st.sampled_from(["to-cumulants", "to-moments"]),
+        st.lists(family_text(2), min_size=1, max_size=3)).map(
+            lambda t: ["transform", "--brand", t[0], "--direction", t[1]]
+            + [a for f in t[2] for a in ("--input", f)]),
+    # the family is valid, so that the tensor and --k are read
+    "psi": st.sampled_from([2, 1]).flatmap(lambda k: st.tuples(
+        st.sampled_from([[], ["--k", "1"], ["--k", "2"], ["--k", "x"]]),
+        st.builds(_family, st.just(k), st.sampled_from([2, 3, 1]), st.integers(0, 3)),
+        st.one_of(tensor_text(k).map(lambda d: ["--delta", d]), st.just([])))).map(
+            lambda t: ["psi"] + t[0] + ["--input", _file(t[1])] + t[2]),
+    "product": st.tuples(
+        st.sampled_from(["free", "cfree", "infinitesimal", "x"]),
+        st.lists(family_text(1), min_size=1, max_size=4)).map(
+            lambda t: ["product", "--kind", t[0]] + [a for f in t[1] for a in ("--input", f)]),
+    "convolve": st.tuples(
+        st.sampled_from(["free", "cfree", "infinitesimal", "x"]),
+        st.lists(family_text(1), min_size=1, max_size=4)).map(
+            lambda t: ["convolve", "--kind", t[0]] + [a for f in t[1] for a in ("--input", f)]),
+    "verify": st.tuples(
+        st.sampled_from([*TARGETS, "99"]),
+        st.sampled_from(["-1", "0", "1", "2", "x", "1.5", "True"]),
+        st.sampled_from(["-1", "0", "1", "3", "x", "2.0"]),
+        st.sampled_from(["-2", "0", "1", "2", "x"]),
+        st.sampled_from(["0", "-5", "x"])).map(
+            lambda t: ["verify", "--theorem", t[0], "--k", t[1], "--N", t[2], "--l", t[3],
+                       "--seed", t[4]]),
+    "selftest": st.sampled_from(["x", "", "1.5", "True", "--"]).map(
+        lambda s: ["selftest", "--seed", s]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_input_never_gives_a_traceback(command, data):
+    argv = data.draw(COMMANDS[command], label="argv")
+    res = _run(argv)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    assert "Traceback" not in res.output
+    if res.exit_code == 1:
+        assert argv[0] == "verify" and json.loads(res.output)["ok"] is False
+    else:
+        assert res.exit_code in (0, 2), res.output
+    if res.exit_code == 2:
+        assert "Error: " in res.output
