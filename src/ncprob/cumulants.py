@@ -23,11 +23,12 @@ grouping by the gap [a, b) after a-1 gives
 
     Q(w, a-1) = Q(w, a) + sum over a < b < n of inner(w[a:b]) * Q(w[:a] + w[b:], a),
 
-(n-1)(n-2)/2 terms per word where there are 2^(n-2) blocks.  Each
-transform is thus an n-term interval step and this recursion, shortest
-words first.  A forward pass runs it down from Q(w, n-1) = block(w) to
-beta(w); the cut words are shorter, so a solve for the unknown block runs
-it up from Q(w, 0) = beta(w) to block(w) = Q(w, n-1).  The
+(n-1)(n-2)/2 terms per word where there are 2^(n-2) blocks.  Inner is read
+only on gaps, at most n - 2 long, so `_closed` takes its degree from block.
+Each transform is thus an n-term interval step and this recursion,
+shortest words first.  A forward pass runs it down from Q(w, n-1) =
+block(w) to beta(w); the cut words are shorter, so a solve for the unknown
+block runs it up from Q(w, 0) = beta(w) to block(w) = Q(w, n-1).  The
 alternative c-free cumulants kappa_cc = kappa_c - kappa_phi (the
 opposite-order lattice is in bijection with the pairs of pi in NC(n) and a
 set of its outer blocks, which become zero-blocks) solve the closed sum,
@@ -186,9 +187,9 @@ def _closed(k: int, block: tuple, inner: tuple, target: tuple, solve: bool,
     and the columns run up from Q(w, 0) = target(w), adding the terms on
     -inner; otherwise target is, and they run down from Q(w, n-1) =
     block(w) = Q(w, n-2).  No word reads the longest words' columns, which
-    are not kept.  Fills and returns the unknown."""
+    are not kept.  The degree is block's.  Fills and returns the unknown."""
     Q = {} if Q is None else Q
-    N = len(inner[0]) - 1
+    N = len(block[0]) - 1
     K = [k ** L for L in range(N + 1)]
     known, unknown = (target, block) if solve else (block, target)
     inner = _negated(inner) if solve else inner
@@ -238,7 +239,7 @@ def _moments(jet: tuple, k: int) -> tuple:
 
 def _moments_cfree(p: list, kc: list, k: int) -> list:
     """Graded c-free moments from the graded moments p and c-free cumulants kc."""
-    N = len(p) - 1
+    N = len(kc) - 1
     return _interval(_closed(k, (kc,), (p,), _blank(N), False), _blank(N), False)[0]
 
 
@@ -428,14 +429,15 @@ def cc_cumulants(
     return _ungraded(D, _cc(p, c, phi.k), phi.k, "cc-cumulant")
 
 
-def _cc_cumulants(p: list, c: list, k: int) -> list:
-    """Graded alternative c-free cumulants of (phi, chi) = (p, c) by their
-    definition: solve chi = the sum over the opposite-order lattice, pairs
-    carrying free cumulants of phi and zero-blocks the unknown, for the
-    unknown.  The row whose one zero-block is the whole word isolates it;
-    every other row needs it only on shorter words, which are solved first."""
-    kf, out = _cfree(p, p, k), _blank(len(p) - 1)[0]
-    for n in range(1, len(p)):
+def _cc_cumulants(kf: list, c: list, k: int) -> list:
+    """Graded alternative c-free cumulants of chi = c by their definition,
+    kf the free cumulants of phi at the same scale: solve chi = the sum over
+    the opposite-order lattice, pairs carrying kf and zero-blocks the
+    unknown, for the unknown.  The row whose one zero-block is the whole word
+    isolates it; every other row needs it only on shorter words, which are
+    solved first."""
+    out = _blank(len(c) - 1)[0]
+    for n in range(1, len(c)):
         whole = (tuple(range(n)),)
         rows = [r for r in _signed_table(n, Flavor.B_OPP) if r[1] != whole]
         out[n] = list(map(sub, c[n], _lattice_sum(rows, (out, kf), k, n)))

@@ -79,9 +79,14 @@ def _int_in(value, lo: int, hi: int | None = None) -> bool:
 
 class _Value:
     """An immutable value, equal to another of its type with an equal `_key()`
-    and hashed by it; a subclass fills its `__slots__` in `_fill`."""
+    and hashed by it; `_fill` sets its `__slots__` in order, and a subclass
+    that derives a slot from its fields overrides it."""
 
     __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _trusted(cls, *fields):

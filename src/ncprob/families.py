@@ -58,8 +58,9 @@ _MALFORMED = (
 
 
 def _json_fraction(value) -> Fraction:
-    """A value read from JSON, where `true` and `false` are no numbers."""
-    return Fraction(str(value) if type(value) is bool else value)
+    """A value read from JSON, where `true` and `false` are no numbers and a
+    float is read through its shortest decimal, so that 0.1 is 1/10."""
+    return Fraction(str(value) if type(value) in (bool, float) else value)
 
 
 @lru_cache(maxsize=None)
@@ -122,9 +123,7 @@ class MultilinearFamily(_Value):
         self._fill(k, N, tuple(map(tuple, layers)), kind)
 
     def _fill(self, k: int, N: int, layers: tuple, kind: str) -> None:
-        unit = "zero" if kind in _UNIT_ZERO_KINDS else "one"
-        for name, value in zip(self.__slots__, (k, N, kind, unit, layers)):
-            object.__setattr__(self, name, value)
+        super()._fill(k, N, kind, "zero" if kind in _UNIT_ZERO_KINDS else "one", layers)
 
     def _key(self):
         return self.k, self.N, self._layers
@@ -320,10 +319,6 @@ class DeltaTensor(_Value):
                 table[(i, j, l)] = q
         self._fill(k, table)
 
-    def _fill(self, k: int, table: dict) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_entries", table)
-
     def _key(self):
         return self.k, tuple(sorted(self._entries.items()))
 
@@ -332,11 +327,9 @@ class DeltaTensor(_Value):
 
     def expand(self, i: int) -> tuple[tuple[int, int, Fraction], ...]:
         """The nonzero (j, l, coefficient) triples of the image of e_i."""
-        return tuple(
-            (j, l, v)
-            for (ii, j, l), v in sorted(self._entries.items())
-            if ii == i
-        )
+        if not _int_in(i, 1, self.k):
+            raise DimMismatch(f"index {i!r} outside 1..{self.k}")
+        return tuple((j, l, v) for (ii, j, l), v in sorted(self._entries.items()) if ii == i)
 
     def to_json_dict(self) -> dict:
         return {

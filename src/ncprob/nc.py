@@ -80,9 +80,7 @@ class NcPartition(_Value):
         for i, b in enumerate(canon):
             for x in b:
                 owner[x] = i
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "_owner", tuple(owner))
+        super()._fill(n, canon, tuple(owner))
 
     def _key(self):
         return self.n, self.blocks
@@ -462,7 +460,9 @@ def _parent(blocks: Blocks, idx: int) -> int | None:
 def parent_block(pi: NcPartition, block_index: int) -> int:
     """Index of the parent-block: the minimal block nesting the given one;
     NotInner when the block is outer."""
-    parent = _parent(pi.blocks, range(len(pi))[block_index])  # negative counts from the end
+    if not _int_in(block_index, -len(pi), len(pi) - 1):  # negative counts from the end
+        raise InvalidPartition(f"block index {block_index!r} outside {-len(pi)}..{len(pi) - 1}")
+    parent = _parent(pi.blocks, block_index % len(pi))
     if parent is None:
         raise NotInner(f"block {pi.blocks[block_index]} is outer in {pi}")
     return parent

@@ -9,7 +9,9 @@ grades its inputs once, at one D, and ungrades each output once.  One core,
 pass of `cumulants` on jets of one part or two, joins the cumulant layers
 part by part (a scatter to their ranks over k1 + k2 letters, or an
 entrywise sum) and runs the moments pass back.  The intertwining checks
-run the same cores on one grading and build no Fraction.
+run the same cores on one grading and build no Fraction, and take one free
+pass: the c-free side reads the real part of the infinitesimal side's
+`_joined`, one degree short, as its closed sums read moments only in gaps.
 """
 
 from operator import add
@@ -157,9 +159,9 @@ def _intertwine_counterexample(check_pairs, join, K, mu1, nu1, mu2, nu2):
         raise NotTracial("mu1 and mu2 must be tracial")
     _, (p1, c1, p2, c2) = _graded(mu1, nu1, mu2, nu2)
     k1, k2 = mu1.k, mu2.k
-    nu = _joined_cfree(join, K, k1, (p1, c1), k2, (p2, c2))[1]
-    mup = _joined(join, K, k1, (p1[:-1], _graded_psi(diagonal_delta(k1), c1, k1)[1]),
-                  k2, (p2[:-1], _graded_psi(diagonal_delta(k2), c2, k2)[1]))[1]
+    mu, mup = _joined(join, K, k1, (p1[:-1], _graded_psi(diagonal_delta(k1), c1, k1)[1]),
+                      k2, (p2[:-1], _graded_psi(diagonal_delta(k2), c2, k2)[1]))
+    nu = _moments_cfree(mu, join(_cfree(p1, c1, k1), _cfree(p2, c2, k2)), K)
     return _first_difference(K, mup[1:], _graded_psi(diagonal_delta(K), nu, K)[1][1:])
 
 

@@ -60,6 +60,7 @@ from .deltastar import _gamma_eta_counterexample, _gamma_eta_tables
 from .errors import _int_in
 from .families import _check_shape, _word_count
 from .nc import _attach, _cut, _kreweras, _nc_span, _parent
+from .typeb import DEFAULT_SIGNED_LIMIT
 
 
 def _criterion_catalan(seed):
@@ -251,7 +252,7 @@ def _cc_difference_failure(phi, chi):
     _, (p, c) = _graded(phi, chi)
     kc, kf = _cfree(p, c, phi.k), _cfree(p, p, phi.k)
     want = [[a - b for a, b in zip(x, y)] for x, y in zip(kc[1:], kf[1:])]
-    return _first_difference(phi.k, _cc_cumulants(p, c, phi.k)[1:], want)
+    return _first_difference(phi.k, _cc_cumulants(kf, c, phi.k)[1:], want)
 
 
 def _criterion_cc(seed):
@@ -393,9 +394,9 @@ class Target(NamedTuple):
 
 
 # Every `verify` target; selftest criteria 9-13 run the same rows.  The
-# signed lattices grow fastest, so the checks that walk them stop at 7;
-# lemma210, which walks the rows of NC(m) at every degree m up to N and
-# draws nothing, stops at 11.
+# signed lattices grow fastest, so the checks that walk them stop at their
+# enumeration limit, 8; lemma210, which walks the rows of NC(m) at every
+# degree m up to N and draws nothing, stops at 11.
 TARGETS = {
     "12": Target(lambda s, k, n, l: convolution_intertwine_counterexample(
         *_pairs(k, k, n + 1, s)), reach=1),
@@ -408,11 +409,11 @@ TARGETS = {
     "lemma67": Target(_lemma67, reach=1, tensor=True, low=2),
     "prop41": Target(lambda s, k, n, l: _explicit_failure(*_families(k, n, s)), reach=0),
     "prop54": Target(lambda s, k, n, l: _cc_difference_failure(
-        *_families(k, n, s)), reach=0, high=7),
+        *_families(k, n, s)), reach=0, high=DEFAULT_SIGNED_LIMIT),
     "eq5a": Target(lambda s, k, n, l: eq_typeb_counterexample(
-        *_families(k, n, s, "infinitesimal")), reach=0, high=7),
+        *_families(k, n, s, "infinitesimal")), reach=0, high=DEFAULT_SIGNED_LIMIT),
     "eq55a": Target(lambda s, k, n, l: eq_bopp_counterexample(
-        *_families(k, n, s)), reach=0, high=7),
+        *_families(k, n, s)), reach=0, high=DEFAULT_SIGNED_LIMIT),
 }
 
 

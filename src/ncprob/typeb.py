@@ -99,11 +99,6 @@ class SignedNcPartition(_Value):
         if not is_noncrossing([[_position(x, n, flavor) + 1 for x in b] for b in canon], 2 * n):
             raise InvalidPartition(f"crossing blocks in {flavor.value} order: {canon}")
 
-    def _fill(self, n: int, flavor: Flavor, canon: Blocks) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "blocks", canon)
-
     def _key(self):
         return self.n, self.flavor, self.blocks
 

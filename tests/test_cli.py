@@ -440,9 +440,9 @@ DEGREES_CHECKED = [
     ("13", 1, 8, 8),
     ("14", 1, 9, 9),
     ("17", 1, 9, 9),
-    ("prop54", 1, 8, 7),
-    ("eq5a", 1, 8, 7),
-    ("eq55a", 1, 8, 7),
+    ("prop54", 1, 9, 8),
+    ("eq5a", 1, 9, 8),
+    ("eq55a", 1, 9, 8),
     ("lemma210", 2, 12, 11),
     ("lemma67", 1, 1, 2),
     ("prop41", 1, 6, 6),
@@ -464,10 +464,10 @@ def test_verify_report_states_the_degree_checked(theorem, k, asked, checked):
 
 @pytest.mark.parametrize("theorem", ["prop54", "eq5a", "eq55a"])
 def test_verify_sizes_the_input_on_the_clipped_degree(runner, theorem):
-    # at k = 2, N = 16 would need more than 2^17 entries, but N = 7 is checked
+    # at k = 2, N = 16 would need more than 2^17 entries, but N = 8 is checked
     res = runner.invoke(main, ["verify", "--theorem", theorem, "--N", "16"])
     assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["N"] == 7
+    assert json.loads(res.output)["N"] == 8
 
 
 def test_verify_clips_lemma210_at_eleven(runner):

@@ -737,6 +737,18 @@ def test_cut_recursion_matches_the_closed_block_enumeration(k, N, zeros):
             assert (target[w], dtarget[w]) == _brute_closed(dual[2], dual[3], inner, dinner, w)
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("k,N", [(1, 9), (2, 6), (3, 5)])
+def test_cfree_moments_read_the_moments_one_degree_short(k, N, seed):
+    # the closed sums read the moments only in gaps, at degree N - 2 or
+    # less, and take their degree from the c-free cumulants: the intertwining
+    # checks pass the free moments of a product one degree short
+    from ncprob.cumulants import _graded, _moments_cfree
+
+    _, (p, kc) = _graded(random_family(k, N, seed), random_family(k, N, seed + 1))
+    assert _moments_cfree(p[:-1], kc, k) == _moments_cfree(p, kc, k)
+
+
 # ---------------------------------------------------------------------------
 # every transform against its lattice definition
 # ---------------------------------------------------------------------------
@@ -778,9 +790,9 @@ def _lattice_oracles():
         return [(mob, (holder,), others) for mob, holder, others in _ll_one_table(n)]
 
     def cc(phi, chi):
-        # the signed-lattice solve, on the graded layers of (phi, chi)
-        D, (p, c) = _graded(phi, chi)
-        return _ungraded(D, _cc_cumulants(p, c, phi.k), phi.k, "cc-cumulant").values
+        # the signed-lattice solve, on the graded layers of (kappa_phi, chi)
+        D, (kf, c) = _graded(free_cumulants(phi), chi)
+        return _ungraded(D, _cc_cumulants(kf, c, phi.k), phi.k, "cc-cumulant").values
 
     def explicit(phi, chi):
         bchi = MultilinearFamily(chi.k, chi.N, lattice(signed_intervals, chi))

@@ -383,9 +383,9 @@ def test_family_from_json_dict_rejects_malformed_data(mutate):
         MultilinearFamily.from_json_dict(mutate(_family_blob()))
 
 
-@pytest.mark.parametrize("text", ["1e400", "-1e400", "Infinity"])
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "Infinity", "NaN"])
 def test_family_from_json_dict_rejects_an_infinite_value(text):
-    # JSON decodes these to float infinities, which no Fraction holds
+    # JSON decodes these to float infinities and NaN, which no Fraction holds
     blob = _family_blob()
     blob["values"]["1"] = json.loads(text)
     with pytest.raises(InvalidFamily, match="malformed family data"):

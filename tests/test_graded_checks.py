@@ -56,9 +56,9 @@ def _transform(delta, phi, chi):
 
 
 def _cc_difference(phi, chi):
-    D, (p, c) = _graded(phi, chi)
-    got = _ungraded(D, _cc_cumulants(p, c, phi.k), phi.k, "cc-cumulant")
     kc, kf = cfree_cumulants(phi, chi), free_cumulants(phi)
+    D, (graded_kf, c) = _graded(kf, chi)
+    got = _ungraded(D, _cc_cumulants(graded_kf, c, phi.k), phi.k, "cc-cumulant")
     return _first_differing_word(got, lambda w: kc(w) - kf(w))
 
 

@@ -5,6 +5,7 @@ and exit 2 on the command line, never a traceback."""
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -30,7 +31,8 @@ from ncprob.families import (
     restrict,
     truncate,
 )
-from ncprob.nc import NcPartition, enumerate_nc, f_nm, f_nm_inverse, is_noncrossing
+from ncprob.nc import (
+    NcPartition, enumerate_nc, f_nm, f_nm_inverse, is_noncrossing, parent_block)
 from ncprob.selftest import TARGETS, verify_report
 from ncprob.typeb import Flavor, SignedNcPartition, enumerate_signed
 
@@ -52,6 +54,11 @@ CASES = {
     "block_of(True)": (lambda: PI.block_of(True), InvalidPartition),
     "f_nm(True)": (lambda: f_nm(RHO, True), InvalidPartition),
     "f_nm_inverse(1.0)": (lambda: f_nm_inverse(PI, 1.0), InvalidPartition),
+    # an index that is an int but outside the blocks, or the letters, is refused too
+    "parent_block(True)": (lambda: parent_block(RHO, True), InvalidPartition),
+    "parent_block(1.0)": (lambda: parent_block(RHO, 1.0), InvalidPartition),
+    "parent_block(5)": (lambda: parent_block(RHO, 5), InvalidPartition),
+    "parent_block(-3)": (lambda: parent_block(RHO, -3), InvalidPartition),
     "truncate(True)": (lambda: truncate(F, True), ShapeMismatch),
     "truncate('2')": (lambda: truncate(F, "2"), ShapeMismatch),
     "family k=True": (lambda: MultilinearFamily(True, 1, {(1,): 1}), ShapeMismatch),
@@ -65,6 +72,10 @@ CASES = {
     "tensor k=2.0": (lambda: DeltaTensor(2.0, {}), DimMismatch),
     "tensor i=True": (lambda: DeltaTensor(2, {(True, 1, 1): 1}), DimMismatch),
     "tensor l=1.0": (lambda: DeltaTensor(2, {(1, 1, 1.0): 1}), DimMismatch),
+    "expand(True)": (lambda: diagonal_delta(2).expand(True), DimMismatch),
+    "expand(1.0)": (lambda: diagonal_delta(2).expand(1.0), DimMismatch),
+    "expand(0)": (lambda: diagonal_delta(2).expand(0), DimMismatch),
+    "expand(3)": (lambda: diagonal_delta(2).expand(3), DimMismatch),
     "eval_eta letters": (lambda: eval_eta(F, F, RHO, (True, 1, 1)), PositionOutOfRange),
     "eval_gamma m=1.0": (
         lambda: eval_gamma(diagonal_delta(2), F, F, RHO, 1.0, (1, 1, 1)), ShapeMismatch),
@@ -89,6 +100,13 @@ def test_the_messages_for_ints_are_unchanged():
         restrict(F, (1, 2), [10, 2])
     with pytest.raises(DimMismatch, match=r"^index \(1,1,3\) outside 1\.\.2$"):
         DeltaTensor(2, {(1, 1, 3): 1})
+    # the two later index checks speak in the same style
+    with pytest.raises(DimMismatch, match=r"^index 3 outside 1\.\.2$"):
+        diagonal_delta(2).expand(3)
+    with pytest.raises(InvalidPartition, match=r"^block index 2 outside -2\.\.1$"):
+        parent_block(RHO, 2)
+    # a negative block index still counts from the end
+    assert parent_block(RHO, -1) == parent_block(RHO, 1) == 0
 
 
 def test_json_true_and_false_are_not_values():
@@ -101,6 +119,24 @@ def test_json_true_and_false_are_not_values():
             DeltaTensor.from_json_dict(tensor)
     # a JSON number still reads as before
     assert MultilinearFamily.from_json_dict({**data, "values": {"1": 1, "1,1": 0.5}})((1, 1)) == 0.5
+
+
+def test_a_json_float_reads_as_its_shortest_decimal():
+    # 0.1 is the double nearest 1/10, and str gives back "0.1"
+    data = random_family(1, 2, seed=0).to_json_dict()
+
+    def family(text):
+        values = {"1": json.loads(text), "1,1": "1"}
+        return MultilinearFamily.from_json_dict({**data, "values": values})
+
+    for text, want in (("0.1", Fraction(1, 10)), ("0.5", Fraction(1, 2)),
+                       ("-2.5e-3", Fraction(-1, 400)), ("1e20", 10 ** 20), ("3", 3)):
+        assert family(text)((1,)) == want
+        tensor = {"k": 1, "entries": [{"i": 1, "j": 1, "l": 1, "value": json.loads(text)}]}
+        assert DeltaTensor.from_json_dict(tensor).expand(1) == ((1, 1, want),)
+    for text in ("1e400", "-Infinity", "NaN"):
+        with pytest.raises(InvalidFamily):
+            family(text)
 
 
 def _run(argv):

@@ -331,6 +331,17 @@ def test_cumulant_tables_determine_families():
     assert moments_from_free(k1) == moments_from_free(k2) == f
 
 
+# side -> (the graded core of products it runs, the place of K among its
+# arguments, the layers of its output to plant the fault in, the word off by
+# one there): psi reads the c-free moments one degree up, so it moves on
+# (1, 2) where they move on (1, 2, 1)
+FAULTS = {
+    "infinitesimal": ("_joined", 1, lambda out: out[1], (1, 2)),
+    "cfree": ("_moments_cfree", 2, lambda out: out, (1, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("side", sorted(FAULTS))
 @pytest.mark.parametrize(
     "check,op",
     [
@@ -338,28 +349,46 @@ def test_cumulant_tables_determine_families():
         ("product_intertwine_counterexample", "infinitesimal_product"),
     ],
 )
-def test_intertwine_reports_the_word_where_one_side_is_off(monkeypatch, check, op):
-    # the check runs the graded core of the infinitesimal op, not op itself;
-    # with that core off on (1, 2) only, that word, and no earlier one, must
+def test_intertwine_reports_the_word_where_one_side_is_off(monkeypatch, check, op, side):
+    # the check runs the graded cores of the ops, not op itself; with one
+    # side's core off on one word only, (1, 2), and no earlier word, must
     # come back as the counterexample
     import ncprob.products as pr
 
-    real = pr._joined
+    name, at, layers, word = FAULTS[side]
+    real = getattr(pr, name)
 
-    def off(join, K, *jets):
-        out = real(join, K, *jets)
-        if len(out) == 2:  # the infinitesimal side: a moments jet of two parts
-            out[1][2][words_of_length(K, 2).index((1, 2))] += 1
+    def off(*args):
+        out = real(*args)
+        layers(out)[len(word)][words_of_length(args[at], len(word)).index(word)] += 1
         return out
 
     def unreachable(*args):
         raise AssertionError(f"{op} called by the check")
 
-    monkeypatch.setattr(pr, "_joined", off)
+    monkeypatch.setattr(pr, name, off)
     monkeypatch.setattr(pr, op, unreachable)
     mu1, nu1 = random_tracial(2, 4, seed=120), random_family(2, 4, seed=121)
     mu2, nu2 = random_tracial(2, 4, seed=122), random_family(2, 4, seed=123)
     assert getattr(pr, check)(mu1, nu1, mu2, nu2) == (1, 2)
+
+
+@pytest.mark.parametrize("target", ["12", "13"])
+def test_intertwine_checks_take_one_free_pass(monkeypatch, target):
+    # the c-free side reads the free moments of the infinitesimal side's one
+    # two-part pass, and runs no one-part pass of its own
+    import ncprob.products as pr
+    from ncprob.selftest import verify_report
+
+    real, calls = pr._joined, []
+
+    def unreachable(*args):
+        raise AssertionError("_joined_cfree called by the check")
+
+    monkeypatch.setattr(pr, "_joined", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(pr, "_joined_cfree", unreachable)
+    assert verify_report(target, 0, 2, 4)["ok"] is True
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
