@@ -32,19 +32,20 @@ and the verification routines for the main identities relating c-free and
 infinitesimal cumulants, which compare both sides as ints at one scale;
 the cyclic identity check is the transform check at the diagonal tensor.
 Each case of the search for the block identity between gamma and eta is a
-two-row lattice sum.  Rows that agree as data (the same core, phi's blocks
-up to order and rotation) prove the case for every input; only rows that
-differ are summed over the layer, on slot tables of the Boolean cumulants
-of chi built on the first such case.
+two-row lattice sum.  Its rows step builds both rows from rho's block rows;
+rows that agree as data (the same core, phi's blocks up to order and
+rotation) prove the case for every input.  Its sum step sums an open case
+over the layer, on slot tables of chi's Boolean cumulants built once.
 """
 
 from fractions import Fraction
-from functools import cache
+from math import prod
 from typing import Callable
 
 from .errors import (
     DegreeTooLow,
     DimMismatch,
+    InvalidPartition,
     NotLLOne,
     NotTracial,
     PositionOutOfRange,
@@ -72,7 +73,7 @@ from .cumulants import (
     _ungraded,
     boolean_cumulants,
 )
-from .nc import NcPartition, f_nm, ll_one
+from .nc import NcPartition, _f_nm, ll_one
 
 
 def _scaled_expansion(delta: DeltaTensor) -> tuple[int, dict]:
@@ -188,13 +189,9 @@ def eval_gamma(
     if chi.N < len(sub) + 1:
         raise DegreeTooLow(f"chi must have degree >= {len(sub) + 1}")
     beta = boolean_cumulants(chi)
-    total = Fraction(0)
-    for j, l, coeff in delta.expand(sub[r - 1]):
-        total += coeff * beta((l,) + sub[r:] + sub[: r - 1] + (j,))
-    for b in pi.blocks:
-        if b is not holder:
-            total *= phi(tuple(w[p - 1] for p in b))
-    return total
+    total = sum((coeff * beta((l,) + sub[r:] + sub[: r - 1] + (j,))
+                 for j, l, coeff in delta.expand(sub[r - 1])), Fraction(0))
+    return total * prod(phi(tuple(w[p - 1] for p in b)) for b in pi.blocks if b is not holder)
 
 
 def eval_eta(
@@ -215,11 +212,8 @@ def eval_eta(
     sub = tuple(w[p - 1] for p in holder)
     if chi.N < len(sub):
         raise DegreeTooLow(f"chi must have degree >= {len(sub)}")
-    total = boolean_cumulants(chi)(sub)
-    for b in rho.blocks:
-        if b is not holder:
-            total *= phi(tuple(w[p - 1] for p in b))
-    return total
+    others = (phi(tuple(w[p - 1] for p in b)) for b in rho.blocks if b is not holder)
+    return boolean_cumulants(chi)(sub) * prod(others)
 
 
 # ---------------------------------------------------------------------------
@@ -283,36 +277,33 @@ def gamma_eta_counterexample(
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
     if phi.N < n or chi.N < n + 1:
         raise DegreeTooLow(f"need phi degree >= {n} and chi degree >= {n + 1}")
-    if chi.k != delta.k:
-        raise ShapeMismatch("families and tensor must share one dimension")
-    return _gamma_eta_counterexample(_gamma_eta_tables(delta, lambda: chi, phi), phi.k, n, m, rho)
+    _check_inputs(delta, chi, phi)
+    if not _int_in(m, 1, n):
+        raise InvalidPartition(f"m={m!r} outside 1..{n}")
+    sides = _gamma_eta_rows(n, m, rho.blocks)
+    return sides and _gamma_eta_sum(_gamma_eta_tables(delta, chi, phi), phi.k, n, sides)
 
 
-def _gamma_eta_tables(delta: DeltaTensor, draw_chi: Callable, phi: MultilinearFamily):
-    """What every case of one gamma-eta search shares, after the checks on
-    phi: a function that, on its first call only, gets chi from draw_chi
-    and builds (the layers T of the slot tables of the graded Boolean
-    cumulants of chi, graded phi) at one grading, T[L + 1] over the words
-    (x, u) of length L + 1 summing x's tensor triples (j, l, c) of
-    c * beta(l, u, j)."""
-    if phi.k != delta.k:
+def _check_inputs(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily) -> None:
+    """The checks on the inputs that a gamma-eta search makes before it sums any case."""
+    if chi.k != delta.k or phi.k != delta.k:
         raise ShapeMismatch("families and tensor must share one dimension")
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
 
-    @cache
-    def tables():
-        chi = draw_chi()
-        _, (p, c) = _graded(phi, chi)
-        beta, expansion = _boolean(c), _scaled_expansion(delta)[1]
-        return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
 
-    return tables
+def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily):
+    """(The layers T of the slot tables of the graded Boolean cumulants of
+    chi, graded phi) at one grading, T[L + 1] over the words (x, u) of
+    length L + 1 summing x's triples (j, l, c) of c * beta(l, u, j)."""
+    _, (p, c) = _graded(phi, chi)
+    beta, expansion = _boolean(c), _scaled_expansion(delta)[1]
+    return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
 
 
-def _least_first(blocks: tuple) -> list:
-    """The blocks, each rotated to start at its least position, sorted."""
-    return sorted(b[b.index(min(b)):] + b[:b.index(min(b))] for b in blocks)
+def _least_first(blocks: tuple) -> set:
+    """The blocks, each rotated to start at its least position, as a set."""
+    return {b[b.index(min(b)):] + b[:b.index(min(b))] for b in blocks}
 
 
 def _rows_agree(one: tuple, other: tuple) -> bool:
@@ -322,33 +313,28 @@ def _rows_agree(one: tuple, other: tuple) -> bool:
     return one[0] == other[0] and _least_first(one[1]) == _least_first(other[1])
 
 
-def _gamma_eta_counterexample(tables, k: int, n: int, m: int, rho: NcPartition):
-    """gamma_eta_counterexample over k letters on the tables of
-    `_gamma_eta_tables`, so that a caller checking many cases builds them at
-    most once; the case (n, m, rho) must be one the public check admits.
-
-    The sides are the rows +1 and -1 of one lattice sum over 0-based
-    positions of w, which vanishes where they agree: the slot tables on the
-    letter at slot m followed by its block's split core, phi on each other
-    block, ints at the scale D**(n+1) times the tensor's.  Gamma splits the
-    block of pi = f_nm(rho, m) holding m at the rank of m.  Eta reads rho on
-    the inserted word (l, w_{m+1},..,w_n, w_1,..,w_{m-1}, j), whose position
-    1 < q < n+1 holds w at (m + q - 2) mod n; rho << 1_{n+1} puts 1 and n+1
-    in its first block.
-
-    Rows that agree (`_rows_agree`) prove the case for every input; only
-    rows that differ are summed, on the given inputs, and build the tables."""
-    pi = f_nm(rho, m)
-    holder = pi.blocks[pi.block_of(m)]
+def _gamma_eta_rows(n: int, m: int, blocks: tuple):
+    """The rows +1 and -1 of the case (n, m, rho << 1_{n+1} given by its block
+    rows), one lattice sum over 0-based positions of w, or None when they
+    agree as data (`_rows_agree`).  Each reads the slot tables on the letter
+    at slot m and its block's split core, and phi on each other block: gamma
+    splits the block of f_nm(rho, m) holding m at the rank of m, and eta reads
+    rho on (l, w_{m+1},..,w_n, w_1,..,w_{m-1}, j), whose position 1 < q < n+1
+    holds w at (m + q - 2) mod n; rho's first block holds 1 and n+1."""
+    image = _f_nm(blocks, n, m)
+    holder = next(b for b in image if m in b)
     r = holder.index(m)
     gamma = ((tuple(x - 1 for x in holder[r:] + holder[:r]),),
-             tuple(tuple(x - 1 for x in b) for b in pi.blocks if b is not holder))
-    pulled = [tuple((m + q - 2) % n for q in b) for b in rho.blocks]
+             tuple(tuple(x - 1 for x in b) for b in image if b is not holder))
+    pulled = [tuple((m + q - 2) % n for q in b) for b in blocks]
     eta = (((m - 1,) + pulled[0][1:-1],), tuple(pulled[1:]))
-    if _rows_agree(gamma, eta):
-        return None
-    diff = _lattice_sum(((1, *gamma), (-1, *eta)), tables(), k, n)
-    return _first_word(k, n, diff, [0] * k ** n)
+    return None if _rows_agree(gamma, eta) else ((1, *gamma), (-1, *eta))
+
+
+def _gamma_eta_sum(tables, k: int, n: int, sides: tuple):
+    """The sum step: the first word of length n over k letters where the rows
+    sum to nonzero on the tables, at the scale D**(n+1) times T, or None."""
+    return _first_word(k, n, _lattice_sum(sides, tables, k, n), [0] * k ** n)
 
 
 def verify_gamma_eta(

@@ -25,6 +25,7 @@ the generator state it leaves against the randint recipe.
 
 import itertools
 import random as _random
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,6 +56,15 @@ _UNIT_ZERO_KINDS = ("infinitesimal", "infinitesimal-cumulant")
 # What parsing JSON-decoded data of the wrong shape or content can raise.
 _MALFORMED = (
     AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _fraction(value) -> Fraction:
+    """A value given in Python, a float at its exact binary value;
+    InvalidFamily for a bool or anything else Fraction cannot read."""
+    if type(value) is not bool:
+        with suppress(*_MALFORMED):
+            return value if isinstance(value, Fraction) else Fraction(value)
+    raise InvalidFamily(f"value {value!r} is not a number")
 
 
 def _json_fraction(value) -> Fraction:
@@ -119,7 +129,7 @@ class MultilinearFamily(_Value):
                 v = values[w]
             except KeyError:
                 raise ShapeMismatch(f"missing value for word {w}") from None
-            layers[len(w)].append(v if isinstance(v, Fraction) else Fraction(v))
+            layers[len(w)].append(_fraction(v))
         self._fill(k, N, tuple(map(tuple, layers)), kind)
 
     def _fill(self, k: int, N: int, layers: tuple, kind: str) -> None:
@@ -314,7 +324,7 @@ class DeltaTensor(_Value):
         for (i, j, l), v in dict(entries).items():
             if not (_int_in(i, 1, k) and _int_in(j, 1, k) and _int_in(l, 1, k)):
                 raise DimMismatch(f"index ({i!r},{j!r},{l!r}) outside 1..{k}")
-            q = v if isinstance(v, Fraction) else Fraction(v)
+            q = _fraction(v)
             if q != 0:
                 table[(i, j, l)] = q
         self._fill(k, table)

@@ -9,12 +9,12 @@ function, so everything here can be shared freely between threads.  The
 enumeration caches are populated behind ``functools.lru_cache``.  NC(n) is
 one table of canonical block rows (`_nc_span`), which the transforms and
 the CLI read and `enumerate_nc` wraps in partition objects.  Kreweras
-complementation and each surgery run one core on such rows, which the lemma
-2.10 check walks directly; the public functions check their arguments and,
-as the enumerations and `f_nm` do, wrap the result with the unchecked
-`_Value._trusted`.  One stack scan, `is_noncrossing`, tests crossings, and
-the validating constructor reads its core; both refuse labels that are not
-ints, and every count or index passes `errors._int_in`.
+complementation, each surgery and `f_nm` run one core on such rows, which
+the `lemma210` and `lemma67` checks walk directly; the public functions
+check their arguments and, as the enumerations do, wrap the result with
+the unchecked `_Value._trusted`.  One stack scan, `is_noncrossing`, tests
+crossings, and the validating constructor reads its core; both refuse
+labels that are not ints, and every count or index passes `errors._int_in`.
 
 Degenerate case: on a one-point ground set the discrete and the one-block
 partition coincide, and all order predicates hold reflexively.
@@ -515,11 +515,14 @@ def f_nm(rho: NcPartition, m: int) -> NcPartition:
         raise InvalidPartition(f"m={m!r} outside 1..{n}")
     if not ll_one(rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
-    # translating by m sends 1 to m + 1 and n + 1 to m, one block; dropping
-    # m + 1 and closing the gap sends every k > 1 to (m + k - 2) mod n + 1.
-    # The bijection keeps the blocks non-crossing, and none is left empty.
-    blocks = (sorted((m + k - 2) % n + 1 for k in b if k != 1) for b in rho.blocks)
-    return NcPartition._trusted(n, tuple(sorted(map(tuple, blocks))))
+    return NcPartition._trusted(n, tuple(sorted(_f_nm(rho.blocks, n, m))))
+
+
+def _f_nm(blocks: Blocks, n: int, m: int) -> Blocks:
+    """f_nm on rows with 1 and n+1 in the first block, each image block
+    ascending, in the given order: translating by m and merging m with m + 1
+    drops 1 and sends every other k to (m + k - 2) mod n + 1."""
+    return tuple(tuple(sorted((m + k - 2) % n + 1 for k in b if k != 1)) for b in blocks)
 
 
 def f_nm_inverse(pi: NcPartition, m: int) -> NcPartition:

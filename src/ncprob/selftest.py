@@ -56,10 +56,10 @@ from . import (
 from .cumulants import (
     _boolean, _cc_cumulants, _cfree, _explicit, _first_difference, _first_word, _graded,
     _lattice_sum, _ll_one_table)
-from .deltastar import _gamma_eta_counterexample, _gamma_eta_tables
+from .deltastar import _check_inputs, _gamma_eta_rows, _gamma_eta_sum, _gamma_eta_tables
 from .errors import _int_in
 from .families import _check_shape, _word_count
-from .nc import _attach, _cut, _kreweras, _nc_span, _parent
+from .nc import _attach, _cut, _kreweras, _nc_rows, _nc_span, _parent
 from .typeb import DEFAULT_SIGNED_LIMIT
 
 
@@ -292,12 +292,13 @@ def _criterion_cyclic_theorem(seed):
 
 
 def _gamma_eta_cases(max_n):
-    """Every (n, m, rho) with n <= max_n, rho << 1_{n+1} and 1 <= m <= n."""
+    """Every (n, m, rows of rho) with n <= max_n, rho << 1_{n+1} and 1 <= m <= n."""
+    _nc_rows(max_n + 1)  # LimitExceeded above the enumeration limit, before any case
     for n in range(1, max_n + 1):
-        for rho in enumerate_nc(n + 1):
-            if ll_one(rho):
+        for rows in _nc_span(1, n + 2):
+            if rows[0][-1] == n + 1:
                 for m in range(1, n + 1):
-                    yield n, m, rho
+                    yield n, m, rows
 
 
 def _criterion_gamma_eta(seed):
@@ -366,17 +367,16 @@ def _lemma210(seed, k, n, l):
 
 
 def _lemma67(seed, k, n, l):
-    phi = random_tracial(k, n + 1, seed=seed)
-    delta = random_delta(k, seed=seed + 2)
-    # chi is drawn only if some case's rows differ, at the degree n + 2 its
-    # seed string names, and cut to the n + 1 the cases read
-    tables = _gamma_eta_tables(
-        delta, lambda: truncate(random_family(k, n + 2, seed=seed + 1), n + 1), phi)
-    for case in _gamma_eta_cases(n):
-        bad = _gamma_eta_counterexample(tables, k, *case)
-        if bad is not None:
-            return bad
-    return None
+    # inputs are drawn only for an open case; chi at the degree n + 2 its seed names
+    open_cases = [(case[0], sides) for case in _gamma_eta_cases(n)
+                  if (sides := _gamma_eta_rows(*case))]
+    if not open_cases:
+        return None
+    phi, delta = random_tracial(k, n + 1, seed=seed), random_delta(k, seed=seed + 2)
+    chi = truncate(random_family(k, n + 2, seed=seed + 1), n + 1)
+    _check_inputs(delta, chi, phi)
+    tables = _gamma_eta_tables(delta, chi, phi)
+    return next(filter(None, (_gamma_eta_sum(tables, k, *case) for case in open_cases)), None)
 
 
 class Target(NamedTuple):

@@ -557,13 +557,43 @@ def test_lemma210_builds_no_partition_object(monkeypatch):
     assert verify_report("lemma210", 0, 2, 7)["ok"] is True
 
 
+def test_lemma67_builds_no_partition_object(monkeypatch):
+    import ncprob.nc as nc
+    from ncprob.selftest import verify_report
+
+    def fill(*args):
+        raise AssertionError("a partition object was built")
+
+    nc._nc_objects.cache_clear()
+    monkeypatch.setattr(nc.NcPartition, "_fill", fill)
+    assert verify_report("lemma67", 0, 2, 7)["ok"] is True
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("N", [12, 15])
+def test_lemma67_refuses_a_degree_above_the_enumeration_limit_before_any_case(monkeypatch, k, N):
+    import ncprob.selftest as st
+    from ncprob.errors import LimitExceeded
+
+    def rows(*case):
+        raise AssertionError("a gamma-eta case was visited")
+
+    monkeypatch.setattr(st, "_gamma_eta_rows", rows)
+    with pytest.raises(LimitExceeded, match=rf"^n={N + 1} above enumeration limit 12$"):
+        st.verify_report("lemma67", 0, k, N)
+
+
 def test_lemma67_reports_the_first_counterexample(monkeypatch):
+    # cases (1, 1), (2, 1) and (3, 2) are left open, and every open case but
+    # (1, 1) sums to nonzero; the report names the first of those
     import ncprob.selftest as st
 
-    def check(tables, k, n, m, rho):
-        return (n, m) if (n, m) in {(2, 1), (3, 2)} else None
+    def rows(n, m, blocks):
+        return (n, m) if (n, m) in {(1, 1), (2, 1), (3, 2)} else None
 
-    monkeypatch.setattr(st, "_gamma_eta_counterexample", check)
+    monkeypatch.setattr(st, "_gamma_eta_rows", rows)
+    monkeypatch.setattr(
+        st, "_gamma_eta_sum", lambda tables, k, n, sides: None if sides == (1, 1) else sides)
     report = st.verify_report("lemma67", 0, 2, 4)
     assert report["ok"] is False
     assert report["counterexample"] == [2, 1]

@@ -404,6 +404,13 @@ def test_transform_identity_reports_the_word_where_one_side_is_off(monkeypatch):
     assert ds.cumulant_transform_counterexample(random_delta(2, seed=126), phi, chi) == (2, 1, 1)
 
 
+def _merge_at_next_slot(monkeypatch, ds):
+    """Fault the row core of f_nm where deltastar calls it: merge at slot
+    m + 1 mod n instead of m."""
+    real = ds._f_nm
+    monkeypatch.setattr(ds, "_f_nm", lambda blocks, n, m: real(blocks, n, m % n + 1))
+
+
 def test_gamma_eta_search_fails_where_the_identity_is_broken(monkeypatch):
     # merging at slot m+1 mod n instead of m breaks the block identity; the
     # graded search must report the first word where the Fraction
@@ -411,15 +418,14 @@ def test_gamma_eta_search_fails_where_the_identity_is_broken(monkeypatch):
     import ncprob.deltastar as ds
     from ncprob.selftest import verify_report
 
-    real = ds.f_nm
-    monkeypatch.setattr(ds, "f_nm", lambda rho, m: real(rho, m % (rho.n - 1) + 1))
+    _merge_at_next_slot(monkeypatch, ds)
     phi = random_tracial(2, 4, seed=108)
     chi = random_family(2, 4, seed=109)
     d = random_delta(2, seed=110)
     failures = 0
     for rho in enumerate_nc(4):
         for m in (1, 2, 3) if ll_one(rho) else ():
-            pi = ds.f_nm(rho, m)
+            pi = f_nm(rho, m % 3 + 1)
             first = next((
                 w for w in words_of_length(2, 3)
                 if eval_gamma(d, chi, phi, pi, m, w) != sum(
@@ -463,13 +469,13 @@ def test_lemma67_draws_chi_once_and_reports_the_eager_search(monkeypatch, k, N, 
     import ncprob.deltastar as ds
     from ncprob.selftest import _gamma_eta_cases, verify_report
 
-    real = ds.f_nm
-    monkeypatch.setattr(ds, "f_nm", lambda rho, m: real(rho, m % (rho.n - 1) + 1))
+    _merge_at_next_slot(monkeypatch, ds)
     phi = random_tracial(k, N + 1, seed=seed)
     chi = random_family(k, N + 2, seed=seed + 1)
     d = random_delta(k, seed=seed + 2)
     eager = next(filter(None, (
-        ds.gamma_eta_counterexample(d, chi, phi, *case) for case in _gamma_eta_cases(N))))
+        ds.gamma_eta_counterexample(d, chi, phi, n, m, NcPartition(n + 1, rows))
+        for n, m, rows in _gamma_eta_cases(N))))
     calls = _counting_random_family(monkeypatch)
     report = verify_report("lemma67", seed, k, N)
     assert report["ok"] is False
@@ -486,12 +492,11 @@ def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch,
     from ncprob.selftest import _gamma_eta_cases
 
     if merge_at_next_slot:
-        real = ds.f_nm
-        monkeypatch.setattr(ds, "f_nm", lambda rho, m: real(rho, m % (rho.n - 1) + 1))
+        _merge_at_next_slot(monkeypatch, ds)
     phi = random_tracial(k, 6, seed=130 + k)
     chi = random_family(k, 7, seed=140 + k)
     d = random_delta(k, seed=150 + k)
-    tables = ds._gamma_eta_tables(d, lambda: chi, phi)
+    tables = ds._gamma_eta_tables(d, chi, phi)
     certified = ds._rows_agree
     verdicts = []
 
@@ -502,7 +507,7 @@ def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch,
     monkeypatch.setattr(ds, "_rows_agree", record)
     closed = numeric = 0
     for case in _gamma_eta_cases(6):
-        first = ds._gamma_eta_counterexample(tables, k, *case)
+        first = ds._gamma_eta_sum(tables, k, case[0], ds._gamma_eta_rows(*case))
         if verdicts.pop():
             assert first is None, case
             closed += 1
@@ -521,12 +526,8 @@ def test_gamma_eta_certificate_closes_every_case_without_slot_tables(monkeypatch
 
     monkeypatch.setattr(ds, "_slot_table", unreachable)
     monkeypatch.setattr(ds, "_lattice_sum", unreachable)
-    phi = random_tracial(k, 7, seed=160 + k)
-    chi = random_family(k, 8, seed=170 + k)
-    d = random_delta(k, seed=180 + k)
-    tables = ds._gamma_eta_tables(d, lambda: chi, phi)
     for case in _gamma_eta_cases(7):
-        assert ds._gamma_eta_counterexample(tables, k, *case) is None
+        assert ds._gamma_eta_rows(*case) is None
     assert verify_report("lemma67", 0, k, 6)["ok"] is True
 
 
@@ -554,7 +555,7 @@ def test_rows_agree_exactly_when_their_sums_agree():
 
     phi = random_tracial(3, 4, seed=190)
     chi = random_family(3, 5, seed=191)
-    tables = ds._gamma_eta_tables(random_delta(3, seed=192), lambda: chi, phi)()
+    tables = ds._gamma_eta_tables(random_delta(3, seed=192), chi, phi)
     rows = [
         ((core,), blocks)
         for size in range(1, 5)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ncprob.cli import main
-from ncprob.deltastar import eval_eta, eval_gamma
+from ncprob.deltastar import eval_eta, eval_gamma, gamma_eta_counterexample
 from ncprob.errors import (
     DimMismatch,
     InvalidFamily,
@@ -27,6 +27,7 @@ from ncprob.families import (
     diagonal_delta,
     random_delta,
     random_family,
+    random_tracial,
     relabel,
     restrict,
     truncate,
@@ -39,6 +40,11 @@ from ncprob.typeb import Flavor, SignedNcPartition, enumerate_signed
 F = random_family(2, 3, seed=7)
 PI = NcPartition(2, [(1,), (2,)])
 RHO = NcPartition(3, [(1, 3), (2,)])
+
+def _gamma_eta(m):
+    """The gamma-eta check of RHO at slot m, on inputs that pass every other check."""
+    return gamma_eta_counterexample(diagonal_delta(2), F, random_tracial(2, 3, seed=7), 2, m, RHO)
+
 
 CASES = {
     "NcPartition(True)": (lambda: NcPartition(True, [(1,)]), InvalidPartition),
@@ -69,6 +75,16 @@ CASES = {
     "restrict(['1', 2])": (lambda: restrict(F, (1, 2), ["1", 2]), PositionOutOfRange),
     "f((True,))": (lambda: F((True,)), PositionOutOfRange),
     "f((1.0,))": (lambda: F((1.0,)), PositionOutOfRange),
+    # a value given in Python is a number too: a bool, or anything Fraction
+    # cannot read, is refused, where the JSON reader already refused it
+    "family value True": (lambda: MultilinearFamily(1, 1, {(1,): True}), InvalidFamily),
+    "family value 'x'": (lambda: MultilinearFamily(1, 1, {(1,): "x"}), InvalidFamily),
+    "family value None": (lambda: MultilinearFamily(1, 1, {(1,): None}), InvalidFamily),
+    "family value nan": (lambda: MultilinearFamily(1, 1, {(1,): float("nan")}), InvalidFamily),
+    "family value '1/0'": (lambda: MultilinearFamily(1, 1, {(1,): "1/0"}), InvalidFamily),
+    "tensor value True": (lambda: DeltaTensor(1, {(1, 1, 1): True}), InvalidFamily),
+    "tensor value False": (lambda: DeltaTensor(1, {(1, 1, 1): False}), InvalidFamily),
+    "tensor value 'x'": (lambda: DeltaTensor(1, {(1, 1, 1): "x"}), InvalidFamily),
     "tensor k=2.0": (lambda: DeltaTensor(2.0, {}), DimMismatch),
     "tensor i=True": (lambda: DeltaTensor(2, {(True, 1, 1): 1}), DimMismatch),
     "tensor l=1.0": (lambda: DeltaTensor(2, {(1, 1, 1.0): 1}), DimMismatch),
@@ -79,6 +95,10 @@ CASES = {
     "eval_eta letters": (lambda: eval_eta(F, F, RHO, (True, 1, 1)), PositionOutOfRange),
     "eval_gamma m=1.0": (
         lambda: eval_gamma(diagonal_delta(2), F, F, RHO, 1.0, (1, 1, 1)), ShapeMismatch),
+    "gamma_eta_counterexample m=0": (lambda: _gamma_eta(0), InvalidPartition),
+    "gamma_eta_counterexample m=n+1": (lambda: _gamma_eta(3), InvalidPartition),
+    "gamma_eta_counterexample m=True": (lambda: _gamma_eta(True), InvalidPartition),
+    "gamma_eta_counterexample m=1.0": (lambda: _gamma_eta(1.0), InvalidPartition),
     "verify_report k=True": (lambda: verify_report("prop41", 0, True, 3), ShapeMismatch),
     "verify_report l=1.0": (lambda: verify_report("13", 0, 2, 3, l=1.0), ShapeMismatch),
 }
@@ -107,6 +127,12 @@ def test_the_messages_for_ints_are_unchanged():
         parent_block(RHO, 2)
     # a negative block index still counts from the end
     assert parent_block(RHO, -1) == parent_block(RHO, 1) == 0
+
+
+def test_a_python_float_keeps_its_exact_binary_value():
+    # only the JSON reader reads a float's shortest decimal
+    assert MultilinearFamily(1, 1, {(1,): 0.1})((1,)) == Fraction(0.1) != Fraction(1, 10)
+    assert DeltaTensor(1, {(1, 1, 1): 0.1}).expand(1) == ((1, 1, Fraction(0.1)),)
 
 
 def test_json_true_and_false_are_not_values():

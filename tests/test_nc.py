@@ -479,6 +479,20 @@ def test_f_nm_output_passes_the_validating_constructor():
                 assert pi == NcPartition(n, merged)
 
 
+def test_f_nm_row_core_lists_the_image_blocks_in_rho_order():
+    # the core that the lemma67 search calls: each image block ascending, in
+    # the order of rho's blocks, so rho's first block, which holds 1 and
+    # n + 1, sends its image, which holds m, first
+    for n in range(1, 9):
+        for rho in enumerate_nc(n + 1):
+            if not ll_one(rho):
+                continue
+            for m in range(1, n + 1):
+                image = nc._f_nm(rho.blocks, n, m)
+                assert tuple(sorted(image)) == f_nm(rho, m).blocks
+                assert all(list(b) == sorted(b) for b in image) and m in image[0]
+
+
 def test_f_nm_is_bijection():
     for n in range(1, 6):
         domain = [r for r in enumerate_nc(n + 1) if ll_one(r)]
