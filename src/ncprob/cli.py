@@ -4,21 +4,23 @@ Exit codes: 0 on success or a verified identity, 1 when a verification
 fails (the counterexample is printed as JSON), 2 on usage errors.
 All output is deterministic for fixed arguments and seed.
 
-A fresh process loads `nc` and `typeb` (whose `Flavor` names the
-`--flavor` choices); each command imports the other layers it runs when it
-runs, and the `--theorem` choices are read from `selftest.TARGETS` when
-needed.  The enumerations print canonical block rows, with no partition
-objects.
+A fresh process loads `nc` alone; each command imports the other layers it
+runs when it runs, and the `--theorem` and `--flavor` choices are read from
+`selftest` and `typeb` when needed.  The enumerations write canonical block
+rows, with no partition objects, a few thousand rows to a write; a reader
+that closes the pipe early ends the command with exit code 0.
 """
 
+import os
 import sys
 from functools import lru_cache
+from importlib import import_module
+from itertools import islice
 
 import click
 
 from .errors import InvalidFamily, NcprobError
 from .nc import NcPartition, _block_text, _nc_rows, kreweras, moebius_to_one
-from .typeb import Flavor, _signed_rows
 
 
 def _dump(obj) -> None:
@@ -39,15 +41,26 @@ def _json_block(block: tuple[int, ...], pad: str) -> str:
     return _json_list(list(map(str, block)), pad)
 
 
-def _json_rows(rows, pad: str) -> list[str]:
+def _json_rows(rows, pad: str):
     """Each row of blocks as json.dumps(..., indent=2) writes it at pad, but
     with each distinct block encoded once and no pure-Python encoder."""
     inner = pad + "  "
-    return [_json_list([_json_block(b, inner) for b in row], pad) for row in rows]
+    return (_json_list([_json_block(b, inner) for b in row], pad) for row in rows)
 
 
-def _echo_rows(rows) -> None:
-    click.echo("\n".join("".join(map(_block_text, row)) for row in rows))
+def _text_rows(rows):
+    return ("".join(map(_block_text, row)) for row in rows)
+
+
+def _write(lines, as_json: bool) -> None:
+    """Write the lines one a line, or as json.dumps(..., indent=2) lays out
+    their array, a few thousand to a write: no more is held as text."""
+    head, sep, tail = ("[\n  ", ",\n  ", "\n]\n") if as_json else ("", "\n", "\n")
+    lines = iter(lines)
+    while chunk := list(islice(lines, 4096)):
+        click.echo(head + sep.join(chunk), nl=False)
+        head = sep
+    click.echo(tail, nl=False)
 
 
 def _load_json(path: str):
@@ -71,28 +84,30 @@ def _want(inputs, count: int, what: str):
         raise click.UsageError(f"{what} needs exactly {count} --input file(s)")
 
 
-class _TargetChoice(click.Choice):
-    """The `--theorem` choices, read from `selftest.TARGETS` each time they
-    are needed, so that building the command line loads no `selftest`."""
+class _LayerChoice(click.Choice):
+    """Choices read from a layer each time they are needed, so that building
+    the command line loads no layer."""
 
-    def __init__(self) -> None:
+    def __init__(self, layer: str, read) -> None:
         self.case_sensitive = True
+        self._layer, self._read = layer, read
 
     @property
     def choices(self):
-        from .selftest import TARGETS
-
-        return tuple(TARGETS)
+        return tuple(self._read(import_module(f".{self._layer}", __package__)))
 
 
 class _Command(click.Command):
-    """A command whose library errors are usage errors: exit code 2."""
+    """Library errors are usage errors, exit 2; a closed output pipe exits 0."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except NcprobError as exc:
             raise click.UsageError(str(exc), ctx) from None
+        except BrokenPipeError:  # the rest goes to devnull, also at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(0)
 
 
 class _Group(click.Group):
@@ -116,10 +131,7 @@ def nc_group():
 def nc_enumerate(n, as_json):
     """List NC(n) in canonical order, one partition per line."""
     rows = _nc_rows(n)
-    if as_json:
-        click.echo(_json_list(_json_rows(rows, "\n  "), "\n"))
-    else:
-        _echo_rows(rows)
+    _write(_json_rows(rows, "\n  ") if as_json else _text_rows(rows), as_json)
 
 
 def _on_partition(name: str, op, doc: str) -> None:
@@ -145,22 +157,22 @@ def typeb_group():
 @click.option("--n", "n", type=int, required=True, help="Ground-set half-size.")
 @click.option(
     "--flavor",
-    type=click.Choice([f.value for f in Flavor]),
-    default=Flavor.B.value,
+    type=_LayerChoice("typeb", lambda typeb: (f.value for f in typeb.Flavor)),
+    default="B",
     show_default=True,
 )
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON array.")
 def typeb_enumerate(n, flavor, as_json):
     """List the symmetric lattice for the chosen circular order."""
+    from .typeb import Flavor, _signed_rows
+
     rows = _signed_rows(n, Flavor(flavor))
-    if as_json:
-        # each row is the object {"blocks": ..., "flavor": ..., "n": ...}
-        pad = "\n    "
-        rest = f',{pad}"flavor": "{flavor}",{pad}"n": {n}\n  }}'
-        parts = ["{" + pad + '"blocks": ' + r + rest for r in _json_rows(rows, pad)]
-        click.echo(_json_list(parts, "\n"))
-    else:
-        _echo_rows(rows)
+    if not as_json:
+        return _write(_text_rows(rows), False)
+    # each row is the object {"blocks": ..., "flavor": ..., "n": ...}
+    pad = "\n    "
+    rest = f',{pad}"flavor": "{flavor}",{pad}"n": {n}\n  }}'
+    _write(("{" + pad + '"blocks": ' + r + rest for r in _json_rows(rows, pad)), True)
 
 
 @main.command("transform")
@@ -269,7 +281,7 @@ _pairwise("convolve", "Additive convolution of distributions or pairs.")
 @main.command("verify")
 @click.option(
     "--theorem",
-    type=_TargetChoice(),
+    type=_LayerChoice("selftest", lambda selftest: selftest.TARGETS),
     required=True,
     help="Which identity to check on seeded random inputs.",
 )

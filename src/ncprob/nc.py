@@ -7,14 +7,15 @@ values, block nesting and the cut/attach/cyclic-merge surgeries.
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely between threads.  The
 enumeration caches are populated behind ``functools.lru_cache``.  NC(n) is
-one table of canonical block rows (`_nc_span`), which the transforms and
-the CLI read and `enumerate_nc` wraps in partition objects.  Kreweras
-complementation, each surgery and `f_nm` run one core on such rows, which
-the `lemma210` and `lemma67` checks walk directly; the public functions
-check their arguments and, as the enumerations do, wrap the result with
-the unchecked `_Value._trusted`.  One stack scan, `is_noncrossing`, tests
-crossings, and the validating constructor reads its core; both refuse
-labels that are not ints, and every count or index passes `errors._int_in`.
+one generator of canonical block rows (`_nc_iter`), which the CLI streams,
+and its table (`_nc_span`), which the transforms read and `enumerate_nc`
+wraps in partition objects.  Kreweras complementation, each surgery and
+`f_nm` run one core on such rows, which the `lemma210` and `lemma67`
+checks walk directly; the public functions check their arguments and, as
+the enumerations do, wrap the result with the unchecked `_Value._trusted`.
+One stack scan, `is_noncrossing`, tests crossings, and the validating
+constructor reads its core; both refuse labels that are not ints, and
+every count or index passes `errors._int_in`.
 
 Degenerate case: on a one-point ground set the discrete and the one-block
 partition coincide, and all order predicates hold reflexively.
@@ -197,28 +198,30 @@ def _noncrossing(blocks: Blocks, n: int) -> bool:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _nc_span(lo: int, hi: int) -> tuple[Blocks, ...]:
-    """All non-crossing partitions of {lo..hi-1}, sorted canonically.
+def _nc_iter(lo: int, hi: int):
+    """All non-crossing partitions of {lo..hi-1}, yielded in canonical order.
 
     Recursive construction by the block of the minimum element: that block is
     an arbitrary subset containing lo, and the leftover elements fall into
-    independent contiguous gaps between its members, each enumerated on its
-    own span, so no sub-partition is ever shifted.  Taking the blocks of lo
-    in lexicographic order and each gap's partitions in their own order
-    lists the span canonically, with no sort of partitions.
+    independent contiguous gaps between its members, each read from the
+    cached table of its own span, so no sub-partition is ever shifted.
+    Taking the blocks of lo in lexicographic order and each gap's partitions
+    in their own order lists the span canonically, with no sort of partitions.
     """
-    if lo == hi:
-        return ((),)
+    if lo == hi:  # and no block below
+        yield ()
     rest = range(lo + 1, hi)
-    out: list[Blocks] = []
     for block in sorted((lo, *c) for r in range(hi - lo) for c in itertools.combinations(rest, r)):
-        rows = [(block,)]
-        for a, b in zip(block, block[1:] + (hi,)):
-            if b > a + 1:
-                rows = [row + gap for row in rows for gap in _nc_span(a + 1, b)]
-        out += rows
-    return tuple(out)
+        gaps = [_nc_span(a + 1, b) for a, b in zip(block, block[1:] + (hi,)) if b > a + 1]
+        for combo in itertools.product(*gaps):
+            yield (block,) + sum(combo, ())
+
+
+@lru_cache(maxsize=None)
+def _nc_span(lo: int, hi: int) -> tuple[Blocks, ...]:
+    """The table of `_nc_iter(lo, hi)`, through a list: a tuple grown from
+    a generator is tracked anew, and rescanned by the collector, per resize."""
+    return tuple([*_nc_iter(lo, hi)])
 
 
 @lru_cache(maxsize=None)
@@ -234,10 +237,10 @@ def _check_size(n: int, limit: int, what: str) -> None:
         raise LimitExceeded(f"n={n} above {what} limit {limit}")
 
 
-def _nc_rows(n: int) -> tuple[Blocks, ...]:
-    """The rows of enumerate_nc(n), under its default limit, as blocks."""
+def _nc_rows(n: int):
+    """The rows of enumerate_nc(n) one at a time; its default limit is checked first."""
     _check_size(n, DEFAULT_ENUM_LIMIT, "enumeration")
-    return _nc_span(1, n + 1)
+    return _nc_iter(1, n + 1)
 
 
 def enumerate_nc(n: int, limit: int | None = None) -> tuple[NcPartition, ...]:

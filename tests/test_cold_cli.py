@@ -5,6 +5,8 @@ imports only the layers it needs.  These checks run each command in a child
 process and read its `sys.modules` afterwards, check that every name the
 package exports still resolves to its home module's object, and pin the
 bytes of the help and usage-error screens, whose choices are read lazily.
+The largest enumerations stream their output: they stay within a memory
+bound and end with exit code 0 when the reader closes the pipe early.
 Running this file as a script rewrites the help golden file from the
 current code; run it only on a commit whose outputs are the reference.
 """
@@ -72,11 +74,29 @@ EXPORTS = """
 """.split()
 
 
+# runs the command in argv and prints its peak RSS in KiB; the wrapper, not
+# pytest, forks the command, whose peak starts from the RSS at the fork
+_PEAK = (
+    "import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True, "
+    "stdout=subprocess.DEVNULL); print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+STREAMED = (
+    ["nc", "enumerate", "--n", "12"],
+    ["nc", "enumerate", "--n", "12", "--json"],
+    ["typeb", "enumerate", "--n", "8"],
+    ["typeb", "enumerate", "--n", "8", "--flavor", "B-opp", "--json"],
+)
+
+
+def _env() -> dict:
+    return dict(os.environ, COLUMNS="80",
+                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def _run(code: str, argv) -> subprocess.CompletedProcess:
-    env = dict(os.environ, COLUMNS="80",
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_env(), timeout=120)
 
 
 def _screen(argv) -> dict:
@@ -94,9 +114,9 @@ def family_file(tmp_path_factory):
 @pytest.mark.parametrize(
     "argv, needs, absent",
     [
-        (["nc", "kreweras", "--partition", "{1,3}{2}"], {"ncprob.nc"}, HEAVY),
-        (["nc", "enumerate", "--n", "4"], {"ncprob.nc"}, HEAVY),
-        (["nc", "enumerate", "--n", "3", "--json"], {"ncprob.nc"}, HEAVY),
+        (["nc", "kreweras", "--partition", "{1,3}{2}"], {"ncprob.nc"}, HEAVY | {"ncprob.typeb"}),
+        (["nc", "enumerate", "--n", "4"], {"ncprob.nc"}, HEAVY | {"ncprob.typeb"}),
+        (["nc", "enumerate", "--n", "3", "--json"], {"ncprob.nc"}, HEAVY | {"ncprob.typeb"}),
         (["typeb", "enumerate", "--n", "3"], {"ncprob.typeb"}, HEAVY),
         (["typeb", "enumerate", "--n", "3", "--flavor", "B-opp", "--json"],
          {"ncprob.typeb"}, HEAVY),
@@ -115,6 +135,26 @@ def test_a_cold_command_loads_only_its_own_layers(argv, needs, absent, family_fi
     loaded = set(res.stderr.splitlines()[-1].split())
     assert needs <= loaded
     assert not loaded & absent, sorted(loaded & absent)
+
+
+@pytest.mark.parametrize("argv", STREAMED, ids=" ".join)
+def test_a_reader_that_closes_the_pipe_early_ends_the_command_cleanly(argv):
+    # each listing is far larger than a pipe buffers, so writes meet the
+    # closed pipe after the reader has taken its first line
+    proc = subprocess.Popen([sys.executable, "-c", _MAIN, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_env())
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("argv", STREAMED[:2], ids=" ".join)
+def test_the_largest_nc_listing_streams_in_bounded_memory(argv):
+    res = _run(_PEAK, [sys.executable, "-c", _MAIN, *argv])
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 64 * 1024  # KiB
 
 
 def test_every_exported_name_resolves_to_its_home_object():

@@ -24,12 +24,12 @@ GOLDEN = Path(__file__).parent / "golden" / "enumerations.json"
 
 # Golden key -> argv; the key is the argv joined by spaces.
 COMMANDS = (
-    [["nc", "enumerate", "--n", str(n)] for n in range(1, 12)]
-    + [["nc", "enumerate", "--n", str(n), "--json"] for n in (10, 11)]
+    [["nc", "enumerate", "--n", str(n)] for n in range(1, 13)]
+    + [["nc", "enumerate", "--n", str(n), "--json"] for n in (10, 11, 12)]
     + [
         ["typeb", "enumerate", "--n", str(n), "--flavor", f.value]
         for f in Flavor
-        for n in range(1, 8)
+        for n in range(1, 9)
     ]
     + [["typeb", "enumerate", "--n", "7", "--flavor", f.value, "--json"] for f in Flavor]
 )

@@ -77,11 +77,13 @@ def test_enumerate_unique_and_sorted():
 
 @pytest.mark.parametrize("n", range(12))
 def test_span_is_built_in_canonical_order(n):
-    # _nc_span lists its rows without sorting them; they must already be
-    # the sorted form of themselves, blocks within each row and the rows
-    from ncprob.nc import _nc_span
+    # _nc_iter yields its rows without sorting them; they must already be
+    # the sorted form of themselves, blocks within each row and the rows,
+    # and _nc_span must be their table
+    from ncprob.nc import _nc_iter, _nc_span
 
     rows = _nc_span(0, n)
+    assert rows == tuple(_nc_iter(0, n))
     assert rows == tuple(sorted(tuple(sorted(map(tuple, map(sorted, r)))) for r in rows))
     assert len(set(rows)) == len(rows) == catalan(n)
 
