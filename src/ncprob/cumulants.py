@@ -73,10 +73,11 @@ source read on w|b for every w is one gather.  `_lattice_sum` returns a
 whole layer: each row of a cached table, read off the block rows of NC(n)
 or of a signed lattice and never off partition objects, adds its
 coefficient times the product of the gathers on its blocks, one gather per
-(source, block) and call.  It runs the signed-lattice rewritings on one
-table per flavor (`_signed_table`), the selftest's resummation lemmas and
-the gamma-eta search, and `_cc_cumulants` solves the opposite-order sum
-one length at a time.  Each transform maps input degree n to output degree n.
+(source, block) and call.  It runs the signed-lattice rewritings and the
+selftest's opposite-order resum of chi on one table per flavor
+(`_signed_table`), the resummation lemmas and the gamma-eta search, always
+forward over every row: no lattice sum is solved.  Each transform maps
+input degree n to output degree n.
 """
 
 from fractions import Fraction
@@ -87,8 +88,8 @@ from operator import add, mul, sub
 
 from .errors import ShapeMismatch
 from .families import MultilinearFamily, _ranks, words_of_length
-from .nc import _moebius_int, _nc_span
-from .typeb import Flavor, _signed_rows
+from .nc import _check_size, _moebius_int, _nc_span
+from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, _signed_rows
 
 Blocks0 = tuple[tuple[int, ...], ...]
 
@@ -429,21 +430,6 @@ def cc_cumulants(
     return _ungraded(D, _cc(p, c, phi.k), phi.k, "cc-cumulant")
 
 
-def _cc_cumulants(kf: list, c: list, k: int) -> list:
-    """Graded alternative c-free cumulants of chi = c by their definition,
-    kf the free cumulants of phi at the same scale: solve chi = the sum over
-    the opposite-order lattice, pairs carrying kf and zero-blocks the
-    unknown, for the unknown.  The row whose one zero-block is the whole word
-    isolates it; every other row needs it only on shorter words, which are
-    solved first."""
-    out = _blank(len(c) - 1)[0]
-    for n in range(1, len(c)):
-        whole = (tuple(range(n)),)
-        rows = [r for r in _signed_table(n, Flavor.B_OPP) if r[1] != whole]
-        out[n] = list(map(sub, c[n], _lattice_sum(rows, (out, kf), k, n)))
-    return out
-
-
 def moments_from_cc(
     phi: MultilinearFamily, kappa_cc: MultilinearFamily
 ) -> MultilinearFamily:
@@ -466,12 +452,11 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     zero-block carries an infinitesimal cumulant, the symmetric pairs carry
     free cumulants of phi.  Returns the first failing word or None."""
     _require_same_shape(phi, phi_prime)
-    # every degree's rows before any sum, the highest first, so that a degree
-    # above the enumeration limit is refused at once
-    tables = [[r for r in _signed_table(n, Flavor.B) if r[1]] for n in range(phi.N, 0, -1)][::-1]
+    _check_size(phi.N, DEFAULT_SIGNED_LIMIT, "signed enumeration")  # before any sum
     _, (p, dp) = _graded(phi, phi_prime)
     kphi, kprime = _dual((p, dp), phi.k)
-    got = (_lattice_sum(rows, (kprime, kphi), phi.k, n) for n, rows in enumerate(tables, 1))
+    got = (_lattice_sum([r for r in _signed_table(n, Flavor.B) if r[1]], (kprime, kphi), phi.k, n)
+           for n in range(1, phi.N + 1))
     return _first_difference(phi.k, got, dp[1:])
 
 
@@ -480,9 +465,9 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
     carry alternative c-free cumulants, pairs carry free cumulants of phi.
     Returns the first failing word or None."""
     _require_same_shape(phi, chi)
-    tables = [[r for r in _signed_table(n, Flavor.B_OPP) if r[1]]
-              for n in range(phi.N, 0, -1)][::-1]
+    _check_size(phi.N, DEFAULT_SIGNED_LIMIT, "signed enumeration")  # before any sum
     _, (p, c) = _graded(phi, chi)
     kphi, kcc = _cfree(p, p, phi.k), _cc(p, c, phi.k)
-    got = (_lattice_sum(rows, (kcc, kphi), phi.k, n) for n, rows in enumerate(tables, 1))
+    got = (_lattice_sum([r for r in _signed_table(n, Flavor.B_OPP) if r[1]], (kcc, kphi),
+                        phi.k, n) for n in range(1, phi.N + 1))
     return _first_difference(phi.k, got, [list(map(sub, x, y)) for x, y in zip(c[1:], p[1:])])

@@ -175,8 +175,8 @@ def is_noncrossing(blocks, n: int | None = None) -> bool:
 
 def _noncrossing(blocks: Blocks, n: int) -> bool:
     """is_noncrossing on blocks of int labels, each ascending."""
-    elems = sorted(x for b in blocks for x in b)
-    if not _int_in(n, 0) or elems != list(range(1, n + 1)):
+    elems = sorted(x for b in blocks for x in b)  # counted before 1..n is built
+    if not (_int_in(n, 0) and len(elems) == n and elems == list(range(1, n + 1))):
         raise InvalidPartition(f"blocks do not partition 1..{n!r}: {blocks}")
     owner = [()] * (n + 1)
     for b in blocks:
@@ -230,9 +230,11 @@ def _nc_objects(n: int) -> tuple[NcPartition, ...]:
 
 
 def _check_size(n: int, limit: int, what: str) -> None:
-    """Refuse a ground-set size that is not an int from 1 to an enumeration limit."""
+    """Refuse an n that is not an int from 1 to the limit, or a limit not an int from 0."""
     if not _int_in(n, 1):
         raise InvalidPartition(f"n must be positive, got {n!r}")
+    if not _int_in(limit, 0):
+        raise InvalidPartition(f"{what} limit must be a non-negative int, got {limit!r}")
     if n > limit:
         raise LimitExceeded(f"n={n} above {what} limit {limit}")
 
@@ -413,6 +415,8 @@ def moebius_oracle(pi: NcPartition, rho: NcPartition, limit: int = ORACLE_LIMIT)
     to small n.
     """
     _require_same_n(pi, rho)
+    if not _int_in(limit, 0):
+        raise InvalidPartition(f"oracle limit must be a non-negative int, got {limit!r}")
     if pi.n > limit:
         raise LimitExceeded(f"oracle limited to n <= {limit}")
     if not leq(pi, rho):

@@ -54,12 +54,12 @@ from . import (
     truncate,
 )
 from .cumulants import (
-    _boolean, _cc_cumulants, _cfree, _explicit, _first_difference, _first_word, _graded,
-    _lattice_sum, _ll_one_table)
+    _boolean, _cfree, _explicit, _first_difference, _first_word, _graded, _lattice_sum,
+    _ll_one_table, _signed_table)
 from .deltastar import _check_inputs, _gamma_eta_rows, _gamma_eta_sum, _gamma_eta_tables
 from .errors import _int_in
 from .families import _check_shape, _word_count
-from .nc import _attach, _cut, _kreweras, _nc_rows, _nc_span, _parent
+from .nc import _attach, _check_size, _cut, _kreweras, _nc_rows, _nc_span, _parent
 from .typeb import DEFAULT_SIGNED_LIMIT
 
 
@@ -246,13 +246,19 @@ def _explicit_failure(phi, chi):
 
 
 def _cc_difference_failure(phi, chi):
-    """The first word where the signed-lattice cumulants of (phi, chi),
-    solved over the opposite-order lattice, differ from the c-free minus the
-    free cumulants, or None; both sides graded at one D."""
+    """The first word where chi and its opposite-order signed-lattice sum
+    differ, zero-blocks carrying the c-free minus the free cumulants of
+    (phi, chi) and pairs the free cumulants, or None; both sides graded at
+    one D.  The whole word is a zero-block of one row, with coefficient 1,
+    so at the shortest length where the difference is not the signed-lattice
+    cumulants the sum misses chi at exactly the words where it is not."""
+    _check_size(phi.N, DEFAULT_SIGNED_LIMIT, "signed enumeration")  # before any sum
     _, (p, c) = _graded(phi, chi)
     kc, kf = _cfree(p, c, phi.k), _cfree(p, p, phi.k)
-    want = [[a - b for a, b in zip(x, y)] for x, y in zip(kc[1:], kf[1:])]
-    return _first_difference(phi.k, _cc_cumulants(kf, c, phi.k)[1:], want)
+    kcc = [[a - b for a, b in zip(x, y)] for x, y in zip(kc, kf)]
+    got = (_lattice_sum(_signed_table(n, Flavor.B_OPP), (kcc, kf), phi.k, n)
+           for n in range(1, phi.N + 1))
+    return _first_difference(phi.k, got, c[1:])
 
 
 def _criterion_cc(seed):

@@ -87,9 +87,8 @@ class SignedNcPartition(_Value):
             raise InvalidPartition("empty block")
         canon = tuple(sorted(map(_sort_block, blocks), key=_block_key))
         self._fill(n, flavor, canon)
-        elems = sorted(x for b in canon for x in b)
-        want = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
-        if elems != want:
+        elems = sorted(x for b in canon for x in b)  # counted before +-1..+-n is built
+        if len(elems) != 2 * n or elems != [*range(-n, 0), *range(1, n + 1)]:
             raise InvalidPartition(f"blocks do not partition +-1..+-{n}")
         block_sets = [frozenset(b) for b in canon]
         universe = set(block_sets)

@@ -489,17 +489,26 @@ def test_kernel_tables_match_public_enumeration():
             assert rows(lambda n: _signed_table(n, flavor), n) == want
 
 
+def _prop54_at_nine(phi, chi):
+    from ncprob.selftest import TARGETS
+
+    return TARGETS["prop54"].check(0, 1, 9, 1)
+
+
 @pytest.mark.parametrize("check, kind", [(eq_typeb_counterexample, "infinitesimal"),
-                                         (eq_bopp_counterexample, "moment")])
+                                         (eq_bopp_counterexample, "moment"),
+                                         (_prop54_at_nine, "moment")])
 def test_signed_checks_refuse_a_degree_above_the_limit_before_any_sum(monkeypatch, check, kind):
     import ncprob.cumulants as cu
+    import ncprob.selftest as selftest
     from ncprob import LimitExceeded
 
     def unreachable(*args):
         raise AssertionError("a degree above the limit was summed before it was refused")
 
-    monkeypatch.setattr(cu, "_graded", unreachable)
-    monkeypatch.setattr(cu, "_lattice_sum", unreachable)
+    for module in (cu, selftest):
+        monkeypatch.setattr(module, "_graded", unreachable)
+        monkeypatch.setattr(module, "_lattice_sum", unreachable)
     phi, other = random_family(1, 9, seed=185), random_family(1, 9, seed=186, kind=kind)
     with pytest.raises(LimitExceeded, match="n=9 above signed enumeration limit 8"):
         check(phi, other)
@@ -758,8 +767,7 @@ def _lattice_oracles():
     public transform must have, or for the cumulant directions the values
     it must reproduce, written as kernel sums over the lattice tables."""
     from ncprob import Flavor
-    from ncprob.cumulants import (
-        _cc_cumulants, _graded, _ll_one_table, _nc_mob_table, _signed_table, _ungraded)
+    from ncprob.cumulants import _ll_one_table, _nc_mob_table, _signed_table
     from ncprob.nc import _interval_range
 
     def nc_one(n):
@@ -789,10 +797,8 @@ def _lattice_oracles():
         # pi << 1_n weighted by mu(pi, 1_n): the outer block, then the others
         return [(mob, (holder,), others) for mob, holder, others in _ll_one_table(n)]
 
-    def cc(phi, chi):
-        # the signed-lattice solve, on the graded layers of (kappa_phi, chi)
-        D, (kf, c) = _graded(free_cumulants(phi), chi)
-        return _ungraded(D, _cc_cumulants(kf, c, phi.k), phi.k, "cc-cumulant").values
+    def bopp(n):
+        return _signed_table(n, Flavor.B_OPP)
 
     def explicit(phi, chi):
         bchi = MultilinearFamily(chi.k, chi.N, lattice(signed_intervals, chi))
@@ -816,11 +822,11 @@ def _lattice_oracles():
         "cfree_explicit": (
             ("moment", "moment"), lambda a, out: (out.values, explicit(*a))),
         "cc_cumulants": (
-            ("moment", "moment"), lambda a, out: (out.values, cc(*a))),
+            ("moment", "moment"),
+            lambda a, out: (a[1].values, lattice(bopp, out, kphi(a[0])))),
         "moments_from_cc": (
             ("moment", "cc-cumulant"),
-            lambda a, out: (out.values, lattice(
-                lambda n: _signed_table(n, Flavor.B_OPP), a[1], kphi(a[0])))),
+            lambda a, out: (out.values, lattice(bopp, a[1], kphi(a[0])))),
         "infinitesimal_cumulants": (
             ("moment", "infinitesimal"),
             lambda a, out: (out.values, lattice(marked(_nc_mob_table), a[1], a[0]))),

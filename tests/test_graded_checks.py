@@ -15,6 +15,7 @@ from ncprob import (
     MultilinearFamily,
     all_words,
     boolean_cumulants,
+    build_family,
     boxplus_b,
     boxplus_c,
     cfree_cumulants,
@@ -28,12 +29,12 @@ from ncprob import (
     free_cumulants,
     infinitesimal_cumulants,
     infinitesimal_product,
+    moments_from_cc,
     product_intertwine_counterexample,
     psi_k,
     random_delta,
     truncate,
 )
-from ncprob.cumulants import _cc_cumulants, _graded, _ungraded
 from ncprob.selftest import (
     TARGETS, _cc_difference_failure, _explicit_failure, _families, _pair, _pairs, verify_report)
 
@@ -57,9 +58,8 @@ def _transform(delta, phi, chi):
 
 def _cc_difference(phi, chi):
     kc, kf = cfree_cumulants(phi, chi), free_cumulants(phi)
-    D, (graded_kf, c) = _graded(kf, chi)
-    got = _ungraded(D, _cc_cumulants(graded_kf, c, phi.k), phi.k, "cc-cumulant")
-    return _first_differing_word(got, lambda w: kc(w) - kf(w))
+    diff = build_family(phi.k, phi.N, lambda w: kc(w) - kf(w), "cc-cumulant")
+    return _first_differing_word(moments_from_cc(phi, diff), chi)
 
 
 # target -> (graded check, Fraction oracle); both take the same inputs
@@ -163,3 +163,20 @@ def test_targets_build_no_fraction_family_on_the_way(monkeypatch):
             assert verify_report(target, 3, k, 4)["ok"]
             if target in CHECKS:
                 assert len(calls) == 1, target
+
+
+def test_prop54_reads_the_whole_word_row(monkeypatch):
+    # doubling the one row whose zero-block is the whole word, at length 3,
+    # adds the signed-lattice cumulants there to the sum, so the check fails
+    import ncprob.selftest as selftest
+
+    real = selftest._signed_table
+
+    def doubled(n, flavor):
+        whole = (tuple(range(n)),)
+        return tuple((2 * c, zero, pairs) if n == 3 and zero == whole else (c, zero, pairs)
+                     for c, zero, pairs in real(n, flavor))
+
+    monkeypatch.setattr(selftest, "_signed_table", doubled)
+    for seed in range(3):
+        assert TARGETS["prop54"].check(seed, 2, 4, 1) is not None

@@ -5,6 +5,7 @@ and exit 2 on the command line, never a traceback."""
 import json
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from ncprob.errors import (
     DimMismatch,
     InvalidFamily,
     InvalidPartition,
+    LimitExceeded,
     PositionOutOfRange,
     ShapeMismatch,
 )
@@ -33,7 +35,8 @@ from ncprob.families import (
     truncate,
 )
 from ncprob.nc import (
-    NcPartition, enumerate_nc, f_nm, f_nm_inverse, is_noncrossing, parent_block)
+    NcPartition, enumerate_nc, f_nm, f_nm_inverse, interval_partitions, is_noncrossing,
+    moebius_oracle, parent_block)
 from ncprob.selftest import TARGETS, verify_report
 from ncprob.typeb import Flavor, SignedNcPartition, enumerate_signed
 
@@ -100,6 +103,15 @@ CASES = {
     "gamma_eta_counterexample m=True": (lambda: _gamma_eta(True), InvalidPartition),
     "gamma_eta_counterexample m=1.0": (lambda: _gamma_eta(1.0), InvalidPartition),
     "verify_report k=True": (lambda: verify_report("prop41", 0, True, 3), ShapeMismatch),
+    # an enumeration or oracle limit is read from outside too
+    "enumerate_nc limit=3.5": (lambda: enumerate_nc(3, limit=3.5), InvalidPartition),
+    "enumerate_nc limit=True": (lambda: enumerate_nc(2, limit=True), InvalidPartition),
+    "interval_partitions limit='x'": (
+        lambda: interval_partitions(3, limit="x"), InvalidPartition),
+    "enumerate_signed limit=2.0": (
+        lambda: enumerate_signed(2, Flavor.B, limit=2.0), InvalidPartition),
+    "moebius_oracle limit=True": (lambda: moebius_oracle(PI, PI, limit=True), InvalidPartition),
+    "moebius_oracle limit=None": (lambda: moebius_oracle(PI, PI, limit=None), InvalidPartition),
     "verify_report l=1.0": (lambda: verify_report("13", 0, 2, 3, l=1.0), ShapeMismatch),
 }
 
@@ -127,6 +139,32 @@ def test_the_messages_for_ints_are_unchanged():
         parent_block(RHO, 2)
     # a negative block index still counts from the end
     assert parent_block(RHO, -1) == parent_block(RHO, 1) == 0
+    # and an int limit refuses as before
+    with pytest.raises(LimitExceeded, match=r"^n=5 above enumeration limit 4$"):
+        enumerate_nc(5, limit=4)
+    with pytest.raises(LimitExceeded, match=r"^n=3 above signed enumeration limit 2$"):
+        enumerate_signed(3, Flavor.B_OPP, limit=2)
+    with pytest.raises(LimitExceeded, match=r"^oracle limited to n <= 1$"):
+        moebius_oracle(PI, PI, limit=1)
+    assert len(interval_partitions(3, limit=3)) == 4
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: is_noncrossing([(1,)], n),
+    lambda n: NcPartition(n, [(1,)]),
+    lambda n: SignedNcPartition(n, Flavor.B, [(1, -1)]),
+    lambda n: SignedNcPartition.from_json({"n": n, "flavor": "B-opp", "blocks": [[1, -1]]}),
+], ids=["is_noncrossing", "NcPartition", "SignedNcPartition", "SignedNcPartition.from_json"])
+def test_a_large_n_is_refused_before_its_ground_set_is_built(make):
+    # the elements are counted against n before 1..n, or +-1..+-n, is listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidPartition):
+            make(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_a_python_float_keeps_its_exact_binary_value():
