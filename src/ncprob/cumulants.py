@@ -86,17 +86,11 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .errors import ShapeMismatch
-from .families import MultilinearFamily, _ranks, words_of_length
+from .families import MultilinearFamily, _ranks, _require_same_shape, words_of_length
 from .nc import _check_size, _moebius_int, _nc_span
 from .typeb import DEFAULT_SIGNED_LIMIT, Flavor, _signed_rows
 
 Blocks0 = tuple[tuple[int, ...], ...]
-
-
-def _require_same_shape(f: MultilinearFamily, g: MultilinearFamily) -> None:
-    if f.k != g.k or f.N != g.N:
-        raise ShapeMismatch(f"families disagree: (k={f.k}, N={f.N}) vs (k={g.k}, N={g.N})")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ rotations of w, each gathered from the last through the rank map
 (`cumulants._ranks`) of the rotation by one.  psi_delta, psi_k (at the
 diagonal tensor, T = 1) and the identity checks all read one core,
 `_graded_psi`; delta_star and psi_delta share one boundary: the input
-checks, one grading and one reading at T * D.
+checks, one grading and one reading at T * D.  Every entry given a tensor
+checks each family's k against it, before grading, by `_require_dim`.
 
 This module also hosts the two block-decorated functionals gamma and eta,
 kept as Fraction implementations of their definitions and used as oracles,
@@ -44,7 +45,6 @@ from typing import Callable
 
 from .errors import (
     DegreeTooLow,
-    DimMismatch,
     InvalidPartition,
     NotLLOne,
     NotTracial,
@@ -56,6 +56,8 @@ from .families import (
     DeltaTensor,
     MultilinearFamily,
     Word,
+    _require_dim,
+    _require_same_shape,
     diagonal_delta,
     is_tracial,
 )
@@ -124,8 +126,7 @@ def _graded_psi(delta: DeltaTensor, c: list, k: int) -> tuple[int, list]:
 
 def _transformed(core: Callable, delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
     """The input checks, then core(delta, the graded layers of f, k) read at T * D."""
-    if f.k != delta.k:
-        raise DimMismatch(f"family over k={f.k} but tensor over k={delta.k}")
+    _require_dim(delta, f)
     if f.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (val,) = _graded(f)
@@ -178,8 +179,7 @@ def eval_gamma(
     w = tuple(word)
     if len(w) != pi.n:
         raise ShapeMismatch(f"word length {len(w)} != ground set {pi.n}")
-    if chi.k != delta.k or phi.k != chi.k:
-        raise ShapeMismatch("families and tensor must share one dimension")
+    _require_dim(delta, chi, phi)
     _check_letters(w, chi.k)
     if not _int_in(m, 1, pi.n):
         raise ShapeMismatch(f"m={m!r} outside 1..{pi.n}")
@@ -227,10 +227,8 @@ def cumulant_transform_counterexample(
     cumulants of chi) equal the transform of the c-free cumulants of
     (phi, chi), for tracial phi, both at T * D**(n+1) as `_dual` is linear
     in its second input.  Returns the first failing word or None."""
-    if phi.k != chi.k or phi.N != chi.N:
-        raise ShapeMismatch("phi and chi must share k and N")
-    if phi.k != delta.k:
-        raise DimMismatch(f"families over k={phi.k} but tensor over k={delta.k}")
+    _require_same_shape(phi, chi)
+    _require_dim(delta, phi)
     if phi.N < 2:
         raise DegreeTooLow("inputs must have degree at least 2")
     if not is_tracial(phi):
@@ -271,8 +269,8 @@ def gamma_eta_counterexample(
     decorated gamma functional on the merged partition equals the unique-
     outer-block eta functional pulled back through the slot-m insertion.
     Returns the first failing word or None."""
-    if rho.n != n + 1:
-        raise ShapeMismatch(f"rho must partition 1..{n + 1}")
+    if not (_int_in(n, 0) and rho.n == n + 1):
+        raise ShapeMismatch(f"rho on 1..{rho.n} needs n = {rho.n - 1}, got n={n!r}")
     if not ll_one(rho):
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
     if phi.N < n or chi.N < n + 1:
@@ -286,8 +284,7 @@ def gamma_eta_counterexample(
 
 def _check_inputs(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily) -> None:
     """The checks on the inputs that a gamma-eta search makes before it sums any case."""
-    if chi.k != delta.k or phi.k != delta.k:
-        raise ShapeMismatch("families and tensor must share one dimension")
+    _require_dim(delta, chi, phi)
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
 

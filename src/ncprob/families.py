@@ -362,6 +362,20 @@ class DeltaTensor(_Value):
             raise InvalidFamily(f"malformed tensor data: {exc!r}") from None
 
 
+def _require_same_shape(f: MultilinearFamily, *others: MultilinearFamily) -> None:
+    """ShapeMismatch unless every family shares f's k and N."""
+    for g in others:
+        if g.k != f.k or g.N != f.N:
+            raise ShapeMismatch(f"families disagree: (k={f.k}, N={f.N}) vs (k={g.k}, N={g.N})")
+
+
+def _require_dim(delta: DeltaTensor, *families: MultilinearFamily) -> None:
+    """DimMismatch unless every family is over the tensor's k letters."""
+    for f in families:
+        if f.k != delta.k:
+            raise DimMismatch(f"family over k={f.k} but tensor over k={delta.k}")
+
+
 def diagonal_delta(k: int) -> DeltaTensor:
     """The comultiplication e_i -> e_i (x) e_i."""
     return DeltaTensor(k, {(i, i, i): Fraction(1) for i in range(1, k + 1)})

@@ -4,7 +4,8 @@ Everything is constructed in cumulant space, exactly as the defining
 prescriptions state it: products concatenate cumulants block-diagonally
 with vanishing mixed terms, convolutions add cumulants entrywise, and the
 moment tables are then rebuilt through the inverse transforms.  Each op
-grades its inputs once, at one D, and ungrades each output once.  One core,
+checks its inputs (a convolution's by `families._require_same_shape`),
+grades them once, at one D, and ungrades each output once.  One core,
 `_joined`, serves the free and the infinitesimal ops: it runs the dual
 pass of `cumulants` on jets of one part or two, joins the cumulant layers
 part by part (a scatter to their ranks over k1 + k2 letters, or an
@@ -17,7 +18,7 @@ pass: the c-free side reads the real part of the infinitesimal side's
 from operator import add
 
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
-from .families import MultilinearFamily, diagonal_delta, is_tracial
+from .families import MultilinearFamily, _require_same_shape, diagonal_delta, is_tracial
 from .cumulants import (
     _cfree, _dual, _first_difference, _graded, _moments, _moments_cfree, _ungraded)
 from .deltastar import _graded_psi
@@ -52,13 +53,6 @@ def _check_product_pairs(mu1, s1, mu2, s2) -> None:
         raise DegreeMismatch("all four inputs must share one degree")
     if mu1.k != s1.k or mu2.k != s2.k:
         raise ShapeMismatch("each pair must share its generator count")
-
-
-def _check_convolution_pairs(mu1, s1, mu2, s2) -> None:
-    if not (mu1.k == s1.k == mu2.k == s2.k):
-        raise ShapeMismatch("all four inputs must share k")
-    if not (mu1.N == s1.N == mu2.N == s2.N):
-        raise ShapeMismatch("all four inputs must share N")
 
 
 def _joined(join, K: int, k1: int, jet1: tuple, k2: int, jet2: tuple) -> tuple:
@@ -116,8 +110,7 @@ def infinitesimal_product(
 
 def boxplus(mu1: MultilinearFamily, mu2: MultilinearFamily) -> MultilinearFamily:
     """Free additive convolution: free cumulants add entrywise."""
-    if mu1.k != mu2.k or mu1.N != mu2.N:
-        raise ShapeMismatch("inputs must share k and N")
+    _require_same_shape(mu1, mu2)
     return _op(_entrywise, mu1.k, (mu1,), (mu2,))[0]
 
 
@@ -128,7 +121,7 @@ def boxplus_c(
     nu2: MultilinearFamily,
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """c-free additive convolution of two pairs over one generator set."""
-    _check_convolution_pairs(mu1, nu1, mu2, nu2)
+    _require_same_shape(mu1, nu1, mu2, nu2)
     return _op(_entrywise, mu1.k, (mu1, nu1), (mu2, nu2), _joined_cfree, "moment")
 
 
@@ -139,7 +132,7 @@ def boxplus_b(
     mu2p: MultilinearFamily,
 ) -> tuple[MultilinearFamily, MultilinearFamily]:
     """Infinitesimal free additive convolution of two pairs."""
-    _check_convolution_pairs(mu1, mu1p, mu2, mu2p)
+    _require_same_shape(mu1, mu1p, mu2, mu2p)
     return _op(_entrywise, mu1.k, (mu1, mu1p), (mu2, mu2p))
 
 
@@ -192,7 +185,7 @@ def convolution_intertwine_counterexample(
     """Convolution statement, same shape as the product one.  Inputs at
     degree N+1, comparison at degree N.  Returns a failing word or None."""
     return _intertwine_counterexample(
-        _check_convolution_pairs, _entrywise, mu1.k, mu1, nu1, mu2, nu2
+        _require_same_shape, _entrywise, mu1.k, mu1, nu1, mu2, nu2
     )
 
 

@@ -4,7 +4,8 @@ Two circular label orders are supported: type B places the labels as
 (1,..,n,-1,..,-n) around the circle, the opposite variant as
 (1,..,n,-n,..,-1).  A partition must be non-crossing for the chosen order
 and closed under negation; a block equal to its own negation is a
-zero-block.  The constructor refuses labels that are not ints and checks
+zero-block.  Every entry reads its flavor, a `Flavor` or its value, through
+`_flavor`.  The constructor refuses labels that are not ints and checks
 crossings with `nc.is_noncrossing` on the labels' positions in the flavor's
 order; only the enumerations build through the unchecked `_trusted`.
 
@@ -79,13 +80,14 @@ class SignedNcPartition(_Value):
 
     __slots__ = ("n", "flavor", "blocks")
 
-    def __init__(self, n: int, flavor: Flavor, blocks) -> None:
+    def __init__(self, n: int, flavor: Flavor | str, blocks) -> None:
         if not _int_in(n, 1):
             raise InvalidPartition(f"n must be positive, got {n!r}")
         blocks = _int_blocks(blocks)
         if not all(blocks):
             raise InvalidPartition("empty block")
         canon = tuple(sorted(map(_sort_block, blocks), key=_block_key))
+        flavor = _flavor(flavor)
         self._fill(n, flavor, canon)
         elems = sorted(x for b in canon for x in b)  # counted before +-1..+-n is built
         if len(elems) != 2 * n or elems != [*range(-n, 0), *range(1, n + 1)]:
@@ -129,14 +131,11 @@ class SignedNcPartition(_Value):
             raise InvalidPartition(f"malformed signed partition data: {exc!r}") from None
 
     @classmethod
-    def from_text(cls, text: str, flavor: Flavor | None = None) -> "SignedNcPartition":
-        if ":" in text:
-            tag, body = text.split(":", 1)
-            flavor = _flavor(tag)
-        else:
-            body = text
+    def from_text(cls, text: str, flavor: Flavor | str | None = None) -> "SignedNcPartition":
+        flavor, body = text.split(":", 1) if ":" in text else (flavor, text)
         if flavor is None:
             raise InvalidPartition("flavor tag required")
+        flavor = _flavor(flavor)
         blocks = _blocks_from_text(body)
         n = sum(len(b) for b in blocks) // 2
         return cls(n, flavor, blocks)
@@ -280,12 +279,12 @@ def _signed_objects(n: int, flavor: Flavor) -> tuple[SignedNcPartition, ...]:
 
 
 def enumerate_signed(
-    n: int, flavor: Flavor, limit: int | None = None
+    n: int, flavor: Flavor | str, limit: int | None = None
 ) -> tuple[SignedNcPartition, ...]:
     """All symmetric non-crossing partitions for the flavor, canonically
     ordered; both flavors are counted by comb(2n, n)."""
     _check_size(n, DEFAULT_SIGNED_LIMIT if limit is None else limit, "signed enumeration")
-    return _signed_objects(n, flavor)
+    return _signed_objects(n, _flavor(flavor))
 
 
 def signed_count(n: int) -> int:

@@ -216,6 +216,20 @@ def test_product_and_convolve(runner, tmp_path):
     assert set(json.loads(res.output)) == {"mu", "mu_prime"}
 
 
+def test_mismatched_inputs_exit_2_with_the_readers_messages(runner, tmp_path):
+    a = write_family(tmp_path, "a.json", random_family(1, 3, seed=31))
+    short = write_family(tmp_path, "short.json", random_family(1, 2, seed=32))
+    res = runner.invoke(main, ["convolve", "--kind", "cfree"]
+                        + sum((["--input", p] for p in (a, a, a, short)), []))
+    assert res.exit_code == 2
+    assert "families disagree: (k=1, N=3) vs (k=1, N=2)" in res.output
+    delta = tmp_path / "delta.json"
+    delta.write_text(json.dumps(random_delta(2, seed=36).to_json_dict()))
+    res = runner.invoke(main, ["psi", "--input", a, "--delta", str(delta)])
+    assert res.exit_code == 2
+    assert "family over k=1 but tensor over k=2" in res.output
+
+
 def test_product_wrong_arity(runner, tmp_path):
     a = write_family(tmp_path, "a.json", random_family(1, 3, seed=35))
     res = runner.invoke(main, ["product", "--kind", "cfree", "--input", a])
@@ -597,3 +611,19 @@ def test_lemma67_reports_the_first_counterexample(monkeypatch):
     report = st.verify_report("lemma67", 0, 2, 4)
     assert report["ok"] is False
     assert report["counterexample"] == [2, 1]
+
+
+def test_selftest_reports_a_failing_criterion_and_exits_1(runner, monkeypatch):
+    # fault the oracle of criterion 3 at n=3; every other line stays golden
+    import ncprob.selftest as st
+
+    real = st.moebius_oracle
+    monkeypatch.setattr(st, "moebius_oracle", lambda p, q: real(p, q) + (p.n == 3))
+    res = runner.invoke(main, ["selftest", "--seed", "0"])
+    assert res.exit_code == 1
+    golden = (Path(__file__).parent / "golden" / "selftest_seed0.txt").read_text().splitlines()
+    lines = res.output.splitlines()
+    assert lines[2] == ("[ 3] FAIL moebius closed form vs zeta inversion: "
+                        "closed form != zeta inversion at n=3, {1}{2}{3}")
+    assert lines[-1] == "selftest: FAILURES present"
+    assert lines[:2] + lines[3:-1] == golden[:2] + golden[3:-1]

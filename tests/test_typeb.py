@@ -263,3 +263,30 @@ def test_signed_text_and_json_round_trip(n, flavor, data):
     assert SignedNcPartition.from_text(sigma.to_text(tagged=True)) == sigma
     assert SignedNcPartition.from_text(sigma.to_text(), flavor=flavor) == sigma
     assert SignedNcPartition.from_json(json.loads(json.dumps(sigma.to_json()))) == sigma
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_flavor_value_enumerates_its_lattice(n):
+    got = enumerate_signed(n, "B-opp")
+    assert got == enumerate_signed(n, Flavor.B_OPP)
+    assert all(s.flavor is Flavor.B_OPP for s in got)
+    assert enumerate_signed(n, "B") == enumerate_signed(n, Flavor.B)
+
+
+def test_a_flavor_value_validates_in_its_order():
+    # {1,-1} and {2,-2} cross in the type-B order (1,2,-1,-2)
+    with pytest.raises(InvalidPartition, match="crossing blocks in B order"):
+        SignedNcPartition(2, "B", [(1, -1), (2, -2)])
+    # {1,-2} and {-1,2} do not, but cross in the opposite order (1,2,-2,-1)
+    sigma = SignedNcPartition(2, "B", [(1, -2), (-1, 2)])
+    assert sigma == SignedNcPartition(2, Flavor.B, [(1, -2), (-1, 2)])
+    assert sigma.flavor is Flavor.B
+    assert SignedNcPartition.from_text("{1,-2}{-1,2}", flavor="B") == sigma
+
+
+@pytest.mark.parametrize("flavor", [None, "x", "b", 1])
+def test_an_unknown_flavor_is_refused_by_both_entries(flavor):
+    with pytest.raises(InvalidPartition, match="unknown flavor"):
+        enumerate_signed(2, flavor)
+    with pytest.raises(InvalidPartition, match="unknown flavor"):
+        SignedNcPartition(1, flavor, [(1, -1)])
