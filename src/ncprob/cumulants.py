@@ -73,11 +73,16 @@ source read on w|b for every w is one gather.  `_lattice_sum` returns a
 whole layer: each row of a cached table, read off the block rows of NC(n)
 or of a signed lattice and never off partition objects, adds its
 coefficient times the product of the gathers on its blocks, one gather per
-(source, block) and call.  It runs the signed-lattice rewritings and the
-selftest's opposite-order resum of chi on one table per flavor
-(`_signed_table`), the resummation lemmas and the gamma-eta search, always
-forward over every row: no lattice sum is solved.  Each transform maps
-input degree n to output degree n.
+(source, block) and call.  It sums on the rows' circuit (`_circuit`,
+memoized on the rows tuple by its content): each row's factors sorted by
+the block's least position, then by (source, block), are one path of a
+trie, and equal subtries are one node, so each row is read, and the sum
+costs one product per edge and one add per node, children first.  It
+runs the signed-lattice rewritings and the selftest's opposite-order
+resum of chi on one table per flavor (`_signed_table`), the resummation
+lemmas and the gamma-eta search, always forward over every row: no
+lattice sum is solved.  Each transform maps input degree n to output
+degree n.
 """
 
 from fractions import Fraction
@@ -135,17 +140,19 @@ def _blank(N: int, parts: int = 1) -> tuple:
 
 def _first_word(k: int, n: int, got, want):
     """The first word of length n where the layers got and want differ, or
-    None; either may be a list or a tuple."""
+    None; either may be a list or a tuple.  Layers that agree as far as the
+    shorter goes raise ValueError."""
     if tuple(got) != tuple(want):
-        return next(w for w, x, y in zip(words_of_length(k, n), got, want) if x != y)
+        return next(w for w, x, y in zip(words_of_length(k, n), got, want, strict=True) if x != y)
     return None
 
 
 def _first_difference(k: int, got, want):
     """The first word where two tables over k letters differ, or None: got
     and want list their layers of lengths 1, 2, ... in step, at one scale,
-    and got may be a generator, so that no layer past it is built."""
-    found = (_first_word(k, n, x, y) for n, (x, y) in enumerate(zip(got, want), 1))
+    and got may be a generator, so that no layer past it is built.  Tables
+    that agree as far as the shorter goes raise ValueError."""
+    found = (_first_word(k, n, x, y) for n, (x, y) in enumerate(zip(got, want, strict=True), 1))
     return next((w for w in found if w is not None), None)
 
 
@@ -253,21 +260,42 @@ def _dual(jet: tuple, k: int) -> tuple:
 def _lattice_sum(rows, sources, k: int, n: int) -> list:
     """The layer of length n of the sum over rows (coefficient, group, group,
     ...) of the coefficient times, for each source's graded layers and each
-    block b in that source's group, the source on w|b.  Each (source, block)
-    is gathered once and shared by the rows that read it."""
-    gathered: dict = {}
-    terms = []
+    block b in that source's group, the source on w|b.  It runs on the rows'
+    circuit, children first: a node's value is its coefficient plus, over
+    its edges, the gather of the edge's (source, block) times the child's."""
+    factors, nodes = _circuit(rows)
+    gathers = [list(map(sources[i][len(b)].__getitem__, _ranks(k, n, b))) for i, b in factors]
+    values: list = []
+    for coeff, edges in nodes:
+        values.append(list(map(sum, zip(repeat(coeff, k ** n),
+                                        *(map(mul, gathers[f], values[c]) for f, c in edges)))))
+    return values[-1]
+
+
+@lru_cache(maxsize=64)  # above the 29 tables a selftest reads and the 24 signed ones to N = 8
+def _circuit(rows: tuple) -> tuple:
+    """The rows as a circuit: the distinct factors (source, block), and the
+    nodes (coefficient, edges (factor, child)), children first, root last.
+    Each row, its factors sorted by the block's least position and then by
+    (source, block), is one path from the root of a trie that adds the
+    coefficient at the path's end; equal subtries are one node."""
+    root: dict = {}
     for coeff, *groups in rows:
-        term = repeat(coeff, k ** n)
-        for i, blocks in enumerate(groups):
-            for b in blocks:
-                vec = gathered.get((i, b))
-                if vec is None:
-                    layer = sources[i][len(b)]
-                    vec = gathered[i, b] = [layer[r] for r in _ranks(k, n, b)]
-                term = map(mul, term, vec)
-        terms.append(term)
-    return list(map(sum, zip(*terms))) if terms else [0] * k ** n
+        node = root
+        for factor in sorted(((i, b) for i, blocks in enumerate(groups) for b in blocks),
+                             key=lambda f: (min(f[1]), f)):
+            node = node.setdefault(factor, {})
+        node[None] = node.get(None, 0) + coeff  # None keys the coefficient ending here
+    factors: dict = {}
+    ids: dict = {}
+
+    def share(node: dict) -> int:
+        key = (node.pop(None, 0), tuple(sorted(
+            (factors.setdefault(f, len(factors)), share(child)) for f, child in node.items())))
+        return ids.setdefault(key, len(ids))
+
+    share(root)
+    return tuple(factors), tuple(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +477,8 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     _check_size(phi.N, DEFAULT_SIGNED_LIMIT, "signed enumeration")  # before any sum
     _, (p, dp) = _graded(phi, phi_prime)
     kphi, kprime = _dual((p, dp), phi.k)
-    got = (_lattice_sum([r for r in _signed_table(n, Flavor.B) if r[1]], (kprime, kphi), phi.k, n)
-           for n in range(1, phi.N + 1))
+    got = (_lattice_sum(tuple(r for r in _signed_table(n, Flavor.B) if r[1]), (kprime, kphi),
+                        phi.k, n) for n in range(1, phi.N + 1))
     return _first_difference(phi.k, got, dp[1:])
 
 
@@ -462,6 +490,6 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
     _check_size(phi.N, DEFAULT_SIGNED_LIMIT, "signed enumeration")  # before any sum
     _, (p, c) = _graded(phi, chi)
     kphi, kcc = _cfree(p, p, phi.k), _cc(p, c, phi.k)
-    got = (_lattice_sum([r for r in _signed_table(n, Flavor.B_OPP) if r[1]], (kcc, kphi),
+    got = (_lattice_sum(tuple(r for r in _signed_table(n, Flavor.B_OPP) if r[1]), (kcc, kphi),
                         phi.k, n) for n in range(1, phi.N + 1))
     return _first_difference(phi.k, got, [list(map(sub, x, y)) for x, y in zip(c[1:], p[1:])])

@@ -45,6 +45,7 @@ from typing import Callable
 
 from .errors import (
     DegreeTooLow,
+    DimMismatch,
     InvalidPartition,
     NotLLOne,
     NotTracial,
@@ -205,6 +206,8 @@ def eval_eta(
     w = tuple(word)
     if len(w) != rho.n:
         raise ShapeMismatch(f"word length {len(w)} != ground set {rho.n}")
+    if chi.k != phi.k:
+        raise DimMismatch(f"chi over k={chi.k} but phi over k={phi.k}")
     _check_letters(w, chi.k)
     if not ll_one(rho):
         raise NotLLOne(f"{rho} does not have a unique outer block holding 1, n")

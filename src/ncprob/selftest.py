@@ -211,7 +211,7 @@ def _fixed_block_rows(n):
         by_sign, by_mob = out.setdefault(holder, ([], []))
         by_sign.append(((-1) ** len(others), others))
         by_mob.append((mob, others))
-    return out
+    return {holder: tuple(map(tuple, pair)) for holder, pair in out.items()}
 
 
 def _criterion_cfree_formula(seed):

@@ -606,6 +606,74 @@ def test_layer_lattice_sum_matches_the_per_word_sum(table, k):
             _word_lattice_sum(rows, by_word, w) for w in words_of_length(k, n)]
 
 
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_lattice_sum_of_no_row_a_bare_coefficient_or_cancelling_rows(k):
+    # no row sums to zeros; a row with no factor is a constant layer; rows
+    # over one factor multiset, read in any order, add their coefficients
+    import random
+
+    from ncprob.cumulants import _lattice_sum
+
+    rng = random.Random(f"edge rows {k}")
+    sources = [[[1]] + [[rng.randrange(-9, 10) for _ in range(k ** n)] for n in range(1, 4)]
+               for _ in range(2)]
+    zeros = [0] * k ** 3
+    assert _lattice_sum((), sources, k, 3) == zeros
+    assert _lattice_sum(((5,),), sources, k, 3) == [5] * k ** 3
+    assert _lattice_sum(((5, (), ()),), sources, k, 3) == [5] * k ** 3
+    assert _lattice_sum(((3,), (-3, (), ())), sources, k, 3) == zeros
+    assert _lattice_sum(((2, ((0, 2),), ((1,),)), (-2, ((0, 2),), ((1,),))), sources, k, 3) == zeros
+    assert _lattice_sum(((1, ((2,), (0, 1))), (-1, ((0, 1), (2,)))), sources, k, 3) == zeros
+
+
+def _by_factors(rows):
+    """The rows (coefficient, group, group, ...) as {sorted factors (source,
+    block): summed coefficient}, the zero sums dropped."""
+    out: dict = {}
+    for coeff, *groups in rows:
+        key = tuple(sorted((i, b) for i, blocks in enumerate(groups) for b in blocks))
+        out[key] = out.get(key, 0) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def _circuit_rows(circuit):
+    """A circuit's root-to-node paths read back as rows: {sorted factors on
+    the path: coefficient of its end}, the zero coefficients dropped."""
+    factors, nodes = circuit
+    out: dict = {}
+
+    def walk(node, path):
+        coeff, edges = nodes[node]
+        if coeff:
+            key = tuple(sorted(path))
+            out[key] = out.get(key, 0) + coeff
+        for f, child in edges:
+            walk(child, path + (factors[f],))
+
+    walk(len(nodes) - 1, ())
+    return out
+
+
+def test_each_circuit_reads_every_row_of_its_table():
+    # every row is one path of its circuit, with its coefficient; equal
+    # content, even in a new tuple, gets the same cached circuit
+    from ncprob import Flavor
+    from ncprob import cumulants as cu
+    from ncprob.selftest import _fixed_block_rows, _ll_one_sign_rows
+
+    for n in range(1, 8):
+        tables = [cu._nc_mob_table(n), _ll_one_sign_rows(n)]
+        for flavor in Flavor:
+            rows = cu._signed_table(n, flavor)
+            tables += [rows, tuple(r for r in rows if r[1])]
+        tables += [rows for pair in _fixed_block_rows(n).values() for rows in pair]
+        for rows in tables:
+            circuit = cu._circuit(rows)
+            assert _circuit_rows(circuit) == _by_factors(rows)
+            assert cu._circuit(tuple(list(rows))) is circuit
+            assert len(circuit[1]) == len(set(circuit[1]))
+
+
 @pytest.mark.parametrize("theorem, flavor", [("eq5a", "B"), ("eq55a", "B-opp")])
 def test_signed_checks_report_the_first_counterexample(monkeypatch, theorem, flavor):
     # doubling one row with a zero-block at n = 3 breaks the rewriting: the
@@ -666,6 +734,45 @@ def test_first_difference_matches_the_word_by_word_oracle(k, N):
         assert _first_difference(k, layers, g._layers[1:]) == oracle
         assert _first_difference(k, lists, g._layers[1:]) == oracle
         assert _first_difference(k, (list(x) for x in g._layers[1:]), layers) == oracle
+
+
+def test_first_difference_refuses_tables_of_unequal_lengths():
+    # a difference before the short end is still reported; past it the
+    # shorter side would leave degrees unchecked, so it raises
+    from ncprob.cumulants import _first_difference, _first_word
+
+    for got, want in (([[1, 2], [1, 2, 3]], [[1, 2], [1, 2, 3, 4]]),
+                      ([[1, 2], [1, 2, 3, 4]], [[1, 2]]), ([[1, 2]], [[1, 2], [1, 2, 3, 4]])):
+        with pytest.raises(ValueError):
+            _first_difference(2, got, want)
+        with pytest.raises(ValueError):
+            _first_difference(2, iter(got), want)
+    with pytest.raises(ValueError):
+        _first_word(2, 2, [1, 2, 3], [1, 2, 3, 4])
+    assert _first_difference(2, [[1, 3]], [[1, 2], [1, 2, 3, 4]]) == (2,)
+    assert _first_word(2, 2, [1, 2, 0], [1, 2, 3, 4]) == (2, 1)
+
+
+@pytest.mark.parametrize("side", ("got", "want"))
+@pytest.mark.parametrize("target", ("12", "13", "14", "17", "prop41", "prop54", "eq5a", "eq55a"))
+def test_each_check_refuses_a_side_a_layer_short(monkeypatch, target, side):
+    # with one side a layer short, a check that compared only the common
+    # layers would pass on a degree it never checked
+    import ncprob.cumulants as cu
+    import ncprob.deltastar as ds
+    import ncprob.products as pr
+    import ncprob.selftest as selftest
+
+    real = cu._first_difference
+
+    def short(k, got, want):
+        got, want = list(got), list(want)
+        return real(k, got[:-1], want) if side == "got" else real(k, got, want[:-1])
+
+    for module in (cu, ds, pr, selftest):
+        monkeypatch.setattr(module, "_first_difference", short)
+    with pytest.raises(ValueError, match="shorter|longer"):
+        selftest.TARGETS[target].check(0, 2, 4, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,15 @@ def test_decorated_functionals_refuse_a_short_word_or_chi_before_cumulants(ungra
         eval_eta(random_family(2, 2, seed=320), T, RHO, (1, 2, 1))
 
 
+def test_eval_eta_refuses_chi_and_phi_over_two_k_before_cumulants(ungraded):
+    # chi may reach a degree past phi's, so only k is compared
+    rho = NcPartition(3, [(1, 3), (2,)])
+    with pytest.raises(DimMismatch, match=r"^chi over k=2 but phi over k=1$"):
+        eval_eta(F, T1, rho, (2, 1, 2))
+    with pytest.raises(DimMismatch, match=r"^chi over k=1 but phi over k=2$"):
+        eval_eta(F1, T, rho, (1, 1, 1))
+
+
 @pytest.mark.parametrize("n, rho, chi_N, phi_N, error, message", [
     (3, RHO, 4, 4, ShapeMismatch, r"^rho on 1\.\.3 needs n = 2, got n=3$"),
     (True, NcPartition(2, [(1, 2)]), 4, 4, ShapeMismatch, "got n=True$"),
