@@ -309,16 +309,6 @@ def _nc_mob_table(n: int) -> tuple[tuple[int, Blocks0], ...]:
 
 
 @lru_cache(maxsize=None)
-def _ll_one_table(n: int) -> tuple[tuple[int, tuple[int, ...], Blocks0], ...]:
-    """(Moebius value, unique outer block, other blocks) for pi << 1_n."""
-    return tuple(
-        (mob, blocks[0], blocks[1:])  # canonical order puts the block of 0 first
-        for mob, blocks in _nc_mob_table(n)
-        if blocks[0][-1] == n - 1
-    )
-
-
-@lru_cache(maxsize=None)
 def _signed_table(n: int, flavor: Flavor):
     """Kernel rows over the flavor's signed lattice, in its canonical order:
     (1, Abs of each zero-block, Abs of each symmetric pair), read off its

@@ -55,7 +55,7 @@ from . import (
 )
 from .cumulants import (
     _boolean, _cfree, _explicit, _first_difference, _first_word, _graded, _lattice_sum,
-    _ll_one_table, _signed_table)
+    _nc_mob_table, _signed_table)
 from .deltastar import _check_inputs, _gamma_eta_rows, _gamma_eta_sum, _gamma_eta_tables
 from .errors import _int_in
 from .families import _check_shape, _word_count
@@ -194,29 +194,25 @@ def _criterion_round_trips(seed):
     return True, "free/boolean/infinitesimal/c-free transforms invert on 20 seeded families"
 
 
-def _ll_one_sign_rows(n):
-    """Kernel rows over pi << 1_n: ((-1)^(|pi|-1), (outer block,), other
-    blocks)."""
-    return tuple(
-        ((-1) ** len(others), (holder,), others) for _, holder, others in _ll_one_table(n)
-    )
-
-
-def _fixed_block_rows(n):
-    """For each block holding 0 and n-1: kernel rows over the partitions
-    having it, with the other blocks as the one group, weighted once by the
-    parity sign and once by the Moebius value."""
-    out: dict = {}
-    for mob, holder, others in _ll_one_table(n):
-        by_sign, by_mob = out.setdefault(holder, ([], []))
-        by_sign.append(((-1) ** len(others), others))
-        by_mob.append((mob, others))
-    return {holder: tuple(map(tuple, pair)) for holder, pair in out.items()}
+def _ll_one_rows(n):
+    """Criterion 8's kernel rows over the pi << 1_n, read off NC(n) in one
+    pass: ((-1)^(|pi|-1), (outer block,), other blocks) for each, and for
+    each outer block the rows (sign, other blocks) and (Moebius value, other
+    blocks) of the pi having it."""
+    sign_rows, fixed = [], {}
+    for mob, blocks in _nc_mob_table(n):
+        holder, others = blocks[0], blocks[1:]  # canonical order puts the block of 0 first
+        if holder[-1] == n - 1:
+            sign = (-1) ** len(others)
+            sign_rows.append((sign, (holder,), others))
+            by_sign, by_mob = fixed.setdefault(holder, ([], []))
+            by_sign.append((sign, others))
+            by_mob.append((mob, others))
+    return tuple(sign_rows), {holder: tuple(map(tuple, pair)) for holder, pair in fixed.items()}
 
 
 def _criterion_cfree_formula(seed):
-    sign_rows = {n: _ll_one_sign_rows(n) for n in range(1, 6)}
-    fixed_rows = {n: _fixed_block_rows(n) for n in range(2, 6)}
+    rows = {n: _ll_one_rows(n) for n in range(1, 6)}
     for i in range(20):
         s = seed * 1000 + 100 + i
         _, (val, c) = _graded(random_family(2, 5, seed=s), random_family(2, 5, seed=s + 5000))
@@ -226,11 +222,11 @@ def _criterion_cfree_formula(seed):
         for n in range(1, 6):
             for want, sources, what in ((kp, (bphi, bphi), "free-from-boolean"),
                                         (kcl, (bchi, bphi), "c-free boolean")):
-                w = _first_word(2, n, want[n], _lattice_sum(sign_rows[n], sources, 2, n))
+                w = _first_word(2, n, want[n], _lattice_sum(rows[n][0], sources, 2, n))
                 if w is not None:
                     return False, f"{what} resummation fails at {w}"
         for n in range(2, 6):
-            for by_sign, by_mob in fixed_rows[n].values():
+            for by_sign, by_mob in rows[n][1].values():
                 w = _first_word(2, n, _lattice_sum(by_sign, (bphi,), 2, n),
                                 _lattice_sum(by_mob, (val,), 2, n))
                 if w is not None:
@@ -261,31 +257,43 @@ def _cc_difference_failure(phi, chi):
     return _first_difference(phi.k, got, c[1:])
 
 
+def _target_failure(seed, draws):
+    """The first failure's detail, or None.  Each draw (TARGETS row, seed
+    offset, (k, N, l) shapes, detail) runs the row's check on seed
+    seed * 1000 + offset + i at the i-th shape; a counterexample w there
+    reports detail.format(i=i, w=w)."""
+    for row, offset, shapes, detail in draws:
+        for i, (k, n, l) in enumerate(shapes):
+            w = TARGETS[row].check(seed * 1000 + offset + i, k, n, l)
+            if w is not None:
+                return detail.format(i=i, w=w)
+    return None
+
+
 def _criterion_cc(seed):
-    bad = _failing_draw("prop54", seed * 1000 + 300, [(2, 5, 1)] * 20)
+    bad = _target_failure(seed, (
+        ("prop54", 300, [(2, 5, 1)] * 20, "difference identity fails at draw {i}, word {w}"),
+        ("eq5a", 901, [(2, 5, 1)], "type-B moment reconstruction fails"),
+        ("eq55a", 901, [(2, 5, 1)], "opposite-order moment reconstruction fails")))
     if bad is not None:
-        return False, f"difference identity fails at draw {bad[0]}, word {bad[1]}"
-    if _failing_draw("eq5a", seed * 1000 + 901, [(2, 5, 1)]) is not None:
-        return False, "type-B moment reconstruction fails"
-    if _failing_draw("eq55a", seed * 1000 + 901, [(2, 5, 1)]) is not None:
-        return False, "opposite-order moment reconstruction fails"
+        return False, bad
     return True, "signed-lattice cumulants equal the difference; moment rewritings exact"
 
 
 def _criterion_transform_theorem(seed):
-    bad = _failing_draw("17", seed * 1000 + 400, [(2, 4, 1)] * 50)
+    bad = _target_failure(
+        seed, [("17", 400, [(2, 4, 1)] * 50, "transform identity fails at draw {i}, word {w}")])
     if bad is not None:
-        return False, f"transform identity fails at draw {bad[0]}, word {bad[1]}"
+        return False, bad
     return True, "tensor transform identity exact on 50 seeded triples, k=2, N=4"
 
 
 def _criterion_cyclic_theorem(seed):
-    bad = _failing_draw("14", seed * 1000 + 500, [(2, 4, 1)] * 50)
+    bad = _target_failure(seed, (
+        ("14", 500, [(2, 4, 1)] * 50, "cyclic identity fails at draw {i}, word {w}"),
+        ("14", 550, [(1, 6, 1)] * 50, "univariate cyclic identity fails at draw {i}")))
     if bad is not None:
-        return False, f"cyclic identity fails at draw {bad[0]}, word {bad[1]}"
-    bad = _failing_draw("14", seed * 1000 + 550, [(1, 6, 1)] * 50)
-    if bad is not None:
-        return False, f"univariate cyclic identity fails at draw {bad[0]}"
+        return False, bad
     for i in range(50):
         _, nu = _pair(1, 7, seed * 1000 + 550 + i)
         beta = boolean_cumulants(nu)
@@ -308,9 +316,9 @@ def _gamma_eta_cases(max_n):
 
 
 def _criterion_gamma_eta(seed):
-    bad = _failing_draw("lemma67", seed * 1000 + 600, [(2, 4, 1)])
+    bad = _target_failure(seed, [("lemma67", 600, [(2, 4, 1)], "block identity fails at word {w}")])
     if bad is not None:
-        return False, f"block identity fails at word {bad[1]}"
+        return False, bad
     cases = sum(1 for _ in _gamma_eta_cases(4))
     return True, f"block-level transform identity exhaustive for n<=4 ({cases} cases)"
 
@@ -326,13 +334,13 @@ def _check_restrictions(product_nu, nu1, nu2, k):
 
 
 def _criterion_products(seed):
-    bad = _failing_draw("12", seed * 1000 + 700, [(1, 4, 1)] * 13 + [(2, 4, 1)] * 12)
-    if bad is not None:
-        return False, f"convolution intertwine fails at draw {bad[0]}, word {bad[1]}"
     shapes = [(1, 3, 1)] * 13 + [(2, 3, 1)] * 12
-    bad = _failing_draw("13", seed * 1000 + 800, shapes)
+    bad = _target_failure(seed, (
+        ("12", 700, [(1, 4, 1)] * 13 + [(2, 4, 1)] * 12,
+         "convolution intertwine fails at draw {i}, word {w}"),
+        ("13", 800, shapes, "product intertwine fails at draw {i}, word {w}")))
     if bad is not None:
-        return False, f"product intertwine fails at draw {bad[0]}, word {bad[1]}"
+        return False, bad
     for i, (k, n, l) in enumerate(shapes):
         mu1, nu1, mu2, nu2 = _pairs(k, l, n + 1, seed * 1000 + 800 + i)
         mu, nu = cfree_product(mu1, nu1, mu2, nu2)
@@ -399,10 +407,10 @@ class Target(NamedTuple):
     high: float = math.inf
 
 
-# Every `verify` target; selftest criteria 9-13 run the same rows.  The
-# signed lattices grow fastest, so the checks that walk them stop at their
-# enumeration limit, 8; lemma210, which walks the rows of NC(m) at every
-# degree m up to N and draws nothing, stops at 11.
+# Every `verify` target; selftest criteria 9-13 run the same rows through
+# `_target_failure`.  The signed lattices grow fastest, so the checks that
+# walk them stop at their enumeration limit, 8; lemma210, which walks the
+# rows of NC(m) at every degree m up to N and draws nothing, stops at 11.
 TARGETS = {
     "12": Target(lambda s, k, n, l: convolution_intertwine_counterexample(
         *_pairs(k, k, n + 1, s)), reach=1),
@@ -421,17 +429,6 @@ TARGETS = {
     "eq55a": Target(lambda s, k, n, l: eq_bopp_counterexample(
         *_families(k, n, s)), reach=0, high=DEFAULT_SIGNED_LIMIT),
 }
-
-
-def _failing_draw(target, base, shapes):
-    """The first (draw, counterexample) where the `TARGETS` row fails, draw i
-    run on seed base + i at the i-th (k, N, l) shape, or None."""
-    check = TARGETS[target].check
-    for i, (k, n, l) in enumerate(shapes):
-        bad = check(base + i, k, n, l)
-        if bad is not None:
-            return i, bad
-    return None
 
 
 VERIFY_INPUT_LIMIT = 1 << 17  # entries in the largest input `verify` may build

@@ -4,16 +4,19 @@ Each test prints its own pass/fail line; run with `pytest -s` to see them.
 The selftest CLI runs the same criteria.
 """
 
+import io
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from ncprob import selftest
+from ncprob import NcPartition, one_partition, selftest
 from ncprob.cli import main
 
 SEED = 0
+GOLDEN_SELFTEST = Path(__file__).parent / "golden" / "selftest_seed0.txt"
 
 
 @pytest.mark.parametrize(
@@ -66,6 +69,94 @@ def test_theorem_criteria_run_the_targets_table(monkeypatch, num, row, offset, t
     monkeypatch.setitem(selftest.TARGETS, row, selftest.TARGETS[row]._replace(check=check))
     fn = next(fn for n, _, fn in selftest.CRITERIA if n == num)
     assert fn(SEED) == (False, text)
+
+
+def _numbered(real):
+    """real, each report it returns tagged with the number of its call."""
+    calls = itertools.count()
+    return lambda *args: {**real(*args), "call": next(calls)}
+
+
+def _returns_input(kind):
+    """A fault that returns a family of the given kind as it came in."""
+    return lambda real: lambda f: f if f.kind == kind else real(f)
+
+
+def _plus_one(layers):
+    return [[x + 1 for x in layer] for layer in layers]
+
+
+ZERO_2 = NcPartition(2, [(1,), (2,)])
+
+# (criterion, the name selftest reads, fault(real) -> the planted name, the
+# criterion's report): one plant per failure branch that the table runs
+# above do not reach, each confined to its branch
+PLANTS = [
+    (1, "catalan", lambda real: lambda n: real(n) + (n == 10), "count mismatch at n=10"),
+    (2, "kreweras", lambda real: lambda p: one_partition(10) if p.n == 10 else real(p),
+     "worked 10-point complement is wrong"),
+    (2, "kreweras", lambda real: lambda p: real(one_partition(2) if p == ZERO_2 else p),
+     "not injective at n=2"),
+    (2, "leq", lambda real: lambda a, b: real(a, b) != (a == b == ZERO_2),
+     "order reversal fails at n=2"),
+    (4, "catalan", lambda real: lambda n: real(n) + (n == 0),
+     "lower-ideal cardinality fails at n=1, {1}"),
+    (4, "is_interval", lambda real: lambda p: not real(p),
+     "alternating indicator fails at n=1, {1}"),
+    (5, "ll_one", lambda real: lambda p: True, "image of the restricted complement wrong at n=2"),
+    (5, "sqsubseteq", lambda real: lambda a, b: not real(a, b), "anti-isomorphism fails at n=1"),
+    (5, "_attach", lambda real: lambda comp, j, parent: (),
+     "cut/attach duality fails at n=4, i=2"),
+    (6, "signed_count", lambda real: lambda n: real(n) + (n == 7),
+     "count mismatch at n=7: 3432, 3432"),
+    (6, "from_pair", lambda real: lambda pi, chosen: None, "pair bijection fails at n=1"),
+    (6, "outer_blocks", lambda real: lambda p: (), "outer-block subset count fails at n=1"),
+    (7, "moments_from_free", _returns_input("free-cumulant"), "free round trip fails at draw 0"),
+    (7, "moments_from_free", _returns_input("moment"), "free reverse round trip fails at draw 0"),
+    (7, "moments_from_boolean", _returns_input("boolean-cumulant"),
+     "boolean round trip fails at draw 0"),
+    (7, "moments_from_boolean", _returns_input("moment"),
+     "boolean reverse round trip fails at draw 0"),
+    (7, "infinitesimal_moments", lambda real: lambda kphi, kprime: kphi,
+     "infinitesimal round trip fails at draw 0"),
+    (7, "moments_from_cfree", lambda real: lambda phi, kc: phi,
+     "c-free round trip fails at draw 0"),
+    (8, "_explicit", lambda real: lambda p, c, k: _plus_one(real(p, c, k)),
+     "explicit formula != recursion at draw 0"),
+    (8, "_boolean", lambda real: lambda c: _plus_one(real(c)),
+     "free-from-boolean resummation fails at (1,)"),
+    (8, "_nc_mob_table", lambda real: lambda n: tuple((2 * mob, b) for mob, b in real(n)),
+     "fixed-block resummation fails at (1, 1)"),
+    (11, "psi_k", lambda real: lambda nu: real(nu) if nu.N != 7 else lambda w: real(nu)(w) + 1,
+     "univariate moment formula fails at n=1"),
+    # the two loops of `_check_restrictions`: the free state off on the
+    # first group's words, then on the second's only
+    (13, "cfree_product", lambda real: lambda *pairs: (real(*pairs)[1],) * 2,
+     "free product restriction fails at draw 0"),
+    (13, "cfree_product", lambda real: lambda mu1, nu1, mu2, nu2: (
+        real(mu1, nu1, nu2, nu2)[0], real(mu1, nu1, mu2, nu2)[1]),
+     "free product restriction fails at draw 0"),
+    (13, "cfree_product", lambda real: lambda *pairs: (real(*pairs)[0],) * 2,
+     "c-free restriction fails at draw 0"),
+    (13, "infinitesimal_product", lambda real: lambda *pairs: (real(*pairs)[0],) * 2,
+     "infinitesimal restriction fails at draw 0"),
+    (14, "verify_report", _numbered,
+     "seeded 12 verification report is not reproducible"),
+]
+
+
+@pytest.mark.parametrize("num,name,fault,text", PLANTS,
+                         ids=[f"{num}-{name}-{i}" for i, (num, name, _, _) in enumerate(PLANTS)])
+def test_each_failure_branch_reports_its_detail(monkeypatch, num, name, fault, text):
+    # the criterion's line names the planted failure; every other line stays golden
+    monkeypatch.setattr(selftest, name, fault(getattr(selftest, name)))
+    out = io.StringIO()
+    assert selftest.run(SEED, out) is False
+    want = GOLDEN_SELFTEST.read_text().splitlines()
+    title = next(title for n, title, _ in selftest.CRITERIA if n == num)
+    want[num - 1] = f"[{num:2d}] FAIL {title}: {text}"
+    want[-1] = "selftest: FAILURES present"
+    assert out.getvalue().splitlines() == want
 
 
 # ---------------------------------------------------------------------------

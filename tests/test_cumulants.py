@@ -397,8 +397,9 @@ def test_internal_tables_match_public_enumeration():
         interval_partitions,
         one_partition,
     )
-    from ncprob.cumulants import _ll_one_table, _nc_mob_table
+    from ncprob.cumulants import _nc_mob_table
     from ncprob.nc import _interval_range
+    from ncprob.selftest import _ll_one_rows
 
     def lift(blocks):
         return tuple(sorted(tuple(x + 1 for x in b) for b in blocks))
@@ -410,11 +411,25 @@ def test_internal_tables_match_public_enumeration():
         assert {lift(blocks) for blocks in _interval_range(n)} == {
             p.blocks for p in interval_partitions(n)
         }
-        assert {
-            lift((holder,) + others) for _, holder, others in _ll_one_table(n)
-        } == {p.blocks for p in enumerate_ll_below(one_partition(n))}
         for mob, blocks in _nc_mob_table(n):
             assert moebius_to_one(NcPartition(n, lift(blocks))) == mob
+        # selftest's rows over pi << 1_n: each pi once with its parity sign,
+        # and once per table of its outer block with that sign and its
+        # Moebius value
+        ll_below = {p.blocks for p in enumerate_ll_below(one_partition(n))}
+        sign_rows, fixed = _ll_one_rows(n)
+        assert {lift(holder + others) for _, holder, others in sign_rows} == ll_below
+        assert len(sign_rows) == len(ll_below)
+        for sign, (holder,), others in sign_rows:
+            assert sign == (-1) ** (len(NcPartition(n, lift((holder,) + others)).blocks) - 1)
+        assert sum(len(by_sign) for by_sign, _ in fixed.values()) == len(ll_below)
+        for holder, (by_sign, by_mob) in fixed.items():
+            assert [others for _, others in by_sign] == [others for _, others in by_mob]
+            for (sign, others), (mob, _) in zip(by_sign, by_mob):
+                pi = NcPartition(n, lift((holder,) + others))
+                assert pi.blocks in ll_below
+                assert sign == (-1) ** (len(pi.blocks) - 1)
+                assert mob == moebius_to_one(pi)
 
 
 def test_degenerate_degree_one():
@@ -569,18 +584,18 @@ def test_ranks_match_tuple_indexing(k):
 def _row_tables():
     from ncprob import Flavor
     from ncprob import cumulants as cu
-    from ncprob.selftest import _fixed_block_rows, _ll_one_sign_rows
+    from ncprob.selftest import _ll_one_rows
 
     def fixed(n):
-        return tuple(row for pair in _fixed_block_rows(n).values() for rows in pair for row in rows)
+        return tuple(row for pair in _ll_one_rows(n)[1].values() for rows in pair for row in rows)
 
     return {
         "_nc_mob_table": cu._nc_mob_table,
         "_roles_table": _roles_table,
         "_signed_table_B": lambda n: cu._signed_table(n, Flavor.B),
         "_signed_table_B-opp": lambda n: cu._signed_table(n, Flavor.B_OPP),
-        "_ll_one_sign_rows": _ll_one_sign_rows,
-        "_fixed_block_rows": fixed,
+        "_ll_one_rows-sign": lambda n: _ll_one_rows(n)[0],
+        "_ll_one_rows-fixed": fixed,
     }
 
 
@@ -659,14 +674,15 @@ def test_each_circuit_reads_every_row_of_its_table():
     # content, even in a new tuple, gets the same cached circuit
     from ncprob import Flavor
     from ncprob import cumulants as cu
-    from ncprob.selftest import _fixed_block_rows, _ll_one_sign_rows
+    from ncprob.selftest import _ll_one_rows
 
     for n in range(1, 8):
-        tables = [cu._nc_mob_table(n), _ll_one_sign_rows(n)]
+        sign_rows, fixed = _ll_one_rows(n)
+        tables = [cu._nc_mob_table(n), sign_rows]
         for flavor in Flavor:
             rows = cu._signed_table(n, flavor)
             tables += [rows, tuple(r for r in rows if r[1])]
-        tables += [rows for pair in _fixed_block_rows(n).values() for rows in pair]
+        tables += [rows for pair in fixed.values() for rows in pair]
         for rows in tables:
             circuit = cu._circuit(rows)
             assert _circuit_rows(circuit) == _by_factors(rows)
@@ -874,7 +890,7 @@ def _lattice_oracles():
     public transform must have, or for the cumulant directions the values
     it must reproduce, written as kernel sums over the lattice tables."""
     from ncprob import Flavor
-    from ncprob.cumulants import _ll_one_table, _nc_mob_table, _signed_table
+    from ncprob.cumulants import _nc_mob_table, _signed_table
     from ncprob.nc import _interval_range
 
     def nc_one(n):
@@ -902,7 +918,8 @@ def _lattice_oracles():
 
     def unique_outer(n):
         # pi << 1_n weighted by mu(pi, 1_n): the outer block, then the others
-        return [(mob, (holder,), others) for mob, holder, others in _ll_one_table(n)]
+        return [(mob, blocks[:1], blocks[1:]) for mob, blocks in _nc_mob_table(n)
+                if blocks[0][-1] == n - 1]
 
     def bopp(n):
         return _signed_table(n, Flavor.B_OPP)

@@ -166,6 +166,21 @@ def test_intertwining_checks_refuse_degree_one_before_grading(ungraded, check, p
         check(*(truncate(f, 1) for f in pairs))
 
 
+T_1, F_1 = truncate(T, 1), truncate(F, 1)
+DEGREE_ONE = {
+    "cumulant_transform_counterexample": lambda: cumulant_transform_counterexample(D2, T_1, F_1),
+    "verify_theorem_delta": lambda: verify_theorem_delta(D2, T_1, F_1),
+    "cyclic_cumulant_counterexample": lambda: cyclic_cumulant_counterexample(T_1, F_1),
+    "verify_theorem_cyclic": lambda: verify_theorem_cyclic(T_1, F_1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEGREE_ONE))
+def test_transform_checks_refuse_degree_one_before_grading(ungraded, entry):
+    with pytest.raises(DegreeTooLow, match=r"^inputs must have degree at least 2$"):
+        DEGREE_ONE[entry]()
+
+
 def test_decorated_functionals_refuse_a_short_word_or_chi_before_cumulants(ungraded):
     with pytest.raises(ShapeMismatch, match="word length 2"):
         eval_gamma(D2, F, T, RHO, 1, (1, 2))
