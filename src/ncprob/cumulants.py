@@ -39,7 +39,8 @@ tuples of parts, part j of a product summing part p of one factor times
 part j - p of the other, one part for the plain sums and two for the duals.
 The public wrappers, the products and the checks share the layer entries:
 `_cfree` (the free cumulants are `_cfree(p, p)`), `_moments_cfree`, and
-`_moments` and its inverse `_dual`, on jets of one part or two.
+`_moments` and its inverse `_dual`, on jets of one part or two.  Each of
+the eleven public transforms is one call to `_on_layers`, its graded boundary.
 
 The explicit c-free formula weighs the partitions with a unique outer
 block V by their Moebius value, which factors over the gaps of V through
@@ -90,6 +91,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, sub
+from typing import Callable
 
 from .families import MultilinearFamily, _ranks, _require_same_shape, words_of_length
 from .nc import _check_size, _moebius_int, _nc_span
@@ -245,6 +247,28 @@ def _moments_cfree(p: list, kc: list, k: int) -> list:
     return _interval(_closed(k, (kc,), (p,), _blank(N), False), _blank(N), False)[0]
 
 
+def _moments_cc(p: list, cc: list, k: int) -> list:
+    """Graded c-free moments from the graded moments p and alternative
+    c-free cumulants cc: beta_chi is beta_phi plus the closed sums of cc."""
+    N = len(cc) - 1
+    closed = _closed(k, (cc,), (p,), _blank(N), False)[0]
+    beta = [list(map(add, x, y)) for x, y in zip(closed, _boolean(p))]
+    return _interval((beta,), _blank(N), False)[0]
+
+
+def _explicit(p: list, c: list, k: int) -> list:
+    """Graded c-free cumulants of (p, c) by the explicit formula."""
+    F = _interval(_negated((_cfree(p, p, k),)), _blank(len(p) - 1), False)
+    return _closed(k, (_boolean(c),), F, _blank(len(p) - 1), False)[0]
+
+
+def _cc(p: list, c: list, k: int) -> list:
+    """Graded alternative c-free cumulants of (phi, chi) = (p, c): kappa_cc
+    = kappa_c - kappa_phi, so their closed sums are beta_chi - beta_phi."""
+    diff = [list(map(sub, x, y)) for x, y in zip(_boolean(c), _boolean(p))]
+    return _closed(k, _blank(len(p) - 1), (p,), (diff,), True)[0]
+
+
 def _dual(jet: tuple, k: int) -> tuple:
     """The free cumulant jet of the moments jet, inverting `_moments`: the
     real part, and for (p, dp) the epsilon part of the free cumulants of
@@ -327,45 +351,45 @@ def _signed_table(n: int, flavor: Flavor):
 
 
 # ---------------------------------------------------------------------------
-# Free and Boolean cumulants
+# The public transforms, each one core on the layers
 # ---------------------------------------------------------------------------
+
+def _on_layers(core: Callable, kind: str, f: MultilinearFamily,
+               *others: MultilinearFamily) -> MultilinearFamily:
+    """The shape check, then core(the graded layers of f and the others, k)
+    read back at their one D as a family of the given kind."""
+    _require_same_shape(f, *others)
+    D, layers = _graded(f, *others)
+    return _ungraded(D, core(*layers, f.k), f.k, kind)
+
 
 def free_cumulants(phi: MultilinearFamily) -> MultilinearFamily:
     """Moebius inversion of the moment family over NC(n)."""
-    D, (p,) = _graded(phi)
-    return _ungraded(D, _cfree(p, p, phi.k), phi.k, "free-cumulant")
+    return _on_layers(lambda p, k: _cfree(p, p, k), "free-cumulant", phi)
 
 
 def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
     """Inverse of free_cumulants: the product sum over NC(n)."""
-    D, (c,) = _graded(kappa)
-    return _ungraded(D, _moments((c,), kappa.k)[0], kappa.k, "moment")
+    return _on_layers(lambda c, k: _moments((c,), k)[0], "moment", kappa)
 
 
 def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
     """Signed sum over the interval partitions."""
-    D, (c,) = _graded(chi)
-    return _ungraded(D, _boolean(c), chi.k, "boolean-cumulant")
+    return _on_layers(lambda c, k: _boolean(c), "boolean-cumulant", chi)
 
 
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
     """Inverse of boolean_cumulants."""
-    D, (b,) = _graded(beta)
-    return _ungraded(D, _interval((b,), _blank(beta.N), False)[0], beta.k, "moment")
+    return _on_layers(lambda b, k: _interval((b,), _blank(len(b) - 1), False)[0], "moment", beta)
 
-
-# ---------------------------------------------------------------------------
-# Infinitesimal cumulants
-# ---------------------------------------------------------------------------
 
 def infinitesimal_cumulants(
     phi: MultilinearFamily, phi_prime: MultilinearFamily
 ) -> MultilinearFamily:
     """One distinguished block carries the derivative family, all others the
     moments, with the usual Moebius weight."""
-    _require_same_shape(phi, phi_prime)
-    D, (p, dp) = _graded(phi, phi_prime)
-    return _ungraded(D, _dual((p, dp), phi.k)[1], phi.k, "infinitesimal-cumulant")
+    return _on_layers(lambda p, dp, k: _dual((p, dp), k)[1], "infinitesimal-cumulant",
+                      phi, phi_prime)
 
 
 def infinitesimal_moments(
@@ -373,14 +397,9 @@ def infinitesimal_moments(
 ) -> MultilinearFamily:
     """Reconstruct the derivative family from free cumulants of the base and
     the infinitesimal cumulants; inverse of infinitesimal_cumulants."""
-    _require_same_shape(kappa_phi, kappa_prime)
-    D, (c, dc) = _graded(kappa_phi, kappa_prime)
-    return _ungraded(D, _moments((c, dc), kappa_phi.k)[1], kappa_phi.k, "infinitesimal")
+    return _on_layers(lambda c, dc, k: _moments((c, dc), k)[1], "infinitesimal",
+                      kappa_phi, kappa_prime)
 
-
-# ---------------------------------------------------------------------------
-# c-free cumulants
-# ---------------------------------------------------------------------------
 
 def cfree_cumulants(
     phi: MultilinearFamily, chi: MultilinearFamily
@@ -388,18 +407,14 @@ def cfree_cumulants(
     """The recursive solution: inner blocks carry free cumulants of phi,
     outer blocks the c-free cumulants themselves, whose closed sums are the
     Boolean cumulants of chi."""
-    _require_same_shape(phi, chi)
-    D, (p, c) = _graded(phi, chi)
-    return _ungraded(D, _cfree(p, c, phi.k), phi.k, "cfree-cumulant")
+    return _on_layers(_cfree, "cfree-cumulant", phi, chi)
 
 
 def moments_from_cfree(
     phi: MultilinearFamily, kappa_c: MultilinearFamily
 ) -> MultilinearFamily:
     """Forward inner/outer product sum, with free cumulants of phi inside."""
-    _require_same_shape(phi, kappa_c)
-    D, (p, kc) = _graded(phi, kappa_c)
-    return _ungraded(D, _moments_cfree(p, kc, phi.k), phi.k, "moment")
+    return _on_layers(_moments_cfree, "moment", phi, kappa_c)
 
 
 def cfree_explicit(
@@ -409,26 +424,7 @@ def cfree_explicit(
     partitions with unique outer block, Boolean cumulants of chi on that
     block and moments of phi elsewhere.  Each gap's partitions sum to F,
     the interval inverse of 1 + kappa_phi."""
-    _require_same_shape(phi, chi)
-    D, (p, c) = _graded(phi, chi)
-    return _ungraded(D, _explicit(p, c, phi.k), phi.k, "cfree-cumulant")
-
-
-def _explicit(p: list, c: list, k: int) -> list:
-    """Graded c-free cumulants of (p, c) by the explicit formula."""
-    F = _interval(_negated((_cfree(p, p, k),)), _blank(len(p) - 1), False)
-    return _closed(k, (_boolean(c),), F, _blank(len(p) - 1), False)[0]
-
-
-# ---------------------------------------------------------------------------
-# Alternative c-free cumulants over the opposite-order signed lattice
-# ---------------------------------------------------------------------------
-
-def _cc(p: list, c: list, k: int) -> list:
-    """Graded alternative c-free cumulants of (phi, chi) = (p, c): kappa_cc
-    = kappa_c - kappa_phi, so their closed sums are beta_chi - beta_phi."""
-    diff = [list(map(sub, x, y)) for x, y in zip(_boolean(c), _boolean(p))]
-    return _closed(k, _blank(len(p) - 1), (p,), (diff,), True)[0]
+    return _on_layers(_explicit, "cfree-cumulant", phi, chi)
 
 
 def cc_cumulants(
@@ -437,9 +433,7 @@ def cc_cumulants(
     """The unknown of the signed-lattice expansion of chi, in which blocks
     inside the positives carry free cumulants of phi and zero-blocks the
     unknown family; it is the c-free minus the free cumulants of phi."""
-    _require_same_shape(phi, chi)
-    D, (p, c) = _graded(phi, chi)
-    return _ungraded(D, _cc(p, c, phi.k), phi.k, "cc-cumulant")
+    return _on_layers(_cc, "cc-cumulant", phi, chi)
 
 
 def moments_from_cc(
@@ -448,11 +442,7 @@ def moments_from_cc(
     """Forward signed-lattice sum reconstructing chi from phi and the
     alternative c-free cumulants: beta_chi is beta_phi plus the closed sums
     of kappa_cc."""
-    _require_same_shape(phi, kappa_cc)
-    D, (p, cc) = _graded(phi, kappa_cc)
-    closed = _closed(phi.k, (cc,), (p,), _blank(phi.N), False)[0]
-    beta = [list(map(add, x, y)) for x, y in zip(closed, _boolean(p))]
-    return _ungraded(D, _interval((beta,), _blank(phi.N), False)[0], phi.k, "moment")
+    return _on_layers(_moments_cc, "moment", phi, kappa_cc)
 
 
 # ---------------------------------------------------------------------------

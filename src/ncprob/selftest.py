@@ -59,7 +59,7 @@ from .cumulants import (
 from .deltastar import _check_inputs, _gamma_eta_rows, _gamma_eta_sum, _gamma_eta_tables
 from .errors import _int_in
 from .families import _check_shape, _word_count
-from .nc import _attach, _check_size, _cut, _kreweras, _nc_rows, _nc_span, _parent
+from .nc import DEFAULT_ENUM_LIMIT, _attach, _check_size, _cut, _kreweras, _nc_span, _parent
 from .typeb import DEFAULT_SIGNED_LIMIT
 
 
@@ -307,7 +307,7 @@ def _criterion_cyclic_theorem(seed):
 
 def _gamma_eta_cases(max_n):
     """Every (n, m, rows of rho) with n <= max_n, rho << 1_{n+1} and 1 <= m <= n."""
-    _nc_rows(max_n + 1)  # LimitExceeded above the enumeration limit, before any case
+    _check_size(max_n + 1, DEFAULT_ENUM_LIMIT, "enumeration")  # before any case
     for n in range(1, max_n + 1):
         for rows in _nc_span(1, n + 2):
             if rows[0][-1] == n + 1:
@@ -502,10 +502,13 @@ CRITERIA = (
 
 
 def run(seed: int = 0, stream=None) -> bool:
-    """Run every criterion, print one line each, return overall success."""
+    """Run every criterion, print one line each (a raise is a FAIL), return overall success."""
     all_ok = True
     for num, name, fn in CRITERIA:
-        ok, detail = fn(seed)
+        try:
+            ok, detail = fn(seed)
+        except Exception as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
         print(f"[{num:2d}] {'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
     print(f"selftest: {'all criteria passed' if all_ok else 'FAILURES present'}",

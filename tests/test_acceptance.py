@@ -159,6 +159,21 @@ def test_each_failure_branch_reports_its_detail(monkeypatch, num, name, fault, t
     assert out.getvalue().splitlines() == want
 
 
+def test_a_criterion_that_raises_fails_and_the_run_goes_on(monkeypatch):
+    # an explicit side a layer short fails line 8 by value and makes criterion
+    # 14's prop41 report raise in its strict compare; line 14 names the
+    # exception, every other line stays golden and the CLI exits 1
+    real = selftest._explicit
+    monkeypatch.setattr(selftest, "_explicit", lambda p, c, k: real(p, c, k)[:-1])
+    want = GOLDEN_SELFTEST.read_text().splitlines()
+    want[7] = "[ 8] FAIL explicit c-free formula and resummations: explicit formula != recursion at draw 0"
+    want[13] = "[14] FAIL report determinism: ValueError: zip() argument 2 is longer than argument 1"
+    want[-1] = "selftest: FAILURES present"
+    result = CliRunner().invoke(main, ["selftest", "--seed", str(SEED)])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == want
+
+
 # ---------------------------------------------------------------------------
 # Golden verify reports.  `python tests/test_acceptance.py` rewrites the file;
 # run it only on a commit whose reports are the reference.

@@ -23,15 +23,18 @@ The free state of each product is checked against the recursion built from
 the inputs, so it also restricts to them.  The c-free and the infinitesimal
 states are checked for the relation between the groups, on the product's
 own values on single runs; selftest criterion 13 checks that they restrict
-to their inputs.
+to their inputs.  Target `13` builds its own products on one grading; the
+states it builds are read at its D and checked the same way.
 """
 
 from functools import cache
 
 import pytest
 
-from ncprob import cfree_product, free_product, infinitesimal_product, random_family
+from ncprob import cfree_product, free_product, infinitesimal_product, products, random_family
+from ncprob.cumulants import _ungraded
 from ncprob.families import all_words
+from ncprob.selftest import TARGETS
 
 SHAPES = [(1, 1, 8), (2, 1, 5)]  # (k, l, N)
 CASES = [(*shape, seed) for shape in SHAPES for seed in (0, 1)]
@@ -128,3 +131,28 @@ def test_the_cfree_product_is_c_free_in_its_free_state(k, l, N, seed):
 def test_the_infinitesimal_product_is_free_over_the_dual_numbers(k, l, N, seed):
     mu, mup = infinitesimal_product(*_inputs(k, l, N, seed))
     _assert_state(_joined_state(k, _jets(mu, mup)), k + l, N, mu, mup)
+
+
+def test_target_13_builds_free_and_c_free_states(monkeypatch):
+    # record the graded moments jet (mu, mu') and the c-free moments nu that
+    # the check builds at (k, l, N) = (1, 1, 6) on seed 0, and read them at
+    # its D: mu' is at the scale D**(n+1) of the diagonal tensor's psi
+    seen = {}
+
+    def recorded(name, real):
+        def call(*args):
+            seen[name] = args, real(*args)
+            return seen[name][1]
+        return call
+
+    for name in ("_graded", "_joined", "_moments_cfree"):
+        monkeypatch.setattr(products, name, recorded(name, getattr(products, name)))
+    k, l, N = 1, 1, 6
+    TARGETS["13"].check(0, k, N, l)
+    (mu1, _, mu2, _), (D, _) = seen["_graded"]
+    (mu_layers, mup_layers), K = seen["_joined"][1], k + l
+    mu, mup = _ungraded(D, mu_layers, K, "moment"), _ungraded(D, mup_layers, K, "infinitesimal", D)
+    nu = _ungraded(D, seen["_moments_cfree"][1], K, "moment")
+    _assert_state(_joined_state(k, _factors(k, _jets(mu1), _jets(mu2))), K, N, mu)
+    _assert_state(_joined_state(k, _jets(mu, mup)), K, N, mu, mup)
+    _assert_state(_joined_state(k, _jets(nu), centre=_jets(mu)), K, N + 1, nu)
