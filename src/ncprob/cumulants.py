@@ -222,11 +222,11 @@ def _boolean(c: list) -> list:
     return _interval(_blank(len(c) - 1), (c,), True)[0]
 
 
-def _cfree(p: list, c: list, k: int) -> list:
+def _cfree(p: list, c: list, k: int, beta: list | None = None) -> list:
     """Graded c-free cumulants of the graded moments (p, c): their closed
-    sums, moments of p in the gaps, are the Boolean cumulants of c.  With
-    c = p they are the free cumulants of p."""
-    return _closed(k, _blank(len(p) - 1), (p,), (_boolean(c),), True)[0]
+    sums, moments of p in the gaps, are the Boolean cumulants beta of c,
+    computed unless given.  With c = p they are the free cumulants of p."""
+    return _closed(k, _blank(len(p) - 1), (p,), (_boolean(c) if beta is None else beta,), True)[0]
 
 
 def _moments(jet: tuple, k: int) -> tuple:

@@ -21,10 +21,10 @@ output word is one Fraction.  The slot table over the words (x, u) of
 length n sums x's triples (j, l, c) of c * f(l, u, j), a stride-k slice
 of f's layer n + 1 per triple; the output layer sums it at the n
 rotations of w, each gathered from the last through the rank map
-(`cumulants._ranks`) of the rotation by one.  psi_delta, psi_k (at the
-diagonal tensor, T = 1) and the identity checks all read one core,
-`_graded_psi`; delta_star and psi_delta share one boundary: the input
-checks, one grading and one reading at T * D.  Every entry given a tensor
+(`cumulants._ranks`) of the rotation by one.  psi_delta, psi_k (T = 1)
+and the identity checks run it on graded Boolean cumulants, once a check;
+delta_star and psi_delta share one boundary: the input checks, one
+grading and one reading at T * D.  Every entry given a tensor
 checks each family's k against it, before grading, by `_require_dim`.
 
 This module also hosts the two block-decorated functionals gamma and eta,
@@ -32,11 +32,11 @@ kept as Fraction implementations of their definitions and used as oracles,
 and the verification routines for the main identities relating c-free and
 infinitesimal cumulants, which compare both sides as ints at one scale;
 the cyclic identity check is the transform check at the diagonal tensor.
-Each case of the search for the block identity between gamma and eta is a
-two-row lattice sum.  Its rows step builds both rows from rho's block rows;
-rows that agree as data (the same core, phi's blocks up to order and
-rotation) prove the case for every input.  Its sum step sums an open case
-over the layer, on slot tables of chi's Boolean cumulants built once.
+Each case (n, m, rho) of the search for the block identity between gamma
+and eta is a two-row lattice sum, its rows read off rho block by block;
+one whose blocks all read alike on both rows, verdicts kept by (n, m,
+block) in a dict that lives for one search, holds for every input.  An
+open case sums its rows over the layer, on slot tables built once.
 """
 
 from fractions import Fraction
@@ -120,11 +120,6 @@ def _graded_delta_star(delta: DeltaTensor, layers: list, k: int) -> tuple[int, l
     return T, out
 
 
-def _graded_psi(delta: DeltaTensor, c: list, k: int) -> tuple[int, list]:
-    """(T, the transform's layers on the graded Boolean cumulants of moments c)."""
-    return _graded_delta_star(delta, _boolean(c), k)
-
-
 def _transformed(core: Callable, delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
     """The input checks, then core(delta, the graded layers of f, k) read at T * D."""
     _require_dim(delta, f)
@@ -142,7 +137,7 @@ def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
 
 def psi_delta(delta: DeltaTensor, chi: MultilinearFamily) -> MultilinearFamily:
     """The transform applied to the Boolean cumulants of chi."""
-    return _transformed(_graded_psi, delta, chi)
+    return _transformed(lambda d, c, k: _graded_delta_star(d, _boolean(c), k), delta, chi)
 
 
 def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
@@ -237,8 +232,9 @@ def cumulant_transform_counterexample(
     if not is_tracial(phi):
         raise NotTracial("phi must be tracial")
     _, (p, c) = _graded(phi, chi)
-    lhs = _dual((p[:-1], _graded_psi(delta, c, phi.k)[1]), phi.k)[1]
-    rhs = _graded_delta_star(delta, _cfree(p, c, phi.k), phi.k)[1]
+    beta = _boolean(c)
+    lhs = _dual((p[:-1], _graded_delta_star(delta, beta, phi.k)[1]), phi.k)[1]
+    rhs = _graded_delta_star(delta, _cfree(p, c, phi.k, beta), phi.k)[1]
     return _first_difference(phi.k, lhs[1:], rhs[1:])
 
 
@@ -281,7 +277,7 @@ def gamma_eta_counterexample(
     _check_inputs(delta, chi, phi)
     if not _int_in(m, 1, n):
         raise InvalidPartition(f"m={m!r} outside 1..{n}")
-    sides = _gamma_eta_rows(n, m, rho.blocks)
+    sides = _gamma_eta_rows(n, m, rho.blocks, {})
     return sides and _gamma_eta_sum(_gamma_eta_tables(delta, chi, phi), phi.k, n, sides)
 
 
@@ -301,34 +297,34 @@ def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: Multiline
     return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
 
 
-def _least_first(blocks: tuple) -> set:
-    """The blocks, each rotated to start at its least position, as a set."""
-    return {b[b.index(min(b)):] + b[:b.index(min(b))] for b in blocks}
+def _block_agrees(verdicts: dict, n: int, m: int, b: tuple) -> bool:
+    """Whether rho's block row b reads alike on both rows of the case (n, m),
+    computed once into verdicts: its image under f_nm is its pull-back, less
+    n+1 (slot m again) in the first block, rotated to its least position."""
+    if (n, m, b) not in verdicts:
+        pulled = tuple((m + q - 2) % n + 1 for q in (b[:-1] if b[0] == 1 else b))
+        r = pulled.index(min(pulled))
+        verdicts[n, m, b] = _f_nm((b,), n, m)[0] == pulled[r:] + pulled[:r]
+    return verdicts[n, m, b]
 
 
-def _rows_agree(one: tuple, other: tuple) -> bool:
-    """Whether two rows (cores, blocks of phi) read the same on every input
-    with a tracial phi: the same cores in order, and the same blocks of phi
-    up to their order and rotation."""
-    return one[0] == other[0] and _least_first(one[1]) == _least_first(other[1])
-
-
-def _gamma_eta_rows(n: int, m: int, blocks: tuple):
+def _gamma_eta_rows(n: int, m: int, blocks: tuple, verdicts: dict):
     """The rows +1 and -1 of the case (n, m, rho << 1_{n+1} given by its block
-    rows), one lattice sum over 0-based positions of w, or None when they
-    agree as data (`_rows_agree`).  Each reads the slot tables on the letter
+    rows), one lattice sum over 0-based positions of w, or None when each
+    block of rho reads alike on both (`_block_agrees`, kept in verdicts by
+    (n, m, block) for one search).  Each reads the slot tables on the letter
     at slot m and its block's split core, and phi on each other block: gamma
     splits the block of f_nm(rho, m) holding m at the rank of m, and eta reads
     rho on (l, w_{m+1},..,w_n, w_1,..,w_{m-1}, j), whose position 1 < q < n+1
     holds w at (m + q - 2) mod n; rho's first block holds 1 and n+1."""
-    image = _f_nm(blocks, n, m)
-    holder = next(b for b in image if m in b)
-    r = holder.index(m)
-    gamma = ((tuple(x - 1 for x in holder[r:] + holder[:r]),),
-             tuple(tuple(x - 1 for x in b) for b in image if b is not holder))
+    if all([verdicts.get((n, m, b)) or _block_agrees(verdicts, n, m, b) for b in blocks]):
+        return None
+    image = [tuple(x - 1 for x in b) for b in _f_nm(blocks, n, m)]
+    i = next(i for i, b in enumerate(image) if m - 1 in b)
+    r = image[i].index(m - 1)
     pulled = [tuple((m + q - 2) % n for q in b) for b in blocks]
-    eta = (((m - 1,) + pulled[0][1:-1],), tuple(pulled[1:]))
-    return None if _rows_agree(gamma, eta) else ((1, *gamma), (-1, *eta))
+    return ((1, (image[i][r:] + image[i][:r],), tuple(image[:i] + image[i + 1:])),
+            (-1, (pulled[0][:-1],), tuple(pulled[1:])))
 
 
 def _gamma_eta_sum(tables, k: int, n: int, sides: tuple):

@@ -20,8 +20,8 @@ from operator import add
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
 from .families import MultilinearFamily, _require_same_shape, diagonal_delta, is_tracial
 from .cumulants import (
-    _cfree, _dual, _first_difference, _graded, _moments, _moments_cfree, _ungraded)
-from .deltastar import _graded_psi
+    _boolean, _cfree, _dual, _first_difference, _graded, _moments, _moments_cfree, _ungraded)
+from .deltastar import _graded_delta_star
 
 
 def _block_diagonal(k1: int, k2: int):
@@ -143,19 +143,20 @@ def boxplus_b(
 
 def _intertwine_counterexample(check_pairs, join, K, mu1, nu1, mu2, nu2):
     """The intertwining statement for the ops that join cumulants by join
-    over K letters, both sides at the scale D**(n+1) of `_graded_psi` at
-    the diagonal tensor, to which the infinitesimal part is linear."""
+    over K letters, both sides at the scale D**(n+1) of `_graded_delta_star`
+    at the diagonal tensor, to which the infinitesimal part is linear."""
     check_pairs(mu1, nu1, mu2, nu2)
     if mu1.N < 2:
         raise DegreeTooLow("inputs must have degree at least 2")
     if not is_tracial(mu1) or not is_tracial(mu2):
         raise NotTracial("mu1 and mu2 must be tracial")
     _, (p1, c1, p2, c2) = _graded(mu1, nu1, mu2, nu2)
-    k1, k2 = mu1.k, mu2.k
-    mu, mup = _joined(join, K, k1, (p1[:-1], _graded_psi(diagonal_delta(k1), c1, k1)[1]),
-                      k2, (p2[:-1], _graded_psi(diagonal_delta(k2), c2, k2)[1]))
-    nu = _moments_cfree(mu, join(_cfree(p1, c1, k1), _cfree(p2, c2, k2)), K)
-    return _first_difference(K, mup[1:], _graded_psi(diagonal_delta(K), nu, K)[1][1:])
+    k1, k2, b1, b2 = mu1.k, mu2.k, _boolean(c1), _boolean(c2)
+    mu, mup = _joined(join, K, k1, (p1[:-1], _graded_delta_star(diagonal_delta(k1), b1, k1)[1]),
+                      k2, (p2[:-1], _graded_delta_star(diagonal_delta(k2), b2, k2)[1]))
+    nu = _moments_cfree(mu, join(_cfree(p1, c1, k1, b1), _cfree(p2, c2, k2, b2)), K)
+    psi = _graded_delta_star(diagonal_delta(K), _boolean(nu), K)[1]
+    return _first_difference(K, mup[1:], psi[1:])
 
 
 def product_intertwine_counterexample(

@@ -382,8 +382,9 @@ def _lemma210(seed, k, n, l):
 
 def _lemma67(seed, k, n, l):
     # inputs are drawn only for an open case; chi at the degree n + 2 its seed names
+    verdicts = {}
     open_cases = [(case[0], sides) for case in _gamma_eta_cases(n)
-                  if (sides := _gamma_eta_rows(*case))]
+                  if (sides := _gamma_eta_rows(*case, verdicts))]
     if not open_cases:
         return None
     phi, delta = random_tracial(k, n + 1, seed=seed), random_delta(k, seed=seed + 2)

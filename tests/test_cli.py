@@ -602,7 +602,7 @@ def test_lemma67_reports_the_first_counterexample(monkeypatch):
     # (1, 1) sums to nonzero; the report names the first of those
     import ncprob.selftest as st
 
-    def rows(n, m, blocks):
+    def rows(n, m, blocks, verdicts):
         return (n, m) if (n, m) in {(1, 1), (2, 1), (3, 2)} else None
 
     monkeypatch.setattr(st, "_gamma_eta_rows", rows)

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -352,20 +357,22 @@ def test_gamma_eta_rejects_bad_partition():
 
 def test_cyclic_identity_checks_psi_k(monkeypatch):
     # the cyclic check must read psi_k's graded core itself: a core that is
-    # off on one word has to make it fail at that word
+    # off by one on the word (2, 1) is off there on both sides, but the
+    # infinitesimal cumulants of its psi side also move at (1, 2, 1), whose
+    # pair {2, 3} reads (2, 1) next to a singleton, so the check fails there
     import ncprob.deltastar as ds
 
-    real = ds._graded_psi
+    real = ds._graded_delta_star
 
-    def off(delta, c, k):
-        T, out = real(delta, c, k)
+    def off(delta, layers, k):
+        T, out = real(delta, layers, k)
         out[2][words_of_length(2, 2).index((2, 1))] += 1
         return T, out
 
-    monkeypatch.setattr(ds, "_graded_psi", off)
+    monkeypatch.setattr(ds, "_graded_delta_star", off)
     mu = random_tracial(2, 4, seed=103)
     nu = random_family(2, 4, seed=104)
-    assert ds.cyclic_cumulant_counterexample(mu, nu) == (2, 1)
+    assert ds.cyclic_cumulant_counterexample(mu, nu) == (1, 2, 1)
     assert not verify_theorem_cyclic(mu, nu)
 
 
@@ -486,8 +493,9 @@ def test_lemma67_draws_chi_once_and_reports_the_eager_search(monkeypatch, k, N, 
 @pytest.mark.parametrize("merge_at_next_slot", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch, k, merge_at_next_slot):
-    # every case whose rows agree must have an all-zero layer sum on seeded
-    # inputs, under the real f_nm and under one that merges at slot m+1
+    # every case that the search closes, its blocks all alike on both rows,
+    # must have an all-zero layer sum on seeded inputs, under the real f_nm
+    # and under one that merges at slot m+1
     import ncprob.deltastar as ds
     from ncprob.selftest import _gamma_eta_cases
 
@@ -497,18 +505,13 @@ def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch,
     chi = random_family(k, 7, seed=140 + k)
     d = random_delta(k, seed=150 + k)
     tables = ds._gamma_eta_tables(d, chi, phi)
-    certified = ds._rows_agree
-    verdicts = []
-
-    def record(*rows):
-        verdicts.append(certified(*rows))
-        return False  # sum every case
-
-    monkeypatch.setattr(ds, "_rows_agree", record)
+    cases, verdicts = list(_gamma_eta_cases(6)), {}
+    certified = [ds._gamma_eta_rows(*case, verdicts) is None for case in cases]
+    monkeypatch.setattr(ds, "_block_agrees", lambda verdicts, n, m, b: False)  # sum every case
     closed = numeric = 0
-    for case in _gamma_eta_cases(6):
-        first = ds._gamma_eta_sum(tables, k, case[0], ds._gamma_eta_rows(*case))
-        if verdicts.pop():
+    for case, closes in zip(cases, certified):
+        first = ds._gamma_eta_sum(tables, k, case[0], ds._gamma_eta_rows(*case, {}))
+        if closes:
             assert first is None, case
             closed += 1
         numeric += first is not None
@@ -518,6 +521,7 @@ def test_gamma_eta_certificate_closes_only_cases_whose_sum_vanishes(monkeypatch,
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gamma_eta_certificate_closes_every_case_without_slot_tables(monkeypatch, k):
+    # under the real f_nm every case closes block by block, so no layer sum runs
     import ncprob.deltastar as ds
     from ncprob.selftest import _gamma_eta_cases, verify_report
 
@@ -526,8 +530,9 @@ def test_gamma_eta_certificate_closes_every_case_without_slot_tables(monkeypatch
 
     monkeypatch.setattr(ds, "_slot_table", unreachable)
     monkeypatch.setattr(ds, "_lattice_sum", unreachable)
+    verdicts = {}
     for case in _gamma_eta_cases(7):
-        assert ds._gamma_eta_rows(*case) is None
+        assert ds._gamma_eta_rows(*case, verdicts) is None
     assert verify_report("lemma67", 0, k, 6)["ok"] is True
 
 
@@ -545,11 +550,19 @@ def _blocks_in_any_order(positions):
                     yield (block, *blocks)
 
 
+def _least(block):
+    """The block rotated to start at its least position."""
+    r = block.index(min(block))
+    return block[r:] + block[:r]
+
+
 def test_rows_agree_exactly_when_their_sums_agree():
     # over 3 letters a seeded tracial phi tells a block from its reorderings
     # other than rotations, so on every row over 4 positions (an ordered
-    # core, blocks of phi in any order) the certificate must be exact: it
-    # may neither close rows whose sums differ nor miss rows whose sums agree
+    # core, blocks of phi in any order) two rows sum alike exactly when they
+    # have the same cores in order and the same blocks up to order and
+    # rotation; the search's certificate, the same blocks in the same order
+    # each up to rotation, implies that, so it closes only rows that sum alike
     import ncprob.deltastar as ds
     from ncprob.cumulants import _lattice_sum
 
@@ -565,4 +578,49 @@ def test_rows_agree_exactly_when_their_sums_agree():
     sums = [_lattice_sum(((1, *row),), tables, 3, 4) for row in rows]
     for a, x in zip(rows, sums):
         for b, y in zip(rows, sums):
-            assert ds._rows_agree(a, b) == (x == y), (a, b)
+            as_data = a[0] == b[0] and {*map(_least, a[1])} == {*map(_least, b[1])}
+            assert as_data == (x == y), (a, b)
+
+
+def test_a_warm_lemma67_search_still_sees_a_later_fault():
+    # no verdict outlives its search: after a clean run, f_nm merging at slot
+    # m+1 must fail as it does in a process that never ran the clean search;
+    # each side runs in a fresh process, so no other test's search is warm
+    script = ("import json, sys, ncprob.deltastar as ds\n"
+              "from ncprob.selftest import verify_report\n"
+              "clean = [verify_report('lemma67', 0, 2, 6)] if sys.argv[1] == 'warm' else []\n"
+              "real = ds._f_nm\n"
+              "ds._f_nm = lambda blocks, n, m: real(blocks, n, m % n + 1)\n"
+              "print(json.dumps(clean + [verify_report('lemma67', 0, 2, 6)]))\n")
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    warm, cold = (json.loads(subprocess.run(
+        [sys.executable, "-c", script, side], capture_output=True, text=True, env=env,
+        check=True, timeout=60).stdout) for side in ("warm", "cold"))
+    assert warm[0]["ok"] is True
+    assert warm[1]["ok"] is False
+    assert warm[1] == cold[0]
+
+
+def test_lemma67_sees_a_fault_at_one_deep_case(monkeypatch):
+    # f_nm merges at slot m+1 only at (n, m) = (9, 5), and only on the blocks
+    # of rho that hold neither 1 nor 9: each such block is also a block of
+    # some rho at n = 8 and m = 5, and of the same rho at n = 9 and m < 5, so
+    # a block verdict kept without n or without m would hide the fault
+    from click.testing import CliRunner
+
+    import ncprob.deltastar as ds
+    from ncprob.cli import main
+
+    real = ds._f_nm
+
+    def planted(blocks, n, m):
+        deep = (n, m) == (9, 5)
+        return tuple(real((b,), n, m % n + 1 if deep and b[0] > 1 and 9 not in b else m)[0]
+                     for b in blocks)
+
+    monkeypatch.setattr(ds, "_f_nm", planted)
+    res = CliRunner().invoke(main, ["verify", "--theorem", "lemma67", "--N", "9"])
+    assert res.exit_code == 1
+    report = json.loads(res.output)
+    assert report["ok"] is False and report["N"] == 9
