@@ -65,7 +65,8 @@ So the terms of one (a, b) over a layer run over h, then inner[b - a]
 (the mids in rank order), then the slice h * k**L : (h+1) * k**L of the
 column Q(., a) of length n - (b - a), already in the layer's order; the
 interval terms of one i are the outer product of block[i] and
-moments[n - i].
+moments[n - i].  Every graded kernel reads its degree and letter count
+off its layers, as len(layers) - 1 and len(layers[1]), and takes neither.
 
 The lattice sums stay as the paper's definitions and as the oracles, on
 the same layers.  `_ranks(k, n, positions)` lists, over the words w of
@@ -122,8 +123,8 @@ def _graded(*families: MultilinearFamily) -> tuple[int, list[list]]:
     return D, [[[1]] + [_scaled(x, D ** n) for n, x in enumerate(f._layers) if n] for f in families]
 
 
-def _ungraded(D: int, layers: list, k: int, kind: str, scale: int = 1) -> MultilinearFamily:
-    """The family of degree len(layers) - 1 with value layers[n][rank] / (scale * D**n)."""
+def _ungraded(D: int, layers: list, kind: str, scale: int = 1) -> MultilinearFamily:
+    """The family with value layers[n][rank] / (scale * D**n), its k and N read off layers."""
     out, new = [()], object.__new__
     for n in range(1, len(layers)):
         P, layer = scale * D ** n, []
@@ -132,7 +133,7 @@ def _ungraded(D: int, layers: list, k: int, kind: str, scale: int = 1) -> Multil
             q._numerator, q._denominator = v // g, P // g
             layer.append(q)
         out.append(tuple(layer))
-    return MultilinearFamily._trusted(k, len(layers) - 1, tuple(out), kind)
+    return MultilinearFamily._trusted(len(out[1]), len(layers) - 1, tuple(out), kind)
 
 
 def _blank(N: int, parts: int = 1) -> tuple:
@@ -182,8 +183,7 @@ def _interval(block: tuple, mom: tuple, solve: bool, lengths=None) -> tuple:
     return unknown
 
 
-def _closed(k: int, block: tuple, inner: tuple, target: tuple, solve: bool,
-            lengths=None, Q=None) -> tuple:
+def _closed(block: tuple, inner: tuple, target: tuple, solve: bool, lengths=None, Q=None) -> tuple:
     """target(w) = sum over the blocks V holding both ends of w of block(w|V)
     * prod inner(gap), as in `_interval`, by the cut recursion on Q, which
     maps each length m read so far to its columns: Q[m][j][a] is part j of
@@ -191,11 +191,11 @@ def _closed(k: int, block: tuple, inner: tuple, target: tuple, solve: bool,
     and the columns run up from Q(w, 0) = target(w), adding the terms on
     -inner; otherwise target is, and they run down from Q(w, n-1) =
     block(w) = Q(w, n-2).  No word reads the longest words' columns, which
-    are not kept.  The degree is block's.  Fills and returns the unknown."""
+    are not kept.  The degree is block's, k the known side's.  Fills and returns the unknown."""
     Q = {} if Q is None else Q
-    N = len(block[0]) - 1
-    K = [k ** L for L in range(N + 1)]
     known, unknown = (target, block) if solve else (block, target)
+    N, k = len(block[0]) - 1, len(known[0][1])
+    K = [k ** L for L in range(N + 1)]
     inner = _negated(inner) if solve else inner
     for n in range(1, N + 1) if lengths is None else lengths:
         cols = [[part[n]] * n for part in known]
@@ -222,72 +222,71 @@ def _boolean(c: list) -> list:
     return _interval(_blank(len(c) - 1), (c,), True)[0]
 
 
-def _cfree(p: list, c: list, k: int, beta: list | None = None) -> list:
+def _cfree(p: list, c: list, beta: list | None = None) -> list:
     """Graded c-free cumulants of the graded moments (p, c): their closed
     sums, moments of p in the gaps, are the Boolean cumulants beta of c,
     computed unless given.  With c = p they are the free cumulants of p."""
-    return _closed(k, _blank(len(p) - 1), (p,), (_boolean(c) if beta is None else beta,), True)[0]
+    return _closed(_blank(len(p) - 1), (p,), (_boolean(c) if beta is None else beta,), True)[0]
 
 
-def _moments(jet: tuple, k: int) -> tuple:
+def _moments(jet: tuple) -> tuple:
     """The moments jet of the free cumulant jet, one part for the plain
     moments and two for the infinitesimal ones, length by length because
     the closed sums read the moments in their gaps."""
     N, parts = len(jet[0]) - 1, len(jet)
     beta, mom, Q = _blank(N, parts), _blank(N, parts), {}
     for n in range(1, N + 1):
-        _closed(k, jet, mom, beta, False, (n,), Q)
+        _closed(jet, mom, beta, False, (n,), Q)
         _interval(beta, mom, False, (n,))
     return mom
 
 
-def _moments_cfree(p: list, kc: list, k: int) -> list:
+def _moments_cfree(p: list, kc: list) -> list:
     """Graded c-free moments from the graded moments p and c-free cumulants kc."""
     N = len(kc) - 1
-    return _interval(_closed(k, (kc,), (p,), _blank(N), False), _blank(N), False)[0]
+    return _interval(_closed((kc,), (p,), _blank(N), False), _blank(N), False)[0]
 
 
-def _moments_cc(p: list, cc: list, k: int) -> list:
+def _moments_cc(p: list, cc: list) -> list:
     """Graded c-free moments from the graded moments p and alternative
     c-free cumulants cc: beta_chi is beta_phi plus the closed sums of cc."""
     N = len(cc) - 1
-    closed = _closed(k, (cc,), (p,), _blank(N), False)[0]
+    closed = _closed((cc,), (p,), _blank(N), False)[0]
     beta = [list(map(add, x, y)) for x, y in zip(closed, _boolean(p))]
     return _interval((beta,), _blank(N), False)[0]
 
 
-def _explicit(p: list, c: list, k: int) -> list:
+def _explicit(p: list, c: list) -> list:
     """Graded c-free cumulants of (p, c) by the explicit formula."""
-    F = _interval(_negated((_cfree(p, p, k),)), _blank(len(p) - 1), False)
-    return _closed(k, (_boolean(c),), F, _blank(len(p) - 1), False)[0]
+    F = _interval(_negated((_cfree(p, p),)), _blank(len(p) - 1), False)
+    return _closed((_boolean(c),), F, _blank(len(p) - 1), False)[0]
 
 
-def _cc(p: list, c: list, k: int) -> list:
-    """Graded alternative c-free cumulants of (phi, chi) = (p, c): kappa_cc
-    = kappa_c - kappa_phi, so their closed sums are beta_chi - beta_phi."""
-    diff = [list(map(sub, x, y)) for x, y in zip(_boolean(c), _boolean(p))]
-    return _closed(k, _blank(len(p) - 1), (p,), (diff,), True)[0]
+def _cc(p: list, c: list) -> list:
+    """Graded alternative c-free cumulants of (phi, chi) = (p, c): as kappa_cc =
+    kappa_c - kappa_phi, the solve of `_cfree` against beta_chi - beta_phi."""
+    return _cfree(p, c, [list(map(sub, x, y)) for x, y in zip(_boolean(c), _boolean(p))])
 
 
-def _dual(jet: tuple, k: int) -> tuple:
+def _dual(jet: tuple) -> tuple:
     """The free cumulant jet of the moments jet, inverting `_moments`: the
     real part, and for (p, dp) the epsilon part of the free cumulants of
     p + epsilon * dp, the infinitesimal cumulants, linear in dp."""
     N, parts = len(jet[0]) - 1, len(jet)
-    return _closed(k, _blank(N, parts), jet, _interval(_blank(N, parts), jet, True), True)
+    return _closed(_blank(N, parts), jet, _interval(_blank(N, parts), jet, True), True)
 
 
 # ---------------------------------------------------------------------------
 # The lattice kernel, the paper's definition and the oracle
 # ---------------------------------------------------------------------------
 
-def _lattice_sum(rows, sources, k: int, n: int) -> list:
+def _lattice_sum(rows, sources, n: int) -> list:
     """The layer of length n of the sum over rows (coefficient, group, group,
     ...) of the coefficient times, for each source's graded layers and each
     block b in that source's group, the source on w|b.  It runs on the rows'
     circuit, children first: a node's value is its coefficient plus, over
     its edges, the gather of the edge's (source, block) times the child's."""
-    factors, nodes = _circuit(rows)
+    factors, nodes, k = *_circuit(rows), len(sources[0][1])
     gathers = [list(map(sources[i][len(b)].__getitem__, _ranks(k, n, b))) for i, b in factors]
     values: list = []
     for coeff, edges in nodes:
@@ -356,31 +355,31 @@ def _signed_table(n: int, flavor: Flavor):
 
 def _on_layers(core: Callable, kind: str, f: MultilinearFamily,
                *others: MultilinearFamily) -> MultilinearFamily:
-    """The shape check, then core(the graded layers of f and the others, k)
+    """The shape check, then core(the graded layers of f and the others)
     read back at their one D as a family of the given kind."""
     _require_same_shape(f, *others)
     D, layers = _graded(f, *others)
-    return _ungraded(D, core(*layers, f.k), f.k, kind)
+    return _ungraded(D, core(*layers), kind)
 
 
 def free_cumulants(phi: MultilinearFamily) -> MultilinearFamily:
     """Moebius inversion of the moment family over NC(n)."""
-    return _on_layers(lambda p, k: _cfree(p, p, k), "free-cumulant", phi)
+    return _on_layers(lambda p: _cfree(p, p), "free-cumulant", phi)
 
 
 def moments_from_free(kappa: MultilinearFamily) -> MultilinearFamily:
     """Inverse of free_cumulants: the product sum over NC(n)."""
-    return _on_layers(lambda c, k: _moments((c,), k)[0], "moment", kappa)
+    return _on_layers(lambda c: _moments((c,))[0], "moment", kappa)
 
 
 def boolean_cumulants(chi: MultilinearFamily) -> MultilinearFamily:
     """Signed sum over the interval partitions."""
-    return _on_layers(lambda c, k: _boolean(c), "boolean-cumulant", chi)
+    return _on_layers(_boolean, "boolean-cumulant", chi)
 
 
 def moments_from_boolean(beta: MultilinearFamily) -> MultilinearFamily:
     """Inverse of boolean_cumulants."""
-    return _on_layers(lambda b, k: _interval((b,), _blank(len(b) - 1), False)[0], "moment", beta)
+    return _on_layers(lambda b: _interval((b,), _blank(len(b) - 1), False)[0], "moment", beta)
 
 
 def infinitesimal_cumulants(
@@ -388,8 +387,7 @@ def infinitesimal_cumulants(
 ) -> MultilinearFamily:
     """One distinguished block carries the derivative family, all others the
     moments, with the usual Moebius weight."""
-    return _on_layers(lambda p, dp, k: _dual((p, dp), k)[1], "infinitesimal-cumulant",
-                      phi, phi_prime)
+    return _on_layers(lambda p, dp: _dual((p, dp))[1], "infinitesimal-cumulant", phi, phi_prime)
 
 
 def infinitesimal_moments(
@@ -397,8 +395,7 @@ def infinitesimal_moments(
 ) -> MultilinearFamily:
     """Reconstruct the derivative family from free cumulants of the base and
     the infinitesimal cumulants; inverse of infinitesimal_cumulants."""
-    return _on_layers(lambda c, dc, k: _moments((c, dc), k)[1], "infinitesimal",
-                      kappa_phi, kappa_prime)
+    return _on_layers(lambda c, dc: _moments((c, dc))[1], "infinitesimal", kappa_phi, kappa_prime)
 
 
 def cfree_cumulants(
@@ -456,9 +453,9 @@ def eq_typeb_counterexample(phi: MultilinearFamily, phi_prime: MultilinearFamily
     _require_same_shape(phi, phi_prime)
     _check_size(phi.N, DEFAULT_SIGNED_LIMIT, "signed enumeration")  # before any sum
     _, (p, dp) = _graded(phi, phi_prime)
-    kphi, kprime = _dual((p, dp), phi.k)
-    got = (_lattice_sum(tuple(r for r in _signed_table(n, Flavor.B) if r[1]), (kprime, kphi),
-                        phi.k, n) for n in range(1, phi.N + 1))
+    kphi, kprime = _dual((p, dp))
+    got = (_lattice_sum(tuple(r for r in _signed_table(n, Flavor.B) if r[1]), (kprime, kphi), n)
+           for n in range(1, phi.N + 1))
     return _first_difference(phi.k, got, dp[1:])
 
 
@@ -469,7 +466,9 @@ def eq_bopp_counterexample(phi: MultilinearFamily, chi: MultilinearFamily):
     _require_same_shape(phi, chi)
     _check_size(phi.N, DEFAULT_SIGNED_LIMIT, "signed enumeration")  # before any sum
     _, (p, c) = _graded(phi, chi)
-    kphi, kcc = _cfree(p, p, phi.k), _cc(p, c, phi.k)
-    got = (_lattice_sum(tuple(r for r in _signed_table(n, Flavor.B_OPP) if r[1]), (kcc, kphi),
-                        phi.k, n) for n in range(1, phi.N + 1))
+    bphi = _boolean(p)  # once, for the solves of kappa_phi and of kappa_cc as in `_cc`
+    kphi, kcc = _cfree(p, p, bphi), _cfree(p, c, [list(map(sub, x, y))
+                                                  for x, y in zip(_boolean(c), bphi)])
+    got = (_lattice_sum(tuple(r for r in _signed_table(n, Flavor.B_OPP) if r[1]), (kcc, kphi), n)
+           for n in range(1, phi.N + 1))
     return _first_difference(phi.k, got, [list(map(sub, x, y)) for x, y in zip(c[1:], p[1:])])

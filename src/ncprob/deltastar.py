@@ -24,8 +24,9 @@ rotations of w, each gathered from the last through the rank map
 (`cumulants._ranks`) of the rotation by one.  psi_delta, psi_k (T = 1)
 and the identity checks run it on graded Boolean cumulants, once a check;
 delta_star and psi_delta share one boundary: the input checks, one
-grading and one reading at T * D.  Every entry given a tensor
-checks each family's k against it, before grading, by `_require_dim`.
+grading and one reading at T * D.  Every entry given a tensor checks each
+family's k against it, before grading, by `_require_dim`, so the graded
+cores read their degree off the layers and their letter count off it.
 
 This module also hosts the two block-decorated functionals gamma and eta,
 kept as Fraction implementations of their definitions and used as oracles,
@@ -90,13 +91,14 @@ def _scaled_expansion(delta: DeltaTensor) -> tuple[int, dict]:
     return T, {i: tuple(triples) for i, triples in out.items()}
 
 
-def _slot_table(expansion: dict, layer: list, k: int, L: int) -> list:
-    """Over the words (x, u) of length L + 1 in rank order, the sum over x's
-    scaled triples (j, l, c) of c * layer[rank(l, u, j)], layer holding the
-    words of length L + 2: for fixed (j, l), the ranks of (l, u, j) over u
-    are the stride-k slice from (l - 1) * k**(L+1) + j - 1."""
+def _slot_table(expansion: dict, layer: list, L: int) -> list:
+    """Over the words (x, u) of length L + 1 in rank order, x one of the k
+    letters that expansion keys, the sum over x's triples (j, l, c) of
+    c * layer[rank(l, u, j)], layer holding the words of length L + 2: for
+    fixed (j, l), the ranks of (l, u, j) over u are the stride-k slice from
+    (l - 1) * k**(L+1) + j - 1."""
+    k, out = len(expansion), []
     K = k ** L
-    out = []
     for x in range(1, k + 1):
         out += map(sum, zip([0] * K, *(
             [c * y for y in layer[(l - 1) * k * K + j - 1:l * k * K:k]]
@@ -104,16 +106,16 @@ def _slot_table(expansion: dict, layer: list, k: int, L: int) -> list:
     return out
 
 
-def _graded_delta_star(delta: DeltaTensor, layers: list, k: int) -> tuple[int, list]:
+def _graded_delta_star(delta: DeltaTensor, layers: list) -> tuple[int, list]:
     """(T, the transform's layers, to degree N) on the graded layers of a
-    family of degree N + 1: layer n sums the slot table of the input's layer
-    n + 1 read at the n rotations of w, each gathered from the last through
-    the rank map of the rotation by one; ints at scale T * D**(n+1)."""
+    family of degree N + 1 over delta's letters: layer n sums the slot table
+    of the input's layer n + 1 read at the n rotations of w, each gathered
+    from the last through the rank map of the rotation by one; at T * D**(n+1)."""
     T, expansion = _scaled_expansion(delta)
     out = [[1]]
     for n in range(1, len(layers) - 1):
-        gathers = [_slot_table(expansion, layers[n + 1], k, n - 1)]
-        step = _ranks(k, n, (*range(1, n), 0))
+        gathers = [_slot_table(expansion, layers[n + 1], n - 1)]
+        step = _ranks(delta.k, n, (*range(1, n), 0))
         for _ in range(n - 1):
             gathers.append([gathers[-1][r] for r in step])
         out.append(list(map(sum, zip(*gathers))))
@@ -121,13 +123,13 @@ def _graded_delta_star(delta: DeltaTensor, layers: list, k: int) -> tuple[int, l
 
 
 def _transformed(core: Callable, delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
-    """The input checks, then core(delta, the graded layers of f, k) read at T * D."""
+    """The input checks, then core(delta, the graded layers of f) read at T * D."""
     _require_dim(delta, f)
     if f.N < 2:
         raise DegreeTooLow("input degree must be at least 2")
     D, (val,) = _graded(f)
-    T, out = core(delta, val, f.k)
-    return _ungraded(D, out, f.k, "infinitesimal", T * D)
+    T, out = core(delta, val)
+    return _ungraded(D, out, "infinitesimal", T * D)
 
 
 def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
@@ -137,7 +139,7 @@ def delta_star(delta: DeltaTensor, f: MultilinearFamily) -> MultilinearFamily:
 
 def psi_delta(delta: DeltaTensor, chi: MultilinearFamily) -> MultilinearFamily:
     """The transform applied to the Boolean cumulants of chi."""
-    return _transformed(lambda d, c, k: _graded_delta_star(d, _boolean(c), k), delta, chi)
+    return _transformed(lambda d, c: _graded_delta_star(d, _boolean(c)), delta, chi)
 
 
 def psi_k(nu: MultilinearFamily) -> MultilinearFamily:
@@ -233,8 +235,8 @@ def cumulant_transform_counterexample(
         raise NotTracial("phi must be tracial")
     _, (p, c) = _graded(phi, chi)
     beta = _boolean(c)
-    lhs = _dual((p[:-1], _graded_delta_star(delta, beta, phi.k)[1]), phi.k)[1]
-    rhs = _graded_delta_star(delta, _cfree(p, c, phi.k, beta), phi.k)[1]
+    lhs = _dual((p[:-1], _graded_delta_star(delta, beta)[1]))[1]
+    rhs = _graded_delta_star(delta, _cfree(p, c, beta))[1]
     return _first_difference(phi.k, lhs[1:], rhs[1:])
 
 
@@ -294,7 +296,7 @@ def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: Multiline
     length L + 1 summing x's triples (j, l, c) of c * beta(l, u, j)."""
     _, (p, c) = _graded(phi, chi)
     beta, expansion = _boolean(c), _scaled_expansion(delta)[1]
-    return [None] + [_slot_table(expansion, beta[L + 2], chi.k, L) for L in range(chi.N - 1)], p
+    return [None] + [_slot_table(expansion, beta[L + 2], L) for L in range(chi.N - 1)], p
 
 
 def _block_agrees(verdicts: dict, n: int, m: int, b: tuple) -> bool:
@@ -330,7 +332,7 @@ def _gamma_eta_rows(n: int, m: int, blocks: tuple, verdicts: dict):
 def _gamma_eta_sum(tables, k: int, n: int, sides: tuple):
     """The sum step: the first word of length n over k letters where the rows
     sum to nonzero on the tables, at the scale D**(n+1) times T, or None."""
-    return _first_word(k, n, _lattice_sum(sides, tables, k, n), [0] * k ** n)
+    return _first_word(k, n, _lattice_sum(sides, tables, n), [0] * k ** n)
 
 
 def verify_gamma_eta(

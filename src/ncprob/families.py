@@ -25,6 +25,7 @@ the generator state it leaves against the randint recipe.
 
 import itertools
 import random as _random
+from collections.abc import Mapping
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
@@ -121,6 +122,8 @@ class MultilinearFamily(_Value):
 
     def __init__(self, k: int, N: int, values, kind: str = "moment") -> None:
         _check_shape(k, N, kind)
+        if not isinstance(values, Mapping):
+            raise InvalidFamily(f"values must map words to values, got {type(values).__name__}")
         if _word_count(k, N, len(values)) > len(values):  # counted before any word is listed
             raise ShapeMismatch(f"fewer values than words of length 1..{N} over 1..{k}")
         layers = [[] for _ in range(N + 1)]
@@ -321,7 +324,10 @@ class DeltaTensor(_Value):
         if not _int_in(k, 1):
             raise DimMismatch(f"k must be positive, got {k!r}")
         table: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, l), v in dict(entries).items():
+        for key, v in dict(entries).items():
+            if not (isinstance(key, tuple) and len(key) == 3):
+                raise DimMismatch(f"index {key!r} is not a triple (i, j, l)")
+            i, j, l = key
             if not (_int_in(i, 1, k) and _int_in(j, 1, k) and _int_in(l, 1, k)):
                 raise DimMismatch(f"index ({i!r},{j!r},{l!r}) outside 1..{k}")
             q = _fraction(v)

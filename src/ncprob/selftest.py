@@ -216,19 +216,19 @@ def _criterion_cfree_formula(seed):
     for i in range(20):
         s = seed * 1000 + 100 + i
         _, (val, c) = _graded(random_family(2, 5, seed=s), random_family(2, 5, seed=s + 5000))
-        kp, kcl, bphi, bchi = _cfree(val, val, 2), _cfree(val, c, 2), _boolean(val), _boolean(c)
-        if _explicit(val, c, 2) != kcl:
+        kp, kcl, bphi, bchi = _cfree(val, val), _cfree(val, c), _boolean(val), _boolean(c)
+        if _explicit(val, c) != kcl:
             return False, f"explicit formula != recursion at draw {i}"
         for n in range(1, 6):
             for want, sources, what in ((kp, (bphi, bphi), "free-from-boolean"),
                                         (kcl, (bchi, bphi), "c-free boolean")):
-                w = _first_word(2, n, want[n], _lattice_sum(rows[n][0], sources, 2, n))
+                w = _first_word(2, n, want[n], _lattice_sum(rows[n][0], sources, n))
                 if w is not None:
                     return False, f"{what} resummation fails at {w}"
         for n in range(2, 6):
             for by_sign, by_mob in rows[n][1].values():
-                w = _first_word(2, n, _lattice_sum(by_sign, (bphi,), 2, n),
-                                _lattice_sum(by_mob, (val,), 2, n))
+                w = _first_word(2, n, _lattice_sum(by_sign, (bphi,), n),
+                                _lattice_sum(by_mob, (val,), n))
                 if w is not None:
                     return False, f"fixed-block resummation fails at {w}"
     return True, "explicit c-free formula and the three resummation lemmas exact on 20 pairs"
@@ -238,7 +238,7 @@ def _explicit_failure(phi, chi):
     """The first word where the explicit c-free formula and the recursion
     differ, or None; both sides graded at one D."""
     _, (p, c) = _graded(phi, chi)
-    return _first_difference(phi.k, _explicit(p, c, phi.k)[1:], _cfree(p, c, phi.k)[1:])
+    return _first_difference(phi.k, _explicit(p, c)[1:], _cfree(p, c)[1:])
 
 
 def _cc_difference_failure(phi, chi):
@@ -250,10 +250,9 @@ def _cc_difference_failure(phi, chi):
     cumulants the sum misses chi at exactly the words where it is not."""
     _check_size(phi.N, DEFAULT_SIGNED_LIMIT, "signed enumeration")  # before any sum
     _, (p, c) = _graded(phi, chi)
-    kc, kf = _cfree(p, c, phi.k), _cfree(p, p, phi.k)
+    kc, kf = _cfree(p, c), _cfree(p, p)
     kcc = [[a - b for a, b in zip(x, y)] for x, y in zip(kc, kf)]
-    got = (_lattice_sum(_signed_table(n, Flavor.B_OPP), (kcc, kf), phi.k, n)
-           for n in range(1, phi.N + 1))
+    got = (_lattice_sum(_signed_table(n, Flavor.B_OPP), (kcc, kf), n) for n in range(1, phi.N + 1))
     return _first_difference(phi.k, got, c[1:])
 
 
@@ -323,14 +322,11 @@ def _criterion_gamma_eta(seed):
     return True, f"block-level transform identity exhaustive for n<=4 ({cases} cases)"
 
 
-def _check_restrictions(product_nu, nu1, nu2, k):
-    for w in all_words(nu1.k, nu1.N):
-        if product_nu(w) != nu1(w):
-            return False
-    for w in all_words(nu2.k, nu2.N):
-        if product_nu(tuple(x + k for x in w)) != nu2(w):
-            return False
-    return True
+def _check_restrictions(product_nu, nu1, nu2):
+    """Whether product_nu is nu1 on the first group's words and nu2 on the
+    second's, their letters raised by nu1.k."""
+    return all(product_nu(w) == nu1(w) for w in all_words(nu1.k, nu1.N)) and all(
+        product_nu(tuple(x + nu1.k for x in w)) == nu2(w) for w in all_words(nu2.k, nu2.N))
 
 
 def _criterion_products(seed):
@@ -344,14 +340,13 @@ def _criterion_products(seed):
     for i, (k, n, l) in enumerate(shapes):
         mu1, nu1, mu2, nu2 = _pairs(k, l, n + 1, seed * 1000 + 800 + i)
         mu, nu = cfree_product(mu1, nu1, mu2, nu2)
-        if not _check_restrictions(mu, mu1, mu2, k):
+        if not _check_restrictions(mu, mu1, mu2):
             return False, f"free product restriction fails at draw {i}"
-        if not _check_restrictions(nu, nu1, nu2, k):
+        if not _check_restrictions(nu, nu1, nu2):
             return False, f"c-free restriction fails at draw {i}"
-        p1 = psi_k(nu1)
-        p2 = psi_k(nu2)
+        p1, p2 = psi_k(nu1), psi_k(nu2)
         _, mup = infinitesimal_product(truncate(mu1, 3), p1, truncate(mu2, 3), p2)
-        if not _check_restrictions(mup, p1, p2, k):
+        if not _check_restrictions(mup, p1, p2):
             return False, f"infinitesimal restriction fails at draw {i}"
     return True, "both intertwine theorems exact on 25 seeded instances each, restrictions included"
 

@@ -164,7 +164,10 @@ def from_pair(pi: NcPartition, s) -> SignedNcPartition:
     Blocks in s become zero-blocks W u (-W); every other block contributes
     the pair V, -V.
     """
-    chosen = {tuple(sorted(b)) for b in s}
+    try:
+        chosen = {tuple(sorted(b)) for b in s}
+    except TypeError:
+        raise NotOuter(f"{s!r} does not list blocks of {pi}") from None
     outer = {pi.blocks[i] for i in outer_blocks(pi)}
     for b in chosen:
         if b not in outer:

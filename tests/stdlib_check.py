@@ -40,8 +40,8 @@ def main() -> None:
     print("Python", sys.version.split()[0])
     check("Fraction.__slots__", Fraction.__slots__ == ("_numerator", "_denominator"))
     P = 6 * 35 ** 2
-    values = [0, 1, -1, P, -3 * P, 2 ** 200 + 3, -(2 ** 200 + 3), -(3 ** 150)]
-    fam = _ungraded(35, [[1], values[:1], values], 3, "moment", 6)
+    values = [0, 1, -1, P, -3 * P, 2 ** 200 + 3, -(2 ** 200 + 3), -(3 ** 150), 4 * P + 7]
+    fam = _ungraded(35, [[1], values[:3], values], "moment", 6)
     check("_ungraded equals Fraction(v, P)", all(
         type(q) is Fraction
         and (q.numerator, q.denominator, hash(q), str(q)) == (r.numerator, r.denominator, hash(r), str(r))

@@ -121,7 +121,7 @@ PLANTS = [
      "infinitesimal round trip fails at draw 0"),
     (7, "moments_from_cfree", lambda real: lambda phi, kc: phi,
      "c-free round trip fails at draw 0"),
-    (8, "_explicit", lambda real: lambda p, c, k: _plus_one(real(p, c, k)),
+    (8, "_explicit", lambda real: lambda p, c: _plus_one(real(p, c)),
      "explicit formula != recursion at draw 0"),
     (8, "_boolean", lambda real: lambda c: _plus_one(real(c)),
      "free-from-boolean resummation fails at (1,)"),
@@ -129,7 +129,7 @@ PLANTS = [
      "fixed-block resummation fails at (1, 1)"),
     (11, "psi_k", lambda real: lambda nu: real(nu) if nu.N != 7 else lambda w: real(nu)(w) + 1,
      "univariate moment formula fails at n=1"),
-    # the two loops of `_check_restrictions`: the free state off on the
+    # the two halves of `_check_restrictions`: the free state off on the
     # first group's words, then on the second's only
     (13, "cfree_product", lambda real: lambda *pairs: (real(*pairs)[1],) * 2,
      "free product restriction fails at draw 0"),
@@ -164,7 +164,7 @@ def test_a_criterion_that_raises_fails_and_the_run_goes_on(monkeypatch):
     # 14's prop41 report raise in its strict compare; line 14 names the
     # exception, every other line stays golden and the CLI exits 1
     real = selftest._explicit
-    monkeypatch.setattr(selftest, "_explicit", lambda p, c, k: real(p, c, k)[:-1])
+    monkeypatch.setattr(selftest, "_explicit", lambda p, c: real(p, c)[:-1])
     want = GOLDEN_SELFTEST.read_text().splitlines()
     want[7] = "[ 8] FAIL explicit c-free formula and resummations: explicit formula != recursion at draw 0"
     want[13] = "[14] FAIL report determinism: ValueError: zip() argument 2 is longer than argument 1"

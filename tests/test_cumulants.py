@@ -388,6 +388,18 @@ def test_signed_lattice_moment_rewritings():
     assert eq_bopp_counterexample(phi, chi) is None
 
 
+def test_eq55a_builds_the_boolean_cumulants_of_phi_once(monkeypatch):
+    # the solves of kappa_phi and of kappa_cc read one beta_phi: one Boolean
+    # pass for phi and one for chi, where each solve used to run its own
+    import ncprob.cumulants as cu
+    from ncprob.selftest import TARGETS
+
+    real, calls = cu._boolean, []
+    monkeypatch.setattr(cu, "_boolean", lambda c: calls.append(1) or real(c))
+    assert TARGETS["eq55a"].check(0, 2, 5, 1) is None
+    assert len(calls) == 2
+
+
 def test_internal_tables_match_public_enumeration():
     # the cached 0-based tables drive every transform; pin them to the
     # public objects
@@ -617,7 +629,7 @@ def test_layer_lattice_sum_matches_the_per_word_sum(table, k):
     by_word = [_by_word(k, layers) for layers in sources]
     for n in range(1, N + 1):
         rows = rows_of(n)
-        assert _lattice_sum(rows, sources, k, n) == [
+        assert _lattice_sum(rows, sources, n) == [
             _word_lattice_sum(rows, by_word, w) for w in words_of_length(k, n)]
 
 
@@ -633,12 +645,12 @@ def test_lattice_sum_of_no_row_a_bare_coefficient_or_cancelling_rows(k):
     sources = [[[1]] + [[rng.randrange(-9, 10) for _ in range(k ** n)] for n in range(1, 4)]
                for _ in range(2)]
     zeros = [0] * k ** 3
-    assert _lattice_sum((), sources, k, 3) == zeros
-    assert _lattice_sum(((5,),), sources, k, 3) == [5] * k ** 3
-    assert _lattice_sum(((5, (), ()),), sources, k, 3) == [5] * k ** 3
-    assert _lattice_sum(((3,), (-3, (), ())), sources, k, 3) == zeros
-    assert _lattice_sum(((2, ((0, 2),), ((1,),)), (-2, ((0, 2),), ((1,),))), sources, k, 3) == zeros
-    assert _lattice_sum(((1, ((2,), (0, 1))), (-1, ((0, 1), (2,)))), sources, k, 3) == zeros
+    assert _lattice_sum((), sources, 3) == zeros
+    assert _lattice_sum(((5,),), sources, 3) == [5] * k ** 3
+    assert _lattice_sum(((5, (), ()),), sources, 3) == [5] * k ** 3
+    assert _lattice_sum(((3,), (-3, (), ())), sources, 3) == zeros
+    assert _lattice_sum(((2, ((0, 2),), ((1,),)), (-2, ((0, 2),), ((1,),))), sources, 3) == zeros
+    assert _lattice_sum(((1, ((2,), (0, 1))), (-1, ((0, 1), (2,)))), sources, 3) == zeros
 
 
 def _by_factors(rows):
@@ -846,14 +858,14 @@ def test_cut_recursion_matches_the_closed_block_enumeration(k, N, zeros):
 
     inputs = [graded() for _ in range(6)]
     block, dblock, inner, dinner, target, dtarget = inputs
-    forward = _closed(k, (block,), (inner,), _blank(N), False)
-    solved = _closed(k, _blank(N), (inner,), (target,), True)
+    forward = _closed((block,), (inner,), _blank(N), False)
+    solved = _closed(_blank(N), (inner,), (target,), True)
     # the dual forward pass runs length by length on one table of Q columns,
     # as the inverse transforms call it
     dforward, Q = _blank(N, 2), {}
     for n in range(1, N + 1):
-        _closed(k, (block, dblock), (inner, dinner), dforward, False, (n,), Q)
-    dsolved = _closed(k, _blank(N, 2), (inner, dinner), (target, dtarget), True)
+        _closed((block, dblock), (inner, dinner), dforward, False, (n,), Q)
+    dsolved = _closed(_blank(N, 2), (inner, dinner), (target, dtarget), True)
     outputs = [*forward, *solved, *dforward, *dsolved]
     for layers in outputs:
         assert [len(layer) for layer in layers[1:]] == [k ** n for n in range(1, N + 1)]
@@ -878,7 +890,7 @@ def test_cfree_moments_read_the_moments_one_degree_short(k, N, seed):
     from ncprob.cumulants import _graded, _moments_cfree
 
     _, (p, kc) = _graded(random_family(k, N, seed), random_family(k, N, seed + 1))
-    assert _moments_cfree(p[:-1], kc, k) == _moments_cfree(p, kc, k)
+    assert _moments_cfree(p[:-1], kc) == _moments_cfree(p, kc)
 
 
 # ---------------------------------------------------------------------------

@@ -364,8 +364,8 @@ def test_cyclic_identity_checks_psi_k(monkeypatch):
 
     real = ds._graded_delta_star
 
-    def off(delta, layers, k):
-        T, out = real(delta, layers, k)
+    def off(delta, layers):
+        T, out = real(delta, layers)
         out[2][words_of_length(2, 2).index((2, 1))] += 1
         return T, out
 
@@ -399,9 +399,9 @@ def test_transform_identity_reports_the_word_where_one_side_is_off(monkeypatch):
 
     real = ds._dual
 
-    def off(jet, k):
+    def off(jet):
         # the infinitesimal cumulants, the epsilon part, off on one word
-        out = real(jet, k)
+        out = real(jet)
         out[1][3][words_of_length(2, 3).index((2, 1, 1))] += 1
         return out
 
@@ -575,7 +575,7 @@ def test_rows_agree_exactly_when_their_sums_agree():
         for core in itertools.permutations(range(4), size)
         for blocks in _blocks_in_any_order([p for p in range(4) if p not in core])
     ]
-    sums = [_lattice_sum(((1, *row),), tables, 3, 4) for row in rows]
+    sums = [_lattice_sum(((1, *row),), tables, 4) for row in rows]
     for a, x in zip(rows, sums):
         for b, y in zip(rows, sums):
             as_data = a[0] == b[0] and {*map(_least, a[1])} == {*map(_least, b[1])}

@@ -151,8 +151,8 @@ def test_target_13_builds_free_and_c_free_states(monkeypatch):
     TARGETS["13"].check(0, k, N, l)
     (mu1, _, mu2, _), (D, _) = seen["_graded"]
     (mu_layers, mup_layers), K = seen["_joined"][1], k + l
-    mu, mup = _ungraded(D, mu_layers, K, "moment"), _ungraded(D, mup_layers, K, "infinitesimal", D)
-    nu = _ungraded(D, seen["_moments_cfree"][1], K, "moment")
+    mu, mup = _ungraded(D, mu_layers, "moment"), _ungraded(D, mup_layers, "infinitesimal", D)
+    nu = _ungraded(D, seen["_moments_cfree"][1], "moment")
     _assert_state(_joined_state(k, _factors(k, _jets(mu1), _jets(mu2))), K, N, mu)
     _assert_state(_joined_state(k, _jets(mu, mup)), K, N, mu, mup)
     _assert_state(_joined_state(k, _jets(nu), centre=_jets(mu)), K, N + 1, nu)

@@ -51,7 +51,7 @@ def test_ungraded_equals_the_fraction_constructor(D, scale):
         P = scale * D ** n
         pool = _VALUES + [P, -P, 5 * P, P * 2 ** 90, -(3 ** 40) * P, P // 2 + 1]
         layers.append([pool[(i * 7 + n) % len(pool)] for i in range(k ** n)])
-    fam = _ungraded(D, layers, k, "moment", scale)
+    fam = _ungraded(D, layers, "moment", scale)
     assert fam.k == k and fam.N == N and fam.kind == "moment"
     for n in range(1, N + 1):
         P = scale * D ** n
@@ -63,7 +63,8 @@ def test_ungraded_equals_the_fraction_constructor(D, scale):
 def test_ungraded_writes_every_listed_value_at_every_scale():
     P = 6 * 5 ** 2
     values = [0, 1, -1, P, -P, 4 * P, 2 ** 200 + 3, -(2 ** 200 + 3), -(3 ** 150)]
-    fam = _ungraded(5, [[1], values[:1], values], 3, "infinitesimal", 6)
+    fam = _ungraded(5, [[1], values[:3], values], "infinitesimal", 6)
+    assert fam.k == 3 and fam.N == 2
     for v, q in zip(values, fam._layers[2]):
         assert_same_fraction(q, Fraction(v, P))
 
@@ -95,7 +96,7 @@ def test_graded_equals_the_property_recipe(cls):
 def test_graded_then_ungraded_is_the_identity_on_subclass_values():
     fam = _family(2, 3, lambda w: (-(7 ** 30) + sum(w), 2 ** 40 * 9 * len(w)), Tagged)
     D, (layers,) = _graded(fam)
-    back = _ungraded(D, layers, fam.k, fam.kind)
+    back = _ungraded(D, layers, fam.kind)
     assert back == fam
     for got, want in zip(back._layers[1:], fam._layers[1:]):
         for q, v in zip(got, want):

@@ -20,6 +20,7 @@ from ncprob.errors import (
     InvalidFamily,
     InvalidPartition,
     LimitExceeded,
+    NotOuter,
     PositionOutOfRange,
     ShapeMismatch,
 )
@@ -38,7 +39,7 @@ from ncprob.nc import (
     NcPartition, enumerate_nc, f_nm, f_nm_inverse, interval_partitions, is_noncrossing,
     moebius_oracle, parent_block)
 from ncprob.selftest import TARGETS, verify_report
-from ncprob.typeb import Flavor, SignedNcPartition, enumerate_signed
+from ncprob.typeb import Flavor, SignedNcPartition, enumerate_signed, from_pair
 
 F = random_family(2, 3, seed=7)
 PI = NcPartition(2, [(1,), (2,)])
@@ -113,6 +114,13 @@ CASES = {
     "moebius_oracle limit=True": (lambda: moebius_oracle(PI, PI, limit=True), InvalidPartition),
     "moebius_oracle limit=None": (lambda: moebius_oracle(PI, PI, limit=None), InvalidPartition),
     "verify_report l=1.0": (lambda: verify_report("13", 0, 2, 3, l=1.0), ShapeMismatch),
+    # a container of the wrong shape: values that are not a mapping, a tensor
+    # index that is not a triple, a set of blocks that lists a label
+    "family values [1]": (lambda: MultilinearFamily(1, 1, [1]), InvalidFamily),
+    "family values None": (lambda: MultilinearFamily(1, 1, None), InvalidFamily),
+    "tensor index (1, 1)": (lambda: DeltaTensor(1, {(1, 1): 1}), DimMismatch),
+    "tensor entries [(1, 1)]": (lambda: DeltaTensor(1, [(1, 1)]), DimMismatch),
+    "from_pair blocks [1]": (lambda: from_pair(RHO, [1]), NotOuter),
 }
 
 

@@ -2,16 +2,20 @@
 
 Every brand of cumulant is a family of multilinear functionals on V, so a
 transform commutes with a renaming s of the letters, (f o s)(w) =
-f(s(w_1) ... s(w_n)), and with the pull-back of a family through one row
-a = (a_1, ..., a_k) of coefficients,
+f(s(w_1) ... s(w_n)), and with the pull-back of a family over k letters
+through a matrix A of k' rows and k columns,
 
-    (f o a)(1^n) = sum over the words w of length n of a_w1 ... a_wn f(w),
+    (f o A)(i_1 ... i_n) = sum over the words j of A[i_1][j_1] ... A[i_n][j_n] f(j),
 
-a one-variable family, whose transforms the series oracle of
+a family over k' letters.  With one row a = (a_1, ..., a_k), f o a is a
+one-variable family, whose transforms the series oracle of
 `test_series_oracle.py` solves with no kernel of `cumulants`.  Delta*
-commutes with a renaming when its tensor is renamed the same way.  Each
-check runs the letter handling that k = 1 cannot see: the rank maps, the
-`mids`/`tails` slices of `_closed` and the strides of `_slot_table`.
+commutes with a renaming when its tensor is renamed the same way, and with
+the pull-back through an invertible A when its tensor is moved through A
+too.  Each check runs the letter handling that k = 1 cannot see: the rank
+maps, the `mids`/`tails` slices of `_closed` and the strides of
+`_slot_table`, and a rectangular A runs the kernels at one letter count on
+its input side and another on its output side.
 """
 
 import itertools
@@ -32,8 +36,10 @@ from ncprob.cumulants import (
     moments_from_cfree,
     moments_from_free,
 )
-from ncprob.deltastar import delta_star
-from ncprob.families import DeltaTensor, build_family, random_delta, random_family, words_of_length
+from ncprob.deltastar import delta_star, psi_delta
+from ncprob.families import (
+    DeltaTensor, MultilinearFamily, build_family, random_delta, random_family, words_of_length)
+from ncprob.products import boxplus, boxplus_b, boxplus_c
 from test_series_oracle import _Dual, _boolean, _composed_solve, _free_jet, _moments_of, _times
 
 
@@ -129,3 +135,123 @@ def test_each_transform_pulled_back_through_a_row_is_the_series_oracle(name):
     ins = _inputs(kinds, 2, 12, seed=5)
     got, want = relation(_pulled(fn(*ins), a), *(_pulled(f, a) for f in ins))
     assert got[1:] == want[1:]
+
+
+# (convolution, the kinds of its inputs): each joins the cumulants of its
+# pairs entrywise, so it commutes with a pull-back as the transforms do
+CONVOLUTIONS = {
+    "boxplus": (boxplus, ("moment", "moment")),
+    "boxplus_c": (boxplus_c, ("moment",) * 4),
+    "boxplus_b": (boxplus_b, ("moment", "infinitesimal") * 2),
+}
+OPS = {**{name: entry[:2] for name, entry in TRANSFORMS.items()}, **CONVOLUTIONS}
+
+# rectangular integer matrices, k' rows by k columns: from k = 2 to k' = 3
+# and from k = 3 to k' = 2
+RECTANGULAR = {
+    "2to3": ((1, 2), (-1, 3), (2, 0)),
+    "3to2": ((1, -1, 2), (0, 3, 1)),
+}
+
+# square integer matrices, neither symmetric nor of determinant +-1
+SQUARE = {
+    2: ((1, 2), (-1, 3)),
+    3: ((1, 1, 0), (0, 1, 2), (1, 0, 1)),
+}
+
+
+def _pulled_back(f, A):
+    """f o A over len(A) letters, pulled back one slot at a time."""
+    values = {}
+    for n in range(1, f.N + 1):
+        table = {w: f(w) for w in words_of_length(f.k, n)}
+        for s in range(n):
+            moved: dict = {}
+            for w, v in table.items():
+                for i, row in enumerate(A, 1):
+                    u = w[:s] + (i,) + w[s + 1:]
+                    moved[u] = moved.get(u, 0) + row[w[s] - 1] * v
+            table = moved
+        values.update(table)
+    return MultilinearFamily(len(A), f.N, values, kind=f.kind)
+
+
+def _transposed(A):
+    return tuple(zip(*A))
+
+
+def _inverse(A):
+    """The inverse of a square integer matrix, over Fraction, by Gauss-Jordan."""
+    k = len(A)
+    rows = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(k)]
+            for i, row in enumerate(A)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return tuple(tuple(row[k:]) for row in rows)
+
+
+def _moved(delta, A):
+    """The tensor D' with sum over j, l of D'[i][j][l] A[l][l'] A[j][j'] =
+    sum over i' of A[i][i'] D[i'][j'][l'] for every i, j', l', for a square
+    invertible A: the slice of D' at i is A^-T (sum over i' of A[i][i']
+    D[i']) A^-1."""
+    k, B = delta.k, _inverse(A)
+    letters = range(1, k + 1)
+    entries = {(i, j, l): v for i in letters for j, l, v in delta.expand(i)}
+    out = {}
+    for i, j, l in itertools.product(letters, repeat=3):
+        out[i, j, l] = sum(
+            A[i - 1][p - 1] * B[a - 1][j - 1] * entries.get((p, a, b), 0) * B[b - 1][l - 1]
+            for p, a, b in itertools.product(letters, repeat=3))
+    return DeltaTensor(k, out)
+
+
+def _outputs(out) -> tuple:
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("shape", sorted(RECTANGULAR))
+@pytest.mark.parametrize("name", OPS)
+def test_each_op_commutes_with_a_rectangular_pull_back(name, shape):
+    # the kernels run at k on the right side and at k' on the left
+    fn, kinds = OPS[name]
+    A = RECTANGULAR[shape]
+    ins = _inputs(kinds, len(A[0]), 5, seed=11)
+    got = _outputs(fn(*(_pulled_back(f, A) for f in ins)))
+    want = tuple(_pulled_back(f, A) for f in _outputs(fn(*ins)))
+    assert all(f.k == len(A) for f in got)
+    assert got == want
+
+
+@pytest.mark.parametrize("k", sorted(SQUARE))
+def test_the_moved_tensor_satisfies_its_defining_relation(k):
+    A, delta = SQUARE[k], random_delta(k, seed=20 + k)
+    moved, letters = _moved(delta, A), range(1, k + 1)
+    for i, j2, l2 in itertools.product(letters, repeat=3):
+        lhs = sum(v * A[l - 1][l2 - 1] * A[j - 1][j2 - 1] for j, l, v in moved.expand(i))
+        rhs = sum(A[i - 1][p - 1] * v for p in letters
+                  for j, l, v in delta.expand(p) if (j, l) == (j2, l2))
+        assert lhs == rhs
+
+
+@pytest.mark.parametrize("k", sorted(SQUARE))
+@pytest.mark.parametrize("op", [delta_star, psi_delta])
+def test_delta_star_and_psi_delta_commute_with_a_pull_back_and_the_moved_tensor(op, k):
+    # psi_{D'}(chi o A) = psi_D(chi) o A, and the same for delta_star
+    A, delta, chi = SQUARE[k], random_delta(k, seed=20 + k), random_family(k, 5, seed=30 + k)
+    assert op(_moved(delta, A), _pulled_back(chi, A)) == _pulled_back(op(delta, chi), A)
+
+
+@pytest.mark.parametrize("k", sorted(SQUARE))
+@pytest.mark.parametrize("op", [delta_star, psi_delta])
+def test_the_tensor_moved_through_the_transpose_does_not_commute(op, k):
+    # negative control: the relation read with A^T in place of A moves the
+    # tensor wrongly for this A, and the check above must see it
+    A, delta, chi = SQUARE[k], random_delta(k, seed=20 + k), random_family(k, 5, seed=30 + k)
+    assert op(_moved(delta, _transposed(A)), _pulled_back(chi, A)) != _pulled_back(
+        op(delta, chi), A)

@@ -331,13 +331,13 @@ def test_cumulant_tables_determine_families():
     assert moments_from_free(k1) == moments_from_free(k2) == f
 
 
-# side -> (the graded core of products it runs, the place of K among its
-# arguments, the layers of its output to plant the fault in, the word off by
+# side -> (the graded core of products it runs, the layers of its output to
+# plant the fault in, over the K letters of their layer 1, the word off by
 # one there): psi reads the c-free moments one degree up, so it moves on
 # (1, 2) where they move on (1, 2, 1)
 FAULTS = {
-    "infinitesimal": ("_joined", 1, lambda out: out[1], (1, 2)),
-    "cfree": ("_moments_cfree", 2, lambda out: out, (1, 2, 1)),
+    "infinitesimal": ("_joined", lambda out: out[1], (1, 2)),
+    "cfree": ("_moments_cfree", lambda out: out, (1, 2, 1)),
 }
 
 
@@ -355,12 +355,13 @@ def test_intertwine_reports_the_word_where_one_side_is_off(monkeypatch, check, o
     # come back as the counterexample
     import ncprob.products as pr
 
-    name, at, layers, word = FAULTS[side]
+    name, layers, word = FAULTS[side]
     real = getattr(pr, name)
 
     def off(*args):
         out = real(*args)
-        layers(out)[len(word)][words_of_length(args[at], len(word)).index(word)] += 1
+        planted = layers(out)
+        planted[len(word)][words_of_length(len(planted[1]), len(word)).index(word)] += 1
         return out
 
     def unreachable(*args):
