@@ -26,12 +26,9 @@ _LAYERS = {
         infinitesimal_moments moments_from_boolean moments_from_cc moments_from_cfree
         moments_from_free""",
     "deltastar": """cumulant_transform_counterexample cyclic_cumulant_counterexample delta_star
-        eval_eta eval_gamma gamma_eta_counterexample psi_delta psi_k verify_gamma_eta
-        verify_theorem_cyclic verify_theorem_delta""",
-    "products": """boxplus boxplus_b boxplus_c cfree_product
-        convolution_intertwine_counterexample free_product infinitesimal_product
-        product_intertwine_counterexample verify_convolution_intertwine
-        verify_product_intertwine""",
+        eval_eta eval_gamma gamma_eta_counterexample psi_delta psi_k""",
+    "products": """boxplus boxplus_b boxplus_c cfree_product convolution_intertwine_counterexample
+        free_product infinitesimal_product product_intertwine_counterexample""",
 }
 # public name -> the module that defines it
 _HOME = {name: f"{__name__}.{mod}" for mod, names in _LAYERS.items() for name in names.split()}

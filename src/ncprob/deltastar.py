@@ -240,22 +240,12 @@ def cumulant_transform_counterexample(
     return _first_difference(phi.k, lhs[1:], rhs[1:])
 
 
-def verify_theorem_delta(
-    delta: DeltaTensor, phi: MultilinearFamily, chi: MultilinearFamily
-) -> bool:
-    return cumulant_transform_counterexample(delta, phi, chi) is None
-
-
 def cyclic_cumulant_counterexample(mu: MultilinearFamily, nu: MultilinearFamily):
     """Check that the infinitesimal cumulants of (mu, psi_k(nu)) are the
     cyclic wrap-around sums of the c-free cumulants of (mu, nu), for tracial
     mu: the transform check at the diagonal tensor.  Returns the first
     failing word or None."""
     return cumulant_transform_counterexample(diagonal_delta(mu.k), mu, nu)
-
-
-def verify_theorem_cyclic(mu: MultilinearFamily, nu: MultilinearFamily) -> bool:
-    return cyclic_cumulant_counterexample(mu, nu) is None
 
 
 def gamma_eta_counterexample(
@@ -333,14 +323,3 @@ def _gamma_eta_sum(tables, k: int, n: int, sides: tuple):
     """The sum step: the first word of length n over k letters where the rows
     sum to nonzero on the tables, at the scale D**(n+1) times T, or None."""
     return _first_word(k, n, _lattice_sum(sides, tables, n), [0] * k ** n)
-
-
-def verify_gamma_eta(
-    delta: DeltaTensor,
-    chi: MultilinearFamily,
-    phi: MultilinearFamily,
-    n: int,
-    m: int,
-    rho: NcPartition,
-) -> bool:
-    return gamma_eta_counterexample(delta, chi, phi, n, m, rho) is None

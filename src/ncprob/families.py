@@ -25,6 +25,7 @@ the generator state it leaves against the randint recipe.
 
 import itertools
 import random as _random
+import sys
 from collections.abc import Mapping
 from contextlib import suppress
 from fractions import Fraction
@@ -64,14 +65,25 @@ def _fraction(value) -> Fraction:
     InvalidFamily for a bool or anything else Fraction cannot read."""
     if type(value) is not bool:
         with suppress(*_MALFORMED):
-            return value if isinstance(value, Fraction) else Fraction(value)
+            return _read_fraction(value)
     raise InvalidFamily(f"value {value!r} is not a number")
 
 
 def _json_fraction(value) -> Fraction:
     """A value read from JSON, where `true` and `false` are no numbers and a
     float is read through its shortest decimal, so that 0.1 is 1/10."""
-    return Fraction(str(value) if type(value) in (bool, float) else value)
+    return _read_fraction(str(value) if type(value) in (bool, float) else value)
+
+
+def _read_fraction(value) -> Fraction:
+    """Fraction(value), first refusing a decimal text whose mantissa length plus
+    exponent size, a bound on its digits, is above the int-to-str digit limit."""
+    if isinstance(value, str) and "/" not in value:
+        mantissa, _, exp = value.strip().lower().partition("e")
+        limit = sys.get_int_max_str_digits()
+        if limit and len(mantissa.lstrip("+-")) + abs(int(exp or 0)) > limit:
+            raise InvalidFamily("a value has too many digits to read in")
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +123,7 @@ def _check_shape(k: int, N: int, kind: str) -> None:
     if not (_int_in(k, 1) and _int_in(N, 1)):
         raise ShapeMismatch(f"k and N must be positive, got k={k!r}, N={N!r}")
     if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise InvalidFamily(f"unknown kind {kind!r}")
 
 
 class MultilinearFamily(_Value):
@@ -324,7 +336,11 @@ class DeltaTensor(_Value):
         if not _int_in(k, 1):
             raise DimMismatch(f"k must be positive, got {k!r}")
         table: dict[tuple[int, int, int], Fraction] = {}
-        for key, v in dict(entries).items():
+        try:
+            entries = dict(entries)
+        except (TypeError, ValueError):
+            raise InvalidFamily(f"entries must pair triples with values, got {entries!r}") from None
+        for key, v in entries.items():
             if not (isinstance(key, tuple) and len(key) == 3):
                 raise DimMismatch(f"index {key!r} is not a triple (i, j, l)")
             i, j, l = key

@@ -136,7 +136,7 @@ _PARTITION_TEXT = re.compile(r"(\s*\{\s*-?\d+\s*(,\s*-?\d+\s*)*\})+\s*")
 def _blocks_from_text(text: str) -> list[tuple[int, ...]]:
     """The integer blocks of a text form such as ``{1,3}{2}``; anything but
     braced comma-separated integers raises InvalidPartition."""
-    if not _PARTITION_TEXT.fullmatch(text):
+    if not (isinstance(text, str) and _PARTITION_TEXT.fullmatch(text)):
         raise InvalidPartition(f"cannot parse partition text: {text!r}")
     return [tuple(map(int, p.split(","))) for p in re.findall(r"\{([^}]*)\}", text)]
 
@@ -153,7 +153,10 @@ def one_partition(n: int) -> NcPartition:
 
 def _int_blocks(blocks) -> list[tuple[int, ...]]:
     """The blocks as tuples; InvalidPartition for a label that is not an int."""
-    blocks = [tuple(b) for b in blocks]
+    try:
+        blocks = [tuple(b) for b in blocks]
+    except TypeError:
+        raise InvalidPartition(f"blocks {blocks!r} are not lists of labels") from None
     for b in blocks:
         for x in b:
             if type(x) is not int:

@@ -169,10 +169,6 @@ def product_intertwine_counterexample(
     return _intertwine_counterexample(_check_product_pairs, _block_diagonal, mu1, nu1, mu2, nu2)
 
 
-def verify_product_intertwine(mu1, nu1, mu2, nu2) -> bool:
-    return product_intertwine_counterexample(mu1, nu1, mu2, nu2) is None
-
-
 def convolution_intertwine_counterexample(
     mu1: MultilinearFamily,
     nu1: MultilinearFamily,
@@ -182,7 +178,3 @@ def convolution_intertwine_counterexample(
     """Convolution statement, same shape as the product one.  Inputs at
     degree N+1, comparison at degree N.  Returns a failing word or None."""
     return _intertwine_counterexample(_require_same_shape, _entrywise, mu1, nu1, mu2, nu2)
-
-
-def verify_convolution_intertwine(mu1, nu1, mu2, nu2) -> bool:
-    return convolution_intertwine_counterexample(mu1, nu1, mu2, nu2) is None

@@ -57,7 +57,7 @@ from .cumulants import (
     _boolean, _cfree, _explicit, _first_difference, _first_word, _graded, _lattice_sum,
     _nc_mob_table, _signed_table)
 from .deltastar import _check_inputs, _gamma_eta_rows, _gamma_eta_sum, _gamma_eta_tables
-from .errors import _int_in
+from .errors import NcprobError, _int_in
 from .families import _check_shape, _word_count
 from .nc import DEFAULT_ENUM_LIMIT, _attach, _check_size, _cut, _kreweras, _nc_span, _parent
 from .typeb import DEFAULT_SIGNED_LIMIT
@@ -449,7 +449,7 @@ def verify_report(theorem: str, seed: int, k: int, big_n: int, l: int = 1) -> di
     shared by the CLI.  The report's "N" is the degree actually checked, and
     the counterexample is the first one found."""
     if theorem not in TARGETS:
-        raise ValueError(f"unknown verification target {theorem!r}")
+        raise NcprobError(f"unknown verification target {theorem!r}")
     _check_shape(k, big_n, "moment")
     if not _int_in(l, 1):
         raise ShapeMismatch(f"l must be positive, got l={l!r}")

@@ -132,6 +132,8 @@ class SignedNcPartition(_Value):
 
     @classmethod
     def from_text(cls, text: str, flavor: Flavor | str | None = None) -> "SignedNcPartition":
+        if not isinstance(text, str):
+            raise InvalidPartition(f"cannot parse partition text: {text!r}")
         flavor, body = text.split(":", 1) if ":" in text else (flavor, text)
         if flavor is None:
             raise InvalidPartition("flavor tag required")

@@ -424,10 +424,10 @@ def test_infinite_family_value_is_a_usage_error(runner, tmp_path, value):
     ["psi"],
 ], ids=["transform", "convolve", "product", "psi"])
 def test_value_too_long_to_write_is_a_usage_error(runner, tmp_path, command):
-    # "1e5000" parses exactly, but its 5,001 digits are past the interpreter's
-    # int-to-str limit, so the result cannot be written out
+    # "1e4000" reads within the interpreter's int-to-str limit, but every
+    # command squares it at degree 2, and 8,001 digits cannot be written out
     path = tmp_path / "huge.json"
-    path.write_text('{"k": 1, "N": 2, "values": {"1": "1e5000", "1,1": "2"}}')
+    path.write_text('{"k": 1, "N": 2, "values": {"1": "1e4000", "1,1": "2"}}')
     inputs = ["--input", str(path)] * (2 if command[0] in ("convolve", "product") else 1)
     res = runner.invoke(main, command + inputs)
     assert res.exit_code == 2, res.output

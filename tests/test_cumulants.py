@@ -985,7 +985,7 @@ def _check_against_lattice(name, inputs):
 
 @pytest.mark.parametrize("name", sorted(_ORACLES))
 @given(k=st.integers(1, 3), N=st.integers(1, 6), seed=st.integers(0, 10**6))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
 def test_transform_equals_its_lattice_definition(name, k, N, seed):
     if name in ("cc_cumulants", "moments_from_cc"):
         N = min(N, 5)

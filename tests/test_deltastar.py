@@ -21,12 +21,15 @@ from ncprob import (
     all_words,
     boolean_cumulants,
     cfree_cumulants,
+    cumulant_transform_counterexample,
+    cyclic_cumulant_counterexample,
     delta_star,
     diagonal_delta,
     enumerate_nc,
     eval_eta,
     eval_gamma,
     f_nm,
+    gamma_eta_counterexample,
     infinitesimal_cumulants,
     ll_one,
     moments_from_boolean,
@@ -37,9 +40,6 @@ from ncprob import (
     random_family,
     random_tracial,
     truncate,
-    verify_gamma_eta,
-    verify_theorem_cyclic,
-    verify_theorem_delta,
     words_of_length,
     zero_partition,
 )
@@ -236,7 +236,7 @@ def test_eval_gamma_nine_point_instance():
     beta = boolean_cumulants(chi)
     expect = Fraction(2, 3) * beta(ones(4)) * phi(ones(3)) * phi(ones(2)) * phi(ones(1))
     assert eval_gamma(d, chi, phi, pi, 3, w) == expect
-    assert verify_gamma_eta(d, chi, phi, 9, 3, rho)
+    assert gamma_eta_counterexample(d, chi, phi, 9, 3, rho) is None
 
 
 def test_eval_gamma_rank_one_tensor_factorizes():
@@ -292,12 +292,12 @@ def test_transform_identity_random_triples():
         phi = random_tracial(2, 5, seed=30 + s)
         chi = random_family(2, 5, seed=40 + s)
         d = random_delta(2, seed=50 + s)
-        assert verify_theorem_delta(d, phi, chi)
+        assert cumulant_transform_counterexample(d, phi, chi) is None
 
 
 def test_transform_identity_equal_families_diagonal():
     phi = random_tracial(2, 4, seed=60)
-    assert verify_theorem_delta(diagonal_delta(2), phi, phi)
+    assert cumulant_transform_counterexample(diagonal_delta(2), phi, phi) is None
 
 
 def test_transform_identity_rejects_non_tracial():
@@ -305,14 +305,14 @@ def test_transform_identity_rejects_non_tracial():
     chi = random_family(2, 4, seed=62)
     assert not phi == random_tracial(2, 4, seed=61)
     with pytest.raises(NotTracial):
-        verify_theorem_delta(diagonal_delta(2), phi, chi)
+        cumulant_transform_counterexample(diagonal_delta(2), phi, chi)
 
 
 def test_cyclic_identity_random_pairs():
     for s in range(5):
         mu = random_tracial(2, 5, seed=70 + s)
         nu = random_family(2, 5, seed=80 + s)
-        assert verify_theorem_cyclic(mu, nu)
+        assert cyclic_cumulant_counterexample(mu, nu) is None
 
 
 def test_cyclic_identity_first_order():
@@ -327,7 +327,7 @@ def test_cyclic_identity_first_order():
 def test_cyclic_identity_univariate():
     mu = random_family(1, 7, seed=92)
     nu = random_family(1, 7, seed=93)
-    assert verify_theorem_cyclic(mu, nu)
+    assert cyclic_cumulant_counterexample(mu, nu) is None
 
 
 def test_gamma_eta_exhaustive_small():
@@ -338,21 +338,21 @@ def test_gamma_eta_exhaustive_small():
         if not ll_one(rho):
             continue
         for m in (1, 2):
-            assert verify_gamma_eta(d, chi, phi, 2, m, rho)
+            assert gamma_eta_counterexample(d, chi, phi, 2, m, rho) is None
 
 
 def test_gamma_eta_rejects_non_tracial():
     phi = random_family(2, 4, seed=97)
     chi = random_family(2, 4, seed=98)
     with pytest.raises(NotTracial):
-        verify_gamma_eta(random_delta(2, seed=99), chi, phi, 2, 1, one_partition(3))
+        gamma_eta_counterexample(random_delta(2, seed=99), chi, phi, 2, 1, one_partition(3))
 
 
 def test_gamma_eta_rejects_bad_partition():
     phi = random_tracial(2, 4, seed=100)
     chi = random_family(2, 4, seed=101)
     with pytest.raises(NotLLOne):
-        verify_gamma_eta(random_delta(2, seed=102), chi, phi, 2, 1, zero_partition(3))
+        gamma_eta_counterexample(random_delta(2, seed=102), chi, phi, 2, 1, zero_partition(3))
 
 
 def test_cyclic_identity_checks_psi_k(monkeypatch):
@@ -373,7 +373,6 @@ def test_cyclic_identity_checks_psi_k(monkeypatch):
     mu = random_tracial(2, 4, seed=103)
     nu = random_family(2, 4, seed=104)
     assert ds.cyclic_cumulant_counterexample(mu, nu) == (1, 2, 1)
-    assert not verify_theorem_cyclic(mu, nu)
 
 
 def test_decorated_functionals_check_inputs_before_boolean_cumulants(monkeypatch):

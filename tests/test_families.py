@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -75,14 +76,14 @@ def test_truncate_and_random_tracial_check_shape_and_kind():
     assert (g.kind, g.unit) == ("infinitesimal", "zero")
     with pytest.raises(ShapeMismatch):
         truncate(f, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFamily):
         truncate(f, 2, kind="bogus")
     for random in (random_family, random_tracial):
         with pytest.raises(ShapeMismatch):
             random(0, 3, seed=1)
         with pytest.raises(ShapeMismatch):
             random(2, 0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidFamily):
             random(2, 3, seed=1, kind="bogus")
 
 
@@ -390,6 +391,25 @@ def test_family_from_json_dict_rejects_an_infinite_value(text):
     blob["values"]["1"] = json.loads(text)
     with pytest.raises(InvalidFamily, match="malformed family data"):
         MultilinearFamily.from_json_dict(blob)
+
+
+def test_a_value_text_is_read_only_within_the_digits_it_can_be_written_in():
+    # mantissa length plus exponent magnitude, the point counted, bounds the
+    # digits of numerator and denominator by the int-to-str limit
+    limit = sys.get_int_max_str_digits()
+
+    def read(text):
+        return MultilinearFamily.from_json_dict({"k": 1, "N": 1, "values": {"1": text}})
+
+    assert read("1e400")((1,)) == 10 ** 400
+    for text in (f"1e{limit - 1}", f"-.1e-{limit - 2}", "9" * limit):
+        inside = read(text)
+        assert read(inside.to_json_dict()["values"]["1"]) == inside
+    for text in (f"1e{limit}", f".1e-{limit - 1}", f"{'9' * limit}.5", f"1e-{limit}"):
+        with pytest.raises(InvalidFamily, match="^a value has too many digits to read in$"):
+            read(text)
+        with pytest.raises(InvalidFamily, match="^a value has too many digits to read in$"):
+            MultilinearFamily(1, 1, {(1,): text})
 
 
 @pytest.mark.parametrize(

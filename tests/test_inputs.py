@@ -20,6 +20,7 @@ from ncprob.errors import (
     InvalidFamily,
     InvalidPartition,
     LimitExceeded,
+    NcprobError,
     NotOuter,
     PositionOutOfRange,
     ShapeMismatch,
@@ -121,6 +122,20 @@ CASES = {
     "tensor index (1, 1)": (lambda: DeltaTensor(1, {(1, 1): 1}), DimMismatch),
     "tensor entries [(1, 1)]": (lambda: DeltaTensor(1, [(1, 1)]), DimMismatch),
     "from_pair blocks [1]": (lambda: from_pair(RHO, [1]), NotOuter),
+    "tensor entries None": (lambda: DeltaTensor(1, None), InvalidFamily),
+    "tensor entries [1]": (lambda: DeltaTensor(1, [1]), InvalidFamily),
+    "NcPartition blocks None": (lambda: NcPartition(3, None), InvalidPartition),
+    "NcPartition blocks [1]": (lambda: NcPartition(3, [1]), InvalidPartition),
+    "is_noncrossing(None)": (lambda: is_noncrossing(None), InvalidPartition),
+    "SignedNcPartition blocks None": (
+        lambda: SignedNcPartition(1, "B", None), InvalidPartition),
+    "NcPartition.from_text(1)": (lambda: NcPartition.from_text(1), InvalidPartition),
+    "SignedNcPartition.from_text(1)": (lambda: SignedNcPartition.from_text(1), InvalidPartition),
+    # a name that is not one of a fixed set
+    "family kind 'x'": (lambda: MultilinearFamily(1, 1, {(1,): 1}, kind="x"), InvalidFamily),
+    "random_family kind 'x'": (lambda: random_family(1, 2, 0, kind="x"), InvalidFamily),
+    "truncate kind 'x'": (lambda: truncate(F, 1, kind="x"), InvalidFamily),
+    "verify_report 'nope'": (lambda: verify_report("nope", 0, 1, 2), NcprobError),
 }
 
 

@@ -15,6 +15,7 @@ from ncprob import (
     build_family,
     cfree_cumulants,
     cfree_product,
+    convolution_intertwine_counterexample,
     enumerate_nc,
     free_cumulants,
     free_product,
@@ -23,11 +24,10 @@ from ncprob import (
     infinitesimal_product,
     moments_from_cfree,
     moments_from_free,
+    product_intertwine_counterexample,
     random_family,
     random_tracial,
     relabel,
-    verify_convolution_intertwine,
-    verify_product_intertwine,
     words_of_length,
     zero_family,
 )
@@ -282,19 +282,19 @@ def test_convolution_intertwine():
         nu1 = random_family(1, 5, seed=60 + s)
         mu2 = random_family(1, 5, seed=70 + s)
         nu2 = random_family(1, 5, seed=80 + s)
-        assert verify_convolution_intertwine(mu1, nu1, mu2, nu2)
+        assert convolution_intertwine_counterexample(mu1, nu1, mu2, nu2) is None
     mu1 = random_tracial(2, 5, seed=90)
     nu1 = random_family(2, 5, seed=91)
     mu2 = random_tracial(2, 5, seed=92)
     nu2 = random_family(2, 5, seed=93)
-    assert verify_convolution_intertwine(mu1, nu1, mu2, nu2)
+    assert convolution_intertwine_counterexample(mu1, nu1, mu2, nu2) is None
 
 
 def test_convolution_intertwine_trivial_second_pair():
     m1 = random_family(1, 5, seed=94)
     n1 = random_family(1, 5, seed=95)
     triv = moments_from_free(zero_family(1, 5, kind="free-cumulant"))
-    assert verify_convolution_intertwine(m1, n1, triv, triv)
+    assert convolution_intertwine_counterexample(m1, n1, triv, triv) is None
 
 
 def test_product_intertwine():
@@ -303,24 +303,24 @@ def test_product_intertwine():
         nu1 = random_family(1, 4, seed=110 + s)
         mu2 = random_family(1, 4, seed=120 + s)
         nu2 = random_family(1, 4, seed=130 + s)
-        assert verify_product_intertwine(mu1, nu1, mu2, nu2)
+        assert product_intertwine_counterexample(mu1, nu1, mu2, nu2) is None
     mu1 = random_tracial(2, 4, seed=140)
     nu1 = random_family(2, 4, seed=141)
     mu2 = random_family(1, 4, seed=142)
     nu2 = random_family(1, 4, seed=143)
-    assert verify_product_intertwine(mu1, nu1, mu2, nu2)
+    assert product_intertwine_counterexample(mu1, nu1, mu2, nu2) is None
 
 
 def test_product_intertwine_degenerate():
     mu1 = random_family(1, 4, seed=144)
     mu2 = random_family(1, 4, seed=145)
-    assert verify_product_intertwine(mu1, mu1, mu2, mu2)
+    assert product_intertwine_counterexample(mu1, mu1, mu2, mu2) is None
 
 
 def test_intertwine_rejects_non_tracial():
     mu1 = random_family(2, 4, seed=146)
     with pytest.raises(NotTracial):
-        verify_convolution_intertwine(mu1, mu1, mu1, mu1)
+        convolution_intertwine_counterexample(mu1, mu1, mu1, mu1)
 
 
 def test_cumulant_tables_determine_families():

@@ -19,6 +19,7 @@ from ncprob import (
     InvalidPartition,
     MultilinearFamily,
     NcPartition,
+    NcprobError,
     ShapeMismatch,
     SignedNcPartition,
     boxplus,
@@ -50,11 +51,6 @@ from ncprob import (
     random_family,
     random_tracial,
     truncate,
-    verify_convolution_intertwine,
-    verify_gamma_eta,
-    verify_product_intertwine,
-    verify_theorem_cyclic,
-    verify_theorem_delta,
 )
 from ncprob.selftest import verify_report
 
@@ -91,12 +87,9 @@ SAME_SHAPE = {
     "boxplus_b": lambda g: boxplus_b(F, F, g, F),
     "convolution_intertwine_counterexample":
         lambda g: convolution_intertwine_counterexample(T, F, T, g),
-    "verify_convolution_intertwine": lambda g: verify_convolution_intertwine(T, g, T, F),
     "cumulant_transform_counterexample":
         lambda g: cumulant_transform_counterexample(diagonal_delta(2), T, g),
-    "verify_theorem_delta": lambda g: verify_theorem_delta(diagonal_delta(2), T, g),
     "cyclic_cumulant_counterexample": lambda g: cyclic_cumulant_counterexample(T, g),
-    "verify_theorem_cyclic": lambda g: verify_theorem_cyclic(T, g),
 }
 
 
@@ -119,10 +112,8 @@ OFF_TENSOR = {
     "eval_gamma, phi off": lambda: eval_gamma(D2, F, T1, RHO, 1, (1, 1, 1)),
     "cumulant_transform_counterexample":
         lambda: cumulant_transform_counterexample(D2, T1, F1),
-    "verify_theorem_delta": lambda: verify_theorem_delta(D2, T1, F1),
     "gamma_eta_counterexample, chi off": lambda: gamma_eta_counterexample(D2, F1, T, 2, 1, RHO),
     "gamma_eta_counterexample, phi off": lambda: gamma_eta_counterexample(D2, F, T1, 2, 1, RHO),
-    "verify_gamma_eta": lambda: verify_gamma_eta(D2, F, T1, 2, 1, RHO),
 }
 
 
@@ -139,7 +130,6 @@ PRODUCTS = {
     "cfree_product": cfree_product,
     "infinitesimal_product": infinitesimal_product,
     "product_intertwine_counterexample": product_intertwine_counterexample,
-    "verify_product_intertwine": verify_product_intertwine,
 }
 PAIR_FAULTS = {
     "a degree off": (DegreeMismatch, "share one degree",
@@ -169,9 +159,7 @@ def test_intertwining_checks_refuse_degree_one_before_grading(ungraded, check, p
 T_1, F_1 = truncate(T, 1), truncate(F, 1)
 DEGREE_ONE = {
     "cumulant_transform_counterexample": lambda: cumulant_transform_counterexample(D2, T_1, F_1),
-    "verify_theorem_delta": lambda: verify_theorem_delta(D2, T_1, F_1),
     "cyclic_cumulant_counterexample": lambda: cyclic_cumulant_counterexample(T_1, F_1),
-    "verify_theorem_cyclic": lambda: verify_theorem_cyclic(T_1, F_1),
 }
 
 
@@ -231,5 +219,5 @@ def test_untagged_signed_text_needs_a_flavor():
 
 
 def test_verify_report_refuses_an_unknown_target():
-    with pytest.raises(ValueError, match="unknown verification target 'x'"):
+    with pytest.raises(NcprobError, match="unknown verification target 'x'"):
         verify_report("x", 0, 2, 3)
