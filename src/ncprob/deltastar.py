@@ -266,18 +266,13 @@ def gamma_eta_counterexample(
         raise NotLLOne(f"{rho} is not << 1_{rho.n}")
     if phi.N < n or chi.N < n + 1:
         raise DegreeTooLow(f"need phi degree >= {n} and chi degree >= {n + 1}")
-    _check_inputs(delta, chi, phi)
+    _require_dim(delta, chi, phi)
+    if not is_tracial(phi):
+        raise NotTracial("phi must be tracial")
     if not _int_in(m, 1, n):
         raise InvalidPartition(f"m={m!r} outside 1..{n}")
     sides = _gamma_eta_rows(n, m, rho.blocks, {})
     return sides and _gamma_eta_sum(_gamma_eta_tables(delta, chi, phi), phi.k, n, sides)
-
-
-def _check_inputs(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily) -> None:
-    """The checks on the inputs that a gamma-eta search makes before it sums any case."""
-    _require_dim(delta, chi, phi)
-    if not is_tracial(phi):
-        raise NotTracial("phi must be tracial")
 
 
 def _gamma_eta_tables(delta: DeltaTensor, chi: MultilinearFamily, phi: MultilinearFamily):

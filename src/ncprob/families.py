@@ -28,6 +28,7 @@ import random as _random
 import sys
 from collections.abc import Mapping
 from contextlib import suppress
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,8 +77,10 @@ def _json_fraction(value) -> Fraction:
 
 
 def _read_fraction(value) -> Fraction:
-    """Fraction(value), first refusing a decimal text whose mantissa length plus
-    exponent size, a bound on its digits, is above the int-to-str digit limit."""
+    """Fraction(value), a Decimal read through its text, first refusing a decimal
+    text whose mantissa length plus exponent size, a bound on its digits, is
+    above the int-to-str digit limit."""
+    value = str(value) if isinstance(value, Decimal) else value
     if isinstance(value, str) and "/" not in value:
         mantissa, _, exp = value.strip().lower().partition("e")
         limit = sys.get_int_max_str_digits()

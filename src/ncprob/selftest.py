@@ -56,7 +56,7 @@ from . import (
 from .cumulants import (
     _boolean, _cfree, _explicit, _first_difference, _first_word, _graded, _lattice_sum,
     _nc_mob_table, _signed_table)
-from .deltastar import _check_inputs, _gamma_eta_rows, _gamma_eta_sum, _gamma_eta_tables
+from .deltastar import _gamma_eta_rows, _gamma_eta_sum, _gamma_eta_tables
 from .errors import NcprobError, _int_in
 from .families import _check_shape, _word_count
 from .nc import DEFAULT_ENUM_LIMIT, _attach, _check_size, _cut, _kreweras, _nc_span, _parent
@@ -256,43 +256,39 @@ def _cc_difference_failure(phi, chi):
     return _first_difference(phi.k, got, c[1:])
 
 
-def _target_failure(seed, draws):
-    """The first failure's detail, or None.  Each draw (TARGETS row, seed
-    offset, (k, N, l) shapes, detail) runs the row's check on seed
-    seed * 1000 + offset + i at the i-th shape; a counterexample w there
-    reports detail.format(i=i, w=w)."""
+def _target_failure(seed, draws, passed):
+    """The criterion's verdict: (False, detail) at the first counterexample,
+    else (True, passed).  Each draw (TARGETS row, seed offset, (k, N, l)
+    shapes, detail) runs the row's check on seed seed * 1000 + offset + i at
+    the i-th shape; a counterexample w there reports detail.format(i=i, w=w)."""
     for row, offset, shapes, detail in draws:
         for i, (k, n, l) in enumerate(shapes):
             w = TARGETS[row].check(seed * 1000 + offset + i, k, n, l)
             if w is not None:
-                return detail.format(i=i, w=w)
-    return None
+                return False, detail.format(i=i, w=w)
+    return True, passed
 
 
 def _criterion_cc(seed):
-    bad = _target_failure(seed, (
+    return _target_failure(seed, (
         ("prop54", 300, [(2, 5, 1)] * 20, "difference identity fails at draw {i}, word {w}"),
         ("eq5a", 901, [(2, 5, 1)], "type-B moment reconstruction fails"),
-        ("eq55a", 901, [(2, 5, 1)], "opposite-order moment reconstruction fails")))
-    if bad is not None:
-        return False, bad
-    return True, "signed-lattice cumulants equal the difference; moment rewritings exact"
+        ("eq55a", 901, [(2, 5, 1)], "opposite-order moment reconstruction fails")),
+        "signed-lattice cumulants equal the difference; moment rewritings exact")
 
 
 def _criterion_transform_theorem(seed):
-    bad = _target_failure(
-        seed, [("17", 400, [(2, 4, 1)] * 50, "transform identity fails at draw {i}, word {w}")])
-    if bad is not None:
-        return False, bad
-    return True, "tensor transform identity exact on 50 seeded triples, k=2, N=4"
+    return _target_failure(
+        seed, [("17", 400, [(2, 4, 1)] * 50, "transform identity fails at draw {i}, word {w}")],
+        "tensor transform identity exact on 50 seeded triples, k=2, N=4")
 
 
 def _criterion_cyclic_theorem(seed):
-    bad = _target_failure(seed, (
+    ok, detail = _target_failure(seed, (
         ("14", 500, [(2, 4, 1)] * 50, "cyclic identity fails at draw {i}, word {w}"),
-        ("14", 550, [(1, 6, 1)] * 50, "univariate cyclic identity fails at draw {i}")))
-    if bad is not None:
-        return False, bad
+        ("14", 550, [(1, 6, 1)] * 50, "univariate cyclic identity fails at draw {i}")), None)
+    if not ok:
+        return False, detail
     for i in range(50):
         _, nu = _pair(1, 7, seed * 1000 + 550 + i)
         beta = boolean_cumulants(nu)
@@ -315,11 +311,10 @@ def _gamma_eta_cases(max_n):
 
 
 def _criterion_gamma_eta(seed):
-    bad = _target_failure(seed, [("lemma67", 600, [(2, 4, 1)], "block identity fails at word {w}")])
-    if bad is not None:
-        return False, bad
     cases = sum(1 for _ in _gamma_eta_cases(4))
-    return True, f"block-level transform identity exhaustive for n<=4 ({cases} cases)"
+    return _target_failure(
+        seed, [("lemma67", 600, [(2, 4, 1)], "block identity fails at word {w}")],
+        f"block-level transform identity exhaustive for n<=4 ({cases} cases)")
 
 
 def _check_restrictions(product_nu, nu1, nu2):
@@ -331,12 +326,12 @@ def _check_restrictions(product_nu, nu1, nu2):
 
 def _criterion_products(seed):
     shapes = [(1, 3, 1)] * 13 + [(2, 3, 1)] * 12
-    bad = _target_failure(seed, (
+    ok, detail = _target_failure(seed, (
         ("12", 700, [(1, 4, 1)] * 13 + [(2, 4, 1)] * 12,
          "convolution intertwine fails at draw {i}, word {w}"),
-        ("13", 800, shapes, "product intertwine fails at draw {i}, word {w}")))
-    if bad is not None:
-        return False, bad
+        ("13", 800, shapes, "product intertwine fails at draw {i}, word {w}")), None)
+    if not ok:
+        return False, detail
     for i, (k, n, l) in enumerate(shapes):
         mu1, nu1, mu2, nu2 = _pairs(k, l, n + 1, seed * 1000 + 800 + i)
         mu, nu = cfree_product(mu1, nu1, mu2, nu2)
@@ -368,6 +363,7 @@ def _families(k, n, seed, kind="moment"):
 
 
 def _lemma210(seed, k, n, l):
+    _check_size(n, DEFAULT_ENUM_LIMIT, "enumeration")  # before any case
     for m in range(2, n + 1):
         bad = _cut_attach_failure(m)
         if bad is not None:
@@ -376,15 +372,14 @@ def _lemma210(seed, k, n, l):
 
 
 def _lemma67(seed, k, n, l):
-    # inputs are drawn only for an open case; chi at the degree n + 2 its seed names
+    # inputs are drawn only for an open case, at the degree n + 1 the tables read
     verdicts = {}
     open_cases = [(case[0], sides) for case in _gamma_eta_cases(n)
                   if (sides := _gamma_eta_rows(*case, verdicts))]
     if not open_cases:
         return None
     phi, delta = random_tracial(k, n + 1, seed=seed), random_delta(k, seed=seed + 2)
-    chi = truncate(random_family(k, n + 2, seed=seed + 1), n + 1)
-    _check_inputs(delta, chi, phi)
+    chi = random_family(k, n + 1, seed=seed + 1)
     tables = _gamma_eta_tables(delta, chi, phi)
     return next(filter(None, (_gamma_eta_sum(tables, k, *case) for case in open_cases)), None)
 

@@ -597,6 +597,20 @@ def test_lemma67_refuses_a_degree_above_the_enumeration_limit_before_any_case(mo
         st.verify_report("lemma67", 0, k, N)
 
 
+@pytest.mark.parametrize("N", [13, 14])
+def test_lemma210_refuses_a_degree_above_the_enumeration_limit_before_any_case(N):
+    # verify clips lemma210 to N = 11; the check itself refuses NC(N) above
+    # the limit at once instead of building it
+    import time
+
+    from ncprob.errors import LimitExceeded
+
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match=rf"^n={N} above enumeration limit 12$"):
+        TARGETS["lemma210"].check(0, 1, N, 1)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_lemma67_reports_the_first_counterexample(monkeypatch):
     # cases (1, 1), (2, 1) and (3, 2) are left open, and every open case but
     # (1, 1) sums to nonzero; the report names the first of those

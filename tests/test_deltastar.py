@@ -477,7 +477,7 @@ def test_lemma67_draws_chi_once_and_reports_the_eager_search(monkeypatch, k, N, 
 
     _merge_at_next_slot(monkeypatch, ds)
     phi = random_tracial(k, N + 1, seed=seed)
-    chi = random_family(k, N + 2, seed=seed + 1)
+    chi = random_family(k, N + 1, seed=seed + 1)
     d = random_delta(k, seed=seed + 2)
     eager = next(filter(None, (
         ds.gamma_eta_counterexample(d, chi, phi, n, m, NcPartition(n + 1, rows))
@@ -487,6 +487,28 @@ def test_lemma67_draws_chi_once_and_reports_the_eager_search(monkeypatch, k, N, 
     assert report["ok"] is False
     assert report["counterexample"] == list(eager) == [1, 1, 1]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k,N", [(1, 4), (2, 4), (3, 3)])
+def test_lemma67_draws_no_family_past_the_length_verify_sizes(monkeypatch, k, N):
+    # under an f_nm that merges at slot m+1 the search falls back and draws
+    # phi and chi; neither may reach past N + reach, the word length that
+    # `_input_size` counts for the row
+    import ncprob.deltastar as ds
+    import ncprob.selftest as st
+
+    _merge_at_next_slot(monkeypatch, ds)
+    degrees = []
+    for name in ("random_family", "random_tracial"):
+        def drawn(*args, real=getattr(st, name), **kwargs):
+            family = real(*args, **kwargs)
+            degrees.append(family.N)
+            return family
+
+        monkeypatch.setattr(st, name, drawn)
+    assert st.verify_report("lemma67", 0, k, N)["ok"] is False
+    assert len(degrees) == 2
+    assert max(degrees) == N + st.TARGETS["lemma67"].reach
 
 
 @pytest.mark.parametrize("merge_at_next_slot", [False, True])

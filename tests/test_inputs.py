@@ -5,7 +5,9 @@ and exit 2 on the command line, never a traceback."""
 import json
 import os
 import tempfile
+import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -196,6 +198,15 @@ def test_a_python_float_keeps_its_exact_binary_value():
     assert DeltaTensor(1, {(1, 1, 1): 0.1}).expand(1) == ((1, 1, Fraction(0.1)),)
 
 
+def test_a_decimal_is_read_through_its_text():
+    # so the digit bound on a text value bounds a Decimal too
+    start = time.perf_counter()
+    with pytest.raises(InvalidFamily, match="too many digits"):
+        MultilinearFamily(1, 1, {(1,): Decimal("1e9999999")})
+    assert time.perf_counter() - start < 0.3
+    assert MultilinearFamily(1, 1, {(1,): Decimal("0.1")})((1,)) == Fraction(1, 10)
+
+
 def test_json_true_and_false_are_not_values():
     data = random_family(1, 2, seed=0).to_json_dict()
     for flag in (True, False):
@@ -282,7 +293,13 @@ def _wrong(v):
     return st.sampled_from([float(v), str(v), True, False, 0, -v, None, [v]])
 
 
-NOT_A_VALUE = st.sampled_from([True, False, None, [1], "x", "1/0", "1e400", "Infinity"])
+# each costly value is refused by its length, which a full parse would pay for
+COSTLY = ["1e4301", "-1E+999999999", "7" * 5000]
+NOT_A_VALUE = st.one_of(
+    st.sampled_from([True, False, None, [1], "x", "1/0", "1e400", "Infinity"]),
+    st.sampled_from(COSTLY))
+# primes from 1009 up, by trial division, which suffices below 37 ** 2
+PRIMES = [p for p in range(1000, 1300) if all(p % q for q in range(2, 37))]
 
 
 def _family(k, N, seed):
@@ -291,11 +308,11 @@ def _family(k, N, seed):
 
 @st.composite
 def family_text(draw, k):
-    """The JSON text of a family over k letters of degree up to 3, valid or
-    broken in one place."""
+    """The JSON text of a family over k letters of degree up to 3, valid, valid
+    with each value over its own prime denominator, or broken in one place."""
     data = _family(k, draw(st.integers(1, 3)), draw(st.integers(0, 3)))
     where = draw(st.one_of(st.just("none"), st.sampled_from(
-        ["k", "N", "kind", "unit", "values", "value", "key", "drop", "whole", "text"])))
+        ["k", "N", "kind", "unit", "values", "value", "key", "drop", "whole", "text", "primes"])))
     if where in ("k", "N"):
         data[where] = draw(_wrong(data[where]))
     elif where in ("kind", "unit", "values"):
@@ -308,6 +325,8 @@ def family_text(draw, k):
             data["values"].pop(key))
     elif where == "drop":
         del data[draw(st.sampled_from(["k", "N", "values"]))]
+    elif where == "primes":
+        data["values"] = {w: f"1/{p}" for w, p in zip(sorted(data["values"]), PRIMES)}
     elif where == "whole":
         data = draw(st.sampled_from([[], 3, "x", None, {}]))
     elif where == "text":
@@ -381,7 +400,7 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
-@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+@settings(max_examples=40, derandomize=True, database=None, deadline=1000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_malformed_input_never_gives_a_traceback(command, data):
