@@ -38,9 +38,10 @@ dual numbers (epsilon^2 = 0), so their transforms run both steps on jets:
 tuples of parts, part j of a product summing part p of one factor times
 part j - p of the other, one part for the plain sums and two for the duals.
 The public wrappers, the products and the checks share the layer entries:
-`_cfree` (the free cumulants are `_cfree(p, p)`), `_moments_cfree`, and
-`_moments` and its inverse `_dual`, on jets of one part or two.  Each of
-the eleven public transforms is one call to `_on_layers`, its graded boundary.
+`_cfree` (the free cumulants are `_cfree(p, p)`), `_moments_cfree` and its
+closed sums `_closed_sums`, and `_moments` and its inverse `_dual`, on jets
+of one part or two.  Each of the eleven public transforms is one call to
+`_on_layers`, its graded boundary.
 
 The explicit c-free formula weighs the partitions with a unique outer
 block V by their Moebius value, which factors over the gaps of V through
@@ -241,25 +242,27 @@ def _moments(jet: tuple) -> tuple:
     return mom
 
 
+def _closed_sums(p: list, kc: list) -> list:
+    """Graded closed sums of kc, moments p in the gaps: with kc c-free cumulants, beta_chi."""
+    return _closed((kc,), (p,), _blank(len(kc) - 1), False)[0]
+
+
 def _moments_cfree(p: list, kc: list) -> list:
     """Graded c-free moments from the graded moments p and c-free cumulants kc."""
-    N = len(kc) - 1
-    return _interval(_closed((kc,), (p,), _blank(N), False), _blank(N), False)[0]
+    return _interval((_closed_sums(p, kc),), _blank(len(kc) - 1), False)[0]
 
 
 def _moments_cc(p: list, cc: list) -> list:
     """Graded c-free moments from the graded moments p and alternative
     c-free cumulants cc: beta_chi is beta_phi plus the closed sums of cc."""
-    N = len(cc) - 1
-    closed = _closed((cc,), (p,), _blank(N), False)[0]
-    beta = [list(map(add, x, y)) for x, y in zip(closed, _boolean(p))]
-    return _interval((beta,), _blank(N), False)[0]
+    beta = [list(map(add, x, y)) for x, y in zip(_closed_sums(p, cc), _boolean(p))]
+    return _interval((beta,), _blank(len(cc) - 1), False)[0]
 
 
-def _explicit(p: list, c: list) -> list:
-    """Graded c-free cumulants of (p, c) by the explicit formula."""
+def _explicit(p: list, c: list, beta: list | None = None) -> list:
+    """Graded c-free cumulants of (p, c) by the explicit formula; beta as in `_cfree`."""
     F = _interval(_negated((_cfree(p, p),)), _blank(len(p) - 1), False)
-    return _closed((_boolean(c),), F, _blank(len(p) - 1), False)[0]
+    return _closed((_boolean(c) if beta is None else beta,), F, _blank(len(p) - 1), False)[0]
 
 
 def _cc(p: list, c: list) -> list:

@@ -80,7 +80,7 @@ def _int_in(value, lo: int, hi: int | None = None) -> bool:
 class _Value:
     """An immutable value, equal to another of its type with an equal `_key()`
     and hashed by it; `_fill` sets its `__slots__` in order, and a subclass
-    that derives a slot from its fields overrides it."""
+    that derives a slot from its fields or stores each by name overrides it."""
 
     __slots__ = ()
 

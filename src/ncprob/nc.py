@@ -13,6 +13,7 @@ wraps in partition objects.  Kreweras complementation, each surgery and
 `f_nm` run one core on such rows, which the `lemma210` and `lemma67`
 checks walk directly; the public functions check their arguments and, as
 the enumerations do, wrap the result with the unchecked `_Value._trusted`.
+A partition's block-owner table, `_owner`, is built on its first read.
 One stack scan, `is_noncrossing`, tests crossings, and the validating
 constructor reads its core; both refuse labels that are not ints, and
 every count or index passes `errors._int_in`.
@@ -62,9 +63,10 @@ class NcPartition(_Value):
     Blocks are stored with elements ascending and blocks ordered by their
     minimum, which makes equality, hashing and the serialized forms
     unambiguous.  `_trusted(n, blocks)` takes blocks canonical and non-crossing.
+    `block_of` and the order predicates read `_owner`, built on its first read.
     """
 
-    __slots__ = ("n", "blocks", "_owner")
+    __slots__ = ("n", "blocks", "_owner_table")
 
     def __init__(self, n: int, blocks) -> None:
         if not _int_in(n, 1):
@@ -76,12 +78,22 @@ class NcPartition(_Value):
             raise InvalidPartition(f"partition is crossing: {canon}")
         self._fill(n, canon)
 
-    def _fill(self, n: int, canon: Blocks) -> None:
-        owner = [-1] * (n + 1)
-        for i, b in enumerate(canon):
-            for x in b:
-                owner[x] = i
-        super()._fill(n, canon, tuple(owner))
+    def _fill(self, n: int, blocks: Blocks) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def _owner(self) -> tuple[int, ...]:
+        """Each element's block index, -1 at 0; racing first reads store equal tuples."""
+        try:
+            return self._owner_table
+        except AttributeError:
+            owner = [-1] * (self.n + 1)
+            for i, b in enumerate(self.blocks):
+                for x in b:
+                    owner[x] = i
+            object.__setattr__(self, "_owner_table", tuple(owner))
+            return self._owner_table
 
     def _key(self):
         return self.n, self.blocks
@@ -330,7 +342,7 @@ def sqsubseteq(pi: NcPartition, rho: NcPartition) -> bool:
 
 def ll_one(pi: NcPartition) -> bool:
     """pi << 1_n, i.e. pi has a unique outer block containing both 1 and n."""
-    return pi._owner[1] == pi._owner[pi.n]
+    return pi.blocks[0][-1] == pi.n
 
 
 def enumerate_ll_below(rho: NcPartition) -> tuple[NcPartition, ...]:

@@ -14,7 +14,7 @@ letters, or an entrywise sum) and runs the moments pass back.  The
 intertwining checks run the same cores on one grading and build no
 Fraction, and take one free pass: the c-free side reads the real part of
 the infinitesimal side's `_joined`, one degree short, as its closed sums
-read moments only in gaps.
+read moments only in gaps; psi reads those sums, the c-free moments' beta.
 """
 
 from operator import add
@@ -22,7 +22,8 @@ from operator import add
 from .errors import DegreeMismatch, DegreeTooLow, NotTracial, ShapeMismatch
 from .families import MultilinearFamily, _require_same_shape, diagonal_delta, is_tracial
 from .cumulants import (
-    _boolean, _cfree, _dual, _first_difference, _graded, _moments, _moments_cfree, _ungraded)
+    _boolean, _cfree, _closed_sums, _dual, _first_difference, _graded, _moments, _moments_cfree,
+    _ungraded)
 from .deltastar import _graded_delta_star
 
 
@@ -152,8 +153,8 @@ def _intertwine_counterexample(check_pairs, join, mu1, nu1, mu2, nu2):
     b1, b2 = _boolean(c1), _boolean(c2)
     mu, mup = _joined(join, (p1[:-1], _graded_delta_star(diagonal_delta(mu1.k), b1)[1]),
                       (p2[:-1], _graded_delta_star(diagonal_delta(mu2.k), b2)[1]))
-    nu, K = _moments_cfree(mu, join(_cfree(p1, c1, b1), _cfree(p2, c2, b2))), len(mu[1])
-    psi = _graded_delta_star(diagonal_delta(K), _boolean(nu))[1]
+    beta, K = _closed_sums(mu, join(_cfree(p1, c1, b1), _cfree(p2, c2, b2))), len(mu[1])
+    psi = _graded_delta_star(diagonal_delta(K), beta)[1]
     return _first_difference(K, mup[1:], psi[1:])
 
 

@@ -216,8 +216,9 @@ def _criterion_cfree_formula(seed):
     for i in range(20):
         s = seed * 1000 + 100 + i
         _, (val, c) = _graded(random_family(2, 5, seed=s), random_family(2, 5, seed=s + 5000))
-        kp, kcl, bphi, bchi = _cfree(val, val), _cfree(val, c), _boolean(val), _boolean(c)
-        if _explicit(val, c) != kcl:
+        bphi, bchi = _boolean(val), _boolean(c)
+        kp, kcl = _cfree(val, val, bphi), _cfree(val, c, bchi)
+        if _explicit(val, c, bchi) != kcl:
             return False, f"explicit formula != recursion at draw {i}"
         for n in range(1, 6):
             for want, sources, what in ((kp, (bphi, bphi), "free-from-boolean"),
@@ -238,7 +239,8 @@ def _explicit_failure(phi, chi):
     """The first word where the explicit c-free formula and the recursion
     differ, or None; both sides graded at one D."""
     _, (p, c) = _graded(phi, chi)
-    return _first_difference(phi.k, _explicit(p, c)[1:], _cfree(p, c)[1:])
+    beta = _boolean(c)
+    return _first_difference(phi.k, _explicit(p, c, beta)[1:], _cfree(p, c, beta)[1:])
 
 
 def _cc_difference_failure(phi, chi):

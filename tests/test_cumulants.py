@@ -400,6 +400,27 @@ def test_eq55a_builds_the_boolean_cumulants_of_phi_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("check,passes", [
+    # prop41: one Boolean pass for chi, read by the explicit formula and by
+    # the recursion, and one for phi, inside the explicit formula's F
+    (lambda st: st.TARGETS["prop41"].check(0, 2, 5, 1) is None, 2),
+    # criterion 8, per draw: one pass for chi, read by its solve, the explicit
+    # formula and the resummations, one for phi, read by its solve and the
+    # resummations, and the one inside the explicit formula's F
+    (lambda st: st._criterion_cfree_formula(0)[0], 3 * 20),
+], ids=["prop41", "criterion8"])
+def test_the_explicit_formula_checks_share_their_boolean_cumulants(
+        monkeypatch, check, passes):
+    import ncprob.cumulants as cu
+    import ncprob.selftest as st
+
+    real, calls = cu._boolean, []
+    for module in (cu, st):
+        monkeypatch.setattr(module, "_boolean", lambda c: calls.append(1) or real(c))
+    assert check(st)
+    assert len(calls) == passes
+
+
 def test_internal_tables_match_public_enumeration():
     # the cached 0-based tables drive every transform; pin them to the
     # public objects

@@ -32,7 +32,7 @@ from functools import cache
 import pytest
 
 from ncprob import cfree_product, free_product, infinitesimal_product, products, random_family
-from ncprob.cumulants import _ungraded
+from ncprob.cumulants import _blank, _interval, _ungraded
 from ncprob.families import all_words
 from ncprob.selftest import TARGETS
 
@@ -134,9 +134,10 @@ def test_the_infinitesimal_product_is_free_over_the_dual_numbers(k, l, N, seed):
 
 
 def test_target_13_builds_free_and_c_free_states(monkeypatch):
-    # record the graded moments jet (mu, mu') and the c-free moments nu that
-    # the check builds at (k, l, N) = (1, 1, 6) on seed 0, and read them at
-    # its D: mu' is at the scale D**(n+1) of the diagonal tensor's psi
+    # record the graded moments jet (mu, mu') and the Boolean cumulants of the
+    # c-free moments nu that the check builds at (k, l, N) = (1, 1, 6) on
+    # seed 0, rebuild nu from them by the interval step, and read them at its
+    # D: mu' is at the scale D**(n+1) of the diagonal tensor's psi
     seen = {}
 
     def recorded(name, real):
@@ -145,14 +146,15 @@ def test_target_13_builds_free_and_c_free_states(monkeypatch):
             return seen[name][1]
         return call
 
-    for name in ("_graded", "_joined", "_moments_cfree"):
+    for name in ("_graded", "_joined", "_closed_sums"):
         monkeypatch.setattr(products, name, recorded(name, getattr(products, name)))
     k, l, N = 1, 1, 6
     TARGETS["13"].check(0, k, N, l)
     (mu1, _, mu2, _), (D, _) = seen["_graded"]
     (mu_layers, mup_layers), K = seen["_joined"][1], k + l
     mu, mup = _ungraded(D, mu_layers, "moment"), _ungraded(D, mup_layers, "infinitesimal", D)
-    nu = _ungraded(D, seen["_moments_cfree"][1], "moment")
+    beta = seen["_closed_sums"][1]
+    nu = _ungraded(D, _interval((beta,), _blank(len(beta) - 1), False)[0], "moment")
     _assert_state(_joined_state(k, _factors(k, _jets(mu1), _jets(mu2))), K, N, mu)
     _assert_state(_joined_state(k, _jets(mu, mup)), K, N, mu, mup)
     _assert_state(_joined_state(k, _jets(nu), centre=_jets(mu)), K, N + 1, nu)

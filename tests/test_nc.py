@@ -565,3 +565,119 @@ def test_from_text_allows_spaces_between_tokens():
 def test_from_json_rejects_malformed_data(data):
     with pytest.raises(InvalidPartition):
         NcPartition.from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# the block-owner table, built on its first read
+# ---------------------------------------------------------------------------
+
+def _holds_owner_table(pi) -> bool:
+    """Whether pi's owner table is filled, read without filling it."""
+    return hasattr(pi, "_owner_table")
+
+
+def _fresh_partitions(n):
+    """(constructor, fresh partitions of {1..n} it built): none of them has
+    been read by a predicate yet."""
+    from ncprob.typeb import Flavor, abs_partition, enumerate_signed
+
+    nc._nc_objects.cache_clear()
+    parts = enumerate_nc(n)
+    seeds = [NcPartition(n, p.blocks) for p in parts]  # read below, unlike parts
+    inner = [(p, x) for p in seeds for i, b in enumerate(p.blocks)
+             if i not in outer_blocks(p) for x in b]
+    smaller = enumerate_nc(n - 1) if n > 1 else ()
+    bigger = [rho for rho in enumerate_nc(n + 1) if rho.blocks[0][-1] == n + 1]
+    yield "enumerate_nc", parts
+    yield "interval_partitions", interval_partitions(n)
+    yield "kreweras", [kreweras(p) for p in seeds]
+    yield "cut", [cut(p, x) for p, x in inner if x != p.blocks[p.block_of(x)][-1]]
+    yield "attach", [attach(p, x) for p, x in inner]
+    yield "f_nm", [f_nm(rho, m) for rho in bigger for m in range(1, n + 1)]
+    yield "f_nm_inverse", [f_nm_inverse(p, m) for p in smaller for m in range(1, n)]
+    yield "abs_partition", [abs_partition(s) for f in Flavor for s in enumerate_signed(n, f)]
+    yield "validating", [NcPartition(n, p.blocks) for p in parts]
+
+
+def _answers_off_the_blocks(pi, partners):
+    """block_of, ll_one, and leq, ll and sqsubseteq against each partner both
+    ways, each read off the blocks alone."""
+    def index(p, x):
+        return next(i for i, b in enumerate(p.blocks) if x in b)
+
+    def leq_(p, r):
+        return all(any(set(b) <= set(c) for c in r.blocks) for b in p.blocks)
+
+    def ll_(p, r):
+        return leq_(p, r) and all(index(p, c[0]) == index(p, c[-1]) for c in r.blocks)
+
+    def sq_(p, r):  # each block of p inside a block c of r is a run of c
+        runs = ([c.index(x) for x in b] for c in r.blocks for b in p.blocks if set(b) <= set(c))
+        return leq_(p, r) and all(s[-1] - s[0] + 1 == len(s) for s in runs)
+
+    pairs = [(pi, r) for r in partners] + [(r, pi) for r in partners]
+    return ([index(pi, x) for x in range(1, pi.n + 1)], 1 in pi.blocks[index(pi, pi.n)],
+            [(leq_(*q), ll_(*q), sq_(*q)) for q in pairs])
+
+
+def _answers(pi, partners):
+    pairs = [(pi, r) for r in partners] + [(r, pi) for r in partners]
+    return ([pi.block_of(x) for x in range(1, pi.n + 1)], ll_one(pi),
+            [(leq(*q), ll(*q), sqsubseteq(*q)) for q in pairs])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_owner_table_answers_match_the_blocks_before_and_after_the_first_read(n):
+    for name, parts in _fresh_partitions(n):
+        assert parts or n < 4, name
+        assert not any(map(_holds_owner_table, parts)), name
+        hashes = list(map(hash, parts))
+        partners = parts[::max(1, len(parts) // 6)]
+        want = [_answers_off_the_blocks(p, partners) for p in parts]
+        assert [_answers(p, partners) for p in parts] == want, name  # fills every table
+        assert all(map(_holds_owner_table, parts)), name
+        assert [_answers(p, partners) for p in parts] == want, name
+        for pi, h in zip(parts, hashes):
+            twin = NcPartition._trusted(pi.n, pi.blocks)
+            assert pi == twin and hash(pi) == hash(twin) == h and not _holds_owner_table(twin)
+            assert pi._owner == NcPartition(pi.n, pi.blocks)._owner
+            for slot in ("n", "blocks", "_owner_table", "_owner"):
+                with pytest.raises(AttributeError, match="^NcPartition is immutable$"):
+                    setattr(pi, slot, None)
+
+
+def test_a_fresh_enumeration_holds_no_owner_table():
+    nc._nc_objects.cache_clear()
+    parts = enumerate_nc(6)
+    assert len(parts) == catalan(6) and not any(map(_holds_owner_table, parts))
+    assert [ll_one(p) for p in parts] == [p.blocks[0][-1] == 6 for p in parts]
+    assert not any(map(_holds_owner_table, parts))
+    assert parts[1].block_of(6) == 4 and _holds_owner_table(parts[1])  # {1}{2}{3}{4}{5,6}
+
+
+def test_concurrent_first_reads_of_the_owner_table():
+    # racing first reads each store a tuple equal to the others'
+    import sys
+    import threading
+
+    nc._nc_objects.cache_clear()
+    parts = enumerate_nc(7)
+    want = [_answers_off_the_blocks(p, [])[0] for p in parts]
+    results = [None] * 8
+
+    def work(i):
+        results[i] = [[p.block_of(x) for x in range(1, 8)] for p in parts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == want for r in results)
+    assert [list(p._owner[1:]) for p in parts] == want

@@ -333,11 +333,11 @@ def test_cumulant_tables_determine_families():
 
 # side -> (the graded core of products it runs, the layers of its output to
 # plant the fault in, over the K letters of their layer 1, the word off by
-# one there): psi reads the c-free moments one degree up, so it moves on
-# (1, 2) where they move on (1, 2, 1)
+# one there): psi reads the Boolean cumulants of the c-free moments, their
+# closed sums, one degree up, so it moves on (1, 2) where they move on (1, 2, 1)
 FAULTS = {
     "infinitesimal": ("_joined", lambda out: out[1], (1, 2)),
-    "cfree": ("_moments_cfree", lambda out: out, (1, 2, 1)),
+    "cfree": ("_closed_sums", lambda out: out, (1, 2, 1)),
 }
 
 
